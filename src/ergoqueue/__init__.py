@@ -19,20 +19,16 @@ Four layers, each usable on its own:
 
 from .lindley import (
     CoupleResult,
-    IncrementWindow,
     LoynesResult,
     QueueTrace,
     forward_couple,
-    lindley_step,
     loynes_prefix_maxima,
     loynes_sup,
+    partial_sums,
     queue_path,
-    queue_step,
     run_recursion,
-    tandem_output,
     tandem_path,
     waiting_path,
-    waiting_step,
 )
 from .odometer import (
     DEFAULT_PRECISION,
@@ -68,7 +64,6 @@ from .processes import (
     TraceError,
     TraceProcess,
     parse_process,
-    process_from_json,
     rng_for,
 )
 from .estimators import (
@@ -81,7 +76,6 @@ from .estimators import (
     ScalingFunctions,
     TailEstimate,
     burst_cumulant_report,
-    burst_params,
     burst_probability_report,
     decay_delta,
     empirical_tail,

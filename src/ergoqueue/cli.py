@@ -23,6 +23,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -61,7 +62,7 @@ def _write_outputs(base: Path, header, rows, summary: dict) -> None:
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
     with open(f"{base}.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, default=str)
+        json.dump(summary, fh, indent=2)
         fh.write("\n")
 
 
@@ -86,11 +87,6 @@ _SCALINGS = {
     "cbrt": lambda t: float(t) ** (1.0 / 3.0),
     "log1p": lambda t: math.log1p(t),
 }
-
-
-def _strip_elapsed(data: dict) -> dict:
-    data.pop("elapsed_seconds", None)
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +116,9 @@ def _run_simulate(cfg: dict):
 def _run_loynes(cfg: dict):
     proc = parse_process(cfg["process"])
     window = proc.backward_window(cfg["window"], rng_for(cfg["seed"])) - cfg["s"]
-    sums = lindley.IncrementWindow(tuple(window.tolist())).partial_sums()
+    sums = lindley.partial_sums(window)
     maxima = lindley.loynes_prefix_maxima(window)
-    result = lindley.loynes_sup(window.tolist(), slack=cfg.get("slack", 0.0))
+    result = lindley.loynes_sup(window, slack=cfg.get("slack", 0.0))
     rows = [(n, sums[n], maxima[n]) for n in range(sums.size)]
     return (
         ["n", "partial_sum", "running_max"],
@@ -276,7 +272,7 @@ def _run_prop1(cfg: dict):
     report = estimators.burst_probability_report(
         cfg["i"], cfg["m"], rng_for(cfg["seed"]), cfg.get("precision", 64)
     )
-    data = _strip_elapsed(report.to_json())
+    data = report.to_json()
     rows = [
         (
             report.params.i,
@@ -310,7 +306,7 @@ def _run_prop2(cfg: dict):
     report = estimators.burst_cumulant_report(
         cfg["i"], cfg["theta"], cfg["m"], rng_for(cfg["seed"]), cfg.get("precision", 64)
     )
-    data = _strip_elapsed(report.to_json())
+    data = report.to_json()
     rows = [
         (
             report.i,
@@ -363,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand")
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="global 64-bit seed")
+        p.add_argument("--seed", default=0, help="global 64-bit seed")
         # SUPPRESS so an absent sub-level flag cannot shadow the top-level one
         p.add_argument("--out", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
@@ -374,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--process", required=True)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--burn-in", type=float, default=None)
+    p.add_argument("--horizon", required=True)
+    p.add_argument("--burn-in", default=None)
     p.add_argument("--thresholds", type=_thresholds, default="0,1,2,4,8,16")
     common(p)
 
@@ -386,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--process", required=True)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--window", type=float, required=True)
+    p.add_argument("--window", required=True)
     p.add_argument("--slack", type=float, default=0.0)
     common(p)
 
@@ -398,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--process", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--replicas", type=float, default=100)
+    p.add_argument("--horizon", required=True)
+    p.add_argument("--replicas", default=100)
     common(p)
 
     p = sub.add_parser(
@@ -409,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--service", required=True)
     p.add_argument("--interarrival", required=True)
-    p.add_argument("--n", type=float, required=True)
+    p.add_argument("--n", required=True)
     common(p)
 
     p = sub.add_parser(
@@ -420,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--process", required=True)
     p.add_argument("--s1", type=float, required=True)
     p.add_argument("--s2", type=float, required=True)
-    p.add_argument("--horizon", type=float, required=True)
+    p.add_argument("--horizon", required=True)
     common(p)
 
     p = sub.add_parser(
@@ -433,10 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mode", choices=["orbit", "measure"], default="orbit")
     p.add_argument("--value", help="start point: fraction like 3/4, float, or 0x<hex counter>")
-    p.add_argument("--steps", type=float, default=16)
+    p.add_argument("--steps", default=16)
     p.add_argument("--direction", choices=["forward", "backward"], default="forward")
-    p.add_argument("--precision", type=int, default=odometer.DEFAULT_PRECISION)
-    p.add_argument("--i-max", type=int, default=None)
+    p.add_argument("--precision", default=odometer.DEFAULT_PRECISION)
+    p.add_argument("--i-max", default=None)
     common(p)
 
     p = sub.add_parser(
@@ -446,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--process", required=True)
     p.add_argument("--theta-grid", type=_theta_grid, default="0:3:0.05")
-    p.add_argument("--n", type=float, required=True)
-    p.add_argument("--m", type=float, required=True)
+    p.add_argument("--n", required=True)
+    p.add_argument("--m", required=True)
     p.add_argument("--s", type=float, default=None)
     common(p)
 
@@ -460,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-grid", type=_theta_grid, default="0:3:0.25")
     p.add_argument("--a-scale", choices=sorted(_SCALINGS), default="linear")
     p.add_argument("--v-scale", choices=sorted(_SCALINGS), default="linear")
-    p.add_argument("--n", type=float, required=True)
-    p.add_argument("--m", type=float, required=True)
+    p.add_argument("--n", required=True)
+    p.add_argument("--m", required=True)
     p.add_argument("--s", type=float, required=True)
     common(p)
 
@@ -470,9 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="burst overflow probability vs exact band-measure bounds",
         description="CSV schema: i, window, offset, m, hits, p_hat, mu_A, target, lower_valid, pass.",
     )
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--precision", type=int, default=odometer.DEFAULT_PRECISION)
+    p.add_argument("--i", required=True)
+    p.add_argument("--m", required=True)
+    p.add_argument("--precision", default=odometer.DEFAULT_PRECISION)
     common(p)
 
     p = sub.add_parser(
@@ -483,10 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
             "upper_bound, lambda_plain, gap."
         ),
     )
-    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--i", required=True)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--precision", type=int, default=odometer.DEFAULT_PRECISION)
+    p.add_argument("--m", required=True)
+    p.add_argument("--precision", default=odometer.DEFAULT_PRECISION)
     common(p)
 
     return parser
@@ -505,6 +501,29 @@ _INT_KEYS = {
     "precision",
     "seed",
 }
+
+
+_PLAIN_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _as_int(key: str, value) -> int:
+    """The one conversion of an integer key, from a flag or a config file.
+
+    Plain integer spellings are exact at any size.  Other spellings, and
+    numbers read from a config file, are taken as doubles and must hold an
+    integral value: 1e6 works, while 10.7, 1e400 and nan fail.
+    """
+    if type(value) is int:  # not bool
+        return value
+    if isinstance(value, str) and _PLAIN_INT.fullmatch(value):
+        return int(value)
+    try:
+        number = float(value) if isinstance(value, (float, str)) else math.nan
+    except ValueError:
+        number = math.nan
+    if not number.is_integer():  # also rejects inf and nan
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -527,7 +546,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     cfg = dict(cfg)
     for key in list(cfg):
         if key in _INT_KEYS and cfg[key] is not None:
-            cfg[key] = int(cfg[key])
+            cfg[key] = _as_int(key, cfg[key])
     return cfg
 
 

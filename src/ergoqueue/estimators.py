@@ -21,7 +21,6 @@ counter-driven arrival process into checkable inequalities:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -48,7 +47,6 @@ __all__ = [
     "estimate_lambda_grid",
     "decay_delta",
     "estimate_scaled_lambda",
-    "burst_params",
     "burst_probability_report",
     "burst_cumulant_report",
     "queue_tail_run",
@@ -115,6 +113,12 @@ def block_sums(process, n: int, m: int, rng=None) -> np.ndarray:
     return np.asarray([float(np.sum(process.forward(n, rng))) for _ in range(m)])
 
 
+def _log_mean_exp(x: np.ndarray) -> float:
+    """log of the sample mean of exp(x), shifted by the max to avoid overflow."""
+    xm = float(np.max(x))
+    return xm + math.log(float(np.mean(np.exp(x - xm))))
+
+
 def _sample_rates(sums: np.ndarray, n: int) -> tuple[float, float, float]:
     """(mean, min, max) block rates; mean clamped into [min, max]."""
     mean_rate = float(np.mean(sums)) / n
@@ -135,9 +139,7 @@ def lambda_from_sums(sums: Sequence[float], theta: float, n: int) -> float:
     if arr.size == 0:
         raise ValueError("need at least one block sum")
     theta = float(theta)
-    x = theta * arr
-    xm = float(np.max(x))
-    lam = (xm + math.log(float(np.mean(np.exp(x - xm))))) / n
+    lam = _log_mean_exp(theta * arr) / n
     mean_rate, min_rate, max_rate = _sample_rates(arr, n)
     cap = theta * max_rate if theta >= 0 else theta * min_rate
     return min(max(lam, theta * mean_rate), cap)
@@ -311,8 +313,7 @@ def estimate_scaled_lambda(
     v_n = float(scaling.v(n))
     sums = block_sums(process, n, m, rng)
     x = float(theta) * (v_n / a_n) * (sums - float(n) * float(s))
-    xm = float(np.max(x))
-    return (xm + math.log(float(np.mean(np.exp(x - xm))))) / v_n
+    return _log_mean_exp(x) / v_n
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +366,6 @@ class BurstParams:
         return Fraction(1, 1 << (2 * self.i))
 
 
-def burst_params(i: int) -> BurstParams:
-    return BurstParams(i)
-
-
 @dataclass(frozen=True)
 class BurstProbabilityReport:
     """Overflow probability of a backward window vs. exact bounds.
@@ -388,7 +385,6 @@ class BurstProbabilityReport:
     lower_valid: bool
     target: Fraction
     analytic_pass: bool
-    elapsed_seconds: float
 
     def to_json(self) -> dict:
         return {
@@ -404,7 +400,6 @@ class BurstProbabilityReport:
             "lower_valid": self.lower_valid,
             "target": str(self.target),
             "pass": self.analytic_pass,
-            "elapsed_seconds": self.elapsed_seconds,
         }
 
 
@@ -428,14 +423,12 @@ def burst_probability_report(
     q = params.offset
     if 2 * i + 1 > precision:
         raise odometer.PrecisionError(f"band {i} needs precision >= {2 * i + 1}")
-    start = time.perf_counter()
     proc = OdometerProcess(precision, i_max)
     counts = proc.window_counts(m, n, rng)
     # integer-exact threshold: sum > (3/4) n + q <=> 4 sum > 3 n + 4 q
     hits = int(np.count_nonzero(4 * counts > 3 * n + 4 * q))
     p_hat = hits / m
     p_se = math.sqrt(p_hat * (1.0 - p_hat) / m)
-    elapsed = time.perf_counter() - start
     return BurstProbabilityReport(
         params=params,
         m=m,
@@ -446,7 +439,6 @@ def burst_probability_report(
         lower_valid=params.chain_valid,
         target=params.target,
         analytic_pass=params.seed_measure > params.target,
-        elapsed_seconds=elapsed,
     )
 
 
@@ -471,7 +463,6 @@ class BurstCumulantReport:
     lambda_plain: float
     gap: float
     seed_measure: Fraction
-    elapsed_seconds: float
 
     def to_json(self) -> dict:
         return {
@@ -485,7 +476,6 @@ class BurstCumulantReport:
             "lambda_plain": self.lambda_plain,
             "gap": self.gap,
             "mu_A": str(self.seed_measure),
-            "elapsed_seconds": self.elapsed_seconds,
         }
 
 
@@ -506,7 +496,6 @@ def burst_cumulant_report(
     if 2 * i + 1 > precision:
         raise odometer.PrecisionError(f"band {i} needs precision >= {2 * i + 1}")
     rng = ensure_rng(rng)
-    start = time.perf_counter()
     theta = float(theta)
     # one shared expression for log(seed measure): the reported lower bound
     # and the stratified estimate must agree to the last bit, and the window
@@ -533,13 +522,10 @@ def burst_cumulant_report(
                 if not odometer.in_run_seed(odometer.DyadicPoint(int(c), precision), i):
                     comp_counters.append(int(c))
         comp_counts = odometer.window_arrival_counts(comp_counters, n, precision)
-        x = theta * comp_counts.astype(np.float64)
-        xm = float(np.max(x))
-        ln_mean_comp = xm + math.log(float(np.mean(np.exp(x - xm))))
+        ln_mean_comp = _log_mean_exp(theta * comp_counts.astype(np.float64))
         lam_strat = float(
             np.logaddexp(ln_mu + theta * n, math.log1p(-mu) + ln_mean_comp) / n
         )
-    elapsed = time.perf_counter() - start
     return BurstCumulantReport(
         i=i,
         theta=theta,
@@ -551,7 +537,6 @@ def burst_cumulant_report(
         lambda_plain=lam_plain,
         gap=upper - lam_strat,
         seed_measure=params.seed_measure,
-        elapsed_seconds=elapsed,
     )
 
 

@@ -16,25 +16,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "IncrementWindow",
     "QueueTrace",
     "LoynesResult",
     "CoupleResult",
-    "lindley_step",
+    "partial_sums",
     "loynes_sup",
     "loynes_prefix_maxima",
     "run_recursion",
     "forward_couple",
-    "queue_step",
     "queue_path",
-    "waiting_step",
     "waiting_path",
-    "tandem_output",
     "tandem_path",
 ]
 
@@ -48,40 +44,16 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class IncrementWindow:
-    """A finite backward sample of increments: values[0] is the most recent.
+def partial_sums(window: Sequence[float]) -> np.ndarray:
+    """Backward partial sums of a window whose entry 0 is the most recent.
 
-    values[j] is the increment at lag j (time 0, -1, ..., -N+1).  Partial
-    sums start at zero and accumulate from the most recent entry backward.
+    window[j] is the increment at lag j (time 0, -1, ..., -N+1); V_0 = 0 and
+    V_n is the sum of the n most recent increments, accumulated in order.
     """
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        if any(not math.isfinite(v) for v in vals):
-            raise ValueError("window contains non-finite increments")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_iterable(cls, values: Iterable[float]) -> "IncrementWindow":
-        return cls(tuple(values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def partial_sums(self) -> np.ndarray:
-        """V_0 = 0, V_n = sum of the n most recent increments."""
-        out = np.zeros(len(self.values) + 1)
-        if self.values:
-            np.cumsum(self.values, out=out[1:])
-        return out
-
-    def prefix(self, n: int) -> "IncrementWindow":
-        if not 0 <= n <= len(self.values):
-            raise ValueError(f"prefix length {n} out of range")
-        return IncrementWindow(self.values[:n])
+    arr = _as_float_array(window, "window")
+    sums = np.zeros(arr.size + 1)
+    np.cumsum(arr, out=sums[1:])
+    return sums
 
 
 @dataclass(frozen=True)
@@ -101,7 +73,6 @@ class QueueTrace:
 
     states: np.ndarray
     increments: np.ndarray
-    coupling_time: int | None = None
 
     def verify(self) -> None:
         """Check the defining recursion holds exactly at every step."""
@@ -111,28 +82,15 @@ class QueueTrace:
             raise ValueError("states must be one longer than increments")
         if x.size and (x < 0).any():
             raise ValueError("negative state")
-        for n in range(z.size):
-            if x[n + 1] != max(x[n] + z[n], 0.0):
-                raise ValueError(f"recursion violated at step {n}")
+        bad = np.flatnonzero(x[1:] != np.maximum(x[:-1] + z, 0.0))
+        if bad.size:
+            raise ValueError(f"recursion violated at step {bad[0]}")
 
     def __len__(self) -> int:
         return int(self.states.size)
 
 
-def lindley_step(x: float, z: float) -> float:
-    """One step of the reflected random walk: max(x + z, 0)."""
-    x = float(x)
-    z = float(z)
-    if not (math.isfinite(x) and math.isfinite(z)):
-        raise ValueError("inputs must be finite")
-    if x < 0:
-        raise ValueError("state must be nonnegative")
-    return max(x + z, 0.0)
-
-
-def loynes_sup(
-    window: IncrementWindow | Sequence[float], slack: float = 0.0
-) -> LoynesResult:
+def loynes_sup(window: Sequence[float], slack: float = 0.0) -> LoynesResult:
     """Maximum backward partial sum, the stationary state built from below.
 
     Returns the max of V_0..V_N and the smallest maximizing index.  The value
@@ -141,27 +99,17 @@ def loynes_sup(
     trailing sum has dropped at least ``slack`` below the max, so extending
     the window a little would not have changed the answer.
     """
-    values = window.values if isinstance(window, IncrementWindow) else window
-    v = 0.0
-    best = 0.0
-    arg = 0
-    for n, z in enumerate(values, start=1):
-        v += float(z)
-        if v > best:
-            best = v
-            arg = n
-    n_total = len(values)
-    converged = arg < n_total and v < best - slack if n_total else False
+    sums = partial_sums(window)
+    arg = int(np.argmax(sums))  # first maximizing index
+    best = float(sums[arg])
+    n_total = sums.size - 1
+    converged = bool(arg < n_total and sums[-1] < best - slack)
     return LoynesResult(best, arg, converged)
 
 
-def loynes_prefix_maxima(window: IncrementWindow | Sequence[float]) -> np.ndarray:
+def loynes_prefix_maxima(window: Sequence[float]) -> np.ndarray:
     """loynes_sup value over every prefix length 0..N; nondecreasing."""
-    values = window.values if isinstance(window, IncrementWindow) else window
-    arr = _as_float_array(values, "window")
-    sums = np.zeros(arr.size + 1)
-    np.cumsum(arr, out=sums[1:])
-    return np.maximum.accumulate(np.maximum(sums, 0.0))
+    return np.maximum.accumulate(np.maximum(partial_sums(window), 0.0))
 
 
 def run_recursion(x0: float, increments: Sequence[float]) -> QueueTrace:
@@ -232,17 +180,6 @@ def forward_couple(
     return CoupleResult(tau, upper, lower, n)
 
 
-def queue_step(q: float, y: float, s: float) -> float:
-    """Queue-length update: serve s, admit y, clip at zero."""
-    y = float(y)
-    s = float(s)
-    if y < 0 or not math.isfinite(y):
-        raise ValueError("arrivals must be nonnegative and finite")
-    if s <= 0 or not math.isfinite(s):
-        raise ValueError("service rate must be positive and finite")
-    return lindley_step(q, y - s)
-
-
 def queue_path(arrivals: Sequence[float], s: float, q0: float = 0.0) -> QueueTrace:
     """Queue trajectory under constant service rate s."""
     y = _as_float_array(arrivals, "arrivals")
@@ -252,15 +189,6 @@ def queue_path(arrivals: Sequence[float], s: float, q0: float = 0.0) -> QueueTra
     if s <= 0 or not math.isfinite(s):
         raise ValueError("service rate must be positive and finite")
     return run_recursion(q0, y - s)
-
-
-def waiting_step(w: float, service_prev: float, interarrival: float) -> float:
-    """Waiting-time update: previous customer's service minus the gap."""
-    service_prev = float(service_prev)
-    interarrival = float(interarrival)
-    if service_prev < 0 or interarrival < 0:
-        raise ValueError("service and interarrival times must be nonnegative")
-    return lindley_step(w, service_prev - interarrival)
 
 
 def waiting_path(
@@ -280,18 +208,6 @@ def waiting_path(
     return run_recursion(w0, s_arr - t_arr)
 
 
-def tandem_output(q: float, y: float, q_next: float) -> float:
-    """Work leaving a station in one slot: inflow plus backlog drop.
-
-    With q_next produced by queue_step(q, y, s) this equals min(q + y, s).
-    A negative result means the inputs do not belong to one queue step.
-    """
-    out = float(q) + float(y) - float(q_next)
-    if out < 0:
-        raise ValueError("inconsistent inputs: output would be negative")
-    return out
-
-
 def tandem_path(
     arrivals: Sequence[float], s_first: float, s_second: float, q0: float = 0.0
 ) -> tuple[QueueTrace, np.ndarray, QueueTrace]:
@@ -305,8 +221,8 @@ def tandem_path(
     first = queue_path(arrivals, s_first, q0)
     q = first.states
     y = _as_float_array(arrivals, "arrivals")
-    outputs = np.empty(y.size)
-    for n in range(y.size):
-        outputs[n] = tandem_output(q[n], y[n], q[n + 1])
+    # inflow plus backlog drop; never negative, since rounding is monotone:
+    # q[n+1] is 0 or fl(q[n] + fl(y[n] - s_first)) <= fl(q[n] + y[n])
+    outputs = (q[:-1] + y) - q[1:]
     second = queue_path(outputs, s_second)
     return first, outputs, second

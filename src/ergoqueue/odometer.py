@@ -27,6 +27,7 @@ every one of the next 2**(i-1) counter values lands in some band.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -413,20 +414,14 @@ class DyadicIntervalSet:
         if self.is_empty:
             return False
         base = max(self._base, other._base)
-        ss = self._starts.astype(object) * (1 << (base - self._base))
-        se = self._ends.astype(object) * (1 << (base - self._base))
-        os_ = other._starts.astype(object) * (1 << (base - other._base))
-        oe = other._ends.astype(object) * (1 << (base - other._base))
-        # merged segments are maximal, so a covered segment sits inside one of ours
-        k = np.searchsorted(ss.astype(np.float64), os_.astype(np.float64)) - 1
-        for i in range(os_.size):
-            j = int(k[i])
-            # float search may be off by one near boundaries; fix up exactly
-            while j + 1 < ss.size and ss[j + 1] <= os_[i]:
-                j += 1
-            while j >= 0 and ss[j] > os_[i]:
-                j -= 1
-            if j < 0 or oe[i] > se[j]:
+        mine, theirs = base - self._base, base - other._base
+        starts = [a << mine for a in self._starts.tolist()]
+        ends = [b << mine for b in self._ends.tolist()]
+        # merged segments are maximal, so a covered segment sits inside the
+        # last of ours that starts at or before it
+        for a, b in zip(other._starts.tolist(), other._ends.tolist()):
+            j = bisect.bisect_right(starts, a << theirs) - 1
+            if j < 0 or (b << theirs) > ends[j]:
                 return False
         return True
 

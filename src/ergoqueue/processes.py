@@ -38,7 +38,6 @@ __all__ = [
     "OdometerProcess",
     "GG1System",
     "parse_process",
-    "process_from_json",
 ]
 
 
@@ -79,9 +78,6 @@ class _ProcessBase:
             raise ProcessError("n must be positive")
         return float(np.mean(self.forward(n, rng)))
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class IIDBernoulli(_ProcessBase):
@@ -94,9 +90,6 @@ class IIDBernoulli(_ProcessBase):
     def forward(self, n: int, rng=None) -> np.ndarray:
         rng = ensure_rng(rng)
         return (rng.random(n) < self.p).astype(np.float64)
-
-    def describe(self) -> dict:
-        return {"kind": "iid-bernoulli", "p": self.p}
 
 
 @dataclass(frozen=True)
@@ -122,13 +115,6 @@ class IIDTable(_ProcessBase):
         rng = ensure_rng(rng)
         idx = rng.choice(len(self.values), size=n, p=self.probabilities)
         return np.asarray(self.values, dtype=np.float64)[idx]
-
-    def describe(self) -> dict:
-        return {
-            "kind": "iid-table",
-            "values": list(self.values),
-            "probabilities": list(self.probabilities),
-        }
 
 
 @dataclass(frozen=True)
@@ -170,9 +156,6 @@ class BinaryMarkov(_ProcessBase):
             out[k] = state
         return out
 
-    def describe(self) -> dict:
-        return {"kind": "binary-markov", "p01": self.p01, "p10": self.p10}
-
 
 class TraceProcess(_ProcessBase):
     """One recorded realization, replayed verbatim.
@@ -187,10 +170,8 @@ class TraceProcess(_ProcessBase):
         if (path is None) == (values is None):
             raise ProcessError("provide exactly one of path or values")
         if path is not None:
-            self.path = str(path)
             self.values = self._load(Path(path))
         else:
-            self.path = None
             arr = np.asarray(values, dtype=np.float64)
             self._validate(arr, where="values")
             self.values = arr
@@ -235,11 +216,6 @@ class TraceProcess(_ProcessBase):
             )
         return self.values[self.values.size - n :][::-1].copy()
 
-    def describe(self) -> dict:
-        if self.path is not None:
-            return {"kind": "trace", "path": self.path}
-        return {"kind": "trace", "values": self.values.tolist()}
-
 
 @dataclass(frozen=True)
 class OdometerProcess(_ProcessBase):
@@ -257,6 +233,9 @@ class OdometerProcess(_ProcessBase):
     i_max: int | None = None
 
     def __post_init__(self) -> None:
+        # the vectorized counter samplers carry at most 64 bits
+        if not 1 <= self.precision <= 64:
+            raise ProcessError(f"precision must be in 1..64, got {self.precision}")
         cap = odometer.band_limit(self.precision)
         if self.i_max is not None and not 0 <= self.i_max <= cap:
             raise ProcessError(f"i_max must be in 0..{cap} for precision {self.precision}")
@@ -276,6 +255,11 @@ class OdometerProcess(_ProcessBase):
 
     def _draw_counter(self, rng: np.random.Generator, margin_low: int, width: int) -> int:
         # counters c with c - margin_low >= 0 and c + width <= 2**K
+        if margin_low + width > (1 << self.precision):
+            raise ProcessError(
+                f"orbit too short: {margin_low + width} counters needed, "
+                f"2**{self.precision} exist at K={self.precision}"
+            )
         while True:
             c = int(odometer.uniform_counters(rng, 1, self.precision, max(width, 1))[0])
             if c >= margin_low:
@@ -295,8 +279,6 @@ class OdometerProcess(_ProcessBase):
         rng = ensure_rng(rng)
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        if n > (1 << self.precision):
-            raise ProcessError(f"window {n} exceeds representable orbit at K={self.precision}")
         c = self._draw_counter(rng, margin_low=0, width=n)
         p = odometer.DyadicPoint(c, self.precision)
         return odometer.membership_window(p, n, self.i_max).astype(np.float64)
@@ -315,9 +297,6 @@ class OdometerProcess(_ProcessBase):
         count = odometer.window_arrival_counts([c], n, self.precision, self.i_max)[0]
         return float(count) / float(n)
 
-    def describe(self) -> dict:
-        return {"kind": "odometer", "precision": self.precision, "i_max": self.i_max}
-
 
 @dataclass(frozen=True)
 class GG1System:
@@ -333,16 +312,9 @@ class GG1System:
         gaps = self.interarrival.forward(n, rng)
         return waiting_path(services, gaps)
 
-    def describe(self) -> dict:
-        return {
-            "kind": "gg1",
-            "service": self.service.describe(),
-            "interarrival": self.interarrival.describe(),
-        }
-
 
 # ---------------------------------------------------------------------------
-# spec strings and JSON
+# spec strings
 
 
 def parse_process(text: str) -> _ProcessBase:
@@ -382,26 +354,4 @@ def parse_process(text: str) -> _ProcessBase:
         raise
     except (TypeError, ValueError) as exc:
         raise ProcessError(f"bad process spec {text!r}: {exc}") from exc
-    raise ProcessError(f"unknown process kind {kind!r}")
-
-
-def process_from_json(data: dict) -> _ProcessBase:
-    """Rebuild a process from its describe() dict."""
-    kind = data.get("kind")
-    if kind == "iid-bernoulli":
-        return IIDBernoulli(data["p"])
-    if kind == "iid-table":
-        return IIDTable(tuple(data["values"]), tuple(data["probabilities"]))
-    if kind == "binary-markov":
-        return BinaryMarkov(data["p01"], data["p10"])
-    if kind == "trace":
-        if "path" in data and data["path"] is not None:
-            return TraceProcess(path=data["path"])
-        return TraceProcess(values=data["values"])
-    if kind == "odometer":
-        return OdometerProcess(data.get("precision", 64), data.get("i_max"))
-    if kind == "gg1":
-        return GG1System(
-            process_from_json(data["service"]), process_from_json(data["interarrival"])
-        )
     raise ProcessError(f"unknown process kind {kind!r}")

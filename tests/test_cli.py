@@ -258,3 +258,62 @@ def test_gg1_and_scaled_subcommands_run(tmp_path):
         ],
     )
     assert float(rows[1][1]) == 0.0  # zero tilt
+
+
+def test_odometer_precision_above_64_fails_fast(tmp_path, capsys):
+    code = cli.main(
+        ["simulate", "--process", "odometer:80", "--s", "0.75", "--horizon", "100",
+         "--out", str(tmp_path / "x")]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "precision" in err["error"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--horizon", "1e400"), ("--horizon", "10.7"), ("--horizon", "nan"),
+     ("--horizon", "ten"), ("--replicas", "2.5"), ("--seed", "0.5")],
+)
+def test_integer_flags_reject_non_integers(tmp_path, capsys, flag, value):
+    args = ["couple", "--process", "iid-bernoulli:0.5", "--s", "0.75", "--x0", "2",
+            "--horizon", "100", "--replicas", "3"]
+    args += [flag, value, "--out", str(tmp_path / "x")]
+    assert cli.main(args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert flag.lstrip("-") in err["error"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_integer_flags_accept_exact_and_exponent_spellings(tmp_path):
+    seed = str((1 << 63) + 1)
+    _, summary = run(tmp_path, "p", ["prop1", "--i", "1e1", "--m", "2.5e1", "--seed", seed])
+    cfg = summary["config"]
+    assert (cfg["i"], cfg["m"], cfg["seed"]) == (10, 25, (1 << 63) + 1)
+
+
+@pytest.mark.parametrize("horizon", ["1e400", "10.7", "true", '"10.7"'])
+def test_integer_config_keys_share_the_flag_rule(tmp_path, capsys, horizon):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        '{"subcommand": "simulate", "process": "iid-bernoulli:0.5", "s": 0.75, '
+        f'"thresholds": [0, 1], "horizon": {horizon}, "seed": 1}}',
+        encoding="utf-8",
+    )
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "horizon" in err["error"]
+
+
+def test_integer_config_keys_accept_integral_numbers(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        '{"subcommand": "simulate", "process": "iid-bernoulli:0.5", "s": 0.75, '
+        '"thresholds": [0, 1], "horizon": 2e3, "seed": "9223372036854775809"}',
+        encoding="utf-8",
+    )
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    summary = json.loads((tmp_path / "x.json").read_text(encoding="utf-8"))
+    assert summary["config"]["horizon"] == 2000
+    assert summary["config"]["seed"] == 9223372036854775809

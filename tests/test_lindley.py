@@ -22,27 +22,32 @@ def sup_oracle(values):
     return float(v.max()), int(np.argmax(v))
 
 
+def step(x, z):
+    """One step of the recursion, through the trajectory kernel."""
+    return ld.run_recursion(x, [z]).states[-1]
+
+
 # -- single step -------------------------------------------------------------
 
 
 def test_step_frozen_examples():
-    assert ld.lindley_step(0.0, -1.0) == 0.0
-    assert ld.lindley_step(2.0, 3.0) == 5.0
-    assert ld.lindley_step(1.5, -1.5) == 0.0
+    assert step(0.0, -1.0) == 0.0
+    assert step(2.0, 3.0) == 5.0
+    assert step(1.5, -1.5) == 0.0
 
 
 def test_step_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        ld.lindley_step(-0.5, 1.0)
+        step(-0.5, 1.0)
     with pytest.raises(ValueError):
-        ld.lindley_step(0.0, math.nan)
+        step(0.0, math.nan)
     with pytest.raises(ValueError):
-        ld.lindley_step(0.0, math.inf)
+        step(0.0, math.inf)
 
 
 @given(st.floats(0, 100), dyadic)
 def test_step_is_clipped_addition(x, z):
-    got = ld.lindley_step(x, z)
+    got = step(x, z)
     assert got == max(x + z, 0.0)
     assert got >= 0.0
 
@@ -84,19 +89,39 @@ def test_sup_matches_enumeration(values):
 
 @given(windows)
 def test_sup_prefix_monotone(values):
-    window = ld.IncrementWindow(tuple(values))
-    sups = [ld.loynes_sup(window.prefix(n)).value for n in range(len(values) + 1)]
+    sups = [ld.loynes_sup(values[:n]).value for n in range(len(values) + 1)]
     assert all(a <= b for a, b in zip(sups, sups[1:]))
-    maxima = ld.loynes_prefix_maxima(window)
+    maxima = ld.loynes_prefix_maxima(values)
     assert maxima.tolist() == sups
 
 
 def test_window_partial_sum_increments():
-    window = ld.IncrementWindow((0.5, -1.25, 2.0))
-    v = window.partial_sums()
+    window = [0.5, -1.25, 2.0]
+    v = ld.partial_sums(window)
     assert v.tolist() == [0.0, 0.5, -0.75, 1.25]
     for n in range(3):
-        assert v[n + 1] - v[n] == window.values[n]
+        assert v[n + 1] - v[n] == window[n]
+
+
+def test_partial_sums_reject_non_finite():
+    with pytest.raises(ValueError):
+        ld.partial_sums([1.0, math.nan])
+    with pytest.raises(ValueError):
+        ld.loynes_sup([math.inf])
+
+
+@given(st.lists(st.floats(-4, 4), max_size=200))
+def test_sup_matches_sequential_scan(values):
+    # off the dyadic grid the sums round; the scan must round identically
+    v = best = 0.0
+    arg = 0
+    for n, z in enumerate(values, start=1):
+        v += z
+        if v > best:
+            best, arg = v, n
+    res = ld.loynes_sup(values)
+    assert (res.value, res.argmax) == (best, arg)
+    assert type(res.argmax) is int and type(res.converged) is bool
 
 
 # -- forward recursion -------------------------------------------------------
@@ -121,6 +146,14 @@ def test_recursion_trace_invariant(x0, values):
     assert (trace.states >= 0).all()
 
 
+def test_verify_reports_first_bad_step():
+    trace = ld.run_recursion(0.0, [1.0, -2.0, 1.0, 1.0])
+    trace.states[2] = 0.5
+    trace.states[4] = 9.0
+    with pytest.raises(ValueError, match="step 1$"):
+        trace.verify()
+
+
 @given(windows)
 def test_expansion_equivalence(values):
     # forward from 0 on the reversed window reaches exactly the backward sup
@@ -132,9 +165,7 @@ def test_expansion_equivalence(values):
 def test_shift_consistency(values, fresh):
     # step the backward-constructed state forward m times; the result is the
     # backward sup of the extended window, exactly, at full depth N + m
-    x = ld.loynes_sup(values).value
-    for z in fresh:
-        x = ld.lindley_step(x, z)
+    x = ld.run_recursion(ld.loynes_sup(values).value, fresh).states[-1]
     extended = list(reversed(fresh)) + list(values)
     res = ld.loynes_sup(extended)
     assert x == res.value
@@ -179,27 +210,27 @@ def test_couple_absorption_and_ordering(x0, values):
 
 
 def test_queue_step_frozen_examples():
-    assert ld.queue_step(0.0, 0.0, 0.75) == 0.0
-    assert ld.queue_step(0.0, 1.0, 0.75) == 0.25
-    assert ld.queue_step(0.25, 0.0, 0.75) == 0.0
+    assert ld.queue_path([0.0], 0.75).states[-1] == 0.0
+    assert ld.queue_path([1.0], 0.75).states[-1] == 0.25
+    assert ld.queue_path([0.0], 0.75, q0=0.25).states[-1] == 0.0
 
 
 def test_queue_step_rejects():
     with pytest.raises(ValueError):
-        ld.queue_step(0.0, -1.0, 0.75)
+        ld.queue_path([-1.0], 0.75)
     with pytest.raises(ValueError):
-        ld.queue_step(0.0, 1.0, 0.0)
+        ld.queue_path([1.0], 0.0)
 
 
 @given(st.floats(0, 8), st.floats(0, 4), st.floats(0.25, 4))
 def test_queue_step_is_lindley_step(q, y, s):
-    assert ld.queue_step(q, y, s) == ld.lindley_step(q, y - s)
+    assert ld.queue_path([y], s, q0=q).states[-1] == max(q + (y - s), 0.0)
 
 
 def test_waiting_step_frozen_examples():
-    assert ld.waiting_step(0.0, 0.0, 1.0) == 0.0
-    assert ld.waiting_step(2.0, 1.0, 0.5) == 2.5
-    assert ld.waiting_step(1.0, 0.0, 1.0) == 0.0
+    assert ld.waiting_path([0.0], [1.0]).states[-1] == 0.0
+    assert ld.waiting_path([1.0], [0.5], w0=2.0).states[-1] == 2.5
+    assert ld.waiting_path([0.0], [1.0], w0=1.0).states[-1] == 0.0
 
 
 def test_waiting_path_matches_steps():
@@ -208,7 +239,7 @@ def test_waiting_path_matches_steps():
     trace = ld.waiting_path(services, gaps)
     w = 0.0
     for n in range(3):
-        w = ld.waiting_step(w, services[n], gaps[n])
+        w = max(w + (services[n] - gaps[n]), 0.0)
         assert trace.states[n + 1] == w
 
 
@@ -216,14 +247,9 @@ def test_waiting_path_matches_steps():
 
 
 def test_tandem_output_frozen_examples():
-    assert ld.tandem_output(0.0, 1.0, 0.25) == 0.75
-    assert ld.tandem_output(0.0, 0.0, 0.0) == 0.0
-    assert ld.tandem_output(0.0, 0.5, 0.0) == 0.5
-
-
-def test_tandem_output_rejects_inconsistent_triple():
-    with pytest.raises(ValueError):
-        ld.tandem_output(0.0, 0.0, 1.0)
+    assert ld.tandem_path([1.0], 0.75, 0.5)[1].tolist() == [0.75]
+    assert ld.tandem_path([0.0], 0.75, 0.5)[1].tolist() == [0.0]
+    assert ld.tandem_path([0.5], 0.75, 0.5)[1].tolist() == [0.5]
 
 
 @given(st.lists(st.integers(0, 1 << 20).map(lambda k: k / 1048576.0), max_size=120))
@@ -235,7 +261,14 @@ def test_tandem_outputs_are_capped_inflow(arrivals):
         assert outputs[n] == min(q[n] + arrivals[n], s)
     # per-station conservation, exact
     assert float(np.sum(arrivals) - np.sum(outputs)) == q[-1] - q[0]
-    out2 = np.asarray(
-        [ld.tandem_output(second.states[n], outputs[n], second.states[n + 1]) for n in range(len(arrivals))]
-    )
-    assert float(np.sum(outputs) - np.sum(out2)) == second.states[-1] - second.states[0]
+    q2 = second.states
+    out2 = (q2[:-1] + outputs) - q2[1:]
+    assert float(np.sum(outputs) - np.sum(out2)) == q2[-1] - q2[0]
+
+
+@given(st.lists(st.floats(0, 3), max_size=120), st.floats(0.01, 2))
+def test_tandem_outputs_never_negative(arrivals, s):
+    # off the dyadic grid too: rounding is monotone, so the backlog drop
+    # never exceeds the inflow
+    _, outputs, _ = ld.tandem_path(arrivals, s, 0.5)
+    assert (outputs >= 0).all()

@@ -183,6 +183,20 @@ def test_contains_set():
     assert od.DyadicIntervalSet().contains_set(od.DyadicIntervalSet())
 
 
+def test_contains_set_exact_beyond_double_resolution():
+    # neighbouring depth-63 cells near 1 start at 2**63 - 2 and 2**63 - 1
+    # units, which one double cannot tell apart
+    def cell(start):
+        return od.DyadicIntervalSet([(63, od.bit_reverse(start, 63))])
+
+    left, right = cell((1 << 63) - 2), cell((1 << 63) - 1)
+    coarse = od.DyadicIntervalSet([(62, od.bit_reverse((1 << 62) - 1, 62))])
+    assert not left.contains_set(right)
+    assert not right.contains_set(left)
+    assert coarse.contains_set(left) and coarse.contains_set(right)
+    assert not right.contains_set(coarse)
+
+
 def test_set_json_roundtrip():
     s = od.DyadicIntervalSet([(3, 5), (2, 2), (5, 17)])
     assert od.DyadicIntervalSet.from_json(s.to_json()) == s

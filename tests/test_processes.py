@@ -17,7 +17,6 @@ from ergoqueue.processes import (
     TraceError,
     TraceProcess,
     parse_process,
-    process_from_json,
     rng_for,
 )
 
@@ -127,6 +126,24 @@ def test_odometer_rejects_bad_i_max():
 def test_odometer_window_beyond_orbit_rejected():
     with pytest.raises(ProcessError):
         OdometerProcess(precision=8).backward_window(400, rng_for(0))
+
+
+def test_odometer_forward_beyond_orbit_rejected():
+    # a forward stream of n values needs a start counter c >= n below 2**K
+    proc = OdometerProcess(precision=8)
+    assert proc.forward(255, rng_for(0)).size == 255
+    with pytest.raises(ProcessError):
+        proc.forward(256, rng_for(0))
+    with pytest.raises(ProcessError):
+        proc.mean_estimate(257, rng_for(0))
+
+
+@pytest.mark.parametrize("precision", [0, 65, 80])
+def test_odometer_precision_checked_at_construction(precision):
+    with pytest.raises(ProcessError, match="precision"):
+        OdometerProcess(precision)
+    with pytest.raises(ProcessError, match="precision"):
+        parse_process(f"odometer:{precision}")
 
 
 # -- trace kind ----------------------------------------------------------------
@@ -246,24 +263,6 @@ def test_gg1_deterministic_given_seed():
 # -- parsing ----------------------------------------------------------------------
 
 
-def test_parse_round_trips_through_describe():
-    specs = [
-        "iid-bernoulli:0.25",
-        "iid-table:0,1,3@0.2,0.3,0.5",
-        "binary-markov:0.05,0.4",
-        "odometer",
-        "odometer:32",
-        "odometer:32,7",
-    ]
-    for text in specs:
-        proc = parse_process(text)
-        again = process_from_json(proc.describe())
-        assert again.describe() == proc.describe()
-        assert np.array_equal(
-            proc.forward(50, rng_for(19)), again.forward(50, rng_for(19))
-        )
-
-
 def test_parse_rejects_malformed_specs():
     bad = [
         "iid-bernoulli:1.5",
@@ -277,14 +276,3 @@ def test_parse_rejects_malformed_specs():
     for text in bad:
         with pytest.raises(ProcessError):
             parse_process(text)
-
-
-def test_from_json_rejects_unknown_kind():
-    with pytest.raises(ProcessError):
-        process_from_json({"kind": "mystery"})
-
-
-def test_gg1_describe_round_trip():
-    system = GG1System(IIDBernoulli(0.5), IIDTable((1.0,), (1.0,)))
-    again = process_from_json(system.describe())
-    assert again.describe() == system.describe()
