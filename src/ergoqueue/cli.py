@@ -565,7 +565,7 @@ def main(argv=None) -> int:
         if runner is None:
             raise ValueError(f"unknown subcommand {sub!r}")
         header, rows, results = runner(cfg)
-    except (ProcessError, ValueError, OSError, KeyError) as exc:
+    except (ProcessError, ValueError, OSError, KeyError, MemoryError) as exc:
         json.dump({"error": f"{type(exc).__name__}: {exc}"}, sys.stderr)
         sys.stderr.write("\n")
         return 2

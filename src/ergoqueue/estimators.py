@@ -515,13 +515,14 @@ def burst_cumulant_report(
     else:
         # stratify on the seed set: inside it the window sum is exactly n
         mu = float(params.seed_measure)  # 2**-(i+2), exact in binary
-        comp_counters = []
-        while len(comp_counters) < m:
-            draw = odometer.uniform_counters(rng, m - len(comp_counters), precision, n)
-            for c in draw.tolist():
-                if not odometer.in_run_seed(odometer.DyadicPoint(int(c), precision), i):
-                    comp_counters.append(int(c))
-        comp_counts = odometer.window_arrival_counts(comp_counters, n, precision)
+        # a counter seeds a run when its low 2i+1 bits are below 2**(i-1)
+        seed_bits, seed_end = np.uint64((1 << (2 * i + 1)) - 1), np.uint64(1 << (i - 1))
+        kept, accepted = [], 0
+        while accepted < m:
+            draw = odometer.uniform_counters(rng, m - accepted, precision, n)
+            kept.append(draw[(draw & seed_bits) >= seed_end])
+            accepted += kept[-1].size
+        comp_counts = odometer.window_arrival_counts(np.concatenate(kept), n, precision)
         ln_mean_comp = _log_mean_exp(theta * comp_counts.astype(np.float64))
         lam_strat = float(
             np.logaddexp(ln_mu + theta * n, math.log1p(-mu) + ln_mean_comp) / n

@@ -501,33 +501,48 @@ def arrival_set_truncated(
 
 
 @functools.lru_cache(maxsize=None)
+def _deadline_table(cap: int) -> tuple[tuple[int, ...], ...]:
+    """Exact counts of the "pending deadline" automaton over free low bits.
+
+    Scanning a counter from bit 0 upward, the only live state is the deadline
+    by which the current zero-run must last: band 0 watches bits 0..1, and a
+    one at bit j < cap opens band j+1, which needs zeros through bit 2j+2.
+    Membership is decided by the low L = max(2*cap+1, 2) bits, so the set
+    has period 2**L; the table has rows 0..L.  Row b sorts the 2**b settings
+    of bits 0..b-1, given a zero at bit b and the next one above it at bit p
+    (p = L for none): entry p counts the members and the runs due below p,
+    which the zeros b..p-1 complete.  Entry L+1 is 2**b, for when the bits
+    above b hold a whole band.  Row L counts the members of one period.
+    """
+    top = max(2 * cap + 1, 2)
+    member, pending = 0, {1: 1}
+    rows = []
+    for b in range(top + 1):
+        row, running = [], member
+        for p in range(top + 1):
+            row.append(running)
+            running += pending.get(p, 0)
+        rows.append((*row, 1 << b))
+        resolved = pending.pop(b, 0)  # a zero at bit b meets deadline b
+        broken = resolved + sum(pending.values())  # a one at bit b breaks every run
+        member = 2 * member + resolved
+        if b < cap:
+            pending[2 * b + 2] = broken
+    return tuple(rows)
+
+
 def arrival_set_measure(i_max: int) -> Fraction:
     """Exact measure of the union of bands 0..i_max.
 
-    Computed by an exact sweep over bit positions: the only live state while
-    scanning bits is the deadline by which the pending zero-run must be
-    broken, so the sweep is a small Markov chain over Fractions.  Agrees with
-    the interval-set union but stays cheap for deep truncations, where the
-    union has ~2**i_max components.
+    The members among one period of 2**(2*i_max+1) counters (4 for
+    i_max = 0), counted by the deadline automaton that also drives
+    ``window_arrival_counts``.  Agrees with the interval-set union but stays
+    cheap for deep truncations, where the union has ~2**i_max components.
     """
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
-    half = Fraction(1, 2)
-    member = Fraction(0)
-    pending: dict[int, Fraction] = {1: Fraction(1)}  # band 0 watches bits 0..1
-    for t in range(max(2 * i_max, 1) + 1):
-        nxt: dict[int, Fraction] = {}
-        for d, mass in pending.items():
-            zero = mass * half
-            if t == d:
-                member += zero
-            else:
-                nxt[d] = nxt.get(d, Fraction(0)) + zero
-            if t <= i_max - 1:
-                d2 = 2 * t + 2
-                nxt[d2] = nxt.get(d2, Fraction(0)) + mass * half
-        pending = nxt
-    return member
+    rows = _deadline_table(i_max)
+    return Fraction(rows[-1][0], 1 << (len(rows) - 1))
 
 
 def _resolve_band_cap(precision: int, i_max: int | None) -> int:
@@ -600,34 +615,49 @@ def membership_window(p: DyadicPoint, width: int, i_max: int | None = None) -> n
     )
 
 
-@functools.lru_cache(maxsize=32)
-def _window_bands(width: int, cap: int) -> tuple:
-    """Per-band geometry for windowed counting over `width` consecutive counters.
+# Counters per block in window_arrival_counts: bounds the temporaries at a
+# few hundred KiB whatever the number of windows.
+COUNT_BLOCK = 8192
 
-    Band residues modulo their period form one contiguous run, so membership
-    over a window is a union of shifted runs.  Bands whose period fits in the
-    window get a precomputed tile (runs at every multiple of the period);
-    wider bands contribute at most one run plus its wrap-around spill.
+
+@functools.lru_cache(maxsize=None)
+def _digit_steps(cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digit DP of ``_prefix_counts`` as uint64 gains and next states.
+
+    Both are indexed by [bit position b, 2 * state + bit of N at b] for b
+    below the period bits L.  The state is the position of the next set bit
+    of N above b (L when none), or L + 1 once the bits above b hold a whole
+    band, after which every completion below is a member.
     """
-    tiled = []
-    sparse = []
-    bands = [(4, 0, 1)]  # period, run start, run length
-    bands += [(1 << (2 * i + 1), 1 << (i - 1), 1 << (i - 1)) for i in range(1, cap + 1)]
-    for period, lo, length in bands:
-        if period <= width:
-            # replicate the run across the tile by doubling, not one period
-            # at a time: the straightforward loop is quadratic in width
-            total = width + period
-            tile = (1 << length) - 1
-            span = period
-            while span < total:
-                tile |= tile << span
-                span <<= 1
-            tile &= (1 << total) - 1
-            tiled.append((period, lo, tile))
-        else:
-            sparse.append((period, lo, length))
-    return (1 << width) - 1, tuple(tiled), tuple(sparse)
+    rows = _deadline_table(cap)
+    top = len(rows) - 1
+    states = np.arange(top + 2)
+    gain = np.zeros((top, 2 * top + 4), np.uint64)
+    step = np.empty((top, 2 * top + 4), np.intp)
+    gain[:, 1::2] = rows[:top]
+    step[:, 0::2] = 2 * states
+    for b in range(top):
+        # a one at b < cap followed by zeros through bit 2b+2 is band b+1
+        whole = 2 * b + 2 if b < cap else top
+        step[b, 1::2] = 2 * np.where(states > whole, top + 1, b)
+    return gain, step
+
+
+def _prefix_counts(r: np.ndarray, cap: int) -> np.ndarray:
+    """Members of bands 0..cap below each counter r inside one period.
+
+    Every set bit b of r contributes the members among the counters that
+    agree with r above b, have a zero at b and any bits below; the bits are
+    read from the top down.
+    """
+    gain, step = _digit_steps(cap)
+    total = np.zeros(r.size, np.uint64)
+    idx = np.full(r.size, 2 * gain.shape[0], np.intp)
+    for b in range(gain.shape[0] - 1, -1, -1):
+        idx |= ((r >> np.uint64(b)) & np.uint64(1)).astype(np.intp)
+        total += gain[b][idx]
+        idx = step[b][idx]
+    return total
 
 
 def window_arrival_counts(
@@ -638,37 +668,46 @@ def window_arrival_counts(
 ) -> np.ndarray:
     """Number of arrivals among counters c..c+width-1, for each starting counter.
 
-    Exact and far cheaper than testing each of the `width` counters when the
-    window is long; used by the Monte Carlo experiments.  Agrees with
-    ``membership_window(...).sum()`` pointwise.
+    An exact prefix count F(c + width) - F(c), where F(N) counts the members
+    below N.  Membership has period P = 2**(2*cap+1) (4 for cap = 0), so F(N)
+    is (N // P) * (members per period) plus a digit DP over the bits of
+    N mod P.  The cost does not depend on the width; precision must be
+    <= 64.  Agrees with ``membership_window(...).sum()`` pointwise.
     """
+    if precision > 64:
+        raise PrecisionError("window counting supports precision <= 64")
     if width < 1:
         raise ValueError("width must be positive")
     cap = _resolve_band_cap(precision, i_max)
-    wmask, tiled, sparse = _window_bands(width, cap)
-    top = 1 << precision
-    if isinstance(counters, np.ndarray):
-        counters = counters.tolist()
-    out = []
-    for c in counters:
-        c = int(c)
-        if not 0 <= c <= top - width:
-            raise OrbitRangeError(
-                f"window of width {width} from counter {c} leaves precision {precision}"
-            )
-        mask = 0
-        for period, lo, tile in tiled:
-            phase = (lo - c) & (period - 1)
-            mask |= tile >> (period - phase)
-        for period, lo, length in sparse:
-            phase = (lo - c) & (period - 1)
-            if phase < width:
-                mask |= ((1 << length) - 1) << phase
-            spill = phase + length - period
-            if spill > 0:
-                mask |= (1 << spill) - 1
-        out.append((mask & wmask).bit_count())
-    return np.asarray(out, dtype=np.int64)
+    if isinstance(counters, np.ndarray) and counters.dtype == np.uint64:
+        starts = counters.reshape(-1)
+        bounds = (int(starts.min()), int(starts.max())) if starts.size else None
+    else:
+        starts = [int(c) for c in counters]
+        bounds = (min(starts), max(starts)) if starts else None
+    if bounds and not (0 <= bounds[0] and bounds[1] <= (1 << precision) - width):
+        bad = bounds[0] if bounds[0] < 0 else bounds[1]
+        raise OrbitRangeError(
+            f"window of width {width} from counter {bad} leaves precision {precision}"
+        )
+    cs = np.asarray(starts, dtype=np.uint64)
+    rows = _deadline_table(cap)
+    top = len(rows) - 1
+    period_members = np.uint64(rows[top][0])
+    low = np.uint64((1 << top) - 1)
+    # c + width may be 2**64, so add the quotients and remainders mod P apart
+    w_periods, w_rest = np.uint64(width >> top), np.uint64(width & ((1 << top) - 1))
+    out = np.empty(cs.size, np.int64)
+    for s in range(0, cs.size, COUNT_BLOCK):
+        c_rest = cs[s : s + COUNT_BLOCK] & low
+        end = c_rest + w_rest  # below 2P <= 2**64
+        periods = w_periods + (end >> np.uint64(top))
+        f = _prefix_counts(np.concatenate([end & low, c_rest]), cap)
+        k = c_rest.size
+        # uint64 arithmetic wraps, but the true count lies in [0, 2**63)
+        count = periods * period_members + f[:k] - f[k:]
+        out[s : s + k] = count.astype(np.int64)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,21 @@ def test_precision_violation_surfaces(tmp_path, capsys):
     assert "precision" in err["error"].lower()
 
 
+def test_memory_error_surfaces_as_json_error(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate the trajectory")
+
+    monkeypatch.setitem(cli._RUNNERS, "simulate", exhausted)
+    code = cli.main(
+        ["simulate", "--process", "iid-bernoulli:0.5", "--s", "0.75", "--horizon", "100",
+         "--out", str(tmp_path / "x")]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"].startswith("MemoryError")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_config_file_without_subcommand_rejected(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"i": 17}), encoding="utf-8")

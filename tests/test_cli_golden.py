@@ -6,6 +6,9 @@ recorded from commit 3043980, before the recursion helpers were consolidated
 (Python 3.11, numpy 2.4).  Every subcommand is covered, ``loynes`` and
 ``tandem`` also on a non-dyadic ``iid-table`` input, where the partial sums
 round, and one case replays a written summary through ``--config``.
+Case ``prop2-shallow`` runs band 3, where one complement draw in 32 seeds a
+run and is rejected; its digests were recorded from commit 6a416e2, before
+the window counter became a prefix count.
 
 The ``binary-markov`` digests (case ``couple``) pin the sequential Markov
 sampler.  Record them again when ``BinaryMarkov.forward`` is vectorized
@@ -46,6 +49,7 @@ CASES = {
                         "--m", "100", "--s", "0.5", "--seed", "12"],
     "prop1": ["prop1", "--i", "7", "--m", "500", "--seed", "13"],
     "prop2": ["prop2", "--i", "7", "--theta", "1", "--m", "500", "--seed", "14"],
+    "prop2-shallow": ["prop2", "--i", "3", "--theta", "1", "--m", "2000", "--seed", "15"],
 }
 
 # (sha256 of BASE.csv, sha256 of BASE.json) per case
@@ -85,6 +89,10 @@ DIGESTS = {
     "prop2": (
         "861325c0067a6e4e1547ce593f06f52fb41d747a36dbc1ddcb689e198d40c8d1",
         "227fa4a861adc5683a860a84038008c2d79d7fd8de608c358f6a417a48f56652",
+    ),
+    "prop2-shallow": (
+        "39ef413fccd367c5a1f257f1e7a1d8ded96b47a19e7e6aa90356d3dbaa1b5056",
+        "23a873e19f91d3567f5f205d4dcd3a621cad1f02a694f13106e367186a339809",
     ),
     "scaled-cumulant": (
         "711e319003b8e549513f9c62894a78705db6d6378913f245321b9148dca2bf35",

@@ -337,14 +337,23 @@ def test_band_depth_guards():
 # -- window counting --------------------------------------------------------
 
 
-@given(
-    st.integers(min_value=0, max_value=(1 << 30) - 1),
-    st.integers(min_value=1, max_value=200),
-)
-@settings(max_examples=60, deadline=None)
-def test_window_counts_match_brute_force(c, width):
-    fast = od.window_arrival_counts([c], width, 64)[0]
-    slow = int(od.membership_window(od.DyadicPoint(c, 64), width).sum())
+@st.composite
+def windows(draw):
+    """(precision, i_max, width, counter) with the window inside 2**precision."""
+    precision = draw(st.integers(min_value=3, max_value=64))
+    i_max = draw(st.integers(min_value=0, max_value=od.band_limit(precision)))
+    width = draw(st.integers(min_value=1, max_value=min(4096, 1 << precision)))
+    last = (1 << precision) - width  # the window ending exactly at 2**precision
+    c = draw(st.one_of(st.integers(min_value=0, max_value=last), st.just(last)))
+    return precision, i_max, width, c
+
+
+@given(windows())
+@settings(max_examples=300, deadline=None)
+def test_window_counts_match_brute_force(window):
+    precision, i_max, width, c = window
+    fast = od.window_arrival_counts([c], width, precision, i_max)[0]
+    slow = int(od.membership_window(od.DyadicPoint(c, precision), width, i_max).sum())
     assert fast == slow
 
 
@@ -357,6 +366,34 @@ def test_window_counts_near_counter_top():
     assert fast.tolist() == slow
     with pytest.raises(od.OrbitRangeError):
         od.window_arrival_counts([top - width + 1], width, 64)
+
+
+def test_window_counts_span_several_blocks():
+    width = 16
+    cs = od.uniform_counters(np.random.default_rng(21), 3 * od.COUNT_BLOCK + 5, 64, width)
+    cells = cs[:, None] + np.arange(width, dtype=np.uint64)
+    slow = od.in_arrival_set_batch(cells, 64).sum(axis=1)
+    assert (od.window_arrival_counts(cs, width, 64) == slow).all()
+
+
+def test_window_counts_need_precision_at_most_64():
+    with pytest.raises(od.PrecisionError):
+        od.window_arrival_counts([0], 8, 65)
+
+
+@pytest.mark.parametrize(
+    "i_max, width, starts",
+    [
+        (4, 1 << 40, [0, 1, 12345, (1 << 64) - (1 << 40)]),
+        (31, 1 << 63, [0]),
+    ],
+)
+def test_window_counts_over_whole_periods(i_max, width, starts):
+    # the set has period 2**(2*i_max+1), so a window of whole periods holds
+    # exactly measure * width arrivals wherever it starts
+    counts = od.window_arrival_counts(starts, width, 64, i_max)
+    want = od.arrival_set_measure(i_max) * width
+    assert [Fraction(int(n)) for n in counts] == [want] * len(starts)
 
 
 def test_window_count_long_run_frequency():

@@ -108,6 +108,12 @@ def test_odometer_mean_between_truncated_measure_and_half():
     assert float(lo) - slack <= est <= 0.5 + slack
 
 
+def test_odometer_mean_over_whole_periods_is_exact():
+    # 2**40 counters span whole periods of the bands 0..4
+    proc = OdometerProcess(64, 4)
+    assert proc.mean_estimate(1 << 40, rng_for(0)) == float(od.arrival_set_measure(4))
+
+
 def test_odometer_window_counts_match_scalar_windows():
     proc = OdometerProcess(i_max=6)
     counts = proc.window_counts(40, 32, rng_for(3))
