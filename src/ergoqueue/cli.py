@@ -133,6 +133,8 @@ def _run_loynes(cfg: dict):
 
 
 def _run_couple(cfg: dict):
+    if cfg["replicas"] < 0:
+        raise ValueError("replicas must be nonnegative")
     proc = parse_process(cfg["process"])
     rows = []
     times = []

@@ -112,6 +112,47 @@ def loynes_prefix_maxima(window: Sequence[float]) -> np.ndarray:
     return np.maximum.accumulate(np.maximum(partial_sums(window), 0.0))
 
 
+# the whole-array kernels (here and in the Markov sampler) walk their input
+# this many steps at a time, so their temporaries stay small however long
+# the input is
+BLOCK = 8192
+
+
+def _reflect(x: float, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out[k] with the state after steps 0..k of x -> max(x + z, 0) from x.
+
+    The reflection identity X_k = S_k - min(-x, min_{j<=k} S_j), over the
+    prefix sums S of z, is exact when no sum rounds, as on a dyadic grid.
+    The block is then certified against the defining step bit for bit, sign
+    of zero included; since the first step starts from x, that proves the
+    whole block equal to the sequential recursion.  From the first step that
+    fails the check, the step itself is iterated.
+    """
+    x = float(x)
+    np.cumsum(z, out=out)
+    low = np.minimum.accumulate(out)
+    np.minimum(low, -x, out=low)
+    np.subtract(out, low, out=out)
+    step = np.empty_like(out)
+    step[:1] = x
+    step[1:] = out[:-1]
+    step += z
+    # max(a, 0.0) keeps a unless 0.0 > a, so -0.0 stays -0.0 (np.maximum
+    # would give +0.0)
+    step[step < 0.0] = 0.0
+    bad = np.flatnonzero(step.view(np.int64) != out.view(np.int64))
+    if bad.size:
+        k = int(bad[0])
+        if k:
+            x = float(out[k - 1])
+        tail = []
+        for zn in z[k:].tolist():
+            x = max(x + zn, 0.0)
+            tail.append(x)
+        out[k:] = tail
+    return out
+
+
 def run_recursion(x0: float, increments: Sequence[float]) -> QueueTrace:
     """Drive the recursion forward from x0, keeping the whole trajectory."""
     x0 = float(x0)
@@ -120,10 +161,9 @@ def run_recursion(x0: float, increments: Sequence[float]) -> QueueTrace:
     z = _as_float_array(increments, "increments")
     states = np.empty(z.size + 1)
     states[0] = x0
-    x = x0
-    for n in range(z.size):
-        x = max(x + z[n], 0.0)
-        states[n + 1] = x
+    for n in range(0, z.size, BLOCK):
+        end = min(n + BLOCK, z.size)
+        _reflect(states[n], z[n:end], states[n + 1 : end + 1])
     return QueueTrace(states=states, increments=z)
 
 
@@ -158,25 +198,25 @@ def forward_couple(
     if upper == lower:
         return CoupleResult(0, upper, lower, 0)
     tau = None
-    n = 0
-    while n < n_steps:
-        zn = z[n]
-        upper = max(upper + zn, 0.0)
-        lower = max(lower + zn, 0.0)
-        n += 1
-        if upper < lower:
-            raise AssertionError("ordering violated (non-finite input?)")
-        if upper == lower:
-            tau = n
-            break
-    if tau is not None:
-        for k in range(n, min(n + absorption_check, z.size)):
-            zn = z[k]
-            upper = max(upper + zn, 0.0)
-            lower = max(lower + zn, 0.0)
-            if upper != lower:
+    n, end = 0, n_steps
+    while n < end:
+        zb = z[n : min(n + BLOCK, end)]
+        up = _reflect(upper, zb, np.empty(zb.size))
+        lo = _reflect(lower, zb, np.empty(zb.size))
+        if tau is None:
+            met = np.flatnonzero(up == lo)
+            used = int(met[0]) + 1 if met.size else zb.size
+            if (up[:used] < lo[:used]).any():
+                raise AssertionError("ordering violated (non-finite input?)")
+            if met.size:
+                tau = n + used
+                end = min(tau + absorption_check, z.size)
+        else:
+            used = zb.size
+            if (up != lo).any():
                 raise AssertionError("absorption violated after coupling")
-            n = k + 1
+        upper, lower = float(up[used - 1]), float(lo[used - 1])
+        n += used
     return CoupleResult(tau, upper, lower, n)
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import odometer
-from .lindley import QueueTrace, waiting_path
+from .lindley import BLOCK, QueueTrace, waiting_path
 
 __all__ = [
     "ProcessError",
@@ -60,6 +60,12 @@ def ensure_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def _check_length(n: int) -> None:
+    """The one sample-length check of every sampler."""
+    if n < 0:
+        raise ProcessError("n must be nonnegative")
+
+
 class _ProcessBase:
     """Shared plumbing; concrete kinds implement ``forward``."""
 
@@ -88,6 +94,7 @@ class IIDBernoulli(_ProcessBase):
             raise ProcessError(f"p must be in [0, 1], got {self.p}")
 
     def forward(self, n: int, rng=None) -> np.ndarray:
+        _check_length(n)
         rng = ensure_rng(rng)
         return (rng.random(n) < self.p).astype(np.float64)
 
@@ -112,6 +119,7 @@ class IIDTable(_ProcessBase):
         object.__setattr__(self, "probabilities", probs)
 
     def forward(self, n: int, rng=None) -> np.ndarray:
+        _check_length(n)
         rng = ensure_rng(rng)
         idx = rng.choice(len(self.values), size=n, p=self.probabilities)
         return np.asarray(self.values, dtype=np.float64)[idx]
@@ -141,19 +149,27 @@ class BinaryMarkov(_ProcessBase):
         return self.p01 / total if total > 0 else 0.5
 
     def forward(self, n: int, rng=None) -> np.ndarray:
+        _check_length(n)
         rng = ensure_rng(rng)
         u = rng.random(n + 1)
         out = np.empty(n, dtype=np.float64)
         state = 1 if u[0] < self.stationary_p1 else 0
-        p01, p10 = self.p01, self.p10
-        for k in range(n):
-            if state == 1:
-                if u[k + 1] < p10:
-                    state = 0
-            else:
-                if u[k + 1] < p01:
-                    state = 1
-            out[k] = state
+        # step k sends 1 -> 0 when u[k+1] < p10 and 0 -> 1 when u[k+1] < p01,
+        # so it is the constant 0, the constant 1, the identity or a negation;
+        # the state is the value of the last constant step (or the carried
+        # state) flipped once per negation since
+        for k in range(0, n, BLOCK):
+            w = u[k + 1 : k + 1 + BLOCK]
+            to0 = w < self.p10
+            to1 = w < self.p01
+            last = np.where(to0 != to1, np.arange(1, w.size + 1), 0)
+            np.maximum.accumulate(last, out=last)
+            flips = np.zeros(w.size + 1, dtype=np.intp)
+            np.cumsum(to0 & to1, out=flips[1:])
+            values = np.concatenate(([state], to1))  # a constant step's value is to1
+            block = values[last] ^ ((flips[1:] - flips[last]) & 1)
+            out[k : k + w.size] = block
+            state = int(block[-1])
         return out
 
 
@@ -203,6 +219,7 @@ class TraceProcess(_ProcessBase):
             raise TraceError(f"{where}: values must be finite and nonnegative")
 
     def forward(self, n: int, rng=None) -> np.ndarray:
+        _check_length(n)
         if n > self.values.size:
             raise TraceError(
                 f"trace exhausted: {n} values requested, {self.values.size} recorded"
@@ -210,6 +227,7 @@ class TraceProcess(_ProcessBase):
         return self.values[:n].copy()
 
     def backward_window(self, n: int, rng=None) -> np.ndarray:
+        _check_length(n)
         if n > self.values.size:
             raise TraceError(
                 f"trace exhausted: window {n} exceeds {self.values.size} recorded values"
@@ -266,6 +284,7 @@ class OdometerProcess(_ProcessBase):
                 return c
 
     def forward(self, n: int, rng=None) -> np.ndarray:
+        _check_length(n)
         rng = ensure_rng(rng)
         if n == 0:
             return np.empty(0, dtype=np.float64)
@@ -276,6 +295,7 @@ class OdometerProcess(_ProcessBase):
         )
 
     def backward_window(self, n: int, rng=None) -> np.ndarray:
+        _check_length(n)
         rng = ensure_rng(rng)
         if n == 0:
             return np.empty(0, dtype=np.float64)

@@ -111,6 +111,24 @@ def test_couple_rows_match_documented_seed_split(tmp_path):
     assert rows[3][1] == str(res.coupling_time)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tandem", "--process", "odometer", "--s1", "0.75", "--s2", "0.5", "--horizon", "-5"],
+        ["couple", "--process", "odometer", "--s", "0.75", "--x0", "2", "--horizon", "-100"],
+        ["couple", "--process", "binary-markov:0.3,0.5", "--s", "0.75", "--x0", "2",
+         "--horizon", "-1"],
+        ["couple", "--process", "iid-bernoulli:0.5", "--s", "0.75", "--x0", "2",
+         "--horizon", "100", "--replicas", "-2"],
+    ],
+)
+def test_negative_counts_fail_fast(tmp_path, capsys, args):
+    assert cli.main([*args, "--out", str(tmp_path / "x")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "must be nonnegative" in err["error"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_csv_floats_round_trip_to_json_values(tmp_path):
     rows, summary = run(
         tmp_path,

@@ -10,10 +10,10 @@ Case ``prop2-shallow`` runs band 3, where one complement draw in 32 seeds a
 run and is rejected; its digests were recorded from commit 6a416e2, before
 the window counter became a prefix count.
 
-The ``binary-markov`` digests (case ``couple``) pin the sequential Markov
-sampler.  Record them again when ``BinaryMarkov.forward`` is vectorized
-(ROADMAP, whole-array trajectory kernels), since that changes its seeded
-stream.
+The ``binary-markov`` digests (case ``couple``) were recorded from the
+sequential Markov sampler and now pin the vectorized one: it reads the same
+single draw of uniforms, so its seeded stream is unchanged and the digests
+must not be recorded again.
 """
 
 import hashlib

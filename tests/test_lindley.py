@@ -1,7 +1,11 @@
 """One-sided recursion core: frozen examples plus the exact identities.
 
 Increment strategies draw dyadic rationals (k/2^20) so partial sums of a few
-hundred terms are exact doubles and equality assertions are legitimate.
+hundred terms are exact doubles and equality assertions are legitimate.  The
+trajectory and coupling kernels are also compared bit for bit with the
+defining step iterated in plain Python, on lengths around the kernels' block
+size and on increments off the dyadic grid, where their closed form rounds
+and the step takes over.
 """
 
 import math
@@ -25,6 +29,77 @@ def sup_oracle(values):
 def step(x, z):
     """One step of the recursion, through the trajectory kernel."""
     return ld.run_recursion(x, [z]).states[-1]
+
+
+def bits(values):
+    """Bit patterns of doubles, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def recursion_oracle(x0, increments):
+    """The defining step iterated in plain Python."""
+    x = x0
+    states = [x]
+    for z in np.asarray(increments, dtype=np.float64).tolist():
+        x = max(x + z, 0.0)
+        states.append(x)
+    return states
+
+
+def couple_oracle(x0, increments, horizon=None, absorption_check=64):
+    """Both chains stepped one increment at a time, as forward_couple defines."""
+    z = np.asarray(increments, dtype=np.float64).tolist()
+    n_steps = len(z) if horizon is None else min(horizon, len(z))
+    upper, lower = x0, 0.0
+    if upper == lower:
+        return 0, upper, lower, 0
+    tau = None
+    n = 0
+    while n < n_steps:
+        upper = max(upper + z[n], 0.0)
+        lower = max(lower + z[n], 0.0)
+        n += 1
+        assert upper >= lower
+        if upper == lower:
+            tau = n
+            break
+    if tau is not None:
+        for k in range(n, min(n + absorption_check, len(z))):
+            upper = max(upper + z[k], 0.0)
+            lower = max(lower + z[k], 0.0)
+            assert upper == lower
+            n = k + 1
+    return tau, upper, lower, n
+
+
+# lengths on both sides of the kernels' block boundaries
+LENGTHS = (0, 1, ld.BLOCK - 1, ld.BLOCK, ld.BLOCK + 1, 20011)
+
+
+@st.composite
+def long_increments(draw):
+    """Seeded arrays of a block-boundary length: quarters, off-grid or signed zeros."""
+    n = draw(st.sampled_from(LENGTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["quarters", "off-grid", "zeros"]))
+    if kind == "quarters":
+        return rng.integers(-3, 2, n) / 4.0  # drift -1/4: the chain keeps emptying
+    if kind == "off-grid":
+        return rng.uniform(-1.0, 0.9, n)
+    return np.where(rng.random(n) < 0.5, -0.0, 0.0)
+
+
+@st.composite
+def drains(draw):
+    """(x0, increments) where the upper chain empties j steps before the end."""
+    n = draw(st.sampled_from(LENGTHS[1:]))
+    j = draw(st.integers(0, min(n - 1, 50)))
+    return 0.25 * (n - j), np.full(n, -0.25)
+
+
+increments = windows | long_increments()
+starts = st.sampled_from([0.0, -0.0, 0.25, 2047.75, 5000.0]) | st.floats(0, 16)
+couple_cases = st.tuples(starts, increments) | drains()
 
 
 # -- single step -------------------------------------------------------------
@@ -132,6 +207,14 @@ def test_recursion_frozen_examples():
     assert ld.run_recursion(5.0, []).states.tolist() == [5.0]
     trace = ld.run_recursion(0.0, [-1.0, 0.0, -0.5])
     assert trace.states.tolist() == [0.0, 0.0, 0.0, 0.0]
+    # max(-0.0, 0.0) is -0.0: the sign survives until a +0.0 increment
+    assert bits(ld.run_recursion(-0.0, [-0.0, 0.0]).states) == bits([-0.0, -0.0, 0.0])
+
+
+@settings(deadline=None)
+@given(starts, increments)
+def test_recursion_matches_sequential_step(x0, values):
+    assert bits(ld.run_recursion(x0, values).states) == bits(recursion_oracle(x0, values))
 
 
 def test_recursion_rejects_negative_start():
@@ -192,8 +275,14 @@ def test_couple_reports_finals():
     assert res.final_upper == res.final_lower
 
 
-@given(st.floats(0, 8), st.lists(dyadic, min_size=1, max_size=300))
-def test_couple_absorption_and_ordering(x0, values):
+@settings(deadline=None)
+@given(
+    couple_cases,
+    st.none() | st.sampled_from(LENGTHS) | st.integers(-2, 25_000),
+    st.sampled_from([0, 1, 64, 10**6]) | st.integers(-1, 9000),
+)
+def test_couple_absorption_and_ordering(case, horizon, absorption_check):
+    x0, values = case
     upper = ld.run_recursion(x0, values).states
     lower = ld.run_recursion(0.0, values).states
     assert (upper >= lower).all()
@@ -204,6 +293,12 @@ def test_couple_absorption_and_ordering(x0, values):
         assert ld.forward_couple(x0, values).coupling_time == tau
     else:
         assert ld.forward_couple(x0, values).coupling_time is None
+    tau, final_upper, final_lower, steps_run = couple_oracle(
+        x0, values, horizon, absorption_check
+    )
+    got = ld.forward_couple(x0, values, horizon, absorption_check)
+    assert (got.coupling_time, got.steps_run) == (tau, steps_run)
+    assert bits([got.final_upper, got.final_lower]) == bits([final_upper, final_lower])
 
 
 # -- queue and waiting-time forms ---------------------------------------------

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ergoqueue import odometer as od
@@ -40,6 +42,36 @@ def test_markov_period_two_alternates():
     assert (np.abs(np.diff(y)) == 1.0).all()
 
 
+def markov_oracle(chain, n, rng):
+    """The chain stepped one uniform at a time, from the same single draw."""
+    u = rng.random(n + 1)
+    state = 1 if u[0] < chain.stationary_p1 else 0
+    out = []
+    for v in u[1:].tolist():
+        if state == 1:
+            state = 0 if v < chain.p10 else 1
+        else:
+            state = 1 if v < chain.p01 else 0
+        out.append(state)
+    return np.array(out, dtype=np.float64)
+
+
+probabilities = st.sampled_from([0.0, 1.0, 1e-12, 2.0**-40, 0.5]) | st.floats(0, 1)
+
+
+@settings(deadline=None)
+@given(
+    probabilities,
+    probabilities,
+    st.sampled_from([0, 1, 8191, 8192, 8193, 20011]) | st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+)
+def test_markov_matches_sequential_chain(p01, p10, n, seed):
+    chain = BinaryMarkov(p01, p10)
+    got = chain.forward(n, rng_for(seed))
+    assert np.array_equal(got, markov_oracle(chain, n, rng_for(seed)))
+
+
 def test_markov_stationary_start():
     # fraction of ones at time 0 across replicas matches p01/(p01+p10)
     chain = BinaryMarkov(0.1, 0.3)
@@ -63,6 +95,23 @@ def test_table_validates_probabilities():
 def test_empty_window_is_empty():
     for proc in (IIDBernoulli(0.5), OdometerProcess(), TraceProcess(values=[1.0])):
         assert proc.backward_window(0, rng_for(0)).size == 0
+
+
+@pytest.mark.parametrize(
+    "proc",
+    [
+        IIDBernoulli(0.5),
+        IIDTable((0.0, 1.0), (0.5, 0.5)),
+        BinaryMarkov(0.3, 0.5),
+        TraceProcess(values=[1, 2, 3, 4, 5]),
+        OdometerProcess(),
+    ],
+)
+@pytest.mark.parametrize("n", [-1, -2, -5])
+def test_negative_lengths_fail_fast(proc, n):
+    for sample in (proc.forward, proc.backward_window):
+        with pytest.raises(ProcessError, match="n must be nonnegative"):
+            sample(n, rng_for(0))
 
 
 # -- odometer kind -----------------------------------------------------------
