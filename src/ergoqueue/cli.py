@@ -133,8 +133,6 @@ def _run_loynes(cfg: dict):
 
 
 def _run_couple(cfg: dict):
-    if cfg["replicas"] < 0:
-        raise ValueError("replicas must be nonnegative")
     proc = parse_process(cfg["process"])
     rows = []
     times = []
@@ -490,19 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INT_KEYS = {
-    "horizon",
-    "burn_in",
-    "window",
-    "replicas",
-    "n",
-    "m",
-    "steps",
-    "i",
-    "i_max",
-    "precision",
-    "seed",
-}
+# sizes and lengths: a negative value is rejected rather than read as empty
+_COUNT_KEYS = {"horizon", "burn_in", "window", "replicas", "n", "m", "steps"}
+_INT_KEYS = _COUNT_KEYS | {"i", "i_max", "precision", "seed"}
 
 
 _PLAIN_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
@@ -549,6 +537,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     for key in list(cfg):
         if key in _INT_KEYS and cfg[key] is not None:
             cfg[key] = _as_int(key, cfg[key])
+            if key in _COUNT_KEYS and cfg[key] < 0:
+                raise ValueError(f"{key} must be nonnegative, got {cfg[key]}")
     return cfg
 
 

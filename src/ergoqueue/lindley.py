@@ -112,27 +112,33 @@ def loynes_prefix_maxima(window: Sequence[float]) -> np.ndarray:
     return np.maximum.accumulate(np.maximum(partial_sums(window), 0.0))
 
 
-# the whole-array kernels (here and in the Markov sampler) walk their input
-# this many steps at a time, so their temporaries stay small however long
-# the input is
+# the reflection kernel walks its input this many steps at a time, so its
+# temporaries stay small however long the input is
 BLOCK = 8192
+# forward_couple's first block is short, so that a pair that meets at once
+# does not pay for a whole block of prefix sums
+FIRST_COUPLE_BLOCK = 256
 
 
-def _reflect(x: float, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _reflect(
+    x: float, z: np.ndarray, out: np.ndarray, sums: np.ndarray | None = None
+) -> np.ndarray:
     """Fill out[k] with the state after steps 0..k of x -> max(x + z, 0) from x.
 
     The reflection identity X_k = S_k - min(-x, min_{j<=k} S_j), over the
-    prefix sums S of z, is exact when no sum rounds, as on a dyadic grid.
-    The block is then certified against the defining step bit for bit, sign
-    of zero included; since the first step starts from x, that proves the
-    whole block equal to the sequential recursion.  From the first step that
-    fails the check, the step itself is iterated.
+    prefix sums S of z (``sums``, computed here when not given), is exact
+    when no sum rounds, as on a dyadic grid.  The block is then certified
+    against the defining step bit for bit, sign of zero included; since the
+    first step starts from x, that proves the whole block equal to the
+    sequential recursion.  From the first step that fails the check, the
+    step itself is iterated.
     """
     x = float(x)
-    np.cumsum(z, out=out)
-    low = np.minimum.accumulate(out)
+    if sums is None:
+        sums = np.cumsum(z)
+    low = np.minimum.accumulate(sums)
     np.minimum(low, -x, out=low)
-    np.subtract(out, low, out=out)
+    np.subtract(sums, low, out=out)
     step = np.empty_like(out)
     step[:1] = x
     step[1:] = out[:-1]
@@ -198,23 +204,33 @@ def forward_couple(
     if upper == lower:
         return CoupleResult(0, upper, lower, 0)
     tau = None
-    n, end = 0, n_steps
+    n, end, size = 0, n_steps, FIRST_COUPLE_BLOCK
     while n < end:
-        zb = z[n : min(n + BLOCK, end)]
-        up = _reflect(upper, zb, np.empty(zb.size))
-        lo = _reflect(lower, zb, np.empty(zb.size))
+        zb = z[n : min(n + size, end)]
+        size = BLOCK
+        sums = np.cumsum(zb)
         if tau is None:
-            met = np.flatnonzero(up == lo)
-            used = int(met[0]) + 1 if met.size else zb.size
-            if (up[:used] < lo[:used]).any():
+            # in exact arithmetic the chains meet where the prefix sum first
+            # falls to -upper; ending the block there (plus the absorption
+            # check) keeps the kernel from stepping off-grid input far past it
+            k = int(np.argmax(sums <= -upper))
+            if sums[k] <= -upper:
+                stop = k + 1 + max(absorption_check, 0)
+                zb, sums = zb[:stop], sums[:stop]
+        up = _reflect(upper, zb, np.empty(zb.size), sums)
+        lo = _reflect(lower, zb, np.empty(zb.size), sums)
+        met, used = 0, zb.size  # met: the block's first step after the meeting
+        if tau is None:
+            hits = np.flatnonzero(up == lo)
+            met = int(hits[0]) + 1 if hits.size else used
+            if (up[:met] < lo[:met]).any():
                 raise AssertionError("ordering violated (non-finite input?)")
-            if met.size:
-                tau = n + used
+            if hits.size:
+                tau = n + met
                 end = min(tau + absorption_check, z.size)
-        else:
-            used = zb.size
-            if (up != lo).any():
-                raise AssertionError("absorption violated after coupling")
+                used = max(met, min(used, end - n))
+        if (up[met:used] != lo[met:used]).any():
+            raise AssertionError("absorption violated after coupling")
         upper, lower = float(up[used - 1]), float(lo[used - 1])
         n += used
     return CoupleResult(tau, upper, lower, n)

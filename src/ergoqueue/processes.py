@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import odometer
-from .lindley import BLOCK, QueueTrace, waiting_path
+from .lindley import QueueTrace, waiting_path
 
 __all__ = [
     "ProcessError",
@@ -58,6 +58,11 @@ def ensure_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
+
+
+# the Markov scan walks its uniforms this many steps at a time, so its
+# temporaries stay small however long the sample is
+SCAN_BLOCK = 8192
 
 
 def _check_length(n: int) -> None:
@@ -158,8 +163,8 @@ class BinaryMarkov(_ProcessBase):
         # so it is the constant 0, the constant 1, the identity or a negation;
         # the state is the value of the last constant step (or the carried
         # state) flipped once per negation since
-        for k in range(0, n, BLOCK):
-            w = u[k + 1 : k + 1 + BLOCK]
+        for k in range(0, n, SCAN_BLOCK):
+            w = u[k + 1 : k + 1 + SCAN_BLOCK]
             to0 = w < self.p10
             to1 = w < self.p01
             last = np.where(to0 != to1, np.arange(1, w.size + 1), 0)

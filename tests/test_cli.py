@@ -120,6 +120,9 @@ def test_couple_rows_match_documented_seed_split(tmp_path):
          "--horizon", "-1"],
         ["couple", "--process", "iid-bernoulli:0.5", "--s", "0.75", "--x0", "2",
          "--horizon", "100", "--replicas", "-2"],
+        ["odometer", "--value", "1/2", "--steps", "-3"],
+        ["loynes", "--process", "iid-bernoulli:0.5", "--s", "0.75", "--window=-1e3"],
+        ["cumulant", "--process", "iid-bernoulli:0.5", "--n", "8", "--m", "-4"],
     ],
 )
 def test_negative_counts_fail_fast(tmp_path, capsys, args):

@@ -92,14 +92,25 @@ def long_increments(draw):
 @st.composite
 def drains(draw):
     """(x0, increments) where the upper chain empties j steps before the end."""
-    n = draw(st.sampled_from(LENGTHS[1:]))
+    # forward_couple's blocks end at FIRST_COUPLE_BLOCK, then BLOCK apart
+    edges = (ld.FIRST_COUPLE_BLOCK + 1, ld.FIRST_COUPLE_BLOCK + ld.BLOCK + 1)
+    n = draw(st.sampled_from(LENGTHS[1:] + edges))
     j = draw(st.integers(0, min(n - 1, 50)))
     return 0.25 * (n - j), np.full(n, -0.25)
 
 
+@st.composite
+def rounding_meets(draw):
+    """(1.0, increments) whose chains meet by rounding at step j, far from empty."""
+    n = draw(st.sampled_from(LENGTHS[1:]))
+    z = np.full(n, -0.25)
+    z[draw(st.integers(0, min(n - 1, 50)))] = 2.0**53  # 1 + 2^53 rounds to 2^53
+    return 1.0, z
+
+
 increments = windows | long_increments()
 starts = st.sampled_from([0.0, -0.0, 0.25, 2047.75, 5000.0]) | st.floats(0, 16)
-couple_cases = st.tuples(starts, increments) | drains()
+couple_cases = st.tuples(starts, increments) | drains() | rounding_meets()
 
 
 # -- single step -------------------------------------------------------------
@@ -273,6 +284,15 @@ def test_couple_reports_finals():
     res = ld.forward_couple(2.0, [-1.0, -1.0, 5.0])
     assert res.coupling_time == 2
     assert res.final_upper == res.final_lower
+    for check in (-1, 0, 1):  # a negative check runs no steps past the meeting
+        res = ld.forward_couple(2.0, [-1.0, -1.0, 5.0], absorption_check=check)
+        assert (res.coupling_time, res.steps_run) == (2, 2 + max(check, 0))
+
+
+def test_couple_meets_by_rounding():
+    # the upper chain never empties: 1 + 2^53 rounds to 2^53 = the lower chain
+    res = ld.forward_couple(1.0, [2.0**53] + [-0.25] * 100)
+    assert (res.coupling_time, res.steps_run) == (1, 65)
 
 
 @settings(deadline=None)

@@ -14,6 +14,7 @@ from ergoqueue.processes import (
     BinaryMarkov,
     IIDBernoulli,
     IIDTable,
+    SCAN_BLOCK,
     OdometerProcess,
     ProcessError,
     TraceError,
@@ -63,7 +64,8 @@ probabilities = st.sampled_from([0.0, 1.0, 1e-12, 2.0**-40, 0.5]) | st.floats(0,
 @given(
     probabilities,
     probabilities,
-    st.sampled_from([0, 1, 8191, 8192, 8193, 20011]) | st.integers(0, 300),
+    st.sampled_from([0, 1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 20011])
+    | st.integers(0, 300),
     st.integers(0, 2**32 - 1),
 )
 def test_markov_matches_sequential_chain(p01, p10, n, seed):
