@@ -14,6 +14,8 @@ run wrote (its embedded ``config`` object is unwrapped) or a bare
 configuration dict; either reproduces the files byte for byte.
 
 Floats are written with 17 significant digits; exact rationals as "p/q".
+The CSV is written column by column, ``WRITE_BLOCK`` rows at a time, and is
+byte for byte what formatting each cell on its own would give.
 """
 
 from __future__ import annotations
@@ -42,25 +44,50 @@ from .processes import (
 __all__ = ["main"]
 
 
+WRITE_BLOCK = 8192  # CSV rows formatted per block
+
+
 def _fmt(x) -> str:
+    """The one formatting rule of a CSV cell."""
+    if isinstance(x, float):
+        return format(x, ".17g")
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, float):
-        return format(x, ".17g")
     if x is None:
         return ""
     return str(x)
 
 
-def _write_outputs(base: Path, header, rows, summary: dict) -> None:
+def _column_text(col) -> list[str]:
+    """``_fmt`` of every cell of one column slice.
+
+    A float64 array formats each distinct value once, keyed on its bit
+    pattern: ``np.unique`` on the floats would merge -0.0 with 0.0, which
+    ``_fmt`` writes as "-0" and "0".  An integer array becomes Python ints,
+    which ``_fmt`` writes with ``str``.  Anything else goes cell by cell.
+    """
+    if isinstance(col, np.ndarray):
+        if col.dtype == np.float64:
+            keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            texts = [_fmt(v) for v in keys.view(np.float64).tolist()]
+            return np.array(texts, dtype=object)[inverse].tolist()
+        if col.dtype.kind in "iu":
+            return list(map(str, col.tolist()))
+    return [_fmt(v) for v in col]
+
+
+def _write_outputs(base: Path, header, columns, summary: dict) -> None:
+    """Write BASE.csv from one sequence per header field, and BASE.json."""
+    rows = len(columns[0])
     base.parent.mkdir(parents=True, exist_ok=True)
     with open(f"{base}.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for start in range(0, rows, WRITE_BLOCK):
+            block = [_column_text(col[start : start + WRITE_BLOCK]) for col in columns]
+            writer.writerows(zip(*block, strict=True))
     with open(f"{base}.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
@@ -72,7 +99,10 @@ def _theta_grid(text: str) -> list[float]:
         start, stop, step = (float(x) for x in text.split(":"))
         if step <= 0 or stop < start:
             raise ValueError("grid must be start:stop:step with positive step")
-        count = int(math.floor((stop - start) / step + 0.5)) + 1
+        points = (stop - start) / step + 0.5
+        if not math.isfinite(points):
+            raise ValueError("grid must have a finite number of points")
+        count = int(math.floor(points)) + 1
         return [start + k * step for k in range(count)]
     return [float(x) for x in text.split(",")]
 
@@ -91,7 +121,7 @@ _SCALINGS = {
 
 # ---------------------------------------------------------------------------
 # subcommand implementations: each takes the resolved config dict and
-# returns (csv header, csv rows, results object for the JSON summary)
+# returns (csv header, csv columns, results object for the JSON summary)
 
 
 def _run_simulate(cfg: dict):
@@ -104,13 +134,9 @@ def _run_simulate(cfg: dict):
         cfg.get("burn_in"),
         rng_for(cfg["seed"]),
     )
-    rows = [
-        (q, p, se)
-        for q, p, se in zip(
-            report.tail.thresholds, report.tail.survival, report.tail.std_errors
-        )
-    ]
-    return ["threshold", "survival", "std_error"], rows, report.to_json()
+    tail = report.tail
+    columns = [tail.thresholds, tail.survival, tail.std_errors]
+    return ["threshold", "survival", "std_error"], columns, report.to_json()
 
 
 def _run_loynes(cfg: dict):
@@ -119,10 +145,9 @@ def _run_loynes(cfg: dict):
     sums = lindley.partial_sums(window)
     maxima = lindley.loynes_prefix_maxima(window)
     result = lindley.loynes_sup(window, slack=cfg.get("slack", 0.0))
-    rows = [(n, sums[n], maxima[n]) for n in range(sums.size)]
     return (
         ["n", "partial_sum", "running_max"],
-        rows,
+        [np.arange(sums.size), sums, maxima],
         {
             "value": result.value,
             "argmax": result.argmax,
@@ -134,13 +159,13 @@ def _run_loynes(cfg: dict):
 
 def _run_couple(cfg: dict):
     proc = parse_process(cfg["process"])
-    rows = []
-    times = []
+    times, uppers, lowers = [], [], []
     for r in range(cfg["replicas"]):
         y = proc.forward(cfg["horizon"], rng_for(cfg["seed"], r))
         res = lindley.forward_couple(cfg["x0"], np.asarray(y) - cfg["s"])
-        rows.append((r, res.coupling_time, res.final_upper, res.final_lower))
         times.append(res.coupling_time)
+        uppers.append(res.final_upper)
+        lowers.append(res.final_lower)
     coupled = [t for t in times if t is not None]
     summary = {
         "replicas": cfg["replicas"],
@@ -148,30 +173,28 @@ def _run_couple(cfg: dict):
         "max_coupling_time": max(coupled) if coupled else None,
         "mean_coupling_time": (sum(coupled) / len(coupled)) if coupled else None,
     }
-    return ["replica", "coupling_time", "final_upper", "final_lower"], rows, summary
+    columns = [range(cfg["replicas"]), times, uppers, lowers]
+    return ["replica", "coupling_time", "final_upper", "final_lower"], columns, summary
 
 
 def _run_gg1(cfg: dict):
     system = GG1System(parse_process(cfg["service"]), parse_process(cfg["interarrival"]))
     trace = system.waiting_trace(cfg["n"], rng_for(cfg["seed"]))
-    rows = list(enumerate(trace.states.tolist()))
     summary = {
         "n": cfg["n"],
         "mean_wait": float(np.mean(trace.states)),
         "max_wait": float(np.max(trace.states)),
         "final_wait": float(trace.states[-1]),
     }
-    return ["n", "waiting_time"], rows, summary
+    return ["n", "waiting_time"], [np.arange(trace.states.size), trace.states], summary
 
 
 def _run_tandem(cfg: dict):
     proc = parse_process(cfg["process"])
     y = proc.forward(cfg["horizon"], rng_for(cfg["seed"]))
     first, outputs, second = lindley.tandem_path(y, cfg["s1"], cfg["s2"])
-    rows = [
-        (n, y[n], first.states[n + 1], outputs[n], second.states[n + 1])
-        for n in range(outputs.size)
-    ]
+    n = outputs.size
+    columns = [np.arange(n), y[:n], first.states[1:], outputs, second.states[1:]]
     total_in = float(np.sum(y))
     total_out = float(np.sum(outputs))
     summary = {
@@ -182,7 +205,7 @@ def _run_tandem(cfg: dict):
         "conservation_exact": total_in - total_out == float(first.states[-1] - first.states[0]),
         "second_backlog_final": float(second.states[-1]),
     }
-    return ["n", "arrival", "queue1", "output1", "queue2"], rows, summary
+    return ["n", "arrival", "queue1", "output1", "queue2"], columns, summary
 
 
 def _run_odometer(cfg: dict):
@@ -190,15 +213,12 @@ def _run_odometer(cfg: dict):
     precision = cfg.get("precision", odometer.DEFAULT_PRECISION)
     if mode == "measure":
         i_max = cfg["i_max"]
-        rows = []
-        for i in range(i_max + 1):
-            rows.append(
-                (
-                    i,
-                    odometer.arrival_band(i, precision).measure,
-                    odometer.arrival_set_measure(i),
-                )
-            )
+        bands = range(i_max + 1)
+        columns = [
+            bands,
+            [odometer.arrival_band(i, precision).measure for i in bands],
+            [odometer.arrival_set_measure(i) for i in bands],
+        ]
         truncated, tail = odometer.arrival_set_truncated(
             min(i_max, odometer.band_limit(precision)), precision
         )
@@ -208,7 +228,7 @@ def _run_odometer(cfg: dict):
             "tail_bound": str(tail),
             "components": len(truncated),
         }
-        return ["i", "band_measure", "union_measure"], rows, summary
+        return ["i", "band_measure", "union_measure"], columns, summary
     # orbit mode
     value = cfg["value"]
     if isinstance(value, str) and value.startswith("0x"):
@@ -218,23 +238,20 @@ def _run_odometer(cfg: dict):
         p = odometer.DyadicPoint.from_fraction(frac, precision)
     steps = cfg.get("steps", 16)
     sign = -1 if cfg.get("direction", "forward") == "backward" else 1
-    rows = []
-    for k in range(steps + 1):
-        pt = odometer.apply_power(p, sign * k)
-        rows.append(
-            (
-                k,
-                format(pt.counter, "x"),
-                float(pt.value),
-                odometer.in_arrival_set(pt, cfg.get("i_max")),
-            )
-        )
+    ks = range(steps + 1)
+    points = [odometer.apply_power(p, sign * k) for k in ks]
+    columns = [
+        ks,
+        [format(pt.counter, "x") for pt in points],
+        [float(pt.value) for pt in points],
+        [odometer.in_arrival_set(pt, cfg.get("i_max")) for pt in points],
+    ]
     summary = {
         "start": p.to_json(),
         "steps": steps,
         "first_one_index": odometer.first_one_index(p) if p.counter else None,
     }
-    return ["k", "counter_hex", "value", "arrival"], rows, summary
+    return ["k", "counter_hex", "value", "arrival"], columns, summary
 
 
 def _run_cumulant(cfg: dict):
@@ -242,8 +259,7 @@ def _run_cumulant(cfg: dict):
     est = estimators.estimate_lambda_grid(
         proc, cfg["theta_grid"], cfg["n"], cfg["m"], rng_for(cfg["seed"]), s=cfg.get("s")
     )
-    rows = list(zip(est.thetas, est.lambda_hat))
-    return ["theta", "lambda_hat"], rows, est.to_json()
+    return ["theta", "lambda_hat"], [est.thetas, est.lambda_hat], est.to_json()
 
 
 def _run_scaled_cumulant(cfg: dict):
@@ -251,21 +267,22 @@ def _run_scaled_cumulant(cfg: dict):
     scaling = estimators.ScalingFunctions(
         a=_SCALINGS[cfg["a_scale"]], v=_SCALINGS[cfg["v_scale"]]
     )
-    rows = []
-    for theta in cfg["theta_grid"]:
-        val = estimators.estimate_scaled_lambda(
+    thetas = cfg["theta_grid"]
+    values = [
+        estimators.estimate_scaled_lambda(
             proc, theta, scaling, cfg["s"], cfg["n"], cfg["m"], rng_for(cfg["seed"])
         )
-        rows.append((theta, val))
+        for theta in thetas
+    ]
     summary = {
         "a_scale": cfg["a_scale"],
         "v_scale": cfg["v_scale"],
         "n": cfg["n"],
         "m": cfg["m"],
         "s": cfg["s"],
-        "values": {format(t, ".17g"): v for t, v in rows},
+        "values": {format(t, ".17g"): v for t, v in zip(thetas, values)},
     }
-    return ["theta", "scaled_lambda"], rows, summary
+    return ["theta", "scaled_lambda"], [thetas, values], summary
 
 
 def _run_prop1(cfg: dict):
@@ -273,20 +290,18 @@ def _run_prop1(cfg: dict):
         cfg["i"], cfg["m"], rng_for(cfg["seed"]), cfg.get("precision", 64)
     )
     data = report.to_json()
-    rows = [
-        (
-            report.params.i,
-            report.params.window,
-            report.params.offset,
-            report.m,
-            report.hits,
-            report.p_hat,
-            report.exact_lower,
-            report.target,
-            report.lower_valid,
-            report.analytic_pass,
-        )
-    ]
+    row = (
+        report.params.i,
+        report.params.window,
+        report.params.offset,
+        report.m,
+        report.hits,
+        report.p_hat,
+        report.exact_lower,
+        report.target,
+        report.lower_valid,
+        report.analytic_pass,
+    )
     header = [
         "i",
         "window",
@@ -299,7 +314,7 @@ def _run_prop1(cfg: dict):
         "lower_valid",
         "pass",
     ]
-    return header, rows, data
+    return header, [[v] for v in row], data
 
 
 def _run_prop2(cfg: dict):
@@ -307,19 +322,17 @@ def _run_prop2(cfg: dict):
         cfg["i"], cfg["theta"], cfg["m"], rng_for(cfg["seed"]), cfg.get("precision", 64)
     )
     data = report.to_json()
-    rows = [
-        (
-            report.i,
-            report.theta,
-            report.n,
-            report.m,
-            report.lower_bound,
-            report.lambda_strat,
-            report.upper_bound,
-            report.lambda_plain,
-            report.gap,
-        )
-    ]
+    row = (
+        report.i,
+        report.theta,
+        report.n,
+        report.m,
+        report.lower_bound,
+        report.lambda_strat,
+        report.upper_bound,
+        report.lambda_plain,
+        report.gap,
+    )
     header = [
         "i",
         "theta",
@@ -331,7 +344,7 @@ def _run_prop2(cfg: dict):
         "lambda_plain",
         "gap",
     ]
-    return header, rows, data
+    return header, [[v] for v in row], data
 
 
 _RUNNERS = {
@@ -556,14 +569,14 @@ def main(argv=None) -> int:
         runner = _RUNNERS.get(sub)
         if runner is None:
             raise ValueError(f"unknown subcommand {sub!r}")
-        header, rows, results = runner(cfg)
+        header, columns, results = runner(cfg)
     except (ProcessError, ValueError, OSError, KeyError, MemoryError) as exc:
         json.dump({"error": f"{type(exc).__name__}: {exc}"}, sys.stderr)
         sys.stderr.write("\n")
         return 2
     base = Path(args.out) if args.out else _default_base(cfg["subcommand"])
     summary = {"config": cfg, "results": results}
-    _write_outputs(base, header, rows, summary)
+    _write_outputs(base, header, columns, summary)
     print(f"wrote {base}.csv and {base}.json")
     return 0
 

@@ -310,6 +310,7 @@ class OdometerProcess(_ProcessBase):
 
     def window_counts(self, m: int, width: int, rng=None) -> np.ndarray:
         """Backward-window arrival totals for m independent realizations."""
+        _check_length(m)
         rng = ensure_rng(rng)
         cs = odometer.uniform_counters(rng, m, self.precision, width)
         return odometer.window_arrival_counts(cs, width, self.precision, self.i_max)

@@ -1,12 +1,16 @@
 """Runner behavior: determinism, file outputs, config replay, error paths."""
 
 import csv
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergoqueue import cli, lindley
 from ergoqueue.processes import parse_process, rng_for
@@ -353,3 +357,88 @@ def test_integer_config_keys_accept_integral_numbers(tmp_path):
     summary = json.loads((tmp_path / "x.json").read_text(encoding="utf-8"))
     assert summary["config"]["horizon"] == 2000
     assert summary["config"]["seed"] == 9223372036854775809
+
+
+def test_unbounded_theta_grid_is_a_usage_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ergoqueue.cli", "cumulant", "--process", "iid-bernoulli:0.5",
+         "--n", "10", "--m", "10", "--theta-grid", "0:1e300:1e-300"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--theta-grid" in proc.stderr
+
+
+def test_couple_without_replicas_writes_header_only(tmp_path):
+    rows, summary = run(
+        tmp_path,
+        "c",
+        ["couple", "--process", "iid-bernoulli:0.5", "--s", "0.75", "--x0", "2",
+         "--horizon", "100", "--replicas", "0"],
+    )
+    assert rows == [["replica", "coupling_time", "final_upper", "final_lower"]]
+    assert summary["results"]["coupled"] == 0
+
+
+# -- the columnar CSV writer against a per-row oracle ------------------------
+
+
+def _per_row_csv(header, columns) -> str:
+    """The writer's specification: format each cell of each row with _fmt."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([cli._fmt(v) for v in row])
+    return buf.getvalue()
+
+
+# every pool holds its dtype's edge values, so long columns mix them all
+_SPECIAL_FLOATS = [
+    -0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+    np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), np.nextafter(0.1, 1.0), 0.1, 0.75, 1e300,
+]
+_FLOAT_POOLS = st.lists(st.floats(), max_size=8).map(
+    lambda extra: np.array(_SPECIAL_FLOATS + extra, dtype=np.float64)
+)
+_INT_POOLS = st.lists(st.integers(-(2**63), 2**63 - 1), max_size=8).map(
+    lambda extra: np.array([-(2**63), 2**63 - 1, -1, 0, 1] + extra, dtype=np.int64)
+)
+_UINT_POOLS = st.lists(st.integers(0, 2**64 - 1), max_size=8).map(
+    lambda extra: np.array([0, 2**63, 2**64 - 1] + extra, dtype=np.uint64)
+)
+_OBJECT_POOLS = st.lists(
+    st.fractions(max_denominator=10**6)
+    | st.booleans()
+    | st.none()
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+    | st.sampled_from([Fraction(1, 3), "7f", "a,b", 'q"t', "", True, None]),
+    min_size=1,
+    max_size=12,
+)
+# other dtypes go cell by cell through _fmt, as numpy scalars
+_OTHER_POOLS = st.sampled_from(
+    [np.array([True, False]), np.array([0.1, -0.0, np.nan], dtype=np.float32)]
+)
+_POOLS = _FLOAT_POOLS | _INT_POOLS | _UINT_POOLS | _OBJECT_POOLS | _OTHER_POOLS
+
+
+@pytest.mark.parametrize(
+    "length", [0, 1, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1]
+)
+@settings(max_examples=15, deadline=None)
+@given(pools=st.lists(_POOLS, min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_writer_matches_per_row_oracle(tmp_path_factory, length, pools, seed):
+    rng = np.random.default_rng(seed)
+    columns = []
+    for pool in pools:
+        picks = rng.integers(len(pool), size=length)
+        # fancy indexing copies the bits, so -0.0 and nan signs survive
+        columns.append(pool[picks] if isinstance(pool, np.ndarray) else [pool[i] for i in picks])
+    header = [f"c{j}" for j in range(len(columns))]
+    base = tmp_path_factory.mktemp("writer") / "out"
+    cli._write_outputs(base, header, columns, {})
+    got = base.with_suffix(".csv").read_bytes()
+    assert got == _per_row_csv(header, columns).encode("utf-8")

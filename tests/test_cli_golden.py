@@ -14,6 +14,11 @@ The ``binary-markov`` digests (case ``couple``) were recorded from the
 sequential Markov sampler and now pin the vectorized one: it reads the same
 single draw of uniforms, so its seeded stream is unchanged and the digests
 must not be recorded again.
+
+Cases ``tandem-blocks``, ``tandem-non-dyadic-blocks`` and ``gg1-blocks`` write
+more rows than the CSV writer's block of ``cli.WRITE_BLOCK`` (8192) rows, so
+they pin its block boundaries; their digests were recorded from commit
+5fe2d38, before the writer became columnar.
 """
 
 import hashlib
@@ -39,6 +44,12 @@ CASES = {
                "--horizon", "1000", "--seed", "9"],
     "tandem-non-dyadic": ["tandem", "--process", NON_DYADIC, "--s1", "0.8", "--s2", "0.7",
                           "--horizon", "1000", "--seed", "10"],
+    "tandem-blocks": ["tandem", "--process", "odometer", "--s1", "0.75", "--s2", "0.5",
+                      "--horizon", "20000", "--seed", "16"],
+    "tandem-non-dyadic-blocks": ["tandem", "--process", NON_DYADIC, "--s1", "0.8", "--s2",
+                                 "0.7", "--horizon", "17000", "--seed", "17"],
+    "gg1-blocks": ["gg1", "--service", "iid-table:0.2,1.3@0.5,0.5", "--interarrival",
+                   "iid-bernoulli:0.9", "--n", "9000", "--seed", "18"],
     "odometer-orbit": ["odometer", "--value", "11/16", "--precision", "16", "--steps", "20",
                        "--direction", "backward"],
     "odometer-measure": ["odometer", "--mode", "measure", "--i-max", "5"],
@@ -65,6 +76,10 @@ DIGESTS = {
     "gg1": (
         "5080387480a57fe0d5cd772b50611f52690fd80bc4f66d4049d93303af36198b",
         "3df20ebdcbf0af4925be6007f927fbe7149c9318833e9e4ed6d9b8eb1084abf1",
+    ),
+    "gg1-blocks": (
+        "adf385624f19d00369b8a57fc8226da76b22bfcc6f03c1fa1a8f1cd7b741f4ee",
+        "6a675fab000ef6a3c9d10be1c07a8a57204362ff065ccb9ada51843ab8392ffd",
     ),
     "loynes": (
         "92340ec97f480a78499f3d779415f1c0991033b8a53122c5bf0dc37f2c6ee64f",
@@ -106,9 +121,17 @@ DIGESTS = {
         "2b478c3f3913d5f215f9ea0c548de7c9918625c508d439e601ae814a3d93ed73",
         "00f346e6b4368a5229e81d43f87fb06d90946da0aa47283e8db00b6524a15e2d",
     ),
+    "tandem-blocks": (
+        "31f8bc79eb242922efa5751dc39b6c9334e205e01c31ad60eee4d159da0e9804",
+        "1b83db20efc350b90a8a58fdd0f4a419e1e8e896ce297d0dd50a87b238c9f4fb",
+    ),
     "tandem-non-dyadic": (
         "347966898657bc03b77f93f32474d42cfd324e1f3e5d631a4a5469b6cfbd60f8",
         "1d87c436ac7459bf5ff9eb2734f1e1c9a07a3fe07a2411b165826301698a1b18",
+    ),
+    "tandem-non-dyadic-blocks": (
+        "887e8fddf3475423edc6d3b9296ea01df6867ed6c87758ac134e3793f1113ad5",
+        "ae810349137dfeb35292fa05e5049fe9bcaf1829c7d21a0f47809732e0ecc720",
     ),
 }
 

@@ -111,7 +111,10 @@ def test_empty_window_is_empty():
 )
 @pytest.mark.parametrize("n", [-1, -2, -5])
 def test_negative_lengths_fail_fast(proc, n):
-    for sample in (proc.forward, proc.backward_window):
+    samples = [proc.forward, proc.backward_window]
+    if isinstance(proc, OdometerProcess):
+        samples.append(lambda m, rng: proc.window_counts(m, 4, rng))
+    for sample in samples:
         with pytest.raises(ProcessError, match="n must be nonnegative"):
             sample(n, rng_for(0))
 
