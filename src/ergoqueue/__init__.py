@@ -42,6 +42,7 @@ from .odometer import (
     apply_map,
     apply_power,
     arrival_band,
+    arrival_set_components,
     arrival_set_measure,
     arrival_set_truncated,
     band_limit,

@@ -33,13 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, lindley, odometer
-from .processes import (
-    GG1System,
-    OdometerProcess,
-    ProcessError,
-    parse_process,
-    rng_for,
-)
+from .processes import GG1System, ProcessError, parse_process, rng_for
 
 __all__ = ["main"]
 
@@ -93,6 +87,12 @@ def _write_outputs(base: Path, header, columns, summary: dict) -> None:
         fh.write("\n")
 
 
+def _finite(values: list[float]) -> list[float]:
+    if not all(map(math.isfinite, values)):
+        raise ValueError("every entry must be finite")
+    return values
+
+
 def _theta_grid(text: str) -> list[float]:
     """Parse 'start:stop:step' or a comma list."""
     if ":" in text:
@@ -103,12 +103,12 @@ def _theta_grid(text: str) -> list[float]:
         if not math.isfinite(points):
             raise ValueError("grid must have a finite number of points")
         count = int(math.floor(points)) + 1
-        return [start + k * step for k in range(count)]
-    return [float(x) for x in text.split(",")]
+        return _finite([start + k * step for k in range(count)])
+    return _finite([float(x) for x in text.split(",")])
 
 
 def _thresholds(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
+    return _finite([float(x) for x in text.split(",")])
 
 
 _SCALINGS = {
@@ -212,21 +212,21 @@ def _run_odometer(cfg: dict):
     mode = cfg.get("mode", "orbit")
     precision = cfg.get("precision", odometer.DEFAULT_PRECISION)
     if mode == "measure":
-        i_max = cfg["i_max"]
+        i_max = cfg.get("i_max")
+        if i_max is None:
+            raise ValueError("measure mode needs i_max")
+        odometer._check_band(i_max, precision)
         bands = range(i_max + 1)
         columns = [
             bands,
-            [odometer.arrival_band(i, precision).measure for i in bands],
+            [Fraction(1, 1 << (i + 2)) for i in bands],
             [odometer.arrival_set_measure(i) for i in bands],
         ]
-        truncated, tail = odometer.arrival_set_truncated(
-            min(i_max, odometer.band_limit(precision)), precision
-        )
         summary = {
             "i_max": i_max,
             "union_measure": str(odometer.arrival_set_measure(i_max)),
-            "tail_bound": str(tail),
-            "components": len(truncated),
+            "tail_bound": str(Fraction(1, 1 << (i_max + 2))),
+            "components": odometer.arrival_set_components(i_max),
         }
         return ["i", "band_measure", "union_measure"], columns, summary
     # orbit mode
@@ -234,7 +234,10 @@ def _run_odometer(cfg: dict):
     if isinstance(value, str) and value.startswith("0x"):
         p = odometer.DyadicPoint(int(value, 16), precision)
     else:
-        frac = Fraction(value) if isinstance(value, str) else Fraction(float(value))
+        try:
+            frac = Fraction(value)
+        except (ZeroDivisionError, OverflowError, TypeError) as exc:
+            raise ValueError(f"value must be a finite fraction, got {value!r}") from exc
         p = odometer.DyadicPoint.from_fraction(frac, precision)
     steps = cfg.get("steps", 16)
     sign = -1 if cfg.get("direction", "forward") == "backward" else 1
@@ -290,31 +293,9 @@ def _run_prop1(cfg: dict):
         cfg["i"], cfg["m"], rng_for(cfg["seed"]), cfg.get("precision", 64)
     )
     data = report.to_json()
-    row = (
-        report.params.i,
-        report.params.window,
-        report.params.offset,
-        report.m,
-        report.hits,
-        report.p_hat,
-        report.exact_lower,
-        report.target,
-        report.lower_valid,
-        report.analytic_pass,
-    )
-    header = [
-        "i",
-        "window",
-        "offset",
-        "m",
-        "hits",
-        "p_hat",
-        "mu_A",
-        "target",
-        "lower_valid",
-        "pass",
-    ]
-    return header, [[v] for v in row], data
+    header = ["i", "window", "offset", "m", "hits", "p_hat", "mu_A", "target", "lower_valid",
+              "pass"]
+    return header, [[data[key]] for key in header], data
 
 
 def _run_prop2(cfg: dict):
@@ -322,42 +303,91 @@ def _run_prop2(cfg: dict):
         cfg["i"], cfg["theta"], cfg["m"], rng_for(cfg["seed"]), cfg.get("precision", 64)
     )
     data = report.to_json()
-    row = (
-        report.i,
-        report.theta,
-        report.n,
-        report.m,
-        report.lower_bound,
-        report.lambda_strat,
-        report.upper_bound,
-        report.lambda_plain,
-        report.gap,
-    )
-    header = [
-        "i",
-        "theta",
-        "window",
-        "m",
-        "lower_bound",
-        "lambda_strat",
-        "upper_bound",
-        "lambda_plain",
-        "gap",
-    ]
-    return header, [[v] for v in row], data
+    header = ["i", "theta", "window", "m", "lower_bound", "lambda_strat", "upper_bound",
+              "lambda_plain", "gap"]
+    row = dict(data, window=data["n"])
+    return header, [[row[key]] for key in header], data
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "loynes": _run_loynes,
-    "couple": _run_couple,
-    "gg1": _run_gg1,
-    "tandem": _run_tandem,
-    "odometer": _run_odometer,
-    "cumulant": _run_cumulant,
-    "scaled-cumulant": _run_scaled_cumulant,
-    "prop1": _run_prop1,
-    "prop2": _run_prop2,
+# ---------------------------------------------------------------------------
+# the subcommand table: name -> (runner, help, description, options), each
+# option (key, kind, default[, help]).  A kind is str, float (a real number),
+# INT, COUNT, TEXT_OR_REAL, a tuple of choices, or a text parser that turns
+# the flag into a list of finite reals.  The order of the options is the
+# order of the keys in the JSON config.
+
+INT = "an integer"
+COUNT = "a nonnegative integer"  # sizes and lengths: negative is not read as empty
+TEXT_OR_REAL = "a string or a real number"
+REQUIRED = ...  # the default of an option that must be given
+
+_SEED = ("seed", INT, 0, "global 64-bit seed")
+_PROCESS = ("process", str, REQUIRED)
+_SCALES = tuple(sorted(_SCALINGS))
+
+_SUBCOMMANDS = {
+    "simulate": (
+        _run_simulate, "queue tail by time averages",
+        "CSV schema: threshold, survival, std_error.",
+        [_PROCESS, ("s", float, REQUIRED), ("horizon", COUNT, REQUIRED), ("burn_in", COUNT, None),
+         ("thresholds", _thresholds, "0,1,2,4,8,16"), _SEED],
+    ),
+    "loynes": (
+        _run_loynes, "backward window partial sums and running maxima",
+        "CSV schema: n, partial_sum, running_max (nondecreasing).",
+        [_PROCESS, ("s", float, REQUIRED), ("window", COUNT, REQUIRED), ("slack", float, 0.0),
+         _SEED],
+    ),
+    "couple": (
+        _run_couple, "forward coupling times over replicas",
+        "CSV schema: replica, coupling_time, final_upper, final_lower.",
+        [_PROCESS, ("s", float, REQUIRED), ("x0", float, REQUIRED), ("horizon", COUNT, REQUIRED),
+         ("replicas", COUNT, 100), _SEED],
+    ),
+    "gg1": (
+        _run_gg1, "single-server waiting times", "CSV schema: n, waiting_time.",
+        [("service", str, REQUIRED), ("interarrival", str, REQUIRED), ("n", COUNT, REQUIRED),
+         _SEED],
+    ),
+    "tandem": (
+        _run_tandem, "two stations in series", "CSV schema: n, arrival, queue1, output1, queue2.",
+        [_PROCESS, ("s1", float, REQUIRED), ("s2", float, REQUIRED), ("horizon", COUNT, REQUIRED),
+         _SEED],
+    ),
+    "odometer": (
+        _run_odometer, "orbit, membership, and measure queries",
+        "orbit mode CSV: k, counter_hex, value, arrival; "
+        "measure mode CSV: i, band_measure, union_measure.",
+        [("mode", ("orbit", "measure"), "orbit"),
+         ("value", TEXT_OR_REAL, None, "start point: fraction like 3/4, float, or 0x<hex counter>"),
+         ("steps", COUNT, 16), ("direction", ("forward", "backward"), "forward"),
+         ("precision", INT, odometer.DEFAULT_PRECISION), ("i_max", INT, None), _SEED],
+    ),
+    "cumulant": (
+        _run_cumulant, "scaled log-moment curve and tail decay", "CSV schema: theta, lambda_hat.",
+        [_PROCESS, ("theta_grid", _theta_grid, "0:3:0.05"), ("n", COUNT, REQUIRED),
+         ("m", COUNT, REQUIRED), ("s", float, None), _SEED],
+    ),
+    "scaled-cumulant": (
+        _run_scaled_cumulant, "generalized scalings of the centered log-moment",
+        "CSV schema: theta, scaled_lambda.",
+        [_PROCESS, ("theta_grid", _theta_grid, "0:3:0.25"), ("a_scale", _SCALES, "linear"),
+         ("v_scale", _SCALES, "linear"), ("n", COUNT, REQUIRED), ("m", COUNT, REQUIRED),
+         ("s", float, REQUIRED), _SEED],
+    ),
+    "prop1": (
+        _run_prop1, "burst overflow probability vs exact band-measure bounds",
+        "CSV schema: i, window, offset, m, hits, p_hat, mu_A, target, lower_valid, pass.",
+        [("i", INT, REQUIRED), ("m", COUNT, REQUIRED),
+         ("precision", INT, odometer.DEFAULT_PRECISION), _SEED],
+    ),
+    "prop2": (
+        _run_prop2, "window log-moment sandwich between exact bounds",
+        "CSV schema: i, theta, window, m, lower_bound, lambda_strat, "
+        "upper_bound, lambda_plain, gap.",
+        [("i", INT, REQUIRED), ("theta", float, REQUIRED), ("m", COUNT, REQUIRED),
+         ("precision", INT, odometer.DEFAULT_PRECISION), _SEED],
+    ),
 }
 
 
@@ -370,140 +400,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="replay a saved JSON configuration")
     parser.add_argument("--out", help="output base path (writes BASE.csv and BASE.json)")
     sub = parser.add_subparsers(dest="subcommand")
-
-    def common(p):
-        p.add_argument("--seed", default=0, help="global 64-bit seed")
+    for name, (_, help_text, description, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text, description=description)
+        for key, kind, default, *option_help in options:
+            # integers stay text here: _resolve_config converts them, so a bad
+            # one is the JSON error rather than a usage error
+            required = default is REQUIRED
+            p.add_argument(
+                "--" + key.replace("_", "-"),
+                type=kind if callable(kind) else None,
+                choices=kind if isinstance(kind, tuple) else None,
+                required=required,
+                default=None if required else default,
+                help=option_help[0] if option_help else None,
+            )
         # SUPPRESS so an absent sub-level flag cannot shadow the top-level one
         p.add_argument("--out", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-
-    p = sub.add_parser(
-        "simulate",
-        help="queue tail by time averages",
-        description="CSV schema: threshold, survival, std_error.",
-    )
-    p.add_argument("--process", required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--horizon", required=True)
-    p.add_argument("--burn-in", default=None)
-    p.add_argument("--thresholds", type=_thresholds, default="0,1,2,4,8,16")
-    common(p)
-
-    p = sub.add_parser(
-        "loynes",
-        help="backward window partial sums and running maxima",
-        description="CSV schema: n, partial_sum, running_max (nondecreasing).",
-    )
-    p.add_argument("--process", required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--window", required=True)
-    p.add_argument("--slack", type=float, default=0.0)
-    common(p)
-
-    p = sub.add_parser(
-        "couple",
-        help="forward coupling times over replicas",
-        description="CSV schema: replica, coupling_time, final_upper, final_lower.",
-    )
-    p.add_argument("--process", required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--horizon", required=True)
-    p.add_argument("--replicas", default=100)
-    common(p)
-
-    p = sub.add_parser(
-        "gg1",
-        help="single-server waiting times",
-        description="CSV schema: n, waiting_time.",
-    )
-    p.add_argument("--service", required=True)
-    p.add_argument("--interarrival", required=True)
-    p.add_argument("--n", required=True)
-    common(p)
-
-    p = sub.add_parser(
-        "tandem",
-        help="two stations in series",
-        description="CSV schema: n, arrival, queue1, output1, queue2.",
-    )
-    p.add_argument("--process", required=True)
-    p.add_argument("--s1", type=float, required=True)
-    p.add_argument("--s2", type=float, required=True)
-    p.add_argument("--horizon", required=True)
-    common(p)
-
-    p = sub.add_parser(
-        "odometer",
-        help="orbit, membership, and measure queries",
-        description=(
-            "orbit mode CSV: k, counter_hex, value, arrival; "
-            "measure mode CSV: i, band_measure, union_measure."
-        ),
-    )
-    p.add_argument("--mode", choices=["orbit", "measure"], default="orbit")
-    p.add_argument("--value", help="start point: fraction like 3/4, float, or 0x<hex counter>")
-    p.add_argument("--steps", default=16)
-    p.add_argument("--direction", choices=["forward", "backward"], default="forward")
-    p.add_argument("--precision", default=odometer.DEFAULT_PRECISION)
-    p.add_argument("--i-max", default=None)
-    common(p)
-
-    p = sub.add_parser(
-        "cumulant",
-        help="scaled log-moment curve and tail decay",
-        description="CSV schema: theta, lambda_hat.",
-    )
-    p.add_argument("--process", required=True)
-    p.add_argument("--theta-grid", type=_theta_grid, default="0:3:0.05")
-    p.add_argument("--n", required=True)
-    p.add_argument("--m", required=True)
-    p.add_argument("--s", type=float, default=None)
-    common(p)
-
-    p = sub.add_parser(
-        "scaled-cumulant",
-        help="generalized scalings of the centered log-moment",
-        description="CSV schema: theta, scaled_lambda.",
-    )
-    p.add_argument("--process", required=True)
-    p.add_argument("--theta-grid", type=_theta_grid, default="0:3:0.25")
-    p.add_argument("--a-scale", choices=sorted(_SCALINGS), default="linear")
-    p.add_argument("--v-scale", choices=sorted(_SCALINGS), default="linear")
-    p.add_argument("--n", required=True)
-    p.add_argument("--m", required=True)
-    p.add_argument("--s", type=float, required=True)
-    common(p)
-
-    p = sub.add_parser(
-        "prop1",
-        help="burst overflow probability vs exact band-measure bounds",
-        description="CSV schema: i, window, offset, m, hits, p_hat, mu_A, target, lower_valid, pass.",
-    )
-    p.add_argument("--i", required=True)
-    p.add_argument("--m", required=True)
-    p.add_argument("--precision", default=odometer.DEFAULT_PRECISION)
-    common(p)
-
-    p = sub.add_parser(
-        "prop2",
-        help="window log-moment sandwich between exact bounds",
-        description=(
-            "CSV schema: i, theta, window, m, lower_bound, lambda_strat, "
-            "upper_bound, lambda_plain, gap."
-        ),
-    )
-    p.add_argument("--i", required=True)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--m", required=True)
-    p.add_argument("--precision", default=odometer.DEFAULT_PRECISION)
-    common(p)
-
     return parser
-
-
-# sizes and lengths: a negative value is rejected rather than read as empty
-_COUNT_KEYS = {"horizon", "burn_in", "window", "replicas", "n", "m", "steps"}
-_INT_KEYS = _COUNT_KEYS | {"i", "i_max", "precision", "seed"}
 
 
 _PLAIN_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
@@ -529,29 +442,65 @@ def _as_int(key: str, value) -> int:
     return int(number)
 
 
+def _is_real(value, finite: bool = False) -> bool:
+    """An int or float, not a bool, that a double holds; inf and nan only if not ``finite``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max or (isinstance(value, float) and not finite)
+
+
+def _checked(key: str, kind, default, value):
+    """One option's value, from a flag or a config file, checked against its kind.
+
+    Integers are converted by ``_as_int``; every other value is returned as
+    it came, so a replayed config writes the same bytes.
+    """
+    if value is None and default is None:
+        return None
+    if kind in (INT, COUNT):
+        number = _as_int(key, value)
+        if kind == COUNT and number < 0:
+            raise ValueError(f"{key} must be nonnegative, got {number}")
+        return number
+    if kind is str:
+        ok, want = isinstance(value, str), "a string"
+    elif kind is float:
+        ok, want = _is_real(value), "a real number"
+    elif kind == TEXT_OR_REAL:
+        ok, want = isinstance(value, str) or _is_real(value), kind
+    elif isinstance(kind, tuple):
+        ok, want = value in kind, "one of " + ", ".join(kind)
+    else:  # a text parser's list
+        ok = isinstance(value, list) and all(_is_real(v, finite=True) for v in value)
+        want = "a list of finite real numbers"
+    if not ok:
+        raise ValueError(f"{key} must be {want}, got {value!r}")
+    return value
+
+
 def _resolve_config(args: argparse.Namespace) -> dict:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except RecursionError as exc:  # nested deeper than the interpreter's stack
+                raise ValueError("config file nests too deeply") from exc
+        if not isinstance(cfg, dict):
+            raise ValueError("config file must hold a JSON object")
         # a run's own summary file works directly: unwrap its config object
         if "subcommand" not in cfg and isinstance(cfg.get("config"), dict):
             cfg = cfg["config"]
-        if "subcommand" not in cfg:
-            raise ValueError("config file must carry a 'subcommand' field")
+        sub = cfg.get("subcommand")
+        if not isinstance(sub, str) or sub not in _SUBCOMMANDS:
+            raise ValueError(f"config file must carry a known 'subcommand', got {sub!r}")
     else:
         if not args.subcommand:
             raise ValueError("a subcommand or --config is required")
-        cfg = {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("config", "out") and v is not None
-        }
+        cfg = {k: v for k, v in vars(args).items() if k not in ("config", "out") and v is not None}
     cfg = dict(cfg)
-    for key in list(cfg):
-        if key in _INT_KEYS and cfg[key] is not None:
-            cfg[key] = _as_int(key, cfg[key])
-            if key in _COUNT_KEYS and cfg[key] < 0:
-                raise ValueError(f"{key} must be nonnegative, got {cfg[key]}")
+    for key, kind, default, *_ in _SUBCOMMANDS[cfg["subcommand"]][3]:
+        if key in cfg:
+            cfg[key] = _checked(key, kind, default, cfg[key])
     return cfg
 
 
@@ -565,11 +514,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        sub = cfg["subcommand"]
-        runner = _RUNNERS.get(sub)
-        if runner is None:
-            raise ValueError(f"unknown subcommand {sub!r}")
-        header, columns, results = runner(cfg)
+        header, columns, results = _SUBCOMMANDS[cfg["subcommand"]][0](cfg)
     except (ProcessError, ValueError, OSError, KeyError, MemoryError) as exc:
         json.dump({"error": f"{type(exc).__name__}: {exc}"}, sys.stderr)
         sys.stderr.write("\n")

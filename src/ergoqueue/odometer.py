@@ -55,6 +55,7 @@ __all__ = [
     "arrival_band",
     "arrival_set_truncated",
     "arrival_set_measure",
+    "arrival_set_components",
     "in_run_seed",
     "in_arrival_band",
     "in_arrival_set",
@@ -543,6 +544,22 @@ def arrival_set_measure(i_max: int) -> Fraction:
         raise ValueError("i_max must be nonnegative")
     rows = _deadline_table(i_max)
     return Fraction(rows[-1][0], 1 << (len(rows) - 1))
+
+
+def arrival_set_components(i_max: int) -> int:
+    """Number of components of the union of bands 0..i_max, in canonical form.
+
+    Read from the same deadline automaton: a member prefix is settled at the
+    bit b where a zero meets the pending deadline, so row b+1 gains
+    ``members[b+1] - 2*members[b]`` new prefixes of b+1 bits.  These minimal
+    prefixes are disjoint, and none is the sibling of another (each ends in
+    a zero), so they are exactly the components, ~2**i_max of them, counted
+    without building any.
+    """
+    if i_max < 0:
+        raise ValueError("i_max must be nonnegative")
+    members = [row[0] for row in _deadline_table(i_max)]
+    return sum(members[b + 1] - 2 * members[b] for b in range(len(members) - 1))
 
 
 def _resolve_band_cap(precision: int, i_max: int | None) -> int:

@@ -219,7 +219,8 @@ def test_memory_error_surfaces_as_json_error(tmp_path, capsys, monkeypatch):
     def exhausted(cfg):
         raise MemoryError("Unable to allocate the trajectory")
 
-    monkeypatch.setitem(cli._RUNNERS, "simulate", exhausted)
+    _, *rest = cli._SUBCOMMANDS["simulate"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "simulate", (exhausted, *rest))
     code = cli.main(
         ["simulate", "--process", "iid-bernoulli:0.5", "--s", "0.75", "--horizon", "100",
          "--out", str(tmp_path / "x")]
@@ -380,6 +381,184 @@ def test_couple_without_replicas_writes_header_only(tmp_path):
     )
     assert rows == [["replica", "coupling_time", "final_upper", "final_lower"]]
     assert summary["results"]["coupled"] == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cumulant", "--process", "iid-bernoulli:0.5", "--n", "10", "--m", "10",
+         "--theta-grid", "0,inf"],
+        ["cumulant", "--process", "iid-bernoulli:0.5", "--n", "10", "--m", "10",
+         "--theta-grid", "1e308:1.7e308:1e308"],  # the second point overflows
+        ["simulate", "--process", "odometer", "--s", "0.75", "--horizon", "10",
+         "--thresholds", "nan"],
+    ],
+)
+def test_non_finite_grid_entries_are_usage_errors(args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ergoqueue.cli", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert args[-2] in proc.stderr
+
+
+def test_odometer_measure_is_polynomial_in_i_max(tmp_path):
+    run_measure = [sys.executable, "-m", "ergoqueue.cli", "odometer", "--mode", "measure",
+                   "--out", str(tmp_path / "m"), "--i-max"]
+    # the cap at precision 64; the interval-set union would have ~2**31 components
+    proc = subprocess.run([*run_measure, "31"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))["results"]
+    assert results["components"] == 1116869116
+    assert results["tail_bound"] == "1/8589934592"
+    # beyond the cap: fails before any band is built
+    proc = subprocess.run([*run_measure, "62"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "band 62" in json.loads(proc.stderr)["error"]
+
+
+# -- the subcommand table drives the flags and the --config checks ----------
+
+# the required options of each subcommand, small enough to run at once
+MINIMAL = {
+    "simulate": {"process": "iid-bernoulli:0.5", "s": 0.75, "horizon": 10},
+    "loynes": {"process": "iid-bernoulli:0.5", "s": 0.75, "window": 10},
+    "couple": {"process": "iid-bernoulli:0.5", "s": 0.75, "x0": 2.0, "horizon": 10},
+    "gg1": {"service": "iid-table:1@1", "interarrival": "iid-table:0.5@1", "n": 10},
+    "tandem": {"process": "odometer", "s1": 0.75, "s2": 0.5, "horizon": 10},
+    "odometer": {"value": "1/2", "direction": "backward"},
+    "cumulant": {"process": "iid-bernoulli:0.5", "n": 4, "m": 4},
+    "scaled-cumulant": {"process": "iid-bernoulli:0.5", "n": 4, "m": 4, "s": 0.75},
+    "prop1": {"i": 3, "m": 10},
+    "prop2": {"i": 3, "theta": 1.0, "m": 10},
+}
+
+
+def _options(accept):
+    return [
+        pytest.param(name, key, default, id=f"{name}-{key}")
+        for name, (_, _, _, options) in cli._SUBCOMMANDS.items()
+        for key, kind, default, *_ in options
+        if accept(kind)
+    ]
+
+
+def _flags(name, **override):
+    argv = [name]
+    for key, value in {**MINIMAL[name], **override}.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    return argv
+
+
+def _config_rejects(tmp_path, capsys, text) -> str:
+    """Run a --config file holding ``text``; return its one-line JSON error."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+    return json.loads(err)["error"]
+
+
+def _bad_config(tmp_path, capsys, name, key, value) -> str:
+    cfg = {"subcommand": name, **MINIMAL[name], "seed": 1, key: value}
+    return _config_rejects(tmp_path, capsys, json.dumps(cfg))
+
+
+def test_table_covers_every_subcommand():
+    assert list(cli._SUBCOMMANDS) == list(MINIMAL)
+    for _, _, _, options in cli._SUBCOMMANDS.values():
+        assert options[-1][0] == "seed"  # last, as the config key order has it
+
+
+@pytest.mark.parametrize("name", sorted(MINIMAL))
+def test_minimal_runs_replay_through_config(tmp_path, name):
+    assert cli.main([*_flags(name), "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["--config", str(tmp_path / "a.json"), "--out", str(tmp_path / "b")]) == 0
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("name, key, default", _options(lambda k: k in (cli.INT, cli.COUNT)))
+def test_integer_options_reject_fractions(tmp_path, capsys, name, key, default):
+    assert cli.main([*_flags(name, **{key: "10.7"}), "--out", str(tmp_path / "x")]) == 2
+    assert key in json.loads(capsys.readouterr().err)["error"]
+    assert key in _bad_config(tmp_path, capsys, name, key, 10.7)
+
+
+@pytest.mark.parametrize("name, key, default", _options(lambda k: k == cli.COUNT))
+def test_count_options_reject_negatives(tmp_path, capsys, name, key, default):
+    assert cli.main([*_flags(name, **{key: "-1"}), "--out", str(tmp_path / "x")]) == 2
+    assert "must be nonnegative" in json.loads(capsys.readouterr().err)["error"]
+    assert "must be nonnegative" in _bad_config(tmp_path, capsys, name, key, -1)
+
+
+@pytest.mark.parametrize("name, key, default", _options(lambda k: k is float))
+def test_real_config_keys_reject_non_numbers(tmp_path, capsys, name, key, default):
+    for value in ["x", True] + ([] if default is None else [None]):
+        assert f"{key} must be a real number" in _bad_config(tmp_path, capsys, name, key, value)
+
+
+@pytest.mark.parametrize("name, key, default", _options(lambda k: isinstance(k, tuple)))
+def test_choices_reject_unknown_values(tmp_path, capsys, name, key, default):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*_flags(name, **{key: "zzz"}), "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert f"{key} must be one of" in _bad_config(tmp_path, capsys, name, key, "zzz")
+
+
+TANDEM = '"subcommand": "tandem", "process": "odometer", "s2": 0.5, "horizon": 10, "seed": 1'
+ODOMETER = '"subcommand": "odometer", "seed": 1'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"subcommand": "tandem", "process": 5, "s1": 0.75, "s2": 0.5, "horizon": 10, "seed": 1}',
+        f'{{{TANDEM}, "s1": null}}',
+        f'{{{TANDEM}, "s1": "0.75"}}',
+        f'{{{TANDEM}, "s1": true}}',
+        '{"subcommand": ["tandem"]}',
+        '{"subcommand": "zzz"}',
+        f'{{{ODOMETER}, "value": 1e400}}',
+        f'{{{ODOMETER}, "value": "1/0"}}',
+        f'{{{ODOMETER}, "value": "1/2", "mode": "zzz"}}',
+        f'{{{ODOMETER}, "value": "1/2", "direction": "up"}}',
+        '{"subcommand": "cumulant", "process": "odometer", "n": 4, "m": 4, "seed": 1, '
+        '"theta_grid": 1}',
+        '{"subcommand": "cumulant", "process": "odometer", "n": 4, "m": 4, "seed": 1, '
+        '"theta_grid": [0, NaN]}',
+        '{"subcommand": "prop2", "i": 3, "m": 10, "seed": 1, "theta": "1"}',
+        '[{"subcommand": "prop1", "i": 3, "m": 10}]',
+        '"prop1"',
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+    ],
+)
+def test_badly_typed_configs_fail_fast(tmp_path, capsys, text):
+    _config_rejects(tmp_path, capsys, text)
+
+
+def test_odometer_value_that_is_no_fraction_fails_fast(tmp_path, capsys):
+    assert cli.main(["odometer", "--value", "1/0", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"].startswith("ValueError: value")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_null_is_accepted_where_the_default_is_none(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        '{"subcommand": "cumulant", "process": "iid-bernoulli:0.5", "n": 4, "m": 4, '
+        '"theta_grid": [0, 0.5], "s": null, "seed": 1}',
+        encoding="utf-8",
+    )
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    summary = json.loads((tmp_path / "x.json").read_text(encoding="utf-8"))
+    assert summary["config"]["s"] is None
 
 
 # -- the columnar CSV writer against a per-row oracle ------------------------

@@ -234,6 +234,17 @@ def test_arrival_measure_two_routes_agree():
         assert tail == Fraction(1, 1 << (i_max + 2))
 
 
+def test_arrival_set_components_match_oracle():
+    # len(arrival_set_truncated(i)[0]) for i = 0..18, from the interval-set union
+    oracle = [1, 2, 4, 7, 12, 22, 40, 76, 145, 283, 554, 1096, 2170, 4318, 8596, 17152,
+              34228, 68380, 136615]
+    assert [od.arrival_set_components(i) for i in range(len(oracle))] == oracle
+    for i_max in range(12):
+        assert od.arrival_set_components(i_max) == len(od.arrival_set_truncated(i_max)[0])
+    with pytest.raises(ValueError):
+        od.arrival_set_components(-1)
+
+
 def test_bands_overlap_so_union_is_strictly_smaller():
     # first overlap: a counter that is 0 mod 4 with bit 2 set and bits 3..6 clear
     disjoint_sum = sum(Fraction(1, 1 << (i + 2)) for i in range(4))
