@@ -44,6 +44,7 @@ from .odometer import (
     arrival_band,
     arrival_set_components,
     arrival_set_measure,
+    arrival_set_measures,
     arrival_set_truncated,
     band_limit,
     first_one_index,
@@ -85,6 +86,7 @@ from .estimators import (
     estimate_scaled_lambda,
     lambda_from_sums,
     queue_tail_run,
+    scaled_lambda_from_sums,
 )
 
 __version__ = "0.1.0"

@@ -217,14 +217,11 @@ def _run_odometer(cfg: dict):
             raise ValueError("measure mode needs i_max")
         odometer._check_band(i_max, precision)
         bands = range(i_max + 1)
-        columns = [
-            bands,
-            [Fraction(1, 1 << (i + 2)) for i in bands],
-            [odometer.arrival_set_measure(i) for i in bands],
-        ]
+        measures = odometer.arrival_set_measures(i_max)
+        columns = [bands, [Fraction(1, 1 << (i + 2)) for i in bands], measures]
         summary = {
             "i_max": i_max,
-            "union_measure": str(odometer.arrival_set_measure(i_max)),
+            "union_measure": str(measures[-1]),
             "tail_bound": str(Fraction(1, 1 << (i_max + 2))),
             "components": odometer.arrival_set_components(i_max),
         }
@@ -271,10 +268,9 @@ def _run_scaled_cumulant(cfg: dict):
         a=_SCALINGS[cfg["a_scale"]], v=_SCALINGS[cfg["v_scale"]]
     )
     thetas = cfg["theta_grid"]
+    sums = estimators.block_sums(proc, cfg["n"], cfg["m"], rng_for(cfg["seed"]))
     values = [
-        estimators.estimate_scaled_lambda(
-            proc, theta, scaling, cfg["s"], cfg["n"], cfg["m"], rng_for(cfg["seed"])
-        )
+        estimators.scaled_lambda_from_sums(sums, theta, scaling, cfg["s"], cfg["n"])
         for theta in thetas
     ]
     summary = {
@@ -498,7 +494,12 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ValueError("a subcommand or --config is required")
         cfg = {k: v for k, v in vars(args).items() if k not in ("config", "out") and v is not None}
     cfg = dict(cfg)
-    for key, kind, default, *_ in _SUBCOMMANDS[cfg["subcommand"]][3]:
+    options = _SUBCOMMANDS[cfg["subcommand"]][3]
+    declared = {key for key, *_ in options}
+    for key in cfg:
+        if key != "subcommand" and key not in declared:
+            raise ValueError(f"{cfg['subcommand']} has no option {key!r}")
+    for key, kind, default, *_ in options:
         if key in cfg:
             cfg[key] = _checked(key, kind, default, cfg[key])
     return cfg

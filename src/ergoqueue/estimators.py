@@ -21,7 +21,7 @@ counter-driven arrival process into checkable inequalities:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -46,6 +46,7 @@ __all__ = [
     "estimate_lambda",
     "estimate_lambda_grid",
     "decay_delta",
+    "scaled_lambda_from_sums",
     "estimate_scaled_lambda",
     "burst_probability_report",
     "burst_cumulant_report",
@@ -53,26 +54,46 @@ __all__ = [
 ]
 
 
+class _Result:
+    """The one JSON form of every result record.
+
+    ``to_json`` writes the dataclass fields in declaration order, each under
+    its name in ``_JSON_NAMES`` (its own name otherwise): a nested result
+    through its own ``to_json``, a tuple as a list, a ``Fraction`` as "p/q",
+    anything else as it is.
+    """
+
+    _JSON_NAMES: dict[str, str] = {}
+
+    def to_json(self) -> dict:
+        return {
+            self._JSON_NAMES.get(f.name, f.name): _json_value(getattr(self, f.name))
+            for f in fields(self)
+        }
+
+
+def _json_value(value):
+    if isinstance(value, _Result):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # empirical tails
 
 
 @dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(_Result):
     """Empirical survival function over a threshold grid."""
 
     thresholds: tuple[float, ...]
     survival: tuple[float, ...]
     std_errors: tuple[float, ...]
     sample_count: int
-
-    def to_json(self) -> dict:
-        return {
-            "thresholds": list(self.thresholds),
-            "survival": list(self.survival),
-            "std_errors": list(self.std_errors),
-            "sample_count": self.sample_count,
-        }
 
 
 def empirical_tail(samples: Sequence[float], thresholds: Sequence[float]) -> TailEstimate:
@@ -100,17 +121,10 @@ def empirical_tail(samples: Sequence[float], thresholds: Sequence[float]) -> Tai
 
 
 def block_sums(process, n: int, m: int, rng=None) -> np.ndarray:
-    """m independent block sums Y_1 + ... + Y_n from the process.
-
-    The counter-driven kind uses its exact window counter (each block is one
-    backward window); other kinds sum independent forward realizations.
-    """
+    """m block sums Y_1 + ... + Y_n from the process's ``window_counts``."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    rng = ensure_rng(rng)
-    if isinstance(process, OdometerProcess):
-        return process.window_counts(m, n, rng).astype(np.float64)
-    return np.asarray([float(np.sum(process.forward(n, rng))) for _ in range(m)])
+    return np.asarray(process.window_counts(m, n, rng), dtype=np.float64)
 
 
 def _log_mean_exp(x: np.ndarray) -> float:
@@ -151,7 +165,7 @@ def estimate_lambda(process, theta: float, n: int, m: int, rng=None) -> float:
 
 
 @dataclass(frozen=True)
-class DecayResult:
+class DecayResult(_Result):
     """sup of the tilts where the estimated cumulant stays below the service line.
 
     status: 'interior' (root found inside the grid), 'at-grid-max' (the whole
@@ -166,12 +180,9 @@ class DecayResult:
     def bounded(self) -> bool:
         return self.status == "interior"
 
-    def to_json(self) -> dict:
-        return {"delta": self.delta, "status": self.status}
-
 
 @dataclass(frozen=True)
-class CumulantEstimate:
+class CumulantEstimate(_Result):
     """Cumulant curve on a tilt grid, from one shared sample of block sums."""
 
     thetas: tuple[float, ...]
@@ -193,19 +204,6 @@ class CumulantEstimate:
         left = (l[1:-1] - l[:-2]) / (t[1:-1] - t[:-2])
         right = (l[2:] - l[1:-1]) / (t[2:] - t[1:-1])
         return float(max(0.0, np.max(left - right)))
-
-    def to_json(self) -> dict:
-        return {
-            "thetas": list(self.thetas),
-            "lambda_hat": list(self.lambda_hat),
-            "n": self.n,
-            "m": self.m,
-            "mean_rate": self.mean_rate,
-            "min_rate": self.min_rate,
-            "max_rate": self.max_rate,
-            "s": self.s,
-            "delta": self.delta.to_json() if self.delta is not None else None,
-        }
 
 
 def estimate_lambda_grid(
@@ -295,25 +293,25 @@ class ScalingFunctions:
             prev_a, prev_v = va, vv
 
 
-def estimate_scaled_lambda(
-    process,
-    theta: float,
-    scaling: ScalingFunctions,
-    s: float,
-    n: int,
-    m: int,
-    rng=None,
+def scaled_lambda_from_sums(
+    sums: Sequence[float], theta: float, scaling: ScalingFunctions, s: float, n: int
 ) -> float:
-    """Generalized scaled log-moment of centered block sums.
+    """Generalized scaled log-moment of block sums of length n, centered at n*s.
 
     Computes (1/v(n)) log mean exp(theta * (v(n)/a(n)) * (sum - n*s)).
     """
     scaling.validate([n])
     a_n = float(scaling.a(n))
     v_n = float(scaling.v(n))
-    sums = block_sums(process, n, m, rng)
-    x = float(theta) * (v_n / a_n) * (sums - float(n) * float(s))
+    x = float(theta) * (v_n / a_n) * (np.asarray(sums, dtype=np.float64) - float(n) * float(s))
     return _log_mean_exp(x) / v_n
+
+
+def estimate_scaled_lambda(
+    process, theta: float, scaling: ScalingFunctions, s: float, n: int, m: int, rng=None
+) -> float:
+    """Generalized scaled log-moment at one tilt."""
+    return scaled_lambda_from_sums(block_sums(process, n, m, rng), theta, scaling, s, n)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +364,17 @@ class BurstParams:
         return Fraction(1, 1 << (2 * self.i))
 
 
+def _burst_windows(i: int, m: int, rng, precision: int) -> tuple[BurstParams, np.ndarray]:
+    """The start of both burst reports: checked parameters, then m plain window counts."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    params = BurstParams(i)
+    odometer._check_band(i, precision)
+    return params, OdometerProcess(precision).window_counts(m, params.window, rng)
+
+
 @dataclass(frozen=True)
-class BurstProbabilityReport:
+class BurstProbabilityReport(_Result):
     """Overflow probability of a backward window vs. exact bounds.
 
     The Monte Carlo probability estimates P(window sum > (3/4)window + offset)
@@ -386,29 +393,16 @@ class BurstProbabilityReport:
     target: Fraction
     analytic_pass: bool
 
+    _JSON_NAMES = {"exact_lower": "mu_A", "analytic_pass": "pass"}
+
     def to_json(self) -> dict:
-        return {
-            "i": self.params.i,
-            "window": self.params.window,
-            "offset": self.params.offset,
-            "service": self.params.service,
-            "m": self.m,
-            "hits": self.hits,
-            "p_hat": self.p_hat,
-            "p_se": self.p_se,
-            "mu_A": str(self.exact_lower),
-            "lower_valid": self.lower_valid,
-            "target": str(self.target),
-            "pass": self.analytic_pass,
-        }
+        p = self.params
+        head = {"i": p.i, "window": p.window, "offset": p.offset, "service": p.service}
+        return head | {k: v for k, v in super().to_json().items() if k != "params"}
 
 
 def burst_probability_report(
-    i: int,
-    m: int,
-    rng=None,
-    precision: int = odometer.DEFAULT_PRECISION,
-    i_max: int | None = None,
+    i: int, m: int, rng=None, precision: int = odometer.DEFAULT_PRECISION
 ) -> BurstProbabilityReport:
     """Monte Carlo + exact-bound report for the band-i window overflow event.
 
@@ -416,15 +410,9 @@ def burst_probability_report(
     one, so the Monte Carlo estimate is biased low, in the safe direction
     relative to the lower bound.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    params = BurstParams(i)
+    params, counts = _burst_windows(i, m, rng, precision)
     n = params.window
     q = params.offset
-    if 2 * i + 1 > precision:
-        raise odometer.PrecisionError(f"band {i} needs precision >= {2 * i + 1}")
-    proc = OdometerProcess(precision, i_max)
-    counts = proc.window_counts(m, n, rng)
     # integer-exact threshold: sum > (3/4) n + q <=> 4 sum > 3 n + 4 q
     hits = int(np.count_nonzero(4 * counts > 3 * n + 4 * q))
     p_hat = hits / m
@@ -443,7 +431,7 @@ def burst_probability_report(
 
 
 @dataclass(frozen=True)
-class BurstCumulantReport:
+class BurstCumulantReport(_Result):
     """Sandwich for the window-scaled log-moment at one tilt.
 
     lambda_strat stratifies on the seed set: that stratum's window sum is
@@ -464,19 +452,7 @@ class BurstCumulantReport:
     gap: float
     seed_measure: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "i": self.i,
-            "theta": self.theta,
-            "n": self.n,
-            "m": self.m,
-            "upper_bound": self.upper_bound,
-            "lower_bound": self.lower_bound,
-            "lambda_strat": self.lambda_strat,
-            "lambda_plain": self.lambda_plain,
-            "gap": self.gap,
-            "mu_A": str(self.seed_measure),
-        }
+    _JSON_NAMES = {"seed_measure": "mu_A"}
 
 
 def burst_cumulant_report(
@@ -489,13 +465,10 @@ def burst_cumulant_report(
     """Exact-sandwich report for the window log-moment at tilt theta >= 0."""
     if theta < 0 or not math.isfinite(theta):
         raise ValueError("theta must be nonnegative and finite")
-    if m < 1:
-        raise ValueError("m must be positive")
-    params = BurstParams(i)
-    n = params.window
-    if 2 * i + 1 > precision:
-        raise odometer.PrecisionError(f"band {i} needs precision >= {2 * i + 1}")
     rng = ensure_rng(rng)
+    # plain Monte Carlo over unconditioned windows, drawn before the complement
+    params, counts = _burst_windows(i, m, rng, precision)
+    n = params.window
     theta = float(theta)
     # one shared expression for log(seed measure): the reported lower bound
     # and the stratified estimate must agree to the last bit, and the window
@@ -503,10 +476,6 @@ def burst_cumulant_report(
     ln_mu = -((i + 2) * math.log(2.0))
     upper = theta
     lower = theta + ln_mu / n
-
-    # plain Monte Carlo over unconditioned windows
-    proc = OdometerProcess(precision)
-    counts = proc.window_counts(m, n, rng)
     lam_plain = lambda_from_sums(counts, theta, n)
 
     if theta == 0.0:
@@ -546,7 +515,7 @@ def burst_cumulant_report(
 
 
 @dataclass(frozen=True)
-class QueueTailReport:
+class QueueTailReport(_Result):
     """Time-average tail of a simulated queue after burn-in."""
 
     tail: TailEstimate
@@ -556,17 +525,6 @@ class QueueTailReport:
     input_mean: float
     stable_mean: bool
     fitted_decay: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "tail": self.tail.to_json(),
-            "s": self.s,
-            "burn_in": self.burn_in,
-            "horizon": self.horizon,
-            "input_mean": self.input_mean,
-            "stable_mean": self.stable_mean,
-            "fitted_decay": self.fitted_decay,
-        }
 
 
 def queue_tail_run(

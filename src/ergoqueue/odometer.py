@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -55,6 +56,7 @@ __all__ = [
     "arrival_band",
     "arrival_set_truncated",
     "arrival_set_measure",
+    "arrival_set_measures",
     "arrival_set_components",
     "in_run_seed",
     "in_arrival_band",
@@ -501,64 +503,83 @@ def arrival_set_truncated(
     return union, Fraction(1, 1 << (i_max + 2))
 
 
-@functools.lru_cache(maxsize=None)
-def _deadline_table(cap: int) -> tuple[tuple[int, ...], ...]:
-    """Exact counts of the "pending deadline" automaton over free low bits.
+def _deadline_walk(cap: int) -> Iterator[tuple[int, dict[int, int]]]:
+    """The "pending deadline" automaton over the free low bits of a counter.
 
     Scanning a counter from bit 0 upward, the only live state is the deadline
     by which the current zero-run must last: band 0 watches bits 0..1, and a
     one at bit j < cap opens band j+1, which needs zeros through bit 2j+2.
-    Membership is decided by the low L = max(2*cap+1, 2) bits, so the set
-    has period 2**L; the table has rows 0..L.  Row b sorts the 2**b settings
-    of bits 0..b-1, given a zero at bit b and the next one above it at bit p
-    (p = L for none): entry p counts the members and the runs due below p,
-    which the zeros b..p-1 complete.  Entry L+1 is 2**b, for when the bits
-    above b hold a whole band.  Row L counts the members of one period.
+    Membership is decided by the low L = max(2*cap+1, 2) bits.  Before each
+    bit b = 0..L the walk yields the counts over the 2**b settings of bits
+    0..b-1: ``member`` prefixes already in the set and ``pending[d]``
+    prefixes whose open run needs zeros through bit d.  The dict is live:
+    read it before the next step.
     """
-    top = max(2 * cap + 1, 2)
     member, pending = 0, {1: 1}
-    rows = []
-    for b in range(top + 1):
-        row, running = [], member
-        for p in range(top + 1):
-            row.append(running)
-            running += pending.get(p, 0)
-        rows.append((*row, 1 << b))
+    for b in range(max(2 * cap + 1, 2) + 1):
+        yield member, pending
         resolved = pending.pop(b, 0)  # a zero at bit b meets deadline b
         broken = resolved + sum(pending.values())  # a one at bit b breaks every run
         member = 2 * member + resolved
         if b < cap:
             pending[2 * b + 2] = broken
-    return tuple(rows)
 
 
-def arrival_set_measure(i_max: int) -> Fraction:
-    """Exact measure of the union of bands 0..i_max.
+@functools.lru_cache(maxsize=None)
+def _deadline_table(cap: int) -> tuple[tuple[int, ...], ...]:
+    """Exact counts of the deadline walk, tabled for the window counter.
 
-    The members among one period of 2**(2*i_max+1) counters (4 for
-    i_max = 0), counted by the deadline automaton that also drives
-    ``window_arrival_counts``.  Agrees with the interval-set union but stays
-    cheap for deep truncations, where the union has ~2**i_max components.
+    The set has period 2**L; the table has rows 0..L.  Row b sorts the 2**b
+    settings of bits 0..b-1, given a zero at bit b and the next one above it
+    at bit p (p = L for none): entry p counts the members and the runs due
+    below p, which the zeros b..p-1 complete.  Entry L+1 is 2**b, for when
+    the bits above b hold a whole band.  Row L counts the members of one
+    period.
+    """
+    top = max(2 * cap + 1, 2)
+    return tuple(
+        (*itertools.accumulate((pending.get(p, 0) for p in range(top)), initial=member), 1 << b)
+        for b, (member, pending) in enumerate(_deadline_walk(cap))
+    )
+
+
+def arrival_set_measures(i_max: int) -> list[Fraction]:
+    """Exact measures of the unions of bands 0..i, for i = 0..i_max, from one walk.
+
+    After bits 0..i-1 of the cap-i_max walk, the open runs belong to bands
+    0..i, and one due at bit d completes on a further d-i+1 zeros, so the
+    union of bands 0..i measures member/2**i + sum(pending[d]/2**(d+1)).
+    Agrees with the interval-set union but stays cheap for deep truncations,
+    where the union has ~2**i components.
     """
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
-    rows = _deadline_table(i_max)
-    return Fraction(rows[-1][0], 1 << (len(rows) - 1))
+    out = []
+    for i, (member, pending) in zip(range(i_max + 1), _deadline_walk(i_max)):
+        top = 2 * i + 2  # every open deadline is at most 2i
+        num = (member << (top - i)) + sum(n << (top - 1 - d) for d, n in pending.items())
+        out.append(Fraction(num, 1 << top))
+    return out
+
+
+def arrival_set_measure(i_max: int) -> Fraction:
+    """Exact measure of the union of bands 0..i_max."""
+    return arrival_set_measures(i_max)[-1]
 
 
 def arrival_set_components(i_max: int) -> int:
     """Number of components of the union of bands 0..i_max, in canonical form.
 
-    Read from the same deadline automaton: a member prefix is settled at the
-    bit b where a zero meets the pending deadline, so row b+1 gains
-    ``members[b+1] - 2*members[b]`` new prefixes of b+1 bits.  These minimal
+    Read from the same deadline walk: a member prefix is settled at the bit
+    b where a zero meets its pending deadline, so ``members[b+1] -
+    2*members[b]`` new prefixes of b+1 bits settle there.  These minimal
     prefixes are disjoint, and none is the sibling of another (each ends in
     a zero), so they are exactly the components, ~2**i_max of them, counted
     without building any.
     """
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
-    members = [row[0] for row in _deadline_table(i_max)]
+    members = [member for member, _ in _deadline_walk(i_max)]
     return sum(members[b + 1] - 2 * members[b] for b in range(len(members) - 1))
 
 

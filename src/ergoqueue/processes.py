@@ -1,7 +1,8 @@
 """Stationary arrival and increment processes behind one small interface.
 
 Every process produces forward streams (Y_1, Y_2, ...), backward windows
-(Y_0, Y_-1, ..., Y_-N+1), and ergodic mean estimates.  Backward windows for
+(Y_0, Y_-1, ..., Y_-N+1), and window totals: the sums Y_1 + ... + Y_N of m
+realizations, the block sums every estimator reads.  Backward windows for
 the memoryless and Markov kinds are forward samples relabeled, which is
 lawful because a stationary window read in either direction has the same
 joint law (the two-state Markov chain is reversible).  The counter-driven
@@ -83,11 +84,13 @@ class _ProcessBase:
         """(Y_0, Y_-1, ..., Y_-n+1): a forward sample relabeled."""
         return self.forward(n, rng)[::-1].copy()
 
-    def mean_estimate(self, n: int, rng: np.random.Generator | int | None = None) -> float:
-        """Time average over one realization of length n."""
-        if n < 1:
-            raise ProcessError("n must be positive")
-        return float(np.mean(self.forward(n, rng)))
+    def window_counts(
+        self, m: int, width: int, rng: np.random.Generator | int | None = None
+    ) -> np.ndarray:
+        """Totals of m independent realizations of length ``width``."""
+        _check_length(m)
+        rng = ensure_rng(rng)
+        return np.asarray([float(np.sum(self.forward(width, rng))) for _ in range(m)])
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,9 @@ class TraceProcess(_ProcessBase):
 
     File format: one nonnegative decimal per line, UTF-8, LF line ends.
     Forward streams read from the top; backward windows read from the end,
-    most recent last in file order.  Stationarity of the recording is the
+    most recent last in file order; window totals sum consecutive, disjoint
+    stretches from the top, so m of them are m stretches of the recording,
+    not m copies of its first one.  Stationarity of the recording is the
     caller's assumption, not something a single path can certify.
     """
 
@@ -239,6 +244,16 @@ class TraceProcess(_ProcessBase):
             )
         return self.values[self.values.size - n :][::-1].copy()
 
+    def window_counts(self, m: int, width: int, rng=None) -> np.ndarray:
+        _check_length(m)
+        _check_length(width)
+        if m * width > self.values.size:
+            raise TraceError(
+                f"trace too short: {m} windows of {width} need {m * width} values, "
+                f"{self.values.size} recorded"
+            )
+        return self.values[: m * width].reshape(m, width).sum(axis=1)
+
 
 @dataclass(frozen=True)
 class OdometerProcess(_ProcessBase):
@@ -276,13 +291,16 @@ class OdometerProcess(_ProcessBase):
         lo = odometer.arrival_set_measure(self.band_cap)
         return lo, lo + Fraction(1, 1 << (self.band_cap + 2))
 
-    def _draw_counter(self, rng: np.random.Generator, margin_low: int, width: int) -> int:
-        # counters c with c - margin_low >= 0 and c + width <= 2**K
-        if margin_low + width > (1 << self.precision):
+    def _check_orbit(self, needed: int) -> None:
+        if needed > (1 << self.precision):
             raise ProcessError(
-                f"orbit too short: {margin_low + width} counters needed, "
+                f"orbit too short: {needed} counters needed, "
                 f"2**{self.precision} exist at K={self.precision}"
             )
+
+    def _draw_counter(self, rng: np.random.Generator, margin_low: int, width: int) -> int:
+        # counters c with c - margin_low >= 0 and c + width <= 2**K
+        self._check_orbit(margin_low + width)
         while True:
             c = int(odometer.uniform_counters(rng, 1, self.precision, max(width, 1))[0])
             if c >= margin_low:
@@ -309,19 +327,12 @@ class OdometerProcess(_ProcessBase):
         return odometer.membership_window(p, n, self.i_max).astype(np.float64)
 
     def window_counts(self, m: int, width: int, rng=None) -> np.ndarray:
-        """Backward-window arrival totals for m independent realizations."""
+        """Backward-window arrival totals for m independent realizations, counted exactly."""
         _check_length(m)
+        self._check_orbit(width)
         rng = ensure_rng(rng)
         cs = odometer.uniform_counters(rng, m, self.precision, width)
         return odometer.window_arrival_counts(cs, width, self.precision, self.i_max)
-
-    def mean_estimate(self, n: int, rng=None) -> float:
-        if n < 1:
-            raise ProcessError("n must be positive")
-        rng = ensure_rng(rng)
-        c = self._draw_counter(rng, margin_low=0, width=n)
-        count = odometer.window_arrival_counts([c], n, self.precision, self.i_max)[0]
-        return float(count) / float(n)
 
 
 @dataclass(frozen=True)

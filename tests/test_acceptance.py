@@ -30,8 +30,8 @@ DECAY_ROOT = 2.437511453744036
 SERVICE = 0.75
 
 
-def _process_zoo(seed):
-    trace_sample = (rng_for(seed).random(200) < 0.5).astype(np.float64)
+def _process_zoo(seed, trace_length=200):
+    trace_sample = (rng_for(seed).random(trace_length) < 0.5).astype(np.float64)
     return [
         IIDBernoulli(0.5),
         IIDTable((0.0, 0.25, 1.0, 1.75), (0.25, 0.25, 0.25, 0.25)),
@@ -191,7 +191,8 @@ def test_criterion_09_cumulant_oracle():
 
 def test_criterion_10_jensen_floor():
     grid = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
-    for proc in _process_zoo(200):
+    # the trace holds m * n values: its m block sums are disjoint stretches
+    for proc in _process_zoo(200, trace_length=500 * 50):
         est = es.estimate_lambda_grid(proc, grid, 50, 500, rng_for(110))
         for theta, lam in zip(est.thetas, est.lambda_hat):
             assert lam >= theta * est.mean_rate

@@ -419,6 +419,19 @@ def test_odometer_measure_is_polynomial_in_i_max(tmp_path):
     assert "band 62" in json.loads(proc.stderr)["error"]
 
 
+def test_odometer_measure_walks_the_automaton_once(tmp_path):
+    # one walk for every band: a table per band would grow cubically in memory
+    argv = [sys.executable, "-m", "ergoqueue.cli", "odometer", "--mode", "measure",
+            "--i-max", "1000", "--precision", "2001", "--out", str(tmp_path / "m")]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))["results"]
+    rows = list(csv.reader(io.StringIO((tmp_path / "m.csv").read_text(encoding="utf-8"))))
+    assert len(rows) == 1002 and rows[-1][0] == "1000"
+    assert rows[-1][2] == results["union_measure"]
+    assert results["tail_bound"] == f"1/{1 << 1002}"
+
+
 # -- the subcommand table drives the flags and the --config checks ----------
 
 # the required options of each subcommand, small enough to run at once
@@ -540,6 +553,40 @@ ODOMETER = '"subcommand": "odometer", "seed": 1'
 )
 def test_badly_typed_configs_fail_fast(tmp_path, capsys, text):
     _config_rejects(tmp_path, capsys, text)
+
+
+@pytest.mark.parametrize("name", sorted(MINIMAL))
+def test_config_rejects_undeclared_keys(tmp_path, capsys, name):
+    assert "'horizn'" in _bad_config(tmp_path, capsys, name, "horizn", 5)
+    # an option of another subcommand is undeclared here too
+    other = "theta_grid" if name not in ("cumulant", "scaled-cumulant") else "horizon"
+    assert repr(other) in _bad_config(tmp_path, capsys, name, other, [0.0])
+    # a summary's embedded config is checked the same way
+    cfg = {"subcommand": name, **MINIMAL[name], "seed": 1, "horizn": 5}
+    assert "'horizn'" in _config_rejects(tmp_path, capsys, json.dumps({"config": cfg}))
+
+
+def test_trace_block_sums_are_disjoint_stretches(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    trace.write_text("".join(f"{k}\n" for k in range(1, 51)), encoding="utf-8")
+    args = ["cumulant", "--process", f"trace:{trace}", "--theta-grid", "0,1", "--n", "5"]
+    _, summary = run(tmp_path, "c", [*args, "--m", "4"])
+    # blocks 1..5, 6..10, 11..15, 16..20: sums 15, 40, 65, 90
+    assert [summary["results"][k] for k in ("mean_rate", "min_rate", "max_rate")] == [
+        10.5, 3.0, 18.0]
+    assert cli.main([*args, "--m", "11", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == (
+        "TraceError: trace too short: 11 windows of 5 need 55 values, 50 recorded")
+
+
+def test_odometer_block_sums_beyond_orbit_fail_fast(tmp_path, capsys):
+    argv = ["cumulant", "--process", "odometer:8", "--n", "300", "--m", "4",
+            "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == "ProcessError: orbit too short: 300 counters needed, 2**8 exist at K=8"
 
 
 def test_odometer_value_that_is_no_fraction_fails_fast(tmp_path, capsys):

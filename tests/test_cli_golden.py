@@ -19,6 +19,12 @@ Cases ``tandem-blocks``, ``tandem-non-dyadic-blocks`` and ``gg1-blocks`` write
 more rows than the CSV writer's block of ``cli.WRITE_BLOCK`` (8192) rows, so
 they pin its block boundaries; their digests were recorded from commit
 5fe2d38, before the writer became columnar.
+
+Cases ``cumulant-no-s`` (``"delta": null``), ``cumulant-at-grid-max``,
+``cumulant-empty``, ``simulate-no-fit`` (``"fitted_decay": null``) and
+``prop2-theta-0`` pin the result JSON on its null and boundary branches;
+their digests were recorded from commit dca5aed, before the estimator
+results were serialized by one shared ``to_json``.
 """
 
 import hashlib
@@ -61,6 +67,15 @@ CASES = {
     "prop1": ["prop1", "--i", "7", "--m", "500", "--seed", "13"],
     "prop2": ["prop2", "--i", "7", "--theta", "1", "--m", "500", "--seed", "14"],
     "prop2-shallow": ["prop2", "--i", "3", "--theta", "1", "--m", "2000", "--seed", "15"],
+    "cumulant-no-s": ["cumulant", "--process", "iid-bernoulli:0.5", "--theta-grid", "0:2:0.5",
+                      "--n", "16", "--m", "100", "--seed", "19"],
+    "cumulant-at-grid-max": ["cumulant", "--process", "iid-bernoulli:0.3", "--theta-grid",
+                             "0:1:0.25", "--n", "16", "--m", "100", "--s", "0.9", "--seed", "20"],
+    "cumulant-empty": ["cumulant", "--process", "iid-bernoulli:0.9", "--theta-grid", "0:1:0.25",
+                       "--n", "16", "--m", "100", "--s", "0.2", "--seed", "21"],
+    "simulate-no-fit": ["simulate", "--process", "iid-bernoulli:0.5", "--s", "0.75", "--horizon",
+                        "500", "--thresholds", "0,5,10", "--seed", "22"],
+    "prop2-theta-0": ["prop2", "--i", "5", "--theta", "0", "--m", "300", "--seed", "23"],
 }
 
 # (sha256 of BASE.csv, sha256 of BASE.json) per case
@@ -72,6 +87,18 @@ DIGESTS = {
     "cumulant": (
         "8da028c090b6975933906977d8c4f4ac6d80f7a2100006e823c57bfbe3ae4529",
         "9315c431b6df142608c9520d2b51c1e1f6da7e0ddcd71bbad85b9c88261834f5",
+    ),
+    "cumulant-at-grid-max": (
+        "7fc74c9701818945e3bc03bcc5faf6dfdbf2d01188d3312f75a63fc863455fed",
+        "c191dd56b4f61935cf96aa74f9b69759e2bfc450fa05251a0c7dec4e42588db8",
+    ),
+    "cumulant-empty": (
+        "4d3440d6948036a94769ffc886ab03c5be400c21b1bb32d41bd329b9e34812d9",
+        "aec8c533ec4dc00ac66181c3fd21cc0a351d68db404467f46c3dfe9dd8736a07",
+    ),
+    "cumulant-no-s": (
+        "fef7df2a053dbb0637d71e91b504e3f53850f2dda9956c64c2deff945c4b62ec",
+        "6cc5bf773b4faa512d8a1e912d56995d0a91ae8809a75481c22a7268badbbc13",
     ),
     "gg1": (
         "5080387480a57fe0d5cd772b50611f52690fd80bc4f66d4049d93303af36198b",
@@ -109,6 +136,10 @@ DIGESTS = {
         "39ef413fccd367c5a1f257f1e7a1d8ded96b47a19e7e6aa90356d3dbaa1b5056",
         "23a873e19f91d3567f5f205d4dcd3a621cad1f02a694f13106e367186a339809",
     ),
+    "prop2-theta-0": (
+        "e5a5c6bcb87e10ea159f210a5a8188dd447960449d467f6699a21332ef35faf9",
+        "2adb667e0c467348d88c0d15a6c58cb96459c2e88dcd319310090b09c96e9f60",
+    ),
     "scaled-cumulant": (
         "711e319003b8e549513f9c62894a78705db6d6378913f245321b9148dca2bf35",
         "8ec5e2d24b589d00feb9e768e47f581af10560a5608f52dd88cff7596c8c9a3f",
@@ -116,6 +147,10 @@ DIGESTS = {
     "simulate": (
         "048bc79282fa47db13b04285064f86f70203bf97388056a3dac376d840dac7c7",
         "113cf27f87e5fe3944ed72c61e0fa956ef9d631d2ec28f6aea17a2aff68479de",
+    ),
+    "simulate-no-fit": (
+        "1afc352e6d463fe3a8598b77ef861adb98bc59ca22d7d5884ea10e33b35bd94d",
+        "0b9b1b5b46f2b058980aa22ebe573e8c5314845c0394afc6e3d0037edf5d13b3",
     ),
     "tandem": (
         "2b478c3f3913d5f215f9ea0c548de7c9918625c508d439e601ae814a3d93ed73",

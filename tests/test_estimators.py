@@ -203,6 +203,17 @@ def test_scaled_zero_tilt_and_centered_input():
         assert es.estimate_scaled_lambda(proc, 1.3, sc, 0.75, 20, 16, rng_for(0)) == 0.0
 
 
+def test_scaled_from_sums_matches_a_fresh_draw_per_tilt():
+    # one sample of block sums serves every tilt: the value a fresh draw from
+    # the same seed gives, bit for bit
+    scaling = es.ScalingFunctions(a=math.sqrt, v=math.log1p)
+    proc, n, m, s = IIDBernoulli(0.5), 20, 100, 0.5
+    sums = es.block_sums(proc, n, m, rng_for(12))
+    for theta in (0.0, 0.5, 1.0, 2.5):
+        fresh = es.estimate_scaled_lambda(proc, theta, scaling, s, n, m, rng_for(12))
+        assert es.scaled_lambda_from_sums(sums, theta, scaling, s, n) == fresh
+
+
 def test_scaling_validation():
     bad = es.ScalingFunctions(a=lambda t: -t, v=float)
     with pytest.raises(ValueError):

@@ -245,6 +245,20 @@ def test_arrival_set_components_match_oracle():
         od.arrival_set_components(-1)
 
 
+def test_arrival_set_measures_match_interval_union():
+    # one walk of the cap-11 automaton gives every band's union measure
+    measures = od.arrival_set_measures(11)
+    assert measures == [od.arrival_set_truncated(i)[0].measure for i in range(12)]
+    assert measures == [od.arrival_set_measure(i) for i in range(12)]
+    # each band adds at most its own measure 2**-(i+2)
+    deep = od.arrival_set_measures(200)
+    assert deep[:12] == measures
+    gains = [b - a for a, b in zip(deep, deep[1:])]
+    assert all(0 < g <= Fraction(1, 1 << (i + 2)) for i, g in enumerate(gains, 1))
+    with pytest.raises(ValueError):
+        od.arrival_set_measures(-1)
+
+
 def test_bands_overlap_so_union_is_strictly_smaller():
     # first overlap: a counter that is 0 mod 4 with bit 2 set and bits 3..6 clear
     disjoint_sum = sum(Fraction(1, 1 << (i + 2)) for i in range(4))

@@ -84,7 +84,7 @@ def test_markov_stationary_start():
 
 def test_table_deterministic_mean_is_exact():
     proc = IIDTable((2.5,), (1.0,))
-    assert proc.mean_estimate(1000, rng_for(0)) == 2.5
+    assert proc.window_counts(1, 1000, rng_for(0))[0] / 1000 == 2.5
 
 
 def test_table_validates_probabilities():
@@ -111,9 +111,7 @@ def test_empty_window_is_empty():
 )
 @pytest.mark.parametrize("n", [-1, -2, -5])
 def test_negative_lengths_fail_fast(proc, n):
-    samples = [proc.forward, proc.backward_window]
-    if isinstance(proc, OdometerProcess):
-        samples.append(lambda m, rng: proc.window_counts(m, 4, rng))
+    samples = [proc.forward, proc.backward_window, lambda m, rng: proc.window_counts(m, 1, rng)]
     for sample in samples:
         with pytest.raises(ProcessError, match="n must be nonnegative"):
             sample(n, rng_for(0))
@@ -157,7 +155,7 @@ def test_odometer_mean_between_truncated_measure_and_half():
     n = 1 << 16
     lo, hi = proc.exact_mean_bounds()
     assert Fraction(1, 4) <= lo < hi <= Fraction(1, 2)
-    est = proc.mean_estimate(n, rng_for(31))
+    est = proc.window_counts(1, n, rng_for(31))[0] / n
     slack = 4 * np.sqrt(0.25 / n)
     assert float(lo) - slack <= est <= 0.5 + slack
 
@@ -165,7 +163,8 @@ def test_odometer_mean_between_truncated_measure_and_half():
 def test_odometer_mean_over_whole_periods_is_exact():
     # 2**40 counters span whole periods of the bands 0..4
     proc = OdometerProcess(64, 4)
-    assert proc.mean_estimate(1 << 40, rng_for(0)) == float(od.arrival_set_measure(4))
+    mean = proc.window_counts(1, 1 << 40, rng_for(0))[0] / (1 << 40)
+    assert mean == float(od.arrival_set_measure(4))
 
 
 def test_odometer_window_counts_match_scalar_windows():
@@ -186,6 +185,11 @@ def test_odometer_rejects_bad_i_max():
 def test_odometer_window_beyond_orbit_rejected():
     with pytest.raises(ProcessError):
         OdometerProcess(precision=8).backward_window(400, rng_for(0))
+    # the window counter checks the orbit with backward_window's test and message
+    proc = OdometerProcess(precision=8)
+    assert proc.window_counts(1, 1 << 8, rng_for(0)).size == 1
+    with pytest.raises(ProcessError, match=r"orbit too short: 257 counters needed, 2\*\*8 exist"):
+        proc.window_counts(1, (1 << 8) + 1, rng_for(0))
 
 
 def test_odometer_forward_beyond_orbit_rejected():
@@ -195,7 +199,7 @@ def test_odometer_forward_beyond_orbit_rejected():
     with pytest.raises(ProcessError):
         proc.forward(256, rng_for(0))
     with pytest.raises(ProcessError):
-        proc.mean_estimate(257, rng_for(0))
+        proc.window_counts(1, 257, rng_for(0))
 
 
 @pytest.mark.parametrize("precision", [0, 65, 80])
@@ -233,6 +237,14 @@ def test_trace_exhaustion_reports_sizes():
         proc.forward(3, None)
     with pytest.raises(TraceError, match="exhausted"):
         proc.backward_window(3, None)
+
+
+def test_trace_window_counts_are_disjoint_stretches():
+    proc = TraceProcess(values=np.arange(1.0, 51.0))
+    assert proc.window_counts(4, 5, None).tolist() == [15.0, 40.0, 65.0, 90.0]
+    assert proc.window_counts(10, 5, None).sum() == 1275.0
+    with pytest.raises(TraceError, match="11 windows of 5 need 55 values, 50 recorded"):
+        proc.window_counts(11, 5, None)
 
 
 def test_trace_missing_file():
