@@ -120,8 +120,9 @@ _SCALINGS = {
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each takes the resolved config dict and
-# returns (csv header, csv columns, results object for the JSON summary)
+# subcommand implementations: each takes the resolved config with every
+# declared option present (``_with_defaults``) and returns (csv header, csv
+# columns, results object for the JSON summary)
 
 
 def _run_simulate(cfg: dict):
@@ -131,7 +132,7 @@ def _run_simulate(cfg: dict):
         cfg["s"],
         cfg["thresholds"],
         cfg["horizon"],
-        cfg.get("burn_in"),
+        cfg["burn_in"],
         rng_for(cfg["seed"]),
     )
     tail = report.tail
@@ -144,7 +145,7 @@ def _run_loynes(cfg: dict):
     window = proc.backward_window(cfg["window"], rng_for(cfg["seed"])) - cfg["s"]
     sums = lindley.partial_sums(window)
     maxima = lindley.loynes_prefix_maxima(window)
-    result = lindley.loynes_sup(window, slack=cfg.get("slack", 0.0))
+    result = lindley.loynes_sup(window, slack=cfg["slack"])
     return (
         ["n", "partial_sum", "running_max"],
         [np.arange(sums.size), sums, maxima],
@@ -209,10 +210,9 @@ def _run_tandem(cfg: dict):
 
 
 def _run_odometer(cfg: dict):
-    mode = cfg.get("mode", "orbit")
-    precision = cfg.get("precision", odometer.DEFAULT_PRECISION)
-    if mode == "measure":
-        i_max = cfg.get("i_max")
+    precision = cfg["precision"]
+    if cfg["mode"] == "measure":
+        i_max = cfg["i_max"]
         if i_max is None:
             raise ValueError("measure mode needs i_max")
         odometer._check_band(i_max, precision)
@@ -228,6 +228,8 @@ def _run_odometer(cfg: dict):
         return ["i", "band_measure", "union_measure"], columns, summary
     # orbit mode
     value = cfg["value"]
+    if value is None:
+        raise ValueError("orbit mode needs value")
     if isinstance(value, str) and value.startswith("0x"):
         p = odometer.DyadicPoint(int(value, 16), precision)
     else:
@@ -236,15 +238,15 @@ def _run_odometer(cfg: dict):
         except (ZeroDivisionError, OverflowError, TypeError) as exc:
             raise ValueError(f"value must be a finite fraction, got {value!r}") from exc
         p = odometer.DyadicPoint.from_fraction(frac, precision)
-    steps = cfg.get("steps", 16)
-    sign = -1 if cfg.get("direction", "forward") == "backward" else 1
+    steps = cfg["steps"]
+    sign = -1 if cfg["direction"] == "backward" else 1
     ks = range(steps + 1)
     points = [odometer.apply_power(p, sign * k) for k in ks]
     columns = [
         ks,
         [format(pt.counter, "x") for pt in points],
         [float(pt.value) for pt in points],
-        [odometer.in_arrival_set(pt, cfg.get("i_max")) for pt in points],
+        [odometer.in_arrival_set(pt, cfg["i_max"]) for pt in points],
     ]
     summary = {
         "start": p.to_json(),
@@ -257,7 +259,7 @@ def _run_odometer(cfg: dict):
 def _run_cumulant(cfg: dict):
     proc = parse_process(cfg["process"])
     est = estimators.estimate_lambda_grid(
-        proc, cfg["theta_grid"], cfg["n"], cfg["m"], rng_for(cfg["seed"]), s=cfg.get("s")
+        proc, cfg["theta_grid"], cfg["n"], cfg["m"], rng_for(cfg["seed"]), s=cfg["s"]
     )
     return ["theta", "lambda_hat"], [est.thetas, est.lambda_hat], est.to_json()
 
@@ -286,7 +288,7 @@ def _run_scaled_cumulant(cfg: dict):
 
 def _run_prop1(cfg: dict):
     report = estimators.burst_probability_report(
-        cfg["i"], cfg["m"], rng_for(cfg["seed"]), cfg.get("precision", 64)
+        cfg["i"], cfg["m"], rng_for(cfg["seed"]), cfg["precision"]
     )
     data = report.to_json()
     header = ["i", "window", "offset", "m", "hits", "p_hat", "mu_A", "target", "lower_valid",
@@ -296,7 +298,7 @@ def _run_prop1(cfg: dict):
 
 def _run_prop2(cfg: dict):
     report = estimators.burst_cumulant_report(
-        cfg["i"], cfg["theta"], cfg["m"], rng_for(cfg["seed"]), cfg.get("precision", 64)
+        cfg["i"], cfg["theta"], cfg["m"], rng_for(cfg["seed"]), cfg["precision"]
     )
     data = report.to_json()
     header = ["i", "theta", "window", "m", "lower_bound", "lambda_strat", "upper_bound",
@@ -505,6 +507,23 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _with_defaults(cfg: dict) -> dict:
+    """The runner's view of a resolved config: every declared option, defaulted if absent.
+
+    A text default goes through its kind as argparse sends it through the
+    flag's type, so a bare config runs as the flags would.
+    """
+    name = cfg["subcommand"]
+    view = dict(cfg)
+    for key, kind, default, *_ in _SUBCOMMANDS[name][3]:
+        if key in view:
+            continue
+        if default is REQUIRED:
+            raise ValueError(f"{name} needs option {key!r}")
+        view[key] = kind(default) if callable(kind) and isinstance(default, str) else default
+    return view
+
+
 def _default_base(subcommand: str) -> Path:
     root = os.environ.get("ERGOQUEUE_OUT", ".")
     return Path(root) / subcommand
@@ -515,7 +534,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        header, columns, results = _SUBCOMMANDS[cfg["subcommand"]][0](cfg)
+        header, columns, results = _SUBCOMMANDS[cfg["subcommand"]][0](_with_defaults(cfg))
     except (ProcessError, ValueError, OSError, KeyError, MemoryError) as exc:
         json.dump({"error": f"{type(exc).__name__}: {exc}"}, sys.stderr)
         sys.stderr.write("\n")

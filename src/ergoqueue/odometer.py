@@ -621,7 +621,12 @@ def in_arrival_set(p: DyadicPoint, i_max: int | None = None) -> bool:
 def in_arrival_set_batch(
     counters: np.ndarray, precision: int = DEFAULT_PRECISION, i_max: int | None = None
 ) -> np.ndarray:
-    """Vectorized arrival-set membership for an array of counters (K <= 64)."""
+    """Vectorized arrival-set membership for an array of counters (K <= 64).
+
+    One shifted-mask test per band: reading membership off the chunk tables
+    of ``_prefix_counts`` would take two prefix counts per counter, about
+    three times the time.
+    """
     if precision > 64:
         raise PrecisionError("batch membership supports precision <= 64")
     cap = _resolve_band_cap(precision, i_max)
@@ -654,18 +659,22 @@ def membership_window(p: DyadicPoint, width: int, i_max: int | None = None) -> n
 
 
 # Counters per block in window_arrival_counts: bounds the temporaries at a
-# few hundred KiB whatever the number of windows.
+# few hundred KiB whatever the number of windows.  Counter bits per pass of
+# _prefix_counts: the chunk tables of a band cap hold (L+1-hi) * 2**COUNT_BITS
+# entries for a chunk whose top bit is hi, 223 KiB at cap 31; 8 bits would
+# save three of its eleven passes for 633 KiB of tables.
 COUNT_BLOCK = 8192
+COUNT_BITS = 6
 
 
-@functools.lru_cache(maxsize=None)
 def _digit_steps(cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """The digit DP of ``_prefix_counts`` as uint64 gains and next states.
+    """The digit DP of ``_prefix_counts`` one bit at a time, as uint64 gains and next states.
 
     Both are indexed by [bit position b, 2 * state + bit of N at b] for b
-    below the period bits L.  The state is the position of the next set bit
-    of N above b (L when none), or L + 1 once the bits above b hold a whole
-    band, after which every completion below is a member.
+    below the period bits L, and the next state is stored doubled, ready to
+    take the next bit.  The state is the position of the next set bit of N
+    above b (L when none), or L + 1 once the bits above b hold a whole band,
+    after which every completion below is a member.
     """
     rows = _deadline_table(cap)
     top = len(rows) - 1
@@ -681,20 +690,50 @@ def _digit_steps(cap: int) -> tuple[np.ndarray, np.ndarray]:
     return gain, step
 
 
+@functools.lru_cache(maxsize=None)
+def _chunk_tables(cap: int) -> tuple[tuple[np.uint64, np.uint64, np.ndarray, np.ndarray], ...]:
+    """``_digit_steps`` composed over chunks of up to COUNT_BITS counter bits.
+
+    The chunks run from the top period bit L-1 down, the lowest one narrower
+    when COUNT_BITS does not divide L.  A chunk of bits lo..hi is entered in
+    the state left by the bits above it, one of hi+1..L+1, so it keeps only
+    those rows: its key is (state - hi - 1) << w | (bits lo..hi of N), for w
+    = hi - lo + 1.  Each chunk is (lo, mask, gain, next): ``gain`` adds the
+    members counted at the chunk's set bits, and ``next`` is the key base of
+    the following chunk, (state - lo) << w', as int32.
+    """
+    gain1, step1 = _digit_steps(cap)
+    top = gain1.shape[0]
+    chunks = []
+    for hi in range(top - 1, -1, -COUNT_BITS):
+        lo = max(hi + 1 - COUNT_BITS, 0)
+        bits = np.arange(1 << (hi - lo + 1), dtype=np.intp)
+        idx = 2 * np.arange(hi + 1, top + 2)[:, None]  # doubled entry states, one row each
+        gain = np.zeros((idx.size, bits.size), np.uint64)
+        for b in range(hi, lo - 1, -1):
+            key = idx + ((bits >> (b - lo)) & 1)
+            gain += gain1[b][key]
+            idx = step1[b][key]
+        nxt = ((idx // 2 - lo) << min(COUNT_BITS, lo)).astype(np.int32)
+        chunks.append((np.uint64(lo), np.uint64(bits.size - 1), gain.ravel(), nxt.ravel()))
+    return tuple(chunks)
+
+
 def _prefix_counts(r: np.ndarray, cap: int) -> np.ndarray:
     """Members of bands 0..cap below each counter r inside one period.
 
     Every set bit b of r contributes the members among the counters that
-    agree with r above b, have a zero at b and any bits below; the bits are
-    read from the top down.
+    agree with r above b, have a zero at b and any bits below.  The bits are
+    read from the top down, one chunk of up to COUNT_BITS per pass, through
+    the tables of ``_chunk_tables``: the top chunk is entered in state L, row 0.
     """
-    gain, step = _digit_steps(cap)
     total = np.zeros(r.size, np.uint64)
-    idx = np.full(r.size, 2 * gain.shape[0], np.intp)
-    for b in range(gain.shape[0] - 1, -1, -1):
-        idx |= ((r >> np.uint64(b)) & np.uint64(1)).astype(np.intp)
-        total += gain[b][idx]
-        idx = step[b][idx]
+    base = np.zeros(r.size, np.int32)
+    for lo, mask, gain, nxt in _chunk_tables(cap):
+        key = ((r >> lo) & mask).view(np.int64)
+        key += base
+        total += gain[key]
+        base = nxt[key]
     return total
 
 
@@ -709,8 +748,10 @@ def window_arrival_counts(
     An exact prefix count F(c + width) - F(c), where F(N) counts the members
     below N.  Membership has period P = 2**(2*cap+1) (4 for cap = 0), so F(N)
     is (N // P) * (members per period) plus a digit DP over the bits of
-    N mod P.  The cost does not depend on the width; precision must be
-    <= 64.  Agrees with ``membership_window(...).sum()`` pointwise.
+    N mod P, read COUNT_BITS bits per table lookup (``_prefix_counts``) for
+    COUNT_BLOCK counters at a time.  The cost does not depend on the width;
+    precision must be <= 64.  Agrees with ``membership_window(...).sum()``
+    pointwise.
     """
     if precision > 64:
         raise PrecisionError("window counting supports precision <= 64")

@@ -89,6 +89,7 @@ class _ProcessBase:
     ) -> np.ndarray:
         """Totals of m independent realizations of length ``width``."""
         _check_length(m)
+        _check_length(width)
         rng = ensure_rng(rng)
         return np.asarray([float(np.sum(self.forward(width, rng))) for _ in range(m)])
 
@@ -329,6 +330,9 @@ class OdometerProcess(_ProcessBase):
     def window_counts(self, m: int, width: int, rng=None) -> np.ndarray:
         """Backward-window arrival totals for m independent realizations, counted exactly."""
         _check_length(m)
+        _check_length(width)
+        if width == 0:
+            return np.zeros(m, np.int64)
         self._check_orbit(width)
         rng = ensure_rng(rng)
         cs = odometer.uniform_counters(rng, m, self.precision, width)

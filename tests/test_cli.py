@@ -458,11 +458,12 @@ def _options(accept):
     ]
 
 
+def _flags_of(cfg):
+    return [arg for key, value in cfg.items() for arg in ("--" + key.replace("_", "-"), str(value))]
+
+
 def _flags(name, **override):
-    argv = [name]
-    for key, value in {**MINIMAL[name], **override}.items():
-        argv += ["--" + key.replace("_", "-"), str(value)]
-    return argv
+    return [name, *_flags_of({**MINIMAL[name], **override})]
 
 
 def _config_rejects(tmp_path, capsys, text) -> str:
@@ -493,6 +494,39 @@ def test_minimal_runs_replay_through_config(tmp_path, name):
     assert cli.main(["--config", str(tmp_path / "a.json"), "--out", str(tmp_path / "b")]) == 0
     for ext in ("csv", "json"):
         assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
+
+
+def _bare(name):
+    """Values of the options the table marks REQUIRED, from MINIMAL.
+
+    The odometer has none, but orbit mode needs a start point: 1/64 is
+    counter 32, whose default 16 forward steps stay on the orbit.
+    """
+    if name == "odometer":
+        return {"value": "1/64"}
+    options = cli._SUBCOMMANDS[name][3]
+    return {key: MINIMAL[name][key] for key, _, default, *_ in options if default is cli.REQUIRED}
+
+
+@pytest.mark.parametrize("name", sorted(MINIMAL))
+def test_bare_config_runs_with_declared_defaults(tmp_path, name):
+    given = {"subcommand": name, **_bare(name)}
+    assert cli.main([name, *_flags_of(_bare(name)), "--out", str(tmp_path / "a")]) == 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(given), encoding="utf-8")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    # the summary echoes the config as given, defaults not filled in
+    assert json.loads((tmp_path / "b.json").read_text())["config"] == given
+
+
+@pytest.mark.parametrize("name", sorted(MINIMAL))
+def test_bare_config_without_a_required_option_names_it(tmp_path, capsys, name):
+    for key in _bare(name):
+        cfg = {"subcommand": name, **_bare(name)}
+        del cfg[key]
+        want = "orbit mode needs value" if name == "odometer" else f"{name} needs option {key!r}"
+        assert want in _config_rejects(tmp_path, capsys, json.dumps(cfg))
 
 
 @pytest.mark.parametrize("name, key, default", _options(lambda k: k in (cli.INT, cli.COUNT)))

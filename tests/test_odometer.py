@@ -382,6 +382,64 @@ def test_window_counts_match_brute_force(window):
     assert fast == slow
 
 
+def prefix_count_oracle(r: int, cap: int) -> int:
+    """``_prefix_counts`` of one counter, walking ``_digit_steps`` one bit at a time."""
+    gain, step = (t.tolist() for t in od._digit_steps(cap))
+    total, idx = 0, 2 * len(gain)
+    for b in reversed(range(len(gain))):
+        idx |= (r >> b) & 1
+        total += gain[b][idx]
+        idx = step[b][idx]
+    return total
+
+
+def period_bits(cap: int) -> int:
+    return max(2 * cap + 1, 2)
+
+
+def chunk_edges(cap: int) -> set[int]:
+    """0, the top counter of the period, and both neighbours of every chunk's low bit."""
+    top = period_bits(cap)
+    edges = {0, (1 << top) - 1}
+    for lo in [0, *range(top % od.COUNT_BITS, top, od.COUNT_BITS)]:
+        edges |= {(1 << lo) - 1, 1 << lo, (1 << lo) + 1, (1 << top) - 1 - (1 << lo)}
+    return {e for e in edges if 0 <= e < 1 << top}
+
+
+def test_chunk_edges_cover_a_ragged_chunk():
+    # the period bits are 2 or odd, never a multiple of the chunk width, so
+    # the lowest chunk is narrower than the others at every cap
+    assert all(period_bits(cap) % od.COUNT_BITS for cap in range(32))
+    assert od._chunk_tables(31)[-1][0] == 0
+    assert int(od._chunk_tables(31)[-1][1]).bit_length() == 63 % od.COUNT_BITS
+
+
+@pytest.mark.parametrize("cap", range(32))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_prefix_counts_match_per_bit_walk(cap, data):
+    top = period_bits(cap)
+    drawn = data.draw(st.lists(st.integers(0, (1 << top) - 1), max_size=16))
+    rs = sorted(chunk_edges(cap)) + drawn
+    got = od._prefix_counts(np.array(rs, dtype=np.uint64), cap)
+    assert got.tolist() == [prefix_count_oracle(r, cap) for r in rs]
+
+
+@pytest.mark.parametrize("cap", range(6))
+def test_prefix_counts_match_member_tally(cap):
+    # every counter of a short period against a running count of members
+    rs = np.arange(1 << period_bits(cap), dtype=np.uint64)
+    member = od.in_arrival_set_batch(rs, 64, cap)
+    tally = np.concatenate([[0], np.cumsum(member)[:-1]])
+    assert (od._prefix_counts(rs, cap) == tally).all()
+
+
+def test_chunk_tables_stay_small():
+    # the tables of the deepest band stay cached for the life of the process
+    tables = od._chunk_tables(31)
+    assert sum(gain.nbytes + nxt.nbytes for *_, gain, nxt in tables) <= 256 * 1024
+
+
 def test_window_counts_near_counter_top():
     top = 1 << 64
     width = 64

@@ -111,10 +111,31 @@ def test_empty_window_is_empty():
 )
 @pytest.mark.parametrize("n", [-1, -2, -5])
 def test_negative_lengths_fail_fast(proc, n):
-    samples = [proc.forward, proc.backward_window, lambda m, rng: proc.window_counts(m, 1, rng)]
+    samples = [
+        proc.forward,
+        proc.backward_window,
+        lambda m, rng: proc.window_counts(m, 1, rng),
+        lambda width, rng: proc.window_counts(3, width, rng),
+    ]
     for sample in samples:
         with pytest.raises(ProcessError, match="n must be nonnegative"):
             sample(n, rng_for(0))
+
+
+@pytest.mark.parametrize(
+    "proc",
+    [
+        IIDBernoulli(0.5),
+        IIDTable((0.0, 1.0), (0.5, 0.5)),
+        BinaryMarkov(0.3, 0.5),
+        TraceProcess(values=[1, 2, 3, 4, 5]),
+        OdometerProcess(),
+        OdometerProcess(precision=8, i_max=2),
+    ],
+)
+def test_zero_width_windows_count_nothing(proc):
+    assert proc.window_counts(3, 0, rng_for(0)).tolist() == [0, 0, 0]
+    assert proc.window_counts(0, 0, rng_for(0)).size == 0
 
 
 # -- odometer kind -----------------------------------------------------------
