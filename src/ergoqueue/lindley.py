@@ -197,6 +197,8 @@ def forward_couple(
     x0 = float(x0)
     if x0 < 0 or not math.isfinite(x0):
         raise ValueError("x0 must be finite and nonnegative")
+    if horizon is not None and horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     z = _as_float_array(increments, "increments")
     n_steps = z.size if horizon is None else min(int(horizon), z.size)
     upper = x0

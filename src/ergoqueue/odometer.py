@@ -71,8 +71,9 @@ __all__ = [
 
 DEFAULT_PRECISION = 64
 
-# Interval sets do segment arithmetic in units of 2**-depth; capping the
-# depth at 63 keeps every segment endpoint inside uint64.
+# Deepest dyadic interval: DyadicInterval raises PrecisionError beyond it.
+# Interval sets compute with exact Python integers and need no cap; the
+# limit is kept as public behaviour.
 MAX_SET_DEPTH = 63
 
 
@@ -267,169 +268,96 @@ class DyadicInterval:
         return (p.counter & ((1 << self.depth) - 1)) == self.index
 
 
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_M8 = np.uint64(0x00FF00FF00FF00FF)
-_M16 = np.uint64(0x0000FFFF0000FFFF)
-
-
-def _bit_reverse_u64(x: np.ndarray) -> np.ndarray:
-    x = ((x & _M1) << np.uint64(1)) | ((x >> np.uint64(1)) & _M1)
-    x = ((x & _M2) << np.uint64(2)) | ((x >> np.uint64(2)) & _M2)
-    x = ((x & _M4) << np.uint64(4)) | ((x >> np.uint64(4)) & _M4)
-    x = ((x & _M8) << np.uint64(8)) | ((x >> np.uint64(8)) & _M8)
-    x = ((x & _M16) << np.uint64(16)) | ((x >> np.uint64(16)) & _M16)
-    return (x << np.uint64(32)) | (x >> np.uint64(32))
-
-
 class DyadicIntervalSet:
-    """A finite union of dyadic intervals in canonical form.
+    """A finite union of dyadic intervals in canonical form, in exact integers.
 
     The canonical form is the unique minimal decomposition: components are
     pairwise disjoint and no two siblings (same parent interval) are both
-    present, so equal unions compare equal.  Measures are exact rationals.
+    present, so equal unions compare equal.  The union is also kept as merged
+    segments [start, end) in units of 2**-base, base the deepest input depth.
+    Measures are exact rationals.
     """
 
-    __slots__ = ("_depths", "_indices", "_base", "_starts", "_ends", "_measure")
+    __slots__ = ("_cells", "_base", "_starts", "_ends", "_measure")
 
     def __init__(self, intervals: Iterable[DyadicInterval | tuple[int, int]] = ()):
-        depths = []
-        indices = []
-        for item in intervals:
-            if isinstance(item, DyadicInterval):
-                d, j = item.depth, item.index
+        ivs = [x if isinstance(x, DyadicInterval) else DyadicInterval(*x) for x in intervals]
+        cells = [(int(iv.depth), int(iv.index)) for iv in ivs]
+        base = max((d for d, _ in cells), default=0)
+        # place every interval on the value axis, then merge overlapping or
+        # touching segments
+        starts: list[int] = []
+        ends: list[int] = []
+        spans = sorted((bit_reverse(j, d) << (base - d), 1 << (base - d)) for d, j in cells)
+        for a, size in spans:
+            if ends and a <= ends[-1]:
+                ends[-1] = max(ends[-1], a + size)
             else:
-                d, j = item
-                DyadicInterval(d, j)  # validate
-            depths.append(d)
-            indices.append(j)
-        self._init_from_arrays(
-            np.asarray(depths, dtype=np.int64), np.asarray(indices, dtype=np.uint64)
-        )
-
-    @classmethod
-    def _from_arrays(cls, depths: np.ndarray, indices: np.ndarray) -> "DyadicIntervalSet":
-        self = object.__new__(cls)
-        self._init_from_arrays(
-            np.asarray(depths, dtype=np.int64), np.asarray(indices, dtype=np.uint64)
-        )
-        return self
-
-    def _init_from_arrays(self, depths: np.ndarray, indices: np.ndarray) -> None:
-        if depths.size == 0:
-            self._depths = np.empty(0, np.int64)
-            self._indices = np.empty(0, np.uint64)
-            self._base = 0
-            self._starts = np.empty(0, np.uint64)
-            self._ends = np.empty(0, np.uint64)
-            self._measure = Fraction(0)
-            return
-        if depths.min() < 0 or depths.max() > MAX_SET_DEPTH:
-            raise PrecisionError(f"depth outside 0..{MAX_SET_DEPTH}")
-        base = int(depths.max())
-        # place every interval on the value axis in units of 2**-base
-        starts = np.zeros(depths.size, np.uint64)
-        for d in np.unique(depths):
-            sel = depths == d
-            rev = _bit_reverse_u64(indices[sel]) >> np.uint64(64 - d) if d else indices[sel] * 0
-            starts[sel] = rev << np.uint64(base - d)
-        lens = np.uint64(1) << (base - depths).astype(np.uint64)
-        order = np.argsort(starts, kind="stable")
-        s = starts[order]
-        e = s + lens[order]
-        # merge overlapping or touching segments
-        emax = np.maximum.accumulate(e)
-        first = np.empty(s.size, bool)
-        first[0] = True
-        first[1:] = s[1:] > emax[:-1]
-        seg_start = s[first]
-        last = np.flatnonzero(np.append(first[1:], True))
-        seg_end = emax[last]
+                starts.append(a)
+                ends.append(a + size)
         # re-cut each merged segment into maximal aligned blocks
-        comp_d: list[int] = []
-        comp_j: list[int] = []
-        for a, b in zip(seg_start.tolist(), seg_end.tolist()):
+        comps = []
+        for a, b in zip(starts, ends):
             while a < b:
                 align = (a & -a).bit_length() - 1 if a else base
-                size = (b - a).bit_length() - 1
-                exp = min(align, size)
-                comp_d.append(base - exp)
-                comp_j.append(bit_reverse(a >> exp, base - exp))
+                exp = min(align, (b - a).bit_length() - 1)
+                comps.append((base - exp, bit_reverse(a >> exp, base - exp)))
                 a += 1 << exp
-        self._depths = np.asarray(comp_d, np.int64)
-        self._indices = np.asarray(comp_j, np.uint64)
+        self._cells = tuple(sorted(comps))
         self._base = base
-        self._starts = seg_start
-        self._ends = seg_end
-        total = int(np.sum(seg_end - seg_start, dtype=np.uint64))
-        self._measure = Fraction(total, 1 << base)
+        self._starts = tuple(starts)
+        self._ends = tuple(ends)
+        self._measure = Fraction(sum(ends) - sum(starts), 1 << base)
 
     @property
     def measure(self) -> Fraction:
         return self._measure
 
     def __len__(self) -> int:
-        return int(self._depths.size)
+        return len(self._cells)
 
     @property
     def is_empty(self) -> bool:
-        return self._depths.size == 0
+        return not self._cells
 
     def components(self) -> list[DyadicInterval]:
         """Canonical components sorted by (depth, index)."""
-        pairs = sorted(zip(self._depths.tolist(), self._indices.tolist()))
-        return [DyadicInterval(int(d), int(j)) for d, j in pairs]
+        return [DyadicInterval(d, j) for d, j in self._cells]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DyadicIntervalSet):
             return NotImplemented
-        if self._depths.size != other._depths.size:
-            return False
-        a = sorted(zip(self._depths.tolist(), self._indices.tolist()))
-        b = sorted(zip(other._depths.tolist(), other._indices.tolist()))
-        return a == b
+        return self._cells == other._cells
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(zip(self._depths.tolist(), self._indices.tolist()))))
+        return hash(self._cells)
 
     def __repr__(self) -> str:
         return f"DyadicIntervalSet({len(self)} components, measure={self._measure})"
 
+    def _covers(self, a: int, b: int, base: int) -> bool:
+        """True when [a, b), in units of 2**-base, lies inside the set."""
+        # merged segments are maximal: a covered span lies inside the last
+        # one that starts at or before it
+        up, down = max(base - self._base, 0), max(self._base - base, 0)
+        k = bisect.bisect_right(self._starts, (a << down) >> up) - 1
+        return k >= 0 and b << down <= self._ends[k] << up
+
     def contains_point(self, p: DyadicPoint) -> bool:
-        if self.is_empty:
-            return False
-        v = bit_reverse(p.counter, p.precision)
-        if p.precision >= self._base:
-            pos = v >> (p.precision - self._base)
-        else:
-            pos = v << (self._base - p.precision)
-        k = int(np.searchsorted(self._starts, np.uint64(pos), side="right")) - 1
-        return k >= 0 and pos < int(self._ends[k])
+        # a point carried to fewer bits than the base has trailing zeros
+        shift = max(self._base - p.precision, 0)
+        v = bit_reverse(p.counter, p.precision) << shift
+        return self._covers(v, v + 1, p.precision + shift)
 
     def __contains__(self, p: DyadicPoint) -> bool:
         return self.contains_point(p)
 
     def contains_set(self, other: "DyadicIntervalSet") -> bool:
         """Exact containment: every point of `other` lies in this set."""
-        if other.is_empty:
-            return True
-        if self.is_empty:
-            return False
-        base = max(self._base, other._base)
-        mine, theirs = base - self._base, base - other._base
-        starts = [a << mine for a in self._starts.tolist()]
-        ends = [b << mine for b in self._ends.tolist()]
-        # merged segments are maximal, so a covered segment sits inside the
-        # last of ours that starts at or before it
-        for a, b in zip(other._starts.tolist(), other._ends.tolist()):
-            j = bisect.bisect_right(starts, a << theirs) - 1
-            if j < 0 or (b << theirs) > ends[j]:
-                return False
-        return True
+        return all(self._covers(a, b, other._base) for a, b in zip(other._starts, other._ends))
 
     def to_json(self) -> list[list[int]]:
-        return [[int(d), int(j)] for d, j in sorted(zip(self._depths.tolist(), self._indices.tolist()))]
+        return [[d, j] for d, j in self._cells]
 
     @classmethod
     def from_json(cls, data: Iterable[Sequence[int]]) -> "DyadicIntervalSet":
@@ -454,6 +382,19 @@ def _check_band(i: int, precision: int) -> None:
         raise PrecisionError(f"band {i} needs depth {2 * i + 1}, precision is {precision}")
 
 
+def _band_cells(i: int, seeds: bool = False) -> Iterator[tuple[int, int]]:
+    """The (depth, index) cells of band i, or of its run seeds (none for band 0).
+
+    Band 0 is the depth-2 cell of index 0.  Band i >= 1 is depth 2i+1 with
+    indices [2**(i-1), 2**i); its seeds are the indices [0, 2**(i-1)).
+    """
+    if i == 0:
+        return iter(() if seeds else ((2, 0),))
+    half = 1 << (i - 1)
+    first = 0 if seeds else half
+    return ((2 * i + 1, j) for j in range(first, first + half))
+
+
 def run_seed_set(i: int, precision: int = DEFAULT_PRECISION) -> DyadicIntervalSet:
     """Depth-(2i+1) intervals with indices [0, 2**(i-1)): the seeds of all-ones runs.
 
@@ -461,11 +402,7 @@ def run_seed_set(i: int, precision: int = DEFAULT_PRECISION) -> DyadicIntervalSe
     consecutive counters that all land in some arrival band.
     """
     _check_band(i, precision)
-    if i == 0:
-        return DyadicIntervalSet()
-    d = 2 * i + 1
-    idx = np.arange(1 << (i - 1), dtype=np.uint64)
-    return DyadicIntervalSet._from_arrays(np.full(idx.size, d, np.int64), idx)
+    return DyadicIntervalSet(_band_cells(i, seeds=True))
 
 
 def arrival_band(i: int, precision: int = DEFAULT_PRECISION) -> DyadicIntervalSet:
@@ -476,11 +413,7 @@ def arrival_band(i: int, precision: int = DEFAULT_PRECISION) -> DyadicIntervalSe
     measure 2**-(i+2).
     """
     _check_band(i, precision)
-    if i == 0:
-        return DyadicIntervalSet([(2, 0)])
-    d = 2 * i + 1
-    idx = np.arange(1 << (i - 1), 1 << i, dtype=np.uint64)
-    return DyadicIntervalSet._from_arrays(np.full(idx.size, d, np.int64), idx)
+    return DyadicIntervalSet(_band_cells(i))
 
 
 def arrival_set_truncated(
@@ -493,14 +426,8 @@ def arrival_set_truncated(
     sum(2**-(i+2), i > i_max) = 2**-(i_max+2).
     """
     _check_band(i_max, precision)
-    depths = [np.asarray([2], np.int64)]
-    indices = [np.asarray([0], np.uint64)]
-    for i in range(1, i_max + 1):
-        idx = np.arange(1 << (i - 1), 1 << i, dtype=np.uint64)
-        depths.append(np.full(idx.size, 2 * i + 1, np.int64))
-        indices.append(idx)
-    union = DyadicIntervalSet._from_arrays(np.concatenate(depths), np.concatenate(indices))
-    return union, Fraction(1, 1 << (i_max + 2))
+    cells = itertools.chain.from_iterable(_band_cells(i) for i in range(i_max + 1))
+    return DyadicIntervalSet(cells), Fraction(1, 1 << (i_max + 2))
 
 
 def _deadline_walk(cap: int) -> Iterator[tuple[int, dict[int, int]]]:
@@ -830,6 +757,8 @@ def _uniform_int(rng: np.random.Generator, bits: int) -> int:
 
 def uniform_point(rng: np.random.Generator, precision: int = DEFAULT_PRECISION) -> DyadicPoint:
     """Uniform point whose forward and backward orbits both exist (endpoints resampled)."""
+    if precision < 2:
+        raise PrecisionError(f"precision {precision} leaves no counter between the endpoints")
     top = (1 << precision) - 1
     while True:
         c = _uniform_int(rng, precision)

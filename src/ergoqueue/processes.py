@@ -122,8 +122,8 @@ class IIDTable(_ProcessBase):
             raise ProcessError("values and probabilities must be equal-length and nonempty")
         if any(not math.isfinite(v) for v in vals):
             raise ProcessError("table values must be finite")
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
-            raise ProcessError("probabilities must be nonnegative and sum to 1")
+        if not all(0.0 <= p <= 1.0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
+            raise ProcessError("probabilities must be in [0, 1] and sum to 1")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "probabilities", probs)
 

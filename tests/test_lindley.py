@@ -287,6 +287,8 @@ def test_couple_reports_finals():
     for check in (-1, 0, 1):  # a negative check runs no steps past the meeting
         res = ld.forward_couple(2.0, [-1.0, -1.0, 5.0], absorption_check=check)
         assert (res.coupling_time, res.steps_run) == (2, 2 + max(check, 0))
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        ld.forward_couple(2.0, [-1.0, -1.0, 5.0], horizon=-5)
 
 
 def test_couple_meets_by_rounding():

@@ -172,6 +172,12 @@ def test_set_measure_and_membership_brute():
             assert s.contains_point(p) == inside
             hits += inside
         assert s.measure == Fraction(hits, 1 << depth)
+        # points carried to fewer bits than the deepest interval have trailing zeros
+        deepest = max(d for d, _ in items)
+        for precision in range(max(deepest - 3, 1), deepest):
+            for c in range(1 << precision):
+                inside = any(c % (1 << d) == j for d, j in items)
+                assert s.contains_point(od.DyadicPoint(c, precision)) == inside
 
 
 def test_contains_set():
@@ -195,6 +201,21 @@ def test_contains_set_exact_beyond_double_resolution():
     assert not right.contains_set(left)
     assert coarse.contains_set(left) and coarse.contains_set(right)
     assert not right.contains_set(coarse)
+
+    def point(start, precision):
+        return od.DyadicPoint(od.bit_reverse(start, precision), precision)
+
+    near_one = [point((1 << 63) - 2, 63), point((1 << 63) - 1, 63)]
+    assert [left.contains_point(p) for p in near_one] == [True, False]
+    assert [right.contains_point(p) for p in near_one] == [False, True]
+    assert all(coarse.contains_point(p) for p in near_one)
+    # finer points split the cells; a 62-bit point has a trailing zero, so it
+    # is the left cell's start
+    assert left.contains_point(point((1 << 64) - 3, 64))
+    assert right.contains_point(point((1 << 64) - 1, 64))
+    assert right.contains_point(point((1 << 70) - 1, 70))
+    assert left.contains_point(point((1 << 62) - 1, 62))
+    assert not right.contains_point(point((1 << 62) - 1, 62))
 
 
 def test_set_json_roundtrip():
@@ -505,6 +526,10 @@ def test_uniform_point_avoids_endpoints():
     for _ in range(200):
         p = od.uniform_point(rng, 10)
         assert 0 < p.counter < (1 << 10) - 1
+    assert od.uniform_point(rng, 2).counter in (1, 2)
+    for precision in (1, 0):  # no counter lies strictly between the endpoints
+        with pytest.raises(od.PrecisionError):
+            od.uniform_point(rng, precision)
 
 
 def test_sample_run_seed_distribution():

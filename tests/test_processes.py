@@ -360,6 +360,7 @@ def test_parse_rejects_malformed_specs():
     bad = [
         "iid-bernoulli:1.5",
         "iid-table:1,2@0.7,0.7",
+        "iid-table:0,1@nan,nan",
         "binary-markov:0.5",
         "binary-markov:2,0",
         "trace:",
