@@ -13,9 +13,10 @@ A saved run can be replayed with ``--config FILE``: pass the JSON summary a
 run wrote (its embedded ``config`` object is unwrapped) or a bare
 configuration dict; either reproduces the files byte for byte.
 
-Floats are written with 17 significant digits; exact rationals as "p/q".
-The CSV is written column by column, ``WRITE_BLOCK`` rows at a time, and is
-byte for byte what formatting each cell on its own would give.
+Floats are written with 17 significant digits (``FLOAT_FORMAT``); exact
+rationals as "p/q".  The CSV is written column by column, ``WRITE_BLOCK`` rows
+at a time, and is byte for byte what formatting each cell on its own and
+writing the rows with ``csv.writer`` would give.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ __all__ = ["main"]
 
 
 WRITE_BLOCK = 8192  # CSV rows formatted per block
+FLOAT_FORMAT = ".17g"  # the format spec of every float cell
 
 
 def _fmt(x) -> str:
     """The one formatting rule of a CSV cell."""
     if isinstance(x, float):
-        return format(x, ".17g")
+        return format(x, FLOAT_FORMAT)
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, Fraction):
@@ -57,15 +59,16 @@ def _fmt(x) -> str:
 def _column_text(col) -> list[str]:
     """``_fmt`` of every cell of one column slice.
 
-    A float64 array formats each distinct value once, keyed on its bit
-    pattern: ``np.unique`` on the floats would merge -0.0 with 0.0, which
-    ``_fmt`` writes as "-0" and "0".  An integer array becomes Python ints,
-    which ``_fmt`` writes with ``str``.  Anything else goes cell by cell.
+    A float64 array formats each distinct value once with ``FLOAT_FORMAT``,
+    keyed on its bit pattern: ``np.unique`` on the floats would merge -0.0
+    with 0.0, which ``_fmt`` writes as "-0" and "0".  An integer array becomes
+    Python ints, which ``_fmt`` writes with ``str``.  Anything else goes cell
+    by cell.
     """
     if isinstance(col, np.ndarray):
         if col.dtype == np.float64:
             keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-            texts = [_fmt(v) for v in keys.view(np.float64).tolist()]
+            texts = [format(v, FLOAT_FORMAT) for v in keys.view(np.float64).tolist()]
             return np.array(texts, dtype=object)[inverse].tolist()
         if col.dtype.kind in "iu":
             return list(map(str, col.tolist()))
@@ -73,15 +76,24 @@ def _column_text(col) -> list[str]:
 
 
 def _write_outputs(base: Path, header, columns, summary: dict) -> None:
-    """Write BASE.csv from one sequence per header field, and BASE.json."""
+    """Write BASE.csv from one sequence per header field, and BASE.json.
+
+    The text of a number never holds a delimiter, quote or line break, so
+    when every column is a numeric array the rows are joined directly;
+    otherwise ``csv.writer`` writes them and does the quoting.
+    """
     rows = len(columns[0])
+    numeric = all(isinstance(col, np.ndarray) and col.dtype.kind in "biuf" for col in columns)
     base.parent.mkdir(parents=True, exist_ok=True)
     with open(f"{base}.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for start in range(0, rows, WRITE_BLOCK):
             block = [_column_text(col[start : start + WRITE_BLOCK]) for col in columns]
-            writer.writerows(zip(*block, strict=True))
+            if numeric:
+                fh.write("\n".join(map(",".join, zip(*block, strict=True))) + "\n")
+            else:
+                writer.writerows(zip(*block, strict=True))
     with open(f"{base}.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
@@ -103,7 +115,11 @@ def _theta_grid(text: str) -> list[float]:
         if not math.isfinite(points):
             raise ValueError("grid must have a finite number of points")
         count = int(math.floor(points)) + 1
-        return _finite([start + k * step for k in range(count)])
+        try:  # start + k * step for every k, one array of the same bits
+            grid = start + np.arange(count) * step
+        except (MemoryError, ValueError) as exc:
+            raise ValueError(f"grid of {count} points does not fit in memory") from exc
+        return _finite(grid.tolist())
     return _finite([float(x) for x in text.split(",")])
 
 

@@ -15,6 +15,7 @@ Q_{n+1} = (Q_n + Y_{n+1} - s)^+ and W_{n+1} = (W_n + S_n - T_{n+1})^+.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -197,10 +198,15 @@ def forward_couple(
     x0 = float(x0)
     if x0 < 0 or not math.isfinite(x0):
         raise ValueError("x0 must be finite and nonnegative")
-    if horizon is not None and horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if horizon is not None:
+        try:
+            horizon = operator.index(horizon)
+        except TypeError:
+            raise ValueError(f"horizon must be an integer, got {horizon!r}") from None
+        if horizon < 0:
+            raise ValueError("horizon must be nonnegative")
     z = _as_float_array(increments, "increments")
-    n_steps = z.size if horizon is None else min(int(horizon), z.size)
+    n_steps = z.size if horizon is None else min(horizon, z.size)
     upper = x0
     lower = 0.0
     if upper == lower:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -248,6 +249,9 @@ class DyadicInterval:
     index: int
 
     def __post_init__(self) -> None:
+        # Python ints, so the shifts below cannot wrap as numpy integers do
+        object.__setattr__(self, "depth", operator.index(self.depth))
+        object.__setattr__(self, "index", operator.index(self.index))
         if not 0 <= self.depth <= MAX_SET_DEPTH:
             raise PrecisionError(f"depth must be in 0..{MAX_SET_DEPTH}, got {self.depth}")
         if not 0 <= self.index < (1 << self.depth):
@@ -282,7 +286,7 @@ class DyadicIntervalSet:
 
     def __init__(self, intervals: Iterable[DyadicInterval | tuple[int, int]] = ()):
         ivs = [x if isinstance(x, DyadicInterval) else DyadicInterval(*x) for x in intervals]
-        cells = [(int(iv.depth), int(iv.index)) for iv in ivs]
+        cells = [(iv.depth, iv.index) for iv in ivs]
         base = max((d for d, _ in cells), default=0)
         # place every interval on the value axis, then merge overlapping or
         # touching segments

@@ -361,15 +361,25 @@ def test_integer_config_keys_accept_integral_numbers(tmp_path):
 
 
 def test_unbounded_theta_grid_is_a_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ergoqueue.cli", "cumulant", "--process", "iid-bernoulli:0.5",
-         "--n", "10", "--m", "10", "--theta-grid", "0:1e300:1e-300"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "--theta-grid" in proc.stderr
+    # no finite point count, then 1e18 points, whose allocation fails at once
+    for grid in ("0:1e300:1e-300", "0:1e9:1e-9"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ergoqueue.cli", "cumulant", "--process", "iid-bernoulli:0.5",
+             "--n", "10", "--m", "10", "--theta-grid", grid],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "--theta-grid" in proc.stderr
+
+
+def test_theta_grid_points_are_start_plus_k_steps():
+    for text in ("0:3:0.05", "0:3:0.25", "-1.5:2:0.1", "0.3:0.3:0.7", "1e-300:1e-299:3e-301"):
+        start, stop, step = map(float, text.split(":"))
+        grid = cli._theta_grid(text)
+        assert grid == [start + k * step for k in range(len(grid))]
+        assert all(type(v) is float for v in grid)
 
 
 def test_couple_without_replicas_writes_header_only(tmp_path):
@@ -579,6 +589,8 @@ ODOMETER = '"subcommand": "odometer", "seed": 1'
         '"theta_grid": 1}',
         '{"subcommand": "cumulant", "process": "odometer", "n": 4, "m": 4, "seed": 1, '
         '"theta_grid": [0, NaN]}',
+        '{"subcommand": "cumulant", "process": "odometer", "n": 4, "m": 4, "seed": 1, '
+        '"theta_grid": "0:1e9:1e-9"}',
         '{"subcommand": "prop2", "i": 3, "m": 10, "seed": 1, "theta": "1"}',
         '[{"subcommand": "prop1", "i": 3, "m": 10}]',
         '"prop1"',
@@ -682,15 +694,27 @@ _OBJECT_POOLS = st.lists(
 _OTHER_POOLS = st.sampled_from(
     [np.array([True, False]), np.array([0.1, -0.0, np.nan], dtype=np.float32)]
 )
-_POOLS = _FLOAT_POOLS | _INT_POOLS | _UINT_POOLS | _OBJECT_POOLS | _OTHER_POOLS
+# numeric arrays only: every block takes the writer's joined path
+_NUMERIC_POOLS = _FLOAT_POOLS | _INT_POOLS | _UINT_POOLS | _OTHER_POOLS
+_POOLS = _NUMERIC_POOLS | _OBJECT_POOLS
+_LENGTHS = [0, 1, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1]
 
 
-@pytest.mark.parametrize(
-    "length", [0, 1, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1]
-)
+@pytest.mark.parametrize("length", _LENGTHS)
 @settings(max_examples=15, deadline=None)
 @given(pools=st.lists(_POOLS, min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
 def test_writer_matches_per_row_oracle(tmp_path_factory, length, pools, seed):
+    _check_writer(tmp_path_factory, length, pools, seed)
+
+
+@pytest.mark.parametrize("length", _LENGTHS)
+@settings(max_examples=15, deadline=None)
+@given(pools=st.lists(_NUMERIC_POOLS, min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_numeric_writer_matches_per_row_oracle(tmp_path_factory, length, pools, seed):
+    _check_writer(tmp_path_factory, length, pools, seed)
+
+
+def _check_writer(tmp_path_factory, length, pools, seed):
     rng = np.random.default_rng(seed)
     columns = []
     for pool in pools:
@@ -702,3 +726,14 @@ def test_writer_matches_per_row_oracle(tmp_path_factory, length, pools, seed):
     cli._write_outputs(base, header, columns, {})
     got = base.with_suffix(".csv").read_bytes()
     assert got == _per_row_csv(header, columns).encode("utf-8")
+
+
+def test_writer_quotes_text_beside_numbers(tmp_path):
+    # one column needs the csv module's quoting, so no block is joined directly;
+    # a numpy text array is not numeric either
+    numbers = np.array([0.5, -0.0, np.nan])
+    columns = [numbers, ["a,b", 'q"t', ""], np.array(["x\ny", "p", "r,s"])]
+    cli._write_outputs(tmp_path / "m", ["f", "o", "u"], columns, {})
+    got = (tmp_path / "m.csv").read_text(encoding="utf-8")
+    assert got == 'f,o,u\n0.5,"a,b","x\ny"\n-0,"q""t",p\nnan,,"r,s"\n'
+    assert got == _per_row_csv(["f", "o", "u"], columns)

@@ -20,6 +20,10 @@ more rows than the CSV writer's block of ``cli.WRITE_BLOCK`` (8192) rows, so
 they pin its block boundaries; their digests were recorded from commit
 5fe2d38, before the writer became columnar.
 
+Case ``loynes-blocks`` writes 20001 rows of a non-dyadic ``iid-table``
+window, nearly every partial sum a distinct float; its digests were recorded
+from commit 6e7bc0f, before numeric blocks were joined without ``csv.writer``.
+
 Cases ``cumulant-no-s`` (``"delta": null``), ``cumulant-at-grid-max``,
 ``cumulant-empty``, ``simulate-no-fit`` (``"fitted_decay": null``) and
 ``prop2-theta-0`` pin the result JSON on its null and boundary branches;
@@ -42,6 +46,8 @@ CASES = {
                "--slack", "0.5", "--seed", "5"],
     "loynes-non-dyadic": ["loynes", "--process", NON_DYADIC, "--s", "0.65", "--window", "500",
                           "--seed", "6"],
+    "loynes-blocks": ["loynes", "--process", NON_DYADIC, "--s", "0.65", "--window", "20000",
+                      "--seed", "24"],
     "couple": ["couple", "--process", "binary-markov:0.3,0.5", "--s", "0.75", "--x0", "20",
                "--horizon", "3000", "--replicas", "5", "--seed", "7"],
     "gg1": ["gg1", "--service", "iid-table:0.2,1.3@0.5,0.5", "--interarrival",
@@ -111,6 +117,10 @@ DIGESTS = {
     "loynes": (
         "92340ec97f480a78499f3d779415f1c0991033b8a53122c5bf0dc37f2c6ee64f",
         "9b905b792d6bd4fa97ee4cc9e5d4ed4ab3531cbae1f5360c28d5a18054cf83d2",
+    ),
+    "loynes-blocks": (
+        "396a54f1f8ecfd831f787f1b11579bcef55af214e48cf36502797bb3e160b558",
+        "0ee0c086efaf4779b7b728b4eb1607e61808eaac6b7399d36c8d3b7dba83d39b",
     ),
     "loynes-non-dyadic": (
         "360b83c8710c9508e8b0ba1732e8c20601438ce764899e841a450978d8e5f580",

@@ -289,6 +289,12 @@ def test_couple_reports_finals():
         assert (res.coupling_time, res.steps_run) == (2, 2 + max(check, 0))
     with pytest.raises(ValueError, match="horizon must be nonnegative"):
         ld.forward_couple(2.0, [-1.0, -1.0, 5.0], horizon=-5)
+    for bad in (1.9, 2.0, "2", math.nan):  # no silent truncation
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            ld.forward_couple(2.0, [-1.0, -1.0, 5.0], horizon=bad)
+    for horizon in (1, np.int64(1), np.uint8(1)):
+        res = ld.forward_couple(2.0, [-1.0, -1.0, 5.0], horizon=horizon)
+        assert (res.coupling_time, res.steps_run) == (None, 1)
 
 
 def test_couple_meets_by_rounding():

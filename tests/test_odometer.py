@@ -135,6 +135,25 @@ def test_interval_basics():
     assert od.DyadicInterval(2, 1).value_start == Fraction(1, 2)
 
 
+def test_interval_takes_numpy_integers():
+    # a numpy depth of 63 used to wrap 1 << depth negative and reject every index
+    for depth in (np.int64(63), np.uint64(63), np.int32(63)):
+        iv = od.DyadicInterval(depth, np.uint64(5))
+        assert iv == od.DyadicInterval(63, 5)
+        assert type(iv.depth) is int and type(iv.index) is int
+        assert iv.measure == Fraction(1, 2**63)
+        assert iv.contains(od.DyadicPoint(5 + 2**63, 64))
+    top = od.DyadicInterval(np.int64(63), np.uint64(2**63 - 1))
+    assert top.value_start == 1 - Fraction(1, 2**63)
+    assert od.DyadicIntervalSet([(np.int64(63), 5)]) == od.DyadicIntervalSet([(63, 5)])
+    assert od.DyadicIntervalSet([(np.int64(63), 5)]).measure == Fraction(1, 2**63)
+    for bad in ((2.0, 1), (2, 1.0)):  # a float is not an integer, even an integral one
+        with pytest.raises(TypeError):
+            od.DyadicInterval(*bad)
+    with pytest.raises(ValueError, match="out of range"):
+        od.DyadicInterval(np.int64(63), 2**63)
+
+
 def test_sibling_merge_is_canonical():
     whole = od.DyadicIntervalSet([(0, 0)])
     assert od.DyadicIntervalSet([(1, 0), (1, 1)]) == whole
