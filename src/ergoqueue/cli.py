@@ -47,7 +47,7 @@ def _fmt(x) -> str:
     """The one formatting rule of a CSV cell."""
     if isinstance(x, float):
         return format(x, FLOAT_FORMAT)
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, Fraction):
         return str(x)
@@ -174,12 +174,27 @@ def _run_loynes(cfg: dict):
     )
 
 
+class _Shifted:
+    """The blocks of a sample of n values, each less s: a stream sized n."""
+
+    def __init__(self, blocks, n: int, s: float):
+        self.blocks, self.n, self.s = blocks, n, s
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return (y - self.s for y in self.blocks)
+
+
 def _run_couple(cfg: dict):
     proc = parse_process(cfg["process"])
     times, uppers, lowers = [], [], []
     for r in range(cfg["replicas"]):
-        y = proc.forward(cfg["horizon"], rng_for(cfg["seed"], r))
-        res = lindley.forward_couple(cfg["x0"], np.asarray(y) - cfg["s"])
+        # the coupler reads the sample only up to its stopping step, and the
+        # sampler draws only the blocks read
+        y = proc.blocks(cfg["horizon"], rng_for(cfg["seed"], r))
+        res = lindley.forward_couple(cfg["x0"], _Shifted(y, cfg["horizon"], cfg["s"]))
         times.append(res.coupling_time)
         uppers.append(res.final_upper)
         lowers.append(res.final_lower)

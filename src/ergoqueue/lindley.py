@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -122,24 +122,29 @@ FIRST_COUPLE_BLOCK = 256
 
 
 def _reflect(
-    x: float, z: np.ndarray, out: np.ndarray, sums: np.ndarray | None = None
+    x: float,
+    z: np.ndarray,
+    out: np.ndarray,
+    sums: np.ndarray | None = None,
+    low: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fill out[k] with the state after steps 0..k of x -> max(x + z, 0) from x.
 
     The reflection identity X_k = S_k - min(-x, min_{j<=k} S_j), over the
-    prefix sums S of z (``sums``, computed here when not given), is exact
-    when no sum rounds, as on a dyadic grid.  The block is then certified
-    against the defining step bit for bit, sign of zero included; since the
-    first step starts from x, that proves the whole block equal to the
-    sequential recursion.  From the first step that fails the check, the
-    step itself is iterated.
+    prefix sums S of z (``sums``) and their running minima (``low``), each
+    computed here when not given, is exact when no sum rounds, as on a
+    dyadic grid.  The block is then certified against the defining step bit
+    for bit, sign of zero included; since the first step starts from x, that
+    proves the whole block equal to the sequential recursion.  From the
+    first step that fails the check, the step itself is iterated.
     """
     x = float(x)
     if sums is None:
         sums = np.cumsum(z)
-    low = np.minimum.accumulate(sums)
-    np.minimum(low, -x, out=low)
-    np.subtract(sums, low, out=out)
+    if low is None:
+        low = np.minimum.accumulate(sums)
+    np.minimum(low, -x, out=out)
+    np.subtract(sums, out, out=out)
     step = np.empty_like(out)
     step[:1] = x
     step[1:] = out[:-1]
@@ -152,10 +157,15 @@ def _reflect(
         k = int(bad[0])
         if k:
             x = float(out[k - 1])
+        # the step max(x + zn, 0.0), spelled so that it costs no call: like
+        # max, it keeps x + zn unless it is below 0.0, so -0.0 and NaN pass
         tail = []
+        append = tail.append
         for zn in z[k:].tolist():
-            x = max(x + zn, 0.0)
-            tail.append(x)
+            x += zn
+            if x < 0.0:
+                x = 0.0
+            append(x)
         out[k:] = tail
     return out
 
@@ -184,7 +194,7 @@ class CoupleResult:
 
 def forward_couple(
     x0: float,
-    increments: Sequence[float],
+    increments: Sequence[float] | Iterable[np.ndarray],
     horizon: int | None = None,
     absorption_check: int = 64,
 ) -> CoupleResult:
@@ -194,6 +204,11 @@ def forward_couple(
     the horizon.  After meeting, continues for ``absorption_check`` steps
     verifying the chains stay equal (they must: same map, same input), then
     stops early.  Ordering X(x0) >= X(0) is asserted throughout.
+
+    ``increments`` is one array, or a stream: an iterable of 1-D arrays
+    that are read in order as one sequence.  Each block is checked as it is
+    read, and no block is pulled once the run has stopped, so a lazily drawn
+    stream is drawn no further than the block holding the last step run.
     """
     x0 = float(x0)
     if x0 < 0 or not math.isfinite(x0):
@@ -205,42 +220,55 @@ def forward_couple(
             raise ValueError(f"horizon must be an integer, got {horizon!r}") from None
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
-    z = _as_float_array(increments, "increments")
-    n_steps = z.size if horizon is None else min(horizon, z.size)
+    if isinstance(increments, (np.ndarray, Sequence)) or not isinstance(increments, Iterable):
+        blocks = iter((_as_float_array(increments, "increments"),))
+    else:
+        blocks = (_as_float_array(z, "increments") for z in increments)
     upper = x0
     lower = 0.0
     if upper == lower:
         return CoupleResult(0, upper, lower, 0)
+    absorb = max(absorption_check, 0)
     tau = None
-    n, end, size = 0, n_steps, FIRST_COUPLE_BLOCK
+    # the run ends at the horizon, or absorb steps after the meeting, or
+    # where the increments run out
+    n, end, size = 0, math.inf if horizon is None else horizon, FIRST_COUPLE_BLOCK
     while n < end:
-        zb = z[n : min(n + size, end)]
-        size = BLOCK
-        sums = np.cumsum(zb)
-        if tau is None:
-            # in exact arithmetic the chains meet where the prefix sum first
-            # falls to -upper; ending the block there (plus the absorption
-            # check) keeps the kernel from stepping off-grid input far past it
-            k = int(np.argmax(sums <= -upper))
-            if sums[k] <= -upper:
-                stop = k + 1 + max(absorption_check, 0)
-                zb, sums = zb[:stop], sums[:stop]
-        up = _reflect(upper, zb, np.empty(zb.size), sums)
-        lo = _reflect(lower, zb, np.empty(zb.size), sums)
-        met, used = 0, zb.size  # met: the block's first step after the meeting
-        if tau is None:
-            hits = np.flatnonzero(up == lo)
-            met = int(hits[0]) + 1 if hits.size else used
-            if (up[:met] < lo[:met]).any():
-                raise AssertionError("ordering violated (non-finite input?)")
-            if hits.size:
-                tau = n + met
-                end = min(tau + absorption_check, z.size)
-                used = max(met, min(used, end - n))
-        if (up[met:used] != lo[met:used]).any():
-            raise AssertionError("absorption violated after coupling")
-        upper, lower = float(up[used - 1]), float(lo[used - 1])
-        n += used
+        z = next(blocks, None)
+        if z is None:
+            break
+        i = 0
+        while i < z.size and n < end:
+            zb = z[i : i + min(size, end - n)]
+            size = BLOCK
+            sums = np.cumsum(zb)
+            if tau is None:
+                # in exact arithmetic the chains meet where the prefix sum
+                # first falls to -upper; ending the block there (plus the
+                # absorption check) keeps the kernel from stepping off-grid
+                # input far past it
+                k = int(np.argmax(sums <= -upper))
+                if sums[k] <= -upper:
+                    stop = k + 1 + absorb
+                    zb, sums = zb[:stop], sums[:stop]
+            low = np.minimum.accumulate(sums)  # the same for both chains
+            up = _reflect(upper, zb, np.empty(zb.size), sums, low)
+            lo = _reflect(lower, zb, np.empty(zb.size), sums, low)
+            met, used = 0, zb.size  # met: the block's first step after the meeting
+            if tau is None:
+                hits = np.flatnonzero(up == lo)
+                met = int(hits[0]) + 1 if hits.size else used
+                if (up[:met] < lo[:met]).any():
+                    raise AssertionError("ordering violated (non-finite input?)")
+                if hits.size:
+                    tau = n + met
+                    end = tau + absorb
+                    used = min(used, met + absorb)
+            if (up[met:used] != lo[met:used]).any():
+                raise AssertionError("absorption violated after coupling")
+            upper, lower = float(up[used - 1]), float(lo[used - 1])
+            n += used
+            i += used
     return CoupleResult(tau, upper, lower, n)
 
 

@@ -1,13 +1,14 @@
 """Stationary arrival and increment processes behind one small interface.
 
-Every process produces forward streams (Y_1, Y_2, ...), backward windows
-(Y_0, Y_-1, ..., Y_-N+1), and window totals: the sums Y_1 + ... + Y_N of m
-realizations, the block sums every estimator reads.  Backward windows for
-the memoryless and Markov kinds are forward samples relabeled, which is
-lawful because a stationary window read in either direction has the same
-joint law (the two-state Markov chain is reversible).  The counter-driven
-kind inverts its dynamics instead: lag j lives at counter value c + j, so a
-backward window is literally a stretch of consecutive counters.
+Every process produces forward streams (Y_1, Y_2, ...), whole or block by
+block, backward windows (Y_0, Y_-1, ..., Y_-N+1), and window totals: the
+sums Y_1 + ... + Y_N of m realizations, the block sums every estimator
+reads.  Backward windows for the memoryless and Markov kinds are forward
+samples relabeled, which is lawful because a stationary window read in
+either direction has the same joint law (the two-state Markov chain is
+reversible).  The counter-driven kind inverts its dynamics instead: lag j
+lives at counter value c + j, so a backward window is literally a stretch
+of consecutive counters.
 
 Determinism: all sampling goes through numpy Generators.  Replica r of a
 seeded experiment uses SeedSequence(seed, spawn_key=(r,)), so adding
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,8 +62,9 @@ def ensure_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-# the Markov scan walks its uniforms this many steps at a time, so its
-# temporaries stay small however long the sample is
+# the streaming samplers draw this many values per block, so a reader that
+# stops early stops the drawing too, and the Markov scan's temporaries stay
+# small however long the sample is
 SCAN_BLOCK = 8192
 
 
@@ -73,10 +75,37 @@ def _check_length(n: int) -> None:
 
 
 class _ProcessBase:
-    """Shared plumbing; concrete kinds implement ``forward``."""
+    """Shared plumbing; concrete kinds implement ``forward`` or ``_blocks``.
+
+    ``blocks(n, rng)`` is ``forward(n, rng)`` handed over in consecutive
+    pieces.  A kind that draws its sample a block at a time implements
+    ``_blocks``, and its ``forward`` joins those pieces; any other kind
+    implements ``forward``, which its stream yields as one block.
+    """
 
     def forward(self, n: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
-        raise NotImplementedError
+        """(Y_1, ..., Y_n), the blocks of one stream joined."""
+        _check_length(n)
+        out = np.empty(n, dtype=np.float64)
+        k = 0
+        for block in self._blocks(n, rng):
+            out[k : k + block.size] = block
+            k += block.size
+        return out
+
+    def blocks(
+        self, n: int, rng: np.random.Generator | int | None = None
+    ) -> Iterator[np.ndarray]:
+        """``forward(n, rng)`` as consecutive float64 pieces, drawn only as they are read.
+
+        A reader that stops early leaves ``rng`` where the last block read
+        left it; reading every block leaves it where ``forward`` would.
+        """
+        _check_length(n)
+        return self._blocks(n, rng)
+
+    def _blocks(self, n: int, rng) -> Iterator[np.ndarray]:
+        yield self.forward(n, rng)
 
     def backward_window(
         self, n: int, rng: np.random.Generator | int | None = None
@@ -102,10 +131,10 @@ class IIDBernoulli(_ProcessBase):
         if not 0.0 <= self.p <= 1.0:
             raise ProcessError(f"p must be in [0, 1], got {self.p}")
 
-    def forward(self, n: int, rng=None) -> np.ndarray:
-        _check_length(n)
+    def _blocks(self, n: int, rng) -> Iterator[np.ndarray]:
         rng = ensure_rng(rng)
-        return (rng.random(n) < self.p).astype(np.float64)
+        for k in range(0, n, SCAN_BLOCK):
+            yield (rng.random(min(SCAN_BLOCK, n - k)) < self.p).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -127,11 +156,12 @@ class IIDTable(_ProcessBase):
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "probabilities", probs)
 
-    def forward(self, n: int, rng=None) -> np.ndarray:
-        _check_length(n)
+    def _blocks(self, n: int, rng) -> Iterator[np.ndarray]:
         rng = ensure_rng(rng)
-        idx = rng.choice(len(self.values), size=n, p=self.probabilities)
-        return np.asarray(self.values, dtype=np.float64)[idx]
+        values = np.asarray(self.values, dtype=np.float64)
+        for k in range(0, n, SCAN_BLOCK):
+            size = min(SCAN_BLOCK, n - k)
+            yield values[rng.choice(values.size, size=size, p=self.probabilities)]
 
 
 @dataclass(frozen=True)
@@ -157,29 +187,26 @@ class BinaryMarkov(_ProcessBase):
         # both-zero chain never moves; any start is stationary, pick fair
         return self.p01 / total if total > 0 else 0.5
 
-    def forward(self, n: int, rng=None) -> np.ndarray:
-        _check_length(n)
+    def _blocks(self, n: int, rng) -> Iterator[np.ndarray]:
         rng = ensure_rng(rng)
-        u = rng.random(n + 1)
-        out = np.empty(n, dtype=np.float64)
-        state = 1 if u[0] < self.stationary_p1 else 0
-        # step k sends 1 -> 0 when u[k+1] < p10 and 0 -> 1 when u[k+1] < p01,
-        # so it is the constant 0, the constant 1, the identity or a negation;
-        # the state is the value of the last constant step (or the carried
-        # state) flipped once per negation since
+        # one uniform for the start, then one per step: the draws of a single
+        # rng.random(n + 1), since each double takes one 64-bit output
+        state = rng.random() < self.stationary_p1
+        # step k sends 1 -> 0 when its uniform is < p10 and 0 -> 1 when it is
+        # < p01, so it is the constant 0, the constant 1, the identity or a
+        # negation.  With P_k the parity of the negations up to step k, the
+        # state xor P_k changes only at a constant step, where it becomes the
+        # step's value (to1) xor P_k: it is a forward fill
         for k in range(0, n, SCAN_BLOCK):
-            w = u[k + 1 : k + 1 + SCAN_BLOCK]
+            w = rng.random(min(SCAN_BLOCK, n - k))
             to0 = w < self.p10
             to1 = w < self.p01
+            parity = np.logical_xor.accumulate(to0 & to1)
             last = np.where(to0 != to1, np.arange(1, w.size + 1), 0)
             np.maximum.accumulate(last, out=last)
-            flips = np.zeros(w.size + 1, dtype=np.intp)
-            np.cumsum(to0 & to1, out=flips[1:])
-            values = np.concatenate(([state], to1))  # a constant step's value is to1
-            block = values[last] ^ ((flips[1:] - flips[last]) & 1)
-            out[k : k + w.size] = block
-            state = int(block[-1])
-        return out
+            block = np.concatenate(([state], to1 ^ parity))[last] ^ parity
+            state = block[-1]
+            yield block.astype(np.float64)
 
 
 class TraceProcess(_ProcessBase):

@@ -393,6 +393,18 @@ def test_couple_without_replicas_writes_header_only(tmp_path):
     assert summary["results"]["coupled"] == 0
 
 
+def test_couple_reads_a_short_trace_only_when_it_needs_input(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    trace.write_text("1\n0\n1\n", encoding="utf-8")
+    args = ["couple", "--process", f"trace:{trace}", "--s", "0.5", "--horizon", "10",
+            "--replicas", "2"]
+    # chains started equal meet at step 0 and read no block
+    rows, _ = run(tmp_path, "c", [*args, "--x0", "0"])
+    assert [row[1] for row in rows[1:]] == ["0", "0"]
+    assert cli.main([*args, "--x0", "2", "--out", str(tmp_path / "x")]) == 2
+    assert "trace exhausted" in json.loads(capsys.readouterr().err)["error"]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -726,6 +738,13 @@ def _check_writer(tmp_path_factory, length, pools, seed):
     cli._write_outputs(base, header, columns, {})
     got = base.with_suffix(".csv").read_bytes()
     assert got == _per_row_csv(header, columns).encode("utf-8")
+
+
+def test_bool_cells_do_not_depend_on_their_container(tmp_path):
+    cli._write_outputs(tmp_path / "a", ["b"], [np.array([True, False])], {})
+    cli._write_outputs(tmp_path / "l", ["b"], [[True, False]], {})
+    text = (tmp_path / "a.csv").read_text(encoding="utf-8")
+    assert text == (tmp_path / "l.csv").read_text(encoding="utf-8") == "b\ntrue\nfalse\n"
 
 
 def test_writer_quotes_text_beside_numbers(tmp_path):

@@ -24,6 +24,12 @@ Case ``loynes-blocks`` writes 20001 rows of a non-dyadic ``iid-table``
 window, nearly every partial sum a distinct float; its digests were recorded
 from commit 6e7bc0f, before numeric blocks were joined without ``csv.writer``.
 
+Cases ``couple-bernoulli-blocks`` and ``couple-non-dyadic-blocks`` meet in the
+fourth block of the samplers' ``SCAN_BLOCK`` (8192) values, and
+``couple-never-meets`` runs every replica to its horizon; their digests were
+recorded from commit a93eccf, before ``couple`` streamed each replica's input
+into the coupler.
+
 Cases ``cumulant-no-s`` (``"delta": null``), ``cumulant-at-grid-max``,
 ``cumulant-empty``, ``simulate-no-fit`` (``"fitted_decay": null``) and
 ``prop2-theta-0`` pin the result JSON on its null and boundary branches;
@@ -50,6 +56,13 @@ CASES = {
                       "--seed", "24"],
     "couple": ["couple", "--process", "binary-markov:0.3,0.5", "--s", "0.75", "--x0", "20",
                "--horizon", "3000", "--replicas", "5", "--seed", "7"],
+    "couple-bernoulli-blocks": ["couple", "--process", "iid-bernoulli:0.5", "--s", "0.75",
+                                "--x0", "8000", "--horizon", "60000", "--replicas", "3",
+                                "--seed", "25"],
+    "couple-non-dyadic-blocks": ["couple", "--process", NON_DYADIC, "--s", "0.65", "--x0",
+                                 "6000", "--horizon", "60000", "--replicas", "3", "--seed", "26"],
+    "couple-never-meets": ["couple", "--process", NON_DYADIC, "--s", "0.3", "--x0", "50",
+                           "--horizon", "20000", "--replicas", "2", "--seed", "27"],
     "gg1": ["gg1", "--service", "iid-table:0.2,1.3@0.5,0.5", "--interarrival",
             "iid-bernoulli:0.9", "--n", "300", "--seed", "8"],
     "tandem": ["tandem", "--process", "odometer", "--s1", "0.75", "--s2", "0.5",
@@ -89,6 +102,18 @@ DIGESTS = {
     "couple": (
         "4aa71b3ed211a690bc42f29e786ba3f88d5fc4d3a1d47f58e5548ad6b95b915a",
         "76863e52764bb5e1ad6644a9bb6e6ee46192614d63e729bb02a4c31cac4cc977",
+    ),
+    "couple-bernoulli-blocks": (
+        "c81af309590d28dc530acaf3cfbd1fe8a71b629fdd84c5a8ceac82d0bf1e509e",
+        "5f938cf7350e0cbd6f785e17bdeea1fc70156e7371e0ce1078ea55b73b4c221c",
+    ),
+    "couple-never-meets": (
+        "dbcc78cd62df3163286bab7cf0bb16d3a94e3a76865569d2ddfabc61893f6746",
+        "d817028ad078091ab0ef431791efbe124a4273a23498e000f073d9dc400dd9e7",
+    ),
+    "couple-non-dyadic-blocks": (
+        "8f64aa9a05af7c9390038e9039ad50ffaf6d581401ce1cb3850007466cab531a",
+        "10e75e7f2b4b1bcffbca4f03d354343f60e8aef900adbfd9db73b425636b3c01",
     ),
     "cumulant": (
         "8da028c090b6975933906977d8c4f4ac6d80f7a2100006e823c57bfbe3ae4529",

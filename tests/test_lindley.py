@@ -78,15 +78,19 @@ LENGTHS = (0, 1, ld.BLOCK - 1, ld.BLOCK, ld.BLOCK + 1, 20011)
 
 @st.composite
 def long_increments(draw):
-    """Seeded arrays of a block-boundary length: quarters, off-grid or signed zeros."""
+    """Seeded arrays of a block-boundary length: quarters, off-grid, signed zeros or both."""
     n = draw(st.sampled_from(LENGTHS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["quarters", "off-grid", "zeros"]))
+    kind = draw(st.sampled_from(["quarters", "off-grid", "zeros", "off-grid-zeros"]))
     if kind == "quarters":
         return rng.integers(-3, 2, n) / 4.0  # drift -1/4: the chain keeps emptying
     if kind == "off-grid":
         return rng.uniform(-1.0, 0.9, n)
-    return np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    if kind == "zeros":
+        return zeros
+    # the stepped fallback meets -0.0 increments
+    return np.where(rng.random(n) < 0.5, zeros, rng.uniform(-1.0, 0.9, n))
 
 
 @st.composite
@@ -228,6 +232,20 @@ def test_recursion_matches_sequential_step(x0, values):
     assert bits(ld.run_recursion(x0, values).states) == bits(recursion_oracle(x0, values))
 
 
+@settings(deadline=None)
+@given(starts, long_increments(), st.integers(0, 2**32 - 1),
+       st.sampled_from([math.nan, -math.nan]))
+def test_reflect_steps_nan_like_max(x0, values, seed, nan):
+    # the public API rejects non-finite input, so the kernel is called
+    # directly; on off-grid input the stepped fallback reaches the NaN, and
+    # either way every state must carry it exactly as max does
+    z = np.array(values, dtype=np.float64)
+    if z.size:
+        z[np.random.default_rng(seed).integers(z.size)] = nan
+    out = ld._reflect(x0, z, np.empty(z.size))
+    assert bits(out) == bits(recursion_oracle(x0, z)[1:])
+
+
 def test_recursion_rejects_negative_start():
     with pytest.raises(ValueError):
         ld.run_recursion(-1.0, [1.0])
@@ -306,7 +324,7 @@ def test_couple_meets_by_rounding():
 @settings(deadline=None)
 @given(
     couple_cases,
-    st.none() | st.sampled_from(LENGTHS) | st.integers(-2, 25_000),
+    st.none() | st.sampled_from(LENGTHS) | st.integers(0, 25_000),
     st.sampled_from([0, 1, 64, 10**6]) | st.integers(-1, 9000),
 )
 def test_couple_absorption_and_ordering(case, horizon, absorption_check):
@@ -327,6 +345,59 @@ def test_couple_absorption_and_ordering(case, horizon, absorption_check):
     got = ld.forward_couple(x0, values, horizon, absorption_check)
     assert (got.coupling_time, got.steps_run) == (tau, steps_run)
     assert bits([got.final_upper, got.final_lower]) == bits([final_upper, final_lower])
+
+
+@st.composite
+def splits(draw, values, cuts):
+    """``values`` as a list of blocks cut at ``cuts`` and at drawn points, empty ones too."""
+    n = len(values)
+    points = draw(st.lists(st.integers(0, n), max_size=6)) + [c for c in cuts if 0 <= c <= n]
+    points = sorted(points)
+    edges = [0, *points, n]
+    return [np.asarray(values[a:b], dtype=np.float64) for a, b in zip(edges, edges[1:])]
+
+
+@settings(deadline=None)
+@given(
+    couple_cases,
+    st.none() | st.sampled_from(LENGTHS) | st.integers(0, 25_000),
+    st.sampled_from([0, 1, 64]) | st.integers(-1, 9000),
+    st.data(),
+)
+def test_couple_ignores_block_splits(case, horizon, absorption_check, data):
+    x0, values = case
+    whole = ld.forward_couple(x0, values, horizon, absorption_check)
+    met = whole.coupling_time
+    # cut at the meeting step and at the end of the absorption check too
+    cuts = [] if met is None else [met - 1, met, met + max(absorption_check, 0)]
+    blocks = data.draw(splits(values, cuts))
+    pulled = []
+
+    def stream():
+        for block in blocks:
+            pulled.append(block.size)
+            yield block
+
+    got = ld.forward_couple(x0, stream(), horizon, absorption_check)
+    assert (got.coupling_time, got.steps_run) == (whole.coupling_time, whole.steps_run)
+    assert bits([got.final_upper, got.final_lower]) == bits([whole.final_upper, whole.final_lower])
+    # a run that stopped short of the end pulled no block past its last step
+    if got.steps_run < len(values):
+        ends = np.cumsum([0] + [b.size for b in blocks])
+        assert len(pulled) == int(np.searchsorted(ends, got.steps_run))
+
+
+def test_couple_checks_every_block():
+    def stream(bad):
+        yield np.array([-1.0, 0.5])
+        yield bad
+
+    for bad in (np.array([0.5, math.nan]), np.array([[1.0]])):
+        with pytest.raises(ValueError, match="increments"):
+            ld.forward_couple(5.0, stream(bad))
+    # a block past the run's end is never read, so it is never checked
+    res = ld.forward_couple(1.0, stream(np.array([math.nan])), absorption_check=0)
+    assert (res.coupling_time, res.steps_run) == (1, 1)
 
 
 # -- queue and waiting-time forms ---------------------------------------------

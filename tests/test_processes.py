@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from ergoqueue import lindley
 from ergoqueue import odometer as od
 from ergoqueue.processes import (
     GG1System,
@@ -74,6 +75,86 @@ def test_markov_matches_sequential_chain(p01, p10, n, seed):
     assert np.array_equal(got, markov_oracle(chain, n, rng_for(seed)))
 
 
+# -- block streams -----------------------------------------------------------
+
+STREAM_LENGTHS = [0, 1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 3 * SCAN_BLOCK + 17]
+STREAMING = [IIDBernoulli(0.35), IIDTable((0.0, 0.3, 1.7), (0.5, 0.3, 0.2)), BinaryMarkov(0.3, 0.5)]
+KINDS = [*STREAMING, OdometerProcess(), TraceProcess(values=np.arange(4 * SCAN_BLOCK) % 7 / 4)]
+
+
+def one_draw(proc, n, rng):
+    """The streaming kinds' samples as one draw of the generator each, as before streaming."""
+    if isinstance(proc, IIDBernoulli):
+        return (rng.random(n) < proc.p).astype(np.float64)
+    if isinstance(proc, IIDTable):
+        return np.asarray(proc.values)[rng.choice(len(proc.values), size=n, p=proc.probabilities)]
+    return markov_oracle(proc, n, rng)
+
+
+def state(rng):
+    return rng.bit_generator.state
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(KINDS),
+    st.sampled_from(STREAM_LENGTHS) | st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_stream_joins_to_forward(proc, n, seed):
+    rng = rng_for(seed)
+    blocks = list(proc.blocks(n, rng))
+    ref = rng_for(seed)
+    whole = proc.forward(n, ref)
+    joined = np.concatenate([np.empty(0), *blocks])
+    assert all(b.dtype == np.float64 and b.ndim == 1 for b in blocks)
+    assert joined.view(np.int64).tolist() == whole.view(np.int64).tolist()
+    assert state(rng) == state(ref)
+    if proc in STREAMING:
+        sizes = [b.size for b in blocks]
+        assert sizes == [min(SCAN_BLOCK, n - k) for k in range(0, n, SCAN_BLOCK)]
+        ref = rng_for(seed)
+        assert np.array_equal(whole, one_draw(proc, n, ref))
+        assert state(rng) == state(ref)
+
+
+@pytest.mark.parametrize("proc", STREAMING)
+def test_block_stream_draws_only_what_is_read(proc):
+    rng = rng_for(3)
+    before = state(rng)
+    stream = proc.blocks(3 * SCAN_BLOCK, rng)
+    assert state(rng) == before
+    first = next(stream)
+    ref = rng_for(3)
+    assert np.array_equal(first, one_draw(proc, SCAN_BLOCK, ref))
+    assert state(rng) == state(ref)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.sampled_from(STREAMING),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 64]),
+    st.integers(1, 40_000),
+)
+def test_streamed_couple_stops_drawing_at_its_last_step(proc, seed, absorption_check, horizon):
+    # x0 = 8000 at a drift of about -0.4 meets after two or three blocks
+    shift = 0.8 if isinstance(proc, IIDTable) else 0.75
+    rng = rng_for(seed)
+    stream = (y - shift for y in proc.blocks(horizon, rng))
+    res = lindley.forward_couple(8000.0, stream, absorption_check=absorption_check)
+    whole = lindley.forward_couple(
+        8000.0, proc.forward(horizon, rng_for(seed)) - shift, absorption_check=absorption_check
+    )
+    assert res == whole
+    # the generator drew the blocks up to the one holding the last step
+    # run, and no further: with no absorption check, the meeting's block
+    read = min(horizon, -(-res.steps_run // SCAN_BLOCK) * SCAN_BLOCK)
+    ref = rng_for(seed)
+    one_draw(proc, read, ref)
+    assert state(rng) == state(ref)
+
+
 def test_markov_stationary_start():
     # fraction of ones at time 0 across replicas matches p01/(p01+p10)
     chain = BinaryMarkov(0.1, 0.3)
@@ -113,6 +194,7 @@ def test_empty_window_is_empty():
 def test_negative_lengths_fail_fast(proc, n):
     samples = [
         proc.forward,
+        proc.blocks,
         proc.backward_window,
         lambda m, rng: proc.window_counts(m, 1, rng),
         lambda width, rng: proc.window_counts(3, width, rng),
