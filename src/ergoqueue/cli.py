@@ -312,7 +312,7 @@ def _run_scaled_cumulant(cfg: dict):
         "n": cfg["n"],
         "m": cfg["m"],
         "s": cfg["s"],
-        "values": {format(t, ".17g"): v for t, v in zip(thetas, values)},
+        "values": {format(t, FLOAT_FORMAT): v for t, v in zip(thetas, values)},
     }
     return ["theta", "scaled_lambda"], [thetas, values], summary
 
@@ -471,11 +471,11 @@ def _as_int(key: str, value) -> int:
     return int(number)
 
 
-def _is_real(value, finite: bool = False) -> bool:
-    """An int or float, not a bool, that a double holds; inf and nan only if not ``finite``."""
+def _is_real(value) -> bool:
+    """An int or float, not a bool, that a double holds finitely: no inf, no nan."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return abs(value) <= sys.float_info.max or (isinstance(value, float) and not finite)
+    return abs(value) <= sys.float_info.max
 
 
 def _checked(key: str, kind, default, value):
@@ -500,7 +500,7 @@ def _checked(key: str, kind, default, value):
     elif isinstance(kind, tuple):
         ok, want = value in kind, "one of " + ", ".join(kind)
     else:  # a text parser's list
-        ok = isinstance(value, list) and all(_is_real(v, finite=True) for v in value)
+        ok = isinstance(value, list) and all(map(_is_real, value))
         want = "a list of finite real numbers"
     if not ok:
         raise ValueError(f"{key} must be {want}, got {value!r}")

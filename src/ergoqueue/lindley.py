@@ -192,6 +192,14 @@ class CoupleResult:
     steps_run: int
 
 
+def _as_index(name: str, value) -> int:
+    """An integer argument, never silently truncated: 2.0, "2" and None fail."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def forward_couple(
     x0: float,
     increments: Sequence[float] | Iterable[np.ndarray],
@@ -202,8 +210,9 @@ def forward_couple(
 
     Returns the first index where the two chains are equal, or None within
     the horizon.  After meeting, continues for ``absorption_check`` steps
-    verifying the chains stay equal (they must: same map, same input), then
-    stops early.  Ordering X(x0) >= X(0) is asserted throughout.
+    (none if negative) verifying the chains stay equal (they must: same map,
+    same input), then stops early.  Ordering X(x0) >= X(0) is asserted
+    throughout.
 
     ``increments`` is one array, or a stream: an iterable of 1-D arrays
     that are read in order as one sequence.  Each block is checked as it is
@@ -214,12 +223,10 @@ def forward_couple(
     if x0 < 0 or not math.isfinite(x0):
         raise ValueError("x0 must be finite and nonnegative")
     if horizon is not None:
-        try:
-            horizon = operator.index(horizon)
-        except TypeError:
-            raise ValueError(f"horizon must be an integer, got {horizon!r}") from None
+        horizon = _as_index("horizon", horizon)
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
+    absorb = max(_as_index("absorption_check", absorption_check), 0)
     if isinstance(increments, (np.ndarray, Sequence)) or not isinstance(increments, Iterable):
         blocks = iter((_as_float_array(increments, "increments"),))
     else:
@@ -228,7 +235,6 @@ def forward_couple(
     lower = 0.0
     if upper == lower:
         return CoupleResult(0, upper, lower, 0)
-    absorb = max(absorption_check, 0)
     tau = None
     # the run ends at the horizon, or absorb steps after the meeting, or
     # where the increments run out

@@ -434,44 +434,31 @@ def arrival_set_truncated(
     return DyadicIntervalSet(cells), Fraction(1, 1 << (i_max + 2))
 
 
+def _period_bits(cap: int) -> int:
+    """L = max(2*cap+1, 2): the low bits that decide membership of bands 0..cap."""
+    return max(2 * cap + 1, 2)
+
+
 def _deadline_walk(cap: int) -> Iterator[tuple[int, dict[int, int]]]:
     """The "pending deadline" automaton over the free low bits of a counter.
 
     Scanning a counter from bit 0 upward, the only live state is the deadline
     by which the current zero-run must last: band 0 watches bits 0..1, and a
     one at bit j < cap opens band j+1, which needs zeros through bit 2j+2.
-    Membership is decided by the low L = max(2*cap+1, 2) bits.  Before each
+    Membership is decided by the low L = _period_bits(cap) bits.  Before each
     bit b = 0..L the walk yields the counts over the 2**b settings of bits
     0..b-1: ``member`` prefixes already in the set and ``pending[d]``
     prefixes whose open run needs zeros through bit d.  The dict is live:
     read it before the next step.
     """
     member, pending = 0, {1: 1}
-    for b in range(max(2 * cap + 1, 2) + 1):
+    for b in range(_period_bits(cap) + 1):
         yield member, pending
         resolved = pending.pop(b, 0)  # a zero at bit b meets deadline b
         broken = resolved + sum(pending.values())  # a one at bit b breaks every run
         member = 2 * member + resolved
         if b < cap:
             pending[2 * b + 2] = broken
-
-
-@functools.lru_cache(maxsize=None)
-def _deadline_table(cap: int) -> tuple[tuple[int, ...], ...]:
-    """Exact counts of the deadline walk, tabled for the window counter.
-
-    The set has period 2**L; the table has rows 0..L.  Row b sorts the 2**b
-    settings of bits 0..b-1, given a zero at bit b and the next one above it
-    at bit p (p = L for none): entry p counts the members and the runs due
-    below p, which the zeros b..p-1 complete.  Entry L+1 is 2**b, for when
-    the bits above b hold a whole band.  Row L counts the members of one
-    period.
-    """
-    top = max(2 * cap + 1, 2)
-    return tuple(
-        (*itertools.accumulate((pending.get(p, 0) for p in range(top)), initial=member), 1 << b)
-        for b, (member, pending) in enumerate(_deadline_walk(cap))
-    )
 
 
 def arrival_set_measures(i_max: int) -> list[Fraction]:
@@ -605,16 +592,18 @@ def _digit_steps(cap: int) -> tuple[np.ndarray, np.ndarray]:
     below the period bits L, and the next state is stored doubled, ready to
     take the next bit.  The state is the position of the next set bit of N
     above b (L when none), or L + 1 once the bits above b hold a whole band,
-    after which every completion below is a member.
+    after which every completion below is a member.  A set bit at b gains,
+    from the walk before bit b, the members and the runs due below the state,
+    which the zeros b..state-1 complete; in state L + 1, all 2**b settings.
     """
-    rows = _deadline_table(cap)
-    top = len(rows) - 1
+    top = _period_bits(cap)
     states = np.arange(top + 2)
     gain = np.zeros((top, 2 * top + 4), np.uint64)
     step = np.empty((top, 2 * top + 4), np.intp)
-    gain[:, 1::2] = rows[:top]
     step[:, 0::2] = 2 * states
-    for b in range(top):
+    for b, (member, pending) in zip(range(top), _deadline_walk(cap)):
+        due = itertools.accumulate((pending.get(p, 0) for p in range(top)), initial=member)
+        gain[b, 1::2] = (*due, 1 << b)
         # a one at b < cap followed by zeros through bit 2b+2 is band b+1
         whole = 2 * b + 2 if b < cap else top
         step[b, 1::2] = 2 * np.where(states > whole, top + 1, b)
@@ -701,9 +690,8 @@ def window_arrival_counts(
             f"window of width {width} from counter {bad} leaves precision {precision}"
         )
     cs = np.asarray(starts, dtype=np.uint64)
-    rows = _deadline_table(cap)
-    top = len(rows) - 1
-    period_members = np.uint64(rows[top][0])
+    top = _period_bits(cap)
+    period_members = np.uint64(arrival_set_measure(cap) * (1 << top))  # exact: period 2**top
     low = np.uint64((1 << top) - 1)
     # c + width may be 2**64, so add the quotients and remainders mod P apart
     w_periods, w_rest = np.uint64(width >> top), np.uint64(width & ((1 << top) - 1))

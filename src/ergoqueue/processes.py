@@ -75,12 +75,11 @@ def _check_length(n: int) -> None:
 
 
 class _ProcessBase:
-    """Shared plumbing; concrete kinds implement ``forward`` or ``_blocks``.
+    """Shared plumbing; every concrete kind implements ``_blocks``.
 
-    ``blocks(n, rng)`` is ``forward(n, rng)`` handed over in consecutive
-    pieces.  A kind that draws its sample a block at a time implements
-    ``_blocks``, and its ``forward`` joins those pieces; any other kind
-    implements ``forward``, which its stream yields as one block.
+    ``_blocks(n, rng)`` yields a sample of n values in consecutive float64
+    pieces, drawn from the Generator ``rng`` only as they are read;
+    ``forward`` joins them and ``blocks`` hands them over as they come.
     """
 
     def forward(self, n: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
@@ -88,7 +87,7 @@ class _ProcessBase:
         _check_length(n)
         out = np.empty(n, dtype=np.float64)
         k = 0
-        for block in self._blocks(n, rng):
+        for block in self._blocks(n, ensure_rng(rng)):
             out[k : k + block.size] = block
             k += block.size
         return out
@@ -99,13 +98,11 @@ class _ProcessBase:
         """``forward(n, rng)`` as consecutive float64 pieces, drawn only as they are read.
 
         A reader that stops early leaves ``rng`` where the last block read
-        left it; reading every block leaves it where ``forward`` would.
+        left it; reading every block leaves it where ``forward`` would.  A
+        piece may be a read-only view of a recording.
         """
         _check_length(n)
-        return self._blocks(n, rng)
-
-    def _blocks(self, n: int, rng) -> Iterator[np.ndarray]:
-        yield self.forward(n, rng)
+        return self._blocks(n, ensure_rng(rng))
 
     def backward_window(
         self, n: int, rng: np.random.Generator | int | None = None
@@ -132,7 +129,6 @@ class IIDBernoulli(_ProcessBase):
             raise ProcessError(f"p must be in [0, 1], got {self.p}")
 
     def _blocks(self, n: int, rng) -> Iterator[np.ndarray]:
-        rng = ensure_rng(rng)
         for k in range(0, n, SCAN_BLOCK):
             yield (rng.random(min(SCAN_BLOCK, n - k)) < self.p).astype(np.float64)
 
@@ -157,7 +153,6 @@ class IIDTable(_ProcessBase):
         object.__setattr__(self, "probabilities", probs)
 
     def _blocks(self, n: int, rng) -> Iterator[np.ndarray]:
-        rng = ensure_rng(rng)
         values = np.asarray(self.values, dtype=np.float64)
         for k in range(0, n, SCAN_BLOCK):
             size = min(SCAN_BLOCK, n - k)
@@ -188,7 +183,6 @@ class BinaryMarkov(_ProcessBase):
         return self.p01 / total if total > 0 else 0.5
 
     def _blocks(self, n: int, rng) -> Iterator[np.ndarray]:
-        rng = ensure_rng(rng)
         # one uniform for the start, then one per step: the draws of a single
         # rng.random(n + 1), since each double takes one 64-bit output
         state = rng.random() < self.stationary_p1
@@ -224,11 +218,12 @@ class TraceProcess(_ProcessBase):
         if (path is None) == (values is None):
             raise ProcessError("provide exactly one of path or values")
         if path is not None:
-            self.values = self._load(Path(path))
+            arr = self._load(Path(path))
         else:
-            arr = np.asarray(values, dtype=np.float64)
+            arr = np.array(values, dtype=np.float64)  # a copy, so its flags are ours
             self._validate(arr, where="values")
-            self.values = arr
+        arr.flags.writeable = False  # no reader of a piece can write into the recording
+        self.values = arr
 
     @staticmethod
     def _load(path: Path) -> np.ndarray:
@@ -256,13 +251,12 @@ class TraceProcess(_ProcessBase):
         if arr.size and ((~np.isfinite(arr)).any() or (arr < 0).any()):
             raise TraceError(f"{where}: values must be finite and nonnegative")
 
-    def forward(self, n: int, rng=None) -> np.ndarray:
-        _check_length(n)
+    def _blocks(self, n: int, rng) -> Iterator[np.ndarray]:
         if n > self.values.size:
             raise TraceError(
                 f"trace exhausted: {n} values requested, {self.values.size} recorded"
             )
-        return self.values[:n].copy()
+        yield self.values[:n]
 
     def backward_window(self, n: int, rng=None) -> np.ndarray:
         _check_length(n)
@@ -334,16 +328,13 @@ class OdometerProcess(_ProcessBase):
             if c >= margin_low:
                 return c
 
-    def forward(self, n: int, rng=None) -> np.ndarray:
-        _check_length(n)
-        rng = ensure_rng(rng)
+    def _blocks(self, n: int, rng) -> Iterator[np.ndarray]:
         if n == 0:
-            return np.empty(0, dtype=np.float64)
+            return  # no counter is drawn for an empty sample
         c = self._draw_counter(rng, margin_low=n, width=1)
         counters = np.uint64(c) - np.arange(1, n + 1, dtype=np.uint64)
-        return odometer.in_arrival_set_batch(counters, self.precision, self.i_max).astype(
-            np.float64
-        )
+        member = odometer.in_arrival_set_batch(counters, self.precision, self.i_max)
+        yield member.astype(np.float64)
 
     def backward_window(self, n: int, rng=None) -> np.ndarray:
         _check_length(n)

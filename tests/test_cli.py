@@ -569,6 +569,14 @@ def test_count_options_reject_negatives(tmp_path, capsys, name, key, default):
 def test_real_config_keys_reject_non_numbers(tmp_path, capsys, name, key, default):
     for value in ["x", True] + ([] if default is None else [None]):
         assert f"{key} must be a real number" in _bad_config(tmp_path, capsys, name, key, value)
+    for value in ["nan", "inf", "-inf"]:  # from a flag and from a config file alike
+        flag = f"--{key.replace('_', '-')}={value}"  # the last flag wins; -inf is no option
+        assert cli.main([*_flags(name), flag, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{key} must be a real number" in json.loads(err)["error"]
+        assert not (tmp_path / "x.csv").exists()
+        bad = _bad_config(tmp_path, capsys, name, key, float(value))
+        assert f"{key} must be a real number" in bad
 
 
 @pytest.mark.parametrize("name, key, default", _options(lambda k: isinstance(k, tuple)))

@@ -313,6 +313,12 @@ def test_couple_reports_finals():
     for horizon in (1, np.int64(1), np.uint8(1)):
         res = ld.forward_couple(2.0, [-1.0, -1.0, 5.0], horizon=horizon)
         assert (res.coupling_time, res.steps_run) == (None, 1)
+    for bad in (1.5, 2.0, "2", None, math.nan):
+        for x0 in (2.0, 0.0):  # checked even where the chains start equal
+            with pytest.raises(ValueError, match="absorption_check must be an integer"):
+                ld.forward_couple(x0, [-1.0, -1.0, 5.0], absorption_check=bad)
+    res = ld.forward_couple(2.0, [-1.0, -1.0, 5.0], absorption_check=np.int8(-3))
+    assert (res.coupling_time, res.steps_run) == (2, 2)
 
 
 def test_couple_meets_by_rounding():

@@ -480,6 +480,27 @@ def test_chunk_tables_stay_small():
     assert sum(gain.nbytes + nxt.nbytes for *_, gain, nxt in tables) <= 256 * 1024
 
 
+@pytest.mark.parametrize("cap", range(32))
+def test_whole_periods_hold_the_set_measure(cap):
+    # a window of k whole periods P = 2**L holds k * measure * P arrivals
+    # from any start; the digit DP counts the same members below P (the
+    # counter P - 1, all ones, is no member), so two derivations agree
+    period = 1 << period_bits(cap)
+    measure = od.arrival_set_measure(cap) * period
+    assert measure.denominator == 1
+    members = int(measure)
+    top = np.array([period - 1], dtype=np.uint64)
+    assert od._prefix_counts(top, cap)[0] == members
+    assert not od.in_arrival_set_batch(top, 64, cap)[0]
+    for k in (1, 2):
+        width = k * period
+        last = (1 << 64) - width
+        edges = {0, 1, period - 1, period + 5, last // 3, last - 1, last}
+        starts = sorted(c for c in edges if 0 <= c <= last)
+        got = od.window_arrival_counts(starts, width, 64, cap)
+        assert got.tolist() == [k * members] * len(starts)
+
+
 def test_window_counts_near_counter_top():
     top = 1 << 64
     width = 64

@@ -350,6 +350,30 @@ def test_trace_window_counts_are_disjoint_stretches():
         proc.window_counts(11, 5, None)
 
 
+def test_trace_pieces_do_not_alias_the_recording():
+    given = np.array([1.0, 0.5, 2.0])
+    proc = TraceProcess(values=given)
+    given[:] = 7.0  # the caller's array is copied, not held
+    for piece in proc.blocks(3):
+        try:
+            piece[:] = 9.0
+        except ValueError:  # a read-only view refuses the write
+            pass
+    whole = proc.forward(3)
+    assert whole.tolist() == [1.0, 0.5, 2.0]
+    whole[:] = 9.0  # forward hands over a copy of its own
+    assert proc.forward(3).tolist() == proc.backward_window(3)[::-1].tolist() == [1.0, 0.5, 2.0]
+
+
+@pytest.mark.parametrize("proc", [OdometerProcess(), KINDS[-1]], ids=["odometer", "trace"])
+def test_unstreamed_kinds_hand_over_one_piece(proc):
+    rng = rng_for(4)
+    before = state(rng)
+    assert sum(piece.size for piece in proc.blocks(0, rng)) == proc.forward(0, rng).size == 0
+    assert state(rng) == before  # an empty odometer sample draws no counter
+    assert [piece.size for piece in proc.blocks(3 * SCAN_BLOCK, rng)] == [3 * SCAN_BLOCK]
+
+
 def test_trace_missing_file():
     with pytest.raises(TraceError, match="cannot read"):
         TraceProcess(path="/nonexistent/trace.txt")
