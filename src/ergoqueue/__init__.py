@@ -81,9 +81,7 @@ from .estimators import (
     burst_probability_report,
     decay_delta,
     empirical_tail,
-    estimate_lambda,
     estimate_lambda_grid,
-    estimate_scaled_lambda,
     lambda_from_sums,
     queue_tail_run,
     scaled_lambda_from_sums,

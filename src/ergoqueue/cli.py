@@ -448,6 +448,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_values(argv: list[str]) -> list[str]:
+    """argv with each declared option and the token after it joined as ``--key=value``.
+
+    Every option takes exactly one value, so the token after it is its value
+    even when it starts with "-", as in ``--slack -1e-3`` or ``--theta-grid
+    -1:1:0.5``, which argparse would otherwise read as an unknown flag.
+    """
+    options = {"--config", "--out"} | {
+        "--" + key.replace("_", "-") for *_, opts in _SUBCOMMANDS.values() for key, *_ in opts
+    }
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in options else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
+
+
 _PLAIN_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
@@ -562,7 +579,7 @@ def _default_base(subcommand: str) -> Path:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _resolve_config(args)
         header, columns, results = _SUBCOMMANDS[cfg["subcommand"]][0](_with_defaults(cfg))

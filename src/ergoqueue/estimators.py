@@ -43,11 +43,9 @@ __all__ = [
     "empirical_tail",
     "block_sums",
     "lambda_from_sums",
-    "estimate_lambda",
     "estimate_lambda_grid",
     "decay_delta",
     "scaled_lambda_from_sums",
-    "estimate_scaled_lambda",
     "burst_probability_report",
     "burst_cumulant_report",
     "queue_tail_run",
@@ -157,11 +155,6 @@ def lambda_from_sums(sums: Sequence[float], theta: float, n: int) -> float:
     mean_rate, min_rate, max_rate = _sample_rates(arr, n)
     cap = theta * max_rate if theta >= 0 else theta * min_rate
     return min(max(lam, theta * mean_rate), cap)
-
-
-def estimate_lambda(process, theta: float, n: int, m: int, rng=None) -> float:
-    """Scaled log-moment estimate at one tilt."""
-    return lambda_from_sums(block_sums(process, n, m, rng), theta, n)
 
 
 @dataclass(frozen=True)
@@ -305,13 +298,6 @@ def scaled_lambda_from_sums(
     v_n = float(scaling.v(n))
     x = float(theta) * (v_n / a_n) * (np.asarray(sums, dtype=np.float64) - float(n) * float(s))
     return _log_mean_exp(x) / v_n
-
-
-def estimate_scaled_lambda(
-    process, theta: float, scaling: ScalingFunctions, s: float, n: int, m: int, rng=None
-) -> float:
-    """Generalized scaled log-moment at one tilt."""
-    return scaled_lambda_from_sums(block_sums(process, n, m, rng), theta, scaling, s, n)
 
 
 # ---------------------------------------------------------------------------

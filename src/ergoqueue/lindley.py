@@ -15,7 +15,6 @@ Q_{n+1} = (Q_n + Y_{n+1} - s)^+ and W_{n+1} = (W_n + S_n - T_{n+1})^+.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -63,10 +62,6 @@ class LoynesResult:
     argmax: int
     converged: bool
 
-    def __iter__(self):
-        # unpack as (value, argmax)
-        return iter((self.value, self.argmax))
-
 
 @dataclass
 class QueueTrace:
@@ -86,9 +81,6 @@ class QueueTrace:
         bad = np.flatnonzero(x[1:] != np.maximum(x[:-1] + z, 0.0))
         if bad.size:
             raise ValueError(f"recursion violated at step {bad[0]}")
-
-    def __len__(self) -> int:
-        return int(self.states.size)
 
 
 def loynes_sup(window: Sequence[float], slack: float = 0.0) -> LoynesResult:
@@ -119,6 +111,9 @@ BLOCK = 8192
 # forward_couple's first block is short, so that a pair that meets at once
 # does not pay for a whole block of prefix sums
 FIRST_COUPLE_BLOCK = 256
+# after the meeting, forward_couple steps this many more increments and
+# checks that the chains stay equal
+ABSORPTION_CHECK = 64
 
 
 def _reflect(
@@ -192,27 +187,16 @@ class CoupleResult:
     steps_run: int
 
 
-def _as_index(name: str, value) -> int:
-    """An integer argument, never silently truncated: 2.0, "2" and None fail."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def forward_couple(
-    x0: float,
-    increments: Sequence[float] | Iterable[np.ndarray],
-    horizon: int | None = None,
-    absorption_check: int = 64,
+    x0: float, increments: Sequence[float] | Iterable[np.ndarray]
 ) -> CoupleResult:
     """Run the chain from x0 and from 0 on the same increments until they meet.
 
-    Returns the first index where the two chains are equal, or None within
-    the horizon.  After meeting, continues for ``absorption_check`` steps
-    (none if negative) verifying the chains stay equal (they must: same map,
-    same input), then stops early.  Ordering X(x0) >= X(0) is asserted
-    throughout.
+    Returns the first index where the two chains are equal, or None if they
+    do not meet within the increments.  After meeting, continues for
+    ``ABSORPTION_CHECK`` steps verifying the chains stay equal (they must:
+    same map, same input), then stops early.  The run never reads past its
+    input.  Ordering X(x0) >= X(0) is asserted throughout.
 
     ``increments`` is one array, or a stream: an iterable of 1-D arrays
     that are read in order as one sequence.  Each block is checked as it is
@@ -222,11 +206,6 @@ def forward_couple(
     x0 = float(x0)
     if x0 < 0 or not math.isfinite(x0):
         raise ValueError("x0 must be finite and nonnegative")
-    if horizon is not None:
-        horizon = _as_index("horizon", horizon)
-        if horizon < 0:
-            raise ValueError("horizon must be nonnegative")
-    absorb = max(_as_index("absorption_check", absorption_check), 0)
     if isinstance(increments, (np.ndarray, Sequence)) or not isinstance(increments, Iterable):
         blocks = iter((_as_float_array(increments, "increments"),))
     else:
@@ -236,9 +215,9 @@ def forward_couple(
     if upper == lower:
         return CoupleResult(0, upper, lower, 0)
     tau = None
-    # the run ends at the horizon, or absorb steps after the meeting, or
-    # where the increments run out
-    n, end, size = 0, math.inf if horizon is None else horizon, FIRST_COUPLE_BLOCK
+    # the run ends ABSORPTION_CHECK steps after the meeting, or where the
+    # increments run out
+    n, end, size = 0, math.inf, FIRST_COUPLE_BLOCK
     while n < end:
         z = next(blocks, None)
         if z is None:
@@ -255,7 +234,7 @@ def forward_couple(
                 # input far past it
                 k = int(np.argmax(sums <= -upper))
                 if sums[k] <= -upper:
-                    stop = k + 1 + absorb
+                    stop = k + 1 + ABSORPTION_CHECK
                     zb, sums = zb[:stop], sums[:stop]
             low = np.minimum.accumulate(sums)  # the same for both chains
             up = _reflect(upper, zb, np.empty(zb.size), sums, low)
@@ -268,8 +247,8 @@ def forward_couple(
                     raise AssertionError("ordering violated (non-finite input?)")
                 if hits.size:
                     tau = n + met
-                    end = tau + absorb
-                    used = min(used, met + absorb)
+                    end = tau + ABSORPTION_CHECK
+                    used = min(used, met + ABSORPTION_CHECK)
             if (up[met:used] != lo[met:used]).any():
                 raise AssertionError("absorption violated after coupling")
             upper, lower = float(up[used - 1]), float(lo[used - 1])
@@ -278,21 +257,19 @@ def forward_couple(
     return CoupleResult(tau, upper, lower, n)
 
 
-def queue_path(arrivals: Sequence[float], s: float, q0: float = 0.0) -> QueueTrace:
-    """Queue trajectory under constant service rate s."""
+def queue_path(arrivals: Sequence[float], s: float) -> QueueTrace:
+    """Queue trajectory under constant service rate s, from an empty queue."""
     y = _as_float_array(arrivals, "arrivals")
     if (y < 0).any():
         raise ValueError("arrivals must be nonnegative")
     s = float(s)
     if s <= 0 or not math.isfinite(s):
         raise ValueError("service rate must be positive and finite")
-    return run_recursion(q0, y - s)
+    return run_recursion(0.0, y - s)
 
 
-def waiting_path(
-    services: Sequence[float], interarrivals: Sequence[float], w0: float = 0.0
-) -> QueueTrace:
-    """Waiting times W_0..W_T; increment n is services[n] - interarrivals[n].
+def waiting_path(services: Sequence[float], interarrivals: Sequence[float]) -> QueueTrace:
+    """Waiting times W_0..W_T from W_0 = 0; increment n is services[n] - interarrivals[n].
 
     services[n] is the service of customer n (the one ahead), interarrivals[n]
     the gap to customer n+1.
@@ -303,20 +280,20 @@ def waiting_path(
         raise ValueError("services and interarrivals must have equal length")
     if (s_arr < 0).any() or (t_arr < 0).any():
         raise ValueError("times must be nonnegative")
-    return run_recursion(w0, s_arr - t_arr)
+    return run_recursion(0.0, s_arr - t_arr)
 
 
 def tandem_path(
-    arrivals: Sequence[float], s_first: float, s_second: float, q0: float = 0.0
+    arrivals: Sequence[float], s_first: float, s_second: float
 ) -> tuple[QueueTrace, np.ndarray, QueueTrace]:
-    """Two stations in series: departures of the first feed the second.
+    """Two stations in series, both starting empty: departures of the first feed the second.
 
     Returns (first-station trace, per-slot outputs of the first station,
     second-station trace).  Outputs satisfy out[n] = min(Q_n + Y_{n+1}, s_first)
     exactly, and each station conserves work: cumulative inflow minus
     cumulative outflow equals the backlog change.
     """
-    first = queue_path(arrivals, s_first, q0)
+    first = queue_path(arrivals, s_first)
     q = first.states
     y = _as_float_array(arrivals, "arrivals")
     # inflow plus backlog drop; never negative, since rounding is monotone:

@@ -151,10 +151,6 @@ class DyadicPoint:
         scaled = value.numerator * ((1 << precision) // den)
         return cls(bit_reverse(scaled, precision), precision)
 
-    @classmethod
-    def from_float(cls, value: float, precision: int = DEFAULT_PRECISION) -> "DyadicPoint":
-        return cls.from_fraction(Fraction(value), precision)
-
     def bit(self, l: int) -> int:
         """Expansion bit r_l (1-based, weight 2**-l)."""
         if not 1 <= l <= self.precision:

@@ -425,6 +425,39 @@ def test_non_finite_grid_entries_are_usage_errors(args):
     assert args[-2] in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cumulant", "--process", "iid-bernoulli:0.5", "--n", "10", "--m", "10",
+         "--theta-grid", "-1:1:0.5"],
+        ["scaled-cumulant", "--process", "iid-bernoulli:0.5", "--n", "10", "--m", "10",
+         "--s", "0.75", "--theta-grid", "-1,0,1"],
+        ["loynes", "--process", "odometer", "--s", "0.75", "--window", "100",
+         "--slack", "-1e-3"],
+    ],
+)
+def test_negative_values_may_follow_their_option(tmp_path, args):
+    # the token after an option is its value, as in the --key=value spelling
+    joined = [*args[:-2], f"{args[-2]}={args[-1]}"]
+    for name, argv in (("spaced", args), ("joined", joined)):
+        assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0
+    for ext in ("csv", "json"):
+        spaced, joined = (tmp_path / f"{name}.{ext}" for name in ("spaced", "joined"))
+        assert spaced.read_bytes() == joined.read_bytes()
+
+
+def test_negative_non_finite_value_is_the_json_error(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ergoqueue.cli", "loynes", "--process", "odometer", "--s", "0.75",
+         "--window", "100", "--slack", "-inf", "--out", str(tmp_path / "x")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert "slack must be a real number" in json.loads(proc.stderr)["error"]
+
+
 def test_odometer_measure_is_polynomial_in_i_max(tmp_path):
     run_measure = [sys.executable, "-m", "ergoqueue.cli", "odometer", "--mode", "measure",
                    "--out", str(tmp_path / "m"), "--i-max"]

@@ -53,20 +53,21 @@ def test_tail_rejects_empty():
 
 def test_lambda_zero_tilt_is_exact_zero():
     for proc in (IIDBernoulli(0.3), OdometerProcess()):
-        assert es.estimate_lambda(proc, 0.0, 20, 50, rng_for(2)) == 0.0
+        assert es.lambda_from_sums(es.block_sums(proc, 20, 50, rng_for(2)), 0.0, 20) == 0.0
 
 
 def test_lambda_degenerate_process_is_exact():
     # Y identically 2.5, block length a power of two: theta * c to the bit
     proc = IIDTable((2.5,), (1.0,))
+    sums = es.block_sums(proc, 8, 40, rng_for(3))
     for theta in (0.125, 0.3, 1.0, 2.7):
-        assert es.estimate_lambda(proc, theta, 8, 40, rng_for(3)) == theta * 2.5
+        assert es.lambda_from_sums(sums, theta, 8) == theta * 2.5
 
 
 def test_lambda_matches_closed_form_oracle():
-    proc = IIDBernoulli(0.5)
+    sums = es.block_sums(IIDBernoulli(0.5), 30, 20_000, rng_for(4))
     for theta in (0.5, 1.0):
-        lam = es.estimate_lambda(proc, theta, 30, 20_000, rng_for(4))
+        lam = es.lambda_from_sums(sums, theta, 30)
         assert abs(lam - BERN_LAMBDA[theta]) < 3 * BERN_SE[theta]
 
 
@@ -74,7 +75,8 @@ def test_lambda_grid_shares_one_sample():
     grid = [0.0, 0.5, 1.0]
     est = es.estimate_lambda_grid(IIDBernoulli(0.5), grid, 25, 400, rng_for(5))
     for theta, lam in zip(grid, est.lambda_hat):
-        assert lam == es.estimate_lambda(IIDBernoulli(0.5), theta, 25, 400, rng_for(5))
+        sums = es.block_sums(IIDBernoulli(0.5), 25, 400, rng_for(5))  # a fresh draw per tilt
+        assert lam == es.lambda_from_sums(sums, theta, 25)
     assert est.lambda_hat[0] == 0.0
 
 
@@ -184,23 +186,20 @@ def test_delta_attached_to_grid_estimate():
 def test_scaled_identity_reduction():
     scaling = es.ScalingFunctions(a=float, v=float)
     theta, n, m, s = 0.8, 40, 800, 0.75
-    scaled = es.estimate_scaled_lambda(
-        IIDBernoulli(0.5), theta, scaling, s, n, m, rng_for(10)
-    )
-    plain = es.estimate_lambda(IIDBernoulli(0.5), theta, n, m, rng_for(10))
+    sums = es.block_sums(IIDBernoulli(0.5), n, m, rng_for(10))
+    scaled = es.scaled_lambda_from_sums(sums, theta, scaling, s, n)
+    plain = es.lambda_from_sums(sums, theta, n)
     assert abs(scaled - (plain - theta * s)) < 1e-10
 
 
 def test_scaled_zero_tilt_and_centered_input():
     scaling = es.ScalingFunctions(a=math.sqrt, v=math.sqrt)
-    assert (
-        es.estimate_scaled_lambda(IIDBernoulli(0.5), 0.0, scaling, 0.75, 16, 32, rng_for(0))
-        == 0.0
-    )
+    sums = es.block_sums(IIDBernoulli(0.5), 16, 32, rng_for(0))
+    assert es.scaled_lambda_from_sums(sums, 0.0, scaling, 0.75, 16) == 0.0
     # Y identically equal to the service rate: centered sums vanish exactly
-    proc = IIDTable((0.75,), (1.0,))
+    sums = es.block_sums(IIDTable((0.75,), (1.0,)), 20, 16, rng_for(0))
     for sc in (es.ScalingFunctions(float, float), scaling):
-        assert es.estimate_scaled_lambda(proc, 1.3, sc, 0.75, 20, 16, rng_for(0)) == 0.0
+        assert es.scaled_lambda_from_sums(sums, 1.3, sc, 0.75, 20) == 0.0
 
 
 def test_scaled_from_sums_matches_a_fresh_draw_per_tilt():
@@ -210,7 +209,8 @@ def test_scaled_from_sums_matches_a_fresh_draw_per_tilt():
     proc, n, m, s = IIDBernoulli(0.5), 20, 100, 0.5
     sums = es.block_sums(proc, n, m, rng_for(12))
     for theta in (0.0, 0.5, 1.0, 2.5):
-        fresh = es.estimate_scaled_lambda(proc, theta, scaling, s, n, m, rng_for(12))
+        fresh_sums = es.block_sums(proc, n, m, rng_for(12))
+        fresh = es.scaled_lambda_from_sums(fresh_sums, theta, scaling, s, n)
         assert es.scaled_lambda_from_sums(sums, theta, scaling, s, n) == fresh
 
 
@@ -222,9 +222,7 @@ def test_scaling_validation():
     with pytest.raises(ValueError):
         nonmono.validate([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        es.estimate_scaled_lambda(
-            IIDBernoulli(0.5), 1.0, bad, 0.75, 8, 8, rng_for(0)
-        )
+        es.scaled_lambda_from_sums(np.ones(8), 1.0, bad, 0.75, 8)
 
 
 # -- burst window parameters ----------------------------------------------------

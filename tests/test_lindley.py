@@ -46,16 +46,15 @@ def recursion_oracle(x0, increments):
     return states
 
 
-def couple_oracle(x0, increments, horizon=None, absorption_check=64):
+def couple_oracle(x0, increments):
     """Both chains stepped one increment at a time, as forward_couple defines."""
     z = np.asarray(increments, dtype=np.float64).tolist()
-    n_steps = len(z) if horizon is None else min(horizon, len(z))
     upper, lower = x0, 0.0
     if upper == lower:
         return 0, upper, lower, 0
     tau = None
     n = 0
-    while n < n_steps:
+    while n < len(z):
         upper = max(upper + z[n], 0.0)
         lower = max(lower + z[n], 0.0)
         n += 1
@@ -64,7 +63,7 @@ def couple_oracle(x0, increments, horizon=None, absorption_check=64):
             tau = n
             break
     if tau is not None:
-        for k in range(n, min(n + absorption_check, len(z))):
+        for k in range(n, min(n + ld.ABSORPTION_CHECK, len(z))):
             upper = max(upper + z[k], 0.0)
             lower = max(lower + z[k], 0.0)
             assert upper == lower
@@ -146,15 +145,19 @@ def test_step_is_clipped_addition(x, z):
 
 
 def test_sup_frozen_examples():
-    assert tuple(ld.loynes_sup([])) == (0.0, 0)
-    assert tuple(ld.loynes_sup([-1.0, 2.0, -1.0])) == (1.0, 2)
-    assert tuple(ld.loynes_sup([-1.0, -1.0])) == (0.0, 0)
+    for window, expected in (
+        ([], (0.0, 0)),
+        ([-1.0, 2.0, -1.0], (1.0, 2)),
+        ([-1.0, -1.0], (0.0, 0)),
+    ):
+        res = ld.loynes_sup(window)
+        assert (res.value, res.argmax) == expected
 
 
 def test_sup_tie_breaks_to_smallest_argmax():
     # V = (0, 1, 0, 1): first max wins
-    value, arg = ld.loynes_sup([1.0, -1.0, 1.0])
-    assert (value, arg) == (1.0, 1)
+    res = ld.loynes_sup([1.0, -1.0, 1.0])
+    assert (res.value, res.argmax) == (1.0, 1)
 
 
 def test_sup_empty_window_not_converged():
@@ -173,8 +176,8 @@ def test_sup_convergence_flag():
 
 @given(windows)
 def test_sup_matches_enumeration(values):
-    value, arg = ld.loynes_sup(values)
-    assert (value, arg) == sup_oracle(values)
+    res = ld.loynes_sup(values)
+    assert (res.value, res.argmax) == sup_oracle(values)
 
 
 @given(windows)
@@ -293,32 +296,27 @@ def test_shift_consistency(values, fresh):
 def test_couple_frozen_examples():
     assert ld.forward_couple(0.0, [1.0, -1.0]).coupling_time == 0
     assert ld.forward_couple(1.0, [-1.0]).coupling_time == 1
-    res = ld.forward_couple(10.0, [1.0] * 100, horizon=100)
-    assert res.coupling_time is None
+    res = ld.forward_couple(10.0, [1.0] * 100)
+    assert (res.coupling_time, res.steps_run) == (None, 100)
     assert res.final_upper - res.final_lower == 10.0
+    res = ld.forward_couple(2.0, [-1.0])
+    assert (res.coupling_time, res.steps_run) == (None, 1)
 
 
 def test_couple_reports_finals():
     res = ld.forward_couple(2.0, [-1.0, -1.0, 5.0])
+    assert (res.coupling_time, res.steps_run) == (2, 3)
+    assert res.final_upper == res.final_lower == 5.0
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 100])
+def test_couple_stops_at_absorption_check_or_input_end(extra):
+    # the chains meet at step 2; the run then checks ABSORPTION_CHECK more
+    # steps, or as many as the input holds
+    z = [-1.0, -1.0] + [0.25] * (ld.ABSORPTION_CHECK + extra)
+    res = ld.forward_couple(2.0, z)
     assert res.coupling_time == 2
-    assert res.final_upper == res.final_lower
-    for check in (-1, 0, 1):  # a negative check runs no steps past the meeting
-        res = ld.forward_couple(2.0, [-1.0, -1.0, 5.0], absorption_check=check)
-        assert (res.coupling_time, res.steps_run) == (2, 2 + max(check, 0))
-    with pytest.raises(ValueError, match="horizon must be nonnegative"):
-        ld.forward_couple(2.0, [-1.0, -1.0, 5.0], horizon=-5)
-    for bad in (1.9, 2.0, "2", math.nan):  # no silent truncation
-        with pytest.raises(ValueError, match="horizon must be an integer"):
-            ld.forward_couple(2.0, [-1.0, -1.0, 5.0], horizon=bad)
-    for horizon in (1, np.int64(1), np.uint8(1)):
-        res = ld.forward_couple(2.0, [-1.0, -1.0, 5.0], horizon=horizon)
-        assert (res.coupling_time, res.steps_run) == (None, 1)
-    for bad in (1.5, 2.0, "2", None, math.nan):
-        for x0 in (2.0, 0.0):  # checked even where the chains start equal
-            with pytest.raises(ValueError, match="absorption_check must be an integer"):
-                ld.forward_couple(x0, [-1.0, -1.0, 5.0], absorption_check=bad)
-    res = ld.forward_couple(2.0, [-1.0, -1.0, 5.0], absorption_check=np.int8(-3))
-    assert (res.coupling_time, res.steps_run) == (2, 2)
+    assert res.steps_run == min(len(z), 2 + ld.ABSORPTION_CHECK) <= len(z)
 
 
 def test_couple_meets_by_rounding():
@@ -327,14 +325,16 @@ def test_couple_meets_by_rounding():
     assert (res.coupling_time, res.steps_run) == (1, 65)
 
 
+# a length the input is cut to, so that a run can end before its absorption
+# check, or before the chains meet
+cut_lengths = st.none() | st.sampled_from(LENGTHS) | st.integers(0, 25_000)
+
+
 @settings(deadline=None)
-@given(
-    couple_cases,
-    st.none() | st.sampled_from(LENGTHS) | st.integers(0, 25_000),
-    st.sampled_from([0, 1, 64, 10**6]) | st.integers(-1, 9000),
-)
-def test_couple_absorption_and_ordering(case, horizon, absorption_check):
+@given(couple_cases, cut_lengths)
+def test_couple_absorption_and_ordering(case, length):
     x0, values = case
+    values = values[:length]
     upper = ld.run_recursion(x0, values).states
     lower = ld.run_recursion(0.0, values).states
     assert (upper >= lower).all()
@@ -345,11 +345,10 @@ def test_couple_absorption_and_ordering(case, horizon, absorption_check):
         assert ld.forward_couple(x0, values).coupling_time == tau
     else:
         assert ld.forward_couple(x0, values).coupling_time is None
-    tau, final_upper, final_lower, steps_run = couple_oracle(
-        x0, values, horizon, absorption_check
-    )
-    got = ld.forward_couple(x0, values, horizon, absorption_check)
+    tau, final_upper, final_lower, steps_run = couple_oracle(x0, values)
+    got = ld.forward_couple(x0, values)
     assert (got.coupling_time, got.steps_run) == (tau, steps_run)
+    assert got.steps_run <= len(values)
     assert bits([got.final_upper, got.final_lower]) == bits([final_upper, final_lower])
 
 
@@ -364,18 +363,14 @@ def splits(draw, values, cuts):
 
 
 @settings(deadline=None)
-@given(
-    couple_cases,
-    st.none() | st.sampled_from(LENGTHS) | st.integers(0, 25_000),
-    st.sampled_from([0, 1, 64]) | st.integers(-1, 9000),
-    st.data(),
-)
-def test_couple_ignores_block_splits(case, horizon, absorption_check, data):
+@given(couple_cases, cut_lengths, st.data())
+def test_couple_ignores_block_splits(case, length, data):
     x0, values = case
-    whole = ld.forward_couple(x0, values, horizon, absorption_check)
+    values = values[:length]
+    whole = ld.forward_couple(x0, values)
     met = whole.coupling_time
     # cut at the meeting step and at the end of the absorption check too
-    cuts = [] if met is None else [met - 1, met, met + max(absorption_check, 0)]
+    cuts = [] if met is None else [met - 1, met, met + ld.ABSORPTION_CHECK]
     blocks = data.draw(splits(values, cuts))
     pulled = []
 
@@ -384,7 +379,7 @@ def test_couple_ignores_block_splits(case, horizon, absorption_check, data):
             pulled.append(block.size)
             yield block
 
-    got = ld.forward_couple(x0, stream(), horizon, absorption_check)
+    got = ld.forward_couple(x0, stream())
     assert (got.coupling_time, got.steps_run) == (whole.coupling_time, whole.steps_run)
     assert bits([got.final_upper, got.final_lower]) == bits([whole.final_upper, whole.final_lower])
     # a run that stopped short of the end pulled no block past its last step
@@ -394,16 +389,18 @@ def test_couple_ignores_block_splits(case, horizon, absorption_check, data):
 
 
 def test_couple_checks_every_block():
-    def stream(bad):
-        yield np.array([-1.0, 0.5])
+    def stream(first, bad):
+        yield first
         yield bad
 
     for bad in (np.array([0.5, math.nan]), np.array([[1.0]])):
         with pytest.raises(ValueError, match="increments"):
-            ld.forward_couple(5.0, stream(bad))
-    # a block past the run's end is never read, so it is never checked
-    res = ld.forward_couple(1.0, stream(np.array([math.nan])), absorption_check=0)
-    assert (res.coupling_time, res.steps_run) == (1, 1)
+            ld.forward_couple(5.0, stream(np.array([-1.0, 0.5]), bad))
+    # a block past the run's end is never read, so it is never checked: the
+    # first block holds the meeting and the whole absorption check
+    first = np.array([-1.0] + [0.5] * ld.ABSORPTION_CHECK)
+    res = ld.forward_couple(1.0, stream(first, np.array([math.nan])))
+    assert (res.coupling_time, res.steps_run) == (1, first.size)
 
 
 # -- queue and waiting-time forms ---------------------------------------------
@@ -412,7 +409,7 @@ def test_couple_checks_every_block():
 def test_queue_step_frozen_examples():
     assert ld.queue_path([0.0], 0.75).states[-1] == 0.0
     assert ld.queue_path([1.0], 0.75).states[-1] == 0.25
-    assert ld.queue_path([0.0], 0.75, q0=0.25).states[-1] == 0.0
+    assert ld.queue_path([1.0, 0.0], 0.75).states.tolist() == [0.0, 0.25, 0.0]
 
 
 def test_queue_step_rejects():
@@ -422,15 +419,16 @@ def test_queue_step_rejects():
         ld.queue_path([1.0], 0.0)
 
 
-@given(st.floats(0, 8), st.floats(0, 4), st.floats(0.25, 4))
-def test_queue_step_is_lindley_step(q, y, s):
-    assert ld.queue_path([y], s, q0=q).states[-1] == max(q + (y - s), 0.0)
+@given(st.lists(st.floats(0, 4), max_size=50), st.floats(0.25, 4))
+def test_queue_step_is_lindley_step(arrivals, s):
+    expected = recursion_oracle(0.0, [y - s for y in arrivals])
+    assert bits(ld.queue_path(arrivals, s).states) == bits(expected)
 
 
 def test_waiting_step_frozen_examples():
     assert ld.waiting_path([0.0], [1.0]).states[-1] == 0.0
-    assert ld.waiting_path([1.0], [0.5], w0=2.0).states[-1] == 2.5
-    assert ld.waiting_path([0.0], [1.0], w0=1.0).states[-1] == 0.0
+    assert ld.waiting_path([2.0, 1.0], [0.0, 0.5]).states.tolist() == [0.0, 2.0, 2.5]
+    assert ld.waiting_path([1.0, 0.0], [0.0, 1.0]).states.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_waiting_path_matches_steps():

@@ -4,6 +4,7 @@ Expected measures were frozen from a brute-force residue count done
 independently of the package (all residues at the full band depth).
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -92,7 +93,7 @@ dyadic_counters = st.integers(min_value=0, max_value=(1 << 20) - 1)
 def test_value_roundtrip(c):
     p = od.DyadicPoint(c, 20)
     assert od.DyadicPoint.from_fraction(p.value, 20) == p
-    assert od.DyadicPoint.from_float(float(p), 20) == p  # 20 bits fit a double
+    assert od.DyadicPoint.from_fraction(Fraction(float(p)), 20) == p  # 20 bits fit a double
     assert od.DyadicPoint.from_bits(p.bits(), 20) == p
     assert od.DyadicPoint.from_json(p.to_json()) == p
 
@@ -388,6 +389,26 @@ def test_run_seed_edge_of_band():
     c = (0b1 << (2 * i + 1)) | (n - 1)
     w = od.membership_window(od.DyadicPoint(c, 64), n)
     assert bool(w.all())
+
+
+@pytest.mark.parametrize("precision", [65, 80, 128])
+def test_membership_window_beyond_64_bits_matches_interval_sets(precision):
+    # above 64 bits the window tests one counter at a time; the interval set
+    # and, on the low 64 bits, the batch test are its oracles
+    rng = random.Random(precision)
+    width = 40
+    top = (1 << precision) - width
+    counters = [0, top, (1 << 64) - width, (1 << 64) - width // 2]  # the last crosses 2**64
+    counters += [rng.randrange(top + 1) for _ in range(8)]
+    counters += [rng.randrange((1 << 64) - width) for _ in range(4)]
+    for cap in range(9):
+        band_union, _ = od.arrival_set_truncated(cap, precision)
+        for c in counters:
+            got = od.membership_window(od.DyadicPoint(c, precision), width, cap).tolist()
+            points = [od.DyadicPoint(c + j, precision) for j in range(width)]
+            assert got == [band_union.contains_point(p) for p in points]
+            low = np.array([(c + j) % (1 << 64) for j in range(width)], dtype=np.uint64)
+            assert got == od.in_arrival_set_batch(low, 64, cap).tolist()
 
 
 def test_band_depth_guards():

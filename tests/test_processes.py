@@ -131,24 +131,17 @@ def test_block_stream_draws_only_what_is_read(proc):
 
 
 @settings(deadline=None, max_examples=30)
-@given(
-    st.sampled_from(STREAMING),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([0, 64]),
-    st.integers(1, 40_000),
-)
-def test_streamed_couple_stops_drawing_at_its_last_step(proc, seed, absorption_check, horizon):
+@given(st.sampled_from(STREAMING), st.integers(0, 2**32 - 1), st.integers(1, 40_000))
+def test_streamed_couple_stops_drawing_at_its_last_step(proc, seed, horizon):
     # x0 = 8000 at a drift of about -0.4 meets after two or three blocks
     shift = 0.8 if isinstance(proc, IIDTable) else 0.75
     rng = rng_for(seed)
     stream = (y - shift for y in proc.blocks(horizon, rng))
-    res = lindley.forward_couple(8000.0, stream, absorption_check=absorption_check)
-    whole = lindley.forward_couple(
-        8000.0, proc.forward(horizon, rng_for(seed)) - shift, absorption_check=absorption_check
-    )
+    res = lindley.forward_couple(8000.0, stream)
+    whole = lindley.forward_couple(8000.0, proc.forward(horizon, rng_for(seed)) - shift)
     assert res == whole
     # the generator drew the blocks up to the one holding the last step
-    # run, and no further: with no absorption check, the meeting's block
+    # run, and no further
     read = min(horizon, -(-res.steps_run // SCAN_BLOCK) * SCAN_BLOCK)
     ref = rng_for(seed)
     one_draw(proc, read, ref)
