@@ -7,8 +7,8 @@ tolerance.
 
 import numpy as np
 
-from ergoqueue.lindley import tandem_path
-from ergoqueue.processes import GG1System, IIDTable, OdometerProcess, parse_process, rng_for
+from ergoqueue.lindley import tandem_path, waiting_path
+from ergoqueue.processes import IIDTable, OdometerProcess, parse_process, rng_for
 
 HORIZON = 20_000
 S_FIRST = 0.75
@@ -38,8 +38,9 @@ def main():
     # waiting times of successive customers at one server
     service = IIDTable((0.5, 1.0, 2.0), (0.5, 0.3, 0.2))
     gaps = parse_process("iid-table:0.5,1.5,2.5@0.2,0.5,0.3")
-    system = GG1System(service, gaps)
-    trace = system.waiting_trace(10_000, rng_for(SEED + 1))
+    rng = rng_for(SEED + 1)
+    services = service.forward(10_000, rng)
+    trace = waiting_path(services, gaps.forward(10_000, rng))
     w = trace.states
     rho = 0.95 / 1.6  # mean service over mean gap
     print(f"single server: load {rho:.3f}")

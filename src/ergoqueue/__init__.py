@@ -1,6 +1,7 @@
 """Queue stability under stationary ergodic arrivals.
 
-Four layers, each usable on its own:
+Four layers, each usable on its own and importing only layers listed before
+it (``processes`` imports ``odometer``); ``cli`` sits on top of all four:
 
 ``lindley``
     One-sided recursions (queue length, waiting time), the backward-supremum
@@ -58,7 +59,6 @@ from .odometer import (
 )
 from .processes import (
     BinaryMarkov,
-    GG1System,
     IIDBernoulli,
     IIDTable,
     OdometerProcess,

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, lindley, odometer
-from .processes import GG1System, ProcessError, parse_process, rng_for
+from .processes import ProcessError, parse_process, rng_for
 
 __all__ = ["main"]
 
@@ -210,8 +210,10 @@ def _run_couple(cfg: dict):
 
 
 def _run_gg1(cfg: dict):
-    system = GG1System(parse_process(cfg["service"]), parse_process(cfg["interarrival"]))
-    trace = system.waiting_trace(cfg["n"], rng_for(cfg["seed"]))
+    service, interarrival = parse_process(cfg["service"]), parse_process(cfg["interarrival"])
+    rng = rng_for(cfg["seed"])  # one generator: the services first, then the gaps
+    services = service.forward(cfg["n"], rng)
+    trace = lindley.waiting_path(services, interarrival.forward(cfg["n"], rng))
     summary = {
         "n": cfg["n"],
         "mean_wait": float(np.mean(trace.states)),
@@ -425,12 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ergoqueue",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="replay a saved JSON configuration")
     parser.add_argument("--out", help="output base path (writes BASE.csv and BASE.json)")
     sub = parser.add_subparsers(dest="subcommand")
     for name, (_, help_text, description, options) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text, description=description)
+        p = sub.add_parser(name, help=help_text, description=description, allow_abbrev=False)
         for key, kind, default, *option_help in options:
             # integers stay text here: _resolve_config converts them, so a bad
             # one is the JSON error rather than a usage error
@@ -453,7 +456,8 @@ def _joined_values(argv: list[str]) -> list[str]:
 
     Every option takes exactly one value, so the token after it is its value
     even when it starts with "-", as in ``--slack -1e-3`` or ``--theta-grid
-    -1:1:0.5``, which argparse would otherwise read as an unknown flag.
+    -1:1:0.5``, which argparse would otherwise read as an unknown flag.  The
+    parsers take no abbreviation, so an option has only the names joined here.
     """
     options = {"--config", "--out"} | {
         "--" + key.replace("_", "-") for *_, opts in _SUBCOMMANDS.values() for key, *_ in opts

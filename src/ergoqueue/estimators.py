@@ -127,12 +127,16 @@ def block_sums(process, n: int, m: int, rng=None) -> np.ndarray:
 
 def _log_mean_exp(x: np.ndarray) -> float:
     """log of the sample mean of exp(x), shifted by the max to avoid overflow."""
+    if x.size == 0:
+        raise ValueError("need at least one block sum")
     xm = float(np.max(x))
     return xm + math.log(float(np.mean(np.exp(x - xm))))
 
 
 def _sample_rates(sums: np.ndarray, n: int) -> tuple[float, float, float]:
     """(mean, min, max) block rates; mean clamped into [min, max]."""
+    if n < 1:
+        raise ValueError(f"block length n must be at least 1, got {n}")
     mean_rate = float(np.mean(sums)) / n
     min_rate = float(np.min(sums)) / n
     max_rate = float(np.max(sums)) / n
@@ -148,13 +152,11 @@ def lambda_from_sums(sums: Sequence[float], theta: float, n: int) -> float:
     the largest exponent).  At theta = 0 the result is exactly 0.
     """
     arr = np.asarray(sums, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("need at least one block sum")
     theta = float(theta)
-    lam = _log_mean_exp(theta * arr) / n
+    log_mean = _log_mean_exp(theta * arr)
     mean_rate, min_rate, max_rate = _sample_rates(arr, n)
     cap = theta * max_rate if theta >= 0 else theta * min_rate
-    return min(max(lam, theta * mean_rate), cap)
+    return min(max(log_mean / n, theta * mean_rate), cap)
 
 
 @dataclass(frozen=True)
@@ -168,10 +170,6 @@ class DecayResult(_Result):
 
     delta: float | None
     status: str
-
-    @property
-    def bounded(self) -> bool:
-        return self.status == "interior"
 
 
 @dataclass(frozen=True)
@@ -534,7 +532,6 @@ def queue_tail_run(
         burn_in = horizon // 10
     if not 0 <= burn_in < horizon:
         raise ValueError("need 0 <= burn_in < horizon")
-    rng = ensure_rng(rng)
     y = process.forward(horizon, rng)
     trace = queue_path(y, s)
     samples = trace.states[burn_in + 1 :]

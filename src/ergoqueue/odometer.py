@@ -316,10 +316,6 @@ class DyadicIntervalSet:
     def __len__(self) -> int:
         return len(self._cells)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._cells
-
     def components(self) -> list[DyadicInterval]:
         """Canonical components sorted by (depth, index)."""
         return [DyadicInterval(d, j) for d, j in self._cells]

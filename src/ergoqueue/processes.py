@@ -26,7 +26,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import odometer
-from .lindley import QueueTrace, waiting_path
 
 __all__ = [
     "ProcessError",
@@ -38,7 +37,6 @@ __all__ = [
     "BinaryMarkov",
     "TraceProcess",
     "OdometerProcess",
-    "GG1System",
     "parse_process",
 ]
 
@@ -80,6 +78,8 @@ class _ProcessBase:
     ``_blocks(n, rng)`` yields a sample of n values in consecutive float64
     pieces, drawn from the Generator ``rng`` only as they are read;
     ``forward`` joins them and ``blocks`` hands them over as they come.
+    Every public draw checks its lengths and converts ``rng`` here, once; a
+    kind may override the hooks ``_backward_window`` and ``_window_counts``.
     """
 
     def forward(self, n: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
@@ -107,16 +107,22 @@ class _ProcessBase:
     def backward_window(
         self, n: int, rng: np.random.Generator | int | None = None
     ) -> np.ndarray:
-        """(Y_0, Y_-1, ..., Y_-n+1): a forward sample relabeled."""
-        return self.forward(n, rng)[::-1].copy()
+        """(Y_0, Y_-1, ..., Y_-n+1); by default a forward sample relabeled."""
+        _check_length(n)
+        return self._backward_window(n, ensure_rng(rng))
 
     def window_counts(
         self, m: int, width: int, rng: np.random.Generator | int | None = None
     ) -> np.ndarray:
-        """Totals of m independent realizations of length ``width``."""
+        """Totals of m windows of ``width`` values; by default of m independent realizations."""
         _check_length(m)
         _check_length(width)
-        rng = ensure_rng(rng)
+        return self._window_counts(m, width, ensure_rng(rng))
+
+    def _backward_window(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.forward(n, rng)[::-1].copy()
+
+    def _window_counts(self, m: int, width: int, rng: np.random.Generator) -> np.ndarray:
         return np.asarray([float(np.sum(self.forward(width, rng))) for _ in range(m)])
 
 
@@ -258,17 +264,14 @@ class TraceProcess(_ProcessBase):
             )
         yield self.values[:n]
 
-    def backward_window(self, n: int, rng=None) -> np.ndarray:
-        _check_length(n)
+    def _backward_window(self, n: int, rng) -> np.ndarray:
         if n > self.values.size:
             raise TraceError(
                 f"trace exhausted: window {n} exceeds {self.values.size} recorded values"
             )
         return self.values[self.values.size - n :][::-1].copy()
 
-    def window_counts(self, m: int, width: int, rng=None) -> np.ndarray:
-        _check_length(m)
-        _check_length(width)
+    def _window_counts(self, m: int, width: int, rng) -> np.ndarray:
         if m * width > self.values.size:
             raise TraceError(
                 f"trace too short: {m} windows of {width} need {m * width} values, "
@@ -336,40 +339,20 @@ class OdometerProcess(_ProcessBase):
         member = odometer.in_arrival_set_batch(counters, self.precision, self.i_max)
         yield member.astype(np.float64)
 
-    def backward_window(self, n: int, rng=None) -> np.ndarray:
-        _check_length(n)
-        rng = ensure_rng(rng)
+    def _backward_window(self, n: int, rng) -> np.ndarray:
         if n == 0:
             return np.empty(0, dtype=np.float64)
         c = self._draw_counter(rng, margin_low=0, width=n)
         p = odometer.DyadicPoint(c, self.precision)
         return odometer.membership_window(p, n, self.i_max).astype(np.float64)
 
-    def window_counts(self, m: int, width: int, rng=None) -> np.ndarray:
-        """Backward-window arrival totals for m independent realizations, counted exactly."""
-        _check_length(m)
-        _check_length(width)
+    def _window_counts(self, m: int, width: int, rng) -> np.ndarray:
+        # backward-window arrival totals for m independent realizations, counted exactly
         if width == 0:
             return np.zeros(m, np.int64)
         self._check_orbit(width)
-        rng = ensure_rng(rng)
         cs = odometer.uniform_counters(rng, m, self.precision, width)
         return odometer.window_arrival_counts(cs, width, self.precision, self.i_max)
-
-
-@dataclass(frozen=True)
-class GG1System:
-    """Single server fed by a service process and an interarrival process."""
-
-    service: _ProcessBase
-    interarrival: _ProcessBase
-
-    def waiting_trace(self, n: int, rng=None) -> QueueTrace:
-        """Waiting times of customers 0..n; one rng drives both streams."""
-        rng = ensure_rng(rng)
-        services = self.service.forward(n, rng)
-        gaps = self.interarrival.forward(n, rng)
-        return waiting_path(services, gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +384,10 @@ def parse_process(text: str) -> _ProcessBase:
                 raise ProcessError("trace needs a path")
             return TraceProcess(path=arg)
         if kind == "odometer":
-            if not arg:
-                return OdometerProcess()
-            parts = [int(x) for x in arg.split(",")]
-            if len(parts) == 1:
-                return OdometerProcess(parts[0])
-            if len(parts) == 2:
-                return OdometerProcess(parts[0], parts[1])
-            raise ProcessError("odometer takes at most precision,i_max")
+            parts = [int(x) for x in arg.split(",")] if arg else []
+            if len(parts) > 2:
+                raise ProcessError("odometer takes at most precision,i_max")
+            return OdometerProcess(*parts)
     except ProcessError:
         raise
     except (TypeError, ValueError) as exc:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -444,6 +445,37 @@ def test_negative_values_may_follow_their_option(tmp_path, args):
     for ext in ("csv", "json"):
         spaced, joined = (tmp_path / f"{name}.{ext}" for name in ("spaced", "joined"))
         assert spaced.read_bytes() == joined.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cumulant", "--process", "iid-bernoulli:0.5", "--n", "10", "--m", "10",
+         "--theta-g", "-1:1:0.5"],
+        ["cumulant", "--process", "iid-bernoulli:0.5", "--n", "10", "--m", "10",
+         "--theta-g=-1:1:0.5"],
+        ["simulate", "--process", "odometer", "--s", "0.75", "--hor", "100"],
+        ["--conf", "run.json"],
+    ],
+)
+def test_abbreviated_options_are_usage_errors(tmp_path, capsys, args):
+    # an option has one spelling, so the token after it is always its value
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+def test_subcommand_help_lists_every_option(capsys, name):
+    # argparse formats the help text only when asked for it
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for key, *_ in cli._SUBCOMMANDS[name][3]:
+        assert re.search(rf"(?m)^ +--{key.replace('_', '-')} ", out), key
 
 
 def test_negative_non_finite_value_is_the_json_error(tmp_path):

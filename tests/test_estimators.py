@@ -108,8 +108,14 @@ def test_lambda_input_validation():
         es.block_sums(IIDBernoulli(0.5), 0, 10)
     with pytest.raises(ValueError):
         es.block_sums(IIDBernoulli(0.5), 10, 0)
-    with pytest.raises(ValueError):
-        es.lambda_from_sums([], 1.0, 10)
+    for n in (10, 0, -1):
+        with pytest.raises(ValueError, match="at least one block sum"):
+            es.lambda_from_sums([], 1.0, n)
+    for n in (0, -1, -10):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            es.lambda_from_sums([1.0, 2.0], 1.0, n)
+    with pytest.raises(ValueError, match="at least one block sum"):
+        es.scaled_lambda_from_sums([], 1.0, es.ScalingFunctions(float, float), 0.5, 3)
 
 
 def test_convexity_defect_zero_on_convex_curve():
@@ -144,7 +150,6 @@ def test_delta_linear_curve_hits_grid_max():
     res = es.decay_delta(grid, [0.5 * t for t in grid], 0.75)
     assert res.status == "at-grid-max"
     assert res.delta == 3.0
-    assert not res.bounded
 
 
 def test_delta_empty_when_service_at_mean():

@@ -245,7 +245,7 @@ def test_set_json_roundtrip():
 
 def test_empty_set():
     s = od.DyadicIntervalSet()
-    assert s.is_empty and len(s) == 0 and s.measure == 0
+    assert len(s) == 0 and s.measure == 0
     assert not s.contains_point(pt(1, 2))
 
 
@@ -364,7 +364,7 @@ def test_batch_membership_matches_scalar():
 
 
 def test_run_seed_sets():
-    assert od.run_seed_set(0).is_empty
+    assert len(od.run_seed_set(0)) == 0
     for i in range(1, 8):
         s = od.run_seed_set(i)
         assert s.measure == Fraction(1, 1 << (i + 2))

@@ -11,7 +11,6 @@ from scipy import stats
 from ergoqueue import lindley
 from ergoqueue import odometer as od
 from ergoqueue.processes import (
-    GG1System,
     BinaryMarkov,
     IIDBernoulli,
     IIDTable,
@@ -435,21 +434,26 @@ def test_law_of_tuples_independent_of_offset(proc, base, relabel):
     assert pvalue > 0.001
 
 
-# -- gg1 wrapper ----------------------------------------------------------------
+# -- gg1 waiting times ---------------------------------------------------------
+# the waiting-time recursion reads the services, then the gaps, drawn in that
+# order from one generator
+
+
+def _gg1_waits(service, interarrival, n, rng):
+    services = service.forward(n, rng)
+    return lindley.waiting_path(services, interarrival.forward(n, rng)).states
 
 
 def test_gg1_trace_matches_manual_recursion():
-    system = GG1System(IIDTable((1.0,), (1.0,)), IIDTable((0.5,), (1.0,)))
-    trace = system.waiting_trace(8, rng_for(0))
+    waits = _gg1_waits(IIDTable((1.0,), (1.0,)), IIDTable((0.5,), (1.0,)), 8, rng_for(0))
     # deterministic S=1, T=0.5: W grows by exactly 0.5 per customer
-    assert trace.states.tolist() == [0.5 * n for n in range(9)]
+    assert waits.tolist() == [0.5 * n for n in range(9)]
 
 
 def test_gg1_deterministic_given_seed():
-    system = GG1System(IIDBernoulli(0.9), IIDTable((0.5, 1.5), (0.5, 0.5)))
-    a = system.waiting_trace(100, rng_for(3)).states
-    b = system.waiting_trace(100, rng_for(3)).states
-    assert np.array_equal(a, b)
+    service, gaps = IIDBernoulli(0.9), IIDTable((0.5, 1.5), (0.5, 0.5))
+    a = _gg1_waits(service, gaps, 100, rng_for(3))
+    assert np.array_equal(a, _gg1_waits(service, gaps, 100, rng_for(3)))
 
 
 # -- parsing ----------------------------------------------------------------------
