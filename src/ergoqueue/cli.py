@@ -80,8 +80,11 @@ def _write_outputs(base: Path, header, columns, summary: dict) -> None:
 
     The text of a number never holds a delimiter, quote or line break, so
     when every column is a numeric array the rows are joined directly;
-    otherwise ``csv.writer`` writes them and does the quoting.
+    otherwise ``csv.writer`` writes them and does the quoting.  JSON has no
+    inf or nan, so a non-finite summary is a ValueError before either file
+    is written.
     """
+    text = json.dumps(summary, indent=2, allow_nan=False)
     rows = len(columns[0])
     numeric = all(isinstance(col, np.ndarray) and col.dtype.kind in "biuf" for col in columns)
     base.parent.mkdir(parents=True, exist_ok=True)
@@ -95,8 +98,7 @@ def _write_outputs(base: Path, header, columns, summary: dict) -> None:
             else:
                 writer.writerows(zip(*block, strict=True))
     with open(f"{base}.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _finite(values: list[float]) -> list[float]:
@@ -149,7 +151,7 @@ def _run_simulate(cfg: dict):
         cfg["thresholds"],
         cfg["horizon"],
         cfg["burn_in"],
-        rng_for(cfg["seed"]),
+        rng=rng_for(cfg["seed"]),
     )
     tail = report.tail
     columns = [tail.thresholds, tail.survival, tail.std_errors]
@@ -248,7 +250,7 @@ def _run_odometer(cfg: dict):
         i_max = cfg["i_max"]
         if i_max is None:
             raise ValueError("measure mode needs i_max")
-        odometer._check_band(i_max, precision)
+        odometer.band_limit(precision, i_max)
         bands = range(i_max + 1)
         measures = odometer.arrival_set_measures(i_max)
         columns = [bands, [Fraction(1, 1 << (i + 2)) for i in bands], measures]
@@ -587,13 +589,12 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         header, columns, results = _SUBCOMMANDS[cfg["subcommand"]][0](_with_defaults(cfg))
+        base = Path(args.out) if args.out else _default_base(cfg["subcommand"])
+        _write_outputs(base, header, columns, {"config": cfg, "results": results})
     except (ProcessError, ValueError, OSError, KeyError, MemoryError) as exc:
         json.dump({"error": f"{type(exc).__name__}: {exc}"}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    base = Path(args.out) if args.out else _default_base(cfg["subcommand"])
-    summary = {"config": cfg, "results": results}
-    _write_outputs(base, header, columns, summary)
     print(f"wrote {base}.csv and {base}.json")
     return 0
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import odometer
 from .lindley import queue_path
-from .processes import OdometerProcess, ensure_rng
+from .processes import OdometerProcess
 
 __all__ = [
     "TailEstimate",
@@ -118,7 +118,7 @@ def empirical_tail(samples: Sequence[float], thresholds: Sequence[float]) -> Tai
 # cumulant estimation
 
 
-def block_sums(process, n: int, m: int, rng=None) -> np.ndarray:
+def block_sums(process, n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m block sums Y_1 + ... + Y_n from the process's ``window_counts``."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
@@ -133,10 +133,15 @@ def _log_mean_exp(x: np.ndarray) -> float:
     return xm + math.log(float(np.mean(np.exp(x - xm))))
 
 
-def _sample_rates(sums: np.ndarray, n: int) -> tuple[float, float, float]:
-    """(mean, min, max) block rates; mean clamped into [min, max]."""
+def _check_block_length(n: int) -> None:
+    """The one block-length check of the estimators that divide by n."""
     if n < 1:
         raise ValueError(f"block length n must be at least 1, got {n}")
+
+
+def _sample_rates(sums: np.ndarray, n: int) -> tuple[float, float, float]:
+    """(mean, min, max) block rates; mean clamped into [min, max]."""
+    _check_block_length(n)
     mean_rate = float(np.mean(sums)) / n
     min_rate = float(np.min(sums)) / n
     max_rate = float(np.max(sums)) / n
@@ -198,7 +203,8 @@ class CumulantEstimate(_Result):
 
 
 def estimate_lambda_grid(
-    process, thetas: Sequence[float], n: int, m: int, rng=None, s: float | None = None
+    process, thetas: Sequence[float], n: int, m: int, rng: np.random.Generator,
+    s: float | None = None,
 ) -> CumulantEstimate:
     """Cumulant curve over a tilt grid, every tilt reusing one sample set."""
     sums = block_sums(process, n, m, rng)
@@ -291,6 +297,7 @@ def scaled_lambda_from_sums(
 
     Computes (1/v(n)) log mean exp(theta * (v(n)/a(n)) * (sum - n*s)).
     """
+    _check_block_length(n)
     scaling.validate([n])
     a_n = float(scaling.a(n))
     v_n = float(scaling.v(n))
@@ -353,7 +360,7 @@ def _burst_windows(i: int, m: int, rng, precision: int) -> tuple[BurstParams, np
     if m < 1:
         raise ValueError("m must be positive")
     params = BurstParams(i)
-    odometer._check_band(i, precision)
+    odometer.band_limit(precision, i)
     return params, OdometerProcess(precision).window_counts(m, params.window, rng)
 
 
@@ -386,7 +393,7 @@ class BurstProbabilityReport(_Result):
 
 
 def burst_probability_report(
-    i: int, m: int, rng=None, precision: int = odometer.DEFAULT_PRECISION
+    i: int, m: int, rng: np.random.Generator, precision: int = odometer.DEFAULT_PRECISION
 ) -> BurstProbabilityReport:
     """Monte Carlo + exact-bound report for the band-i window overflow event.
 
@@ -443,13 +450,12 @@ def burst_cumulant_report(
     i: int,
     theta: float,
     m: int,
-    rng=None,
+    rng: np.random.Generator,
     precision: int = odometer.DEFAULT_PRECISION,
 ) -> BurstCumulantReport:
     """Exact-sandwich report for the window log-moment at tilt theta >= 0."""
     if theta < 0 or not math.isfinite(theta):
         raise ValueError("theta must be nonnegative and finite")
-    rng = ensure_rng(rng)
     # plain Monte Carlo over unconditioned windows, drawn before the complement
     params, counts = _burst_windows(i, m, rng, precision)
     n = params.window
@@ -517,7 +523,8 @@ def queue_tail_run(
     thresholds: Sequence[float],
     horizon: int,
     burn_in: int | None = None,
-    rng=None,
+    *,
+    rng: np.random.Generator,
 ) -> QueueTailReport:
     """Simulate the queue and estimate its stationary tail by time averages.
 

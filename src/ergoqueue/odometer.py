@@ -364,18 +364,22 @@ class DyadicIntervalSet:
 # arrival bands
 
 
-def band_limit(precision: int) -> int:
-    """Deepest band index testable at the given precision."""
+def band_limit(precision: int, i_max: int | None = None) -> int:
+    """The deepest band testable at the given precision, or the band ``i_max`` once checked.
+
+    Band i needs depth 2i+1, so the deepest is (precision - 1) // 2; the one
+    band-cap rule of the package, raising PrecisionError.
+    """
     if precision < 1:
-        raise PrecisionError("precision must be positive")
-    return (precision - 1) // 2
-
-
-def _check_band(i: int, precision: int) -> None:
-    if i < 0:
-        raise ValueError("band index must be nonnegative")
-    if 2 * i + 1 > precision:
-        raise PrecisionError(f"band {i} needs depth {2 * i + 1}, precision is {precision}")
+        raise PrecisionError(f"precision must be positive, got {precision}")
+    cap = (precision - 1) // 2
+    if i_max is None:
+        return cap
+    if not 0 <= i_max <= cap:
+        raise PrecisionError(
+            f"band {i_max} outside 0..{cap} at precision {precision} (band i needs depth 2i+1)"
+        )
+    return i_max
 
 
 def _band_cells(i: int, seeds: bool = False) -> Iterator[tuple[int, int]]:
@@ -397,7 +401,7 @@ def run_seed_set(i: int, precision: int = DEFAULT_PRECISION) -> DyadicIntervalSe
     Empty for i = 0.  A counter in this set begins a stretch of 2**(i-1)
     consecutive counters that all land in some arrival band.
     """
-    _check_band(i, precision)
+    band_limit(precision, i)
     return DyadicIntervalSet(_band_cells(i, seeds=True))
 
 
@@ -408,7 +412,7 @@ def arrival_band(i: int, precision: int = DEFAULT_PRECISION) -> DyadicIntervalSe
     depth-(2i+1) intervals with indices [2**(i-1), 2**i).  Every band has
     measure 2**-(i+2).
     """
-    _check_band(i, precision)
+    band_limit(precision, i)
     return DyadicIntervalSet(_band_cells(i))
 
 
@@ -421,7 +425,7 @@ def arrival_set_truncated(
     union, and the dropped bands account for at most the returned tail bound
     sum(2**-(i+2), i > i_max) = 2**-(i_max+2).
     """
-    _check_band(i_max, precision)
+    band_limit(precision, i_max)
     cells = itertools.chain.from_iterable(_band_cells(i) for i in range(i_max + 1))
     return DyadicIntervalSet(cells), Fraction(1, 1 << (i_max + 2))
 
@@ -493,24 +497,15 @@ def arrival_set_components(i_max: int) -> int:
     return sum(members[b + 1] - 2 * members[b] for b in range(len(members) - 1))
 
 
-def _resolve_band_cap(precision: int, i_max: int | None) -> int:
-    cap = band_limit(precision)
-    if i_max is None:
-        return cap
-    if not 0 <= i_max <= cap:
-        raise PrecisionError(f"i_max {i_max} outside 0..{cap} at precision {precision}")
-    return i_max
-
-
 def in_run_seed(p: DyadicPoint, i: int) -> bool:
-    _check_band(i, p.precision)
+    band_limit(p.precision, i)
     if i == 0:
         return False
     return interval_index(p, 2 * i + 1) < (1 << (i - 1))
 
 
 def in_arrival_band(p: DyadicPoint, i: int) -> bool:
-    _check_band(i, p.precision)
+    band_limit(p.precision, i)
     if i == 0:
         return interval_index(p, 2) == 0
     return (1 << (i - 1)) <= interval_index(p, 2 * i + 1) < (1 << i)
@@ -518,7 +513,7 @@ def in_arrival_band(p: DyadicPoint, i: int) -> bool:
 
 def in_arrival_set(p: DyadicPoint, i_max: int | None = None) -> bool:
     """True when some band 0..i_max matches the point's leading bits."""
-    cap = _resolve_band_cap(p.precision, i_max)
+    cap = band_limit(p.precision, i_max)
     c = p.counter
     if c & 3 == 0:
         return True
@@ -539,7 +534,7 @@ def in_arrival_set_batch(
     """
     if precision > 64:
         raise PrecisionError("batch membership supports precision <= 64")
-    cap = _resolve_band_cap(precision, i_max)
+    cap = band_limit(precision, i_max)
     c = np.asarray(counters, dtype=np.uint64)
     member = (c & np.uint64(3)) == 0
     for i in range(1, cap + 1):
@@ -561,7 +556,7 @@ def membership_window(p: DyadicPoint, width: int, i_max: int | None = None) -> n
     if p.precision <= 64:
         counters = np.uint64(p.counter) + np.arange(width, dtype=np.uint64)
         return in_arrival_set_batch(counters, p.precision, i_max)
-    cap = _resolve_band_cap(p.precision, i_max)
+    cap = band_limit(p.precision, i_max)
     return np.asarray(
         [in_arrival_set(DyadicPoint(p.counter + j, p.precision), cap) for j in range(width)],
         dtype=bool,
@@ -669,7 +664,7 @@ def window_arrival_counts(
         raise PrecisionError("window counting supports precision <= 64")
     if width < 1:
         raise ValueError("width must be positive")
-    cap = _resolve_band_cap(precision, i_max)
+    cap = band_limit(precision, i_max)
     if isinstance(counters, np.ndarray) and counters.dtype == np.uint64:
         starts = counters.reshape(-1)
         bounds = (int(starts.min()), int(starts.max())) if starts.size else None
@@ -754,7 +749,7 @@ def sample_run_seed(
     i: int, rng: np.random.Generator, precision: int = DEFAULT_PRECISION
 ) -> DyadicPoint:
     """Uniform draw from the run-seed set of band i (i >= 1)."""
-    _check_band(i, precision)
+    band_limit(precision, i)
     if i < 1:
         raise ValueError("run seeds exist for band indices i >= 1 only")
     low = int(rng.integers(0, 1 << (i - 1)))

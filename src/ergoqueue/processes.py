@@ -10,9 +10,10 @@ reversible).  The counter-driven kind inverts its dynamics instead: lag j
 lives at counter value c + j, so a backward window is literally a stretch
 of consecutive counters.
 
-Determinism: all sampling goes through numpy Generators.  Replica r of a
-seeded experiment uses SeedSequence(seed, spawn_key=(r,)), so adding
-replicas never perturbs existing ones.
+Determinism: every draw takes a numpy Generator, and ``rng_for`` is the
+one way a seed becomes one.  Replica r of a seeded experiment uses
+SeedSequence(seed, spawn_key=(r,)), so adding replicas never perturbs
+existing ones.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "ProcessError",
     "TraceError",
     "rng_for",
-    "ensure_rng",
     "IIDBernoulli",
     "IIDTable",
     "BinaryMarkov",
@@ -54,21 +54,17 @@ def rng_for(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replica,)))
 
 
-def ensure_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 # the streaming samplers draw this many values per block, so a reader that
 # stops early stops the drawing too, and the Markov scan's temporaries stay
 # small however long the sample is
 SCAN_BLOCK = 8192
 
 
-def _check_length(n: int) -> None:
-    """The one sample-length check of every sampler."""
-    if n < 0:
+def _check_draw(rng: np.random.Generator, *lengths: int) -> None:
+    """The one argument check of every public draw: a Generator and nonnegative lengths."""
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator (see rng_for), got {type(rng).__name__}")
+    if min(lengths) < 0:
         raise ProcessError("n must be nonnegative")
 
 
@@ -78,46 +74,40 @@ class _ProcessBase:
     ``_blocks(n, rng)`` yields a sample of n values in consecutive float64
     pieces, drawn from the Generator ``rng`` only as they are read;
     ``forward`` joins them and ``blocks`` hands them over as they come.
-    Every public draw checks its lengths and converts ``rng`` here, once; a
-    kind may override the hooks ``_backward_window`` and ``_window_counts``.
+    Every public draw takes a Generator and checks it and its lengths here,
+    once; a kind may override the hooks ``_backward_window`` and
+    ``_window_counts``.
     """
 
-    def forward(self, n: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
+    def forward(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """(Y_1, ..., Y_n), the blocks of one stream joined."""
-        _check_length(n)
+        _check_draw(rng, n)
         out = np.empty(n, dtype=np.float64)
         k = 0
-        for block in self._blocks(n, ensure_rng(rng)):
+        for block in self._blocks(n, rng):
             out[k : k + block.size] = block
             k += block.size
         return out
 
-    def blocks(
-        self, n: int, rng: np.random.Generator | int | None = None
-    ) -> Iterator[np.ndarray]:
+    def blocks(self, n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
         """``forward(n, rng)`` as consecutive float64 pieces, drawn only as they are read.
 
         A reader that stops early leaves ``rng`` where the last block read
         left it; reading every block leaves it where ``forward`` would.  A
         piece may be a read-only view of a recording.
         """
-        _check_length(n)
-        return self._blocks(n, ensure_rng(rng))
+        _check_draw(rng, n)
+        return self._blocks(n, rng)
 
-    def backward_window(
-        self, n: int, rng: np.random.Generator | int | None = None
-    ) -> np.ndarray:
+    def backward_window(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """(Y_0, Y_-1, ..., Y_-n+1); by default a forward sample relabeled."""
-        _check_length(n)
-        return self._backward_window(n, ensure_rng(rng))
+        _check_draw(rng, n)
+        return self._backward_window(n, rng)
 
-    def window_counts(
-        self, m: int, width: int, rng: np.random.Generator | int | None = None
-    ) -> np.ndarray:
+    def window_counts(self, m: int, width: int, rng: np.random.Generator) -> np.ndarray:
         """Totals of m windows of ``width`` values; by default of m independent realizations."""
-        _check_length(m)
-        _check_length(width)
-        return self._window_counts(m, width, ensure_rng(rng))
+        _check_draw(rng, m, width)
+        return self._window_counts(m, width, rng)
 
     def _backward_window(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.forward(n, rng)[::-1].copy()
@@ -299,13 +289,10 @@ class OdometerProcess(_ProcessBase):
         # the vectorized counter samplers carry at most 64 bits
         if not 1 <= self.precision <= 64:
             raise ProcessError(f"precision must be in 1..64, got {self.precision}")
-        cap = odometer.band_limit(self.precision)
-        if self.i_max is not None and not 0 <= self.i_max <= cap:
-            raise ProcessError(f"i_max must be in 0..{cap} for precision {self.precision}")
-
-    @property
-    def band_cap(self) -> int:
-        return self.i_max if self.i_max is not None else odometer.band_limit(self.precision)
+        try:
+            odometer.band_limit(self.precision, self.i_max)
+        except odometer.PrecisionError as exc:
+            raise ProcessError(f"i_max: {exc}") from None
 
     def exact_mean_bounds(self) -> tuple[Fraction, Fraction]:
         """(exact E[Y] of this truncated process, upper bound for the full set).
@@ -313,8 +300,9 @@ class OdometerProcess(_ProcessBase):
         The first entry is the truncated arrival-set measure, which is the
         process mean exactly; the untruncated mean lies between the two.
         """
-        lo = odometer.arrival_set_measure(self.band_cap)
-        return lo, lo + Fraction(1, 1 << (self.band_cap + 2))
+        cap = odometer.band_limit(self.precision, self.i_max)
+        lo = odometer.arrival_set_measure(cap)
+        return lo, lo + Fraction(1, 1 << (cap + 2))
 
     def _check_orbit(self, needed: int) -> None:
         if needed > (1 << self.precision):

@@ -232,6 +232,38 @@ def test_memory_error_surfaces_as_json_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_unwritable_out_is_the_json_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    code = cli.main(
+        ["--out", str(blocker / "sub" / "base"), "gg1", "--service", "iid-bernoulli:0.5",
+         "--interarrival", "iid-bernoulli:0.5", "--n", "5"]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"].startswith("NotADirectoryError") and str(blocker) in err["error"]
+
+
+# numpy reports the overflow, and the inf - inf after it, as RuntimeWarnings:
+# the run goes on past them, as it does without -W error
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gg1", "--service", "iid-table:1e308@1", "--interarrival", "iid-table:0@1", "--n", "5"],
+        ["loynes", "--process", "iid-table:1e308@1", "--s", "0.5", "--window", "5"],
+        ["cumulant", "--process", "iid-bernoulli:0.5", "--theta-grid", "0,1e308", "--n", "10",
+         "--m", "10", "--s", "0.75"],
+    ],
+    ids=["gg1", "loynes", "cumulant"],
+)
+def test_non_finite_results_are_the_json_error(tmp_path, capsys, args):
+    # JSON has no Infinity or NaN: such a summary fails before either file is written
+    assert cli.main([*args, "--out", str(tmp_path / "x")]) == 2
+    assert "JSON compliant" in json.loads(capsys.readouterr().err)["error"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_without_subcommand_rejected(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"i": 17}), encoding="utf-8")

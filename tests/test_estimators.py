@@ -105,9 +105,9 @@ def test_lambda_nondecreasing_in_tilt():
 
 def test_lambda_input_validation():
     with pytest.raises(ValueError):
-        es.block_sums(IIDBernoulli(0.5), 0, 10)
+        es.block_sums(IIDBernoulli(0.5), 0, 10, rng_for(0))
     with pytest.raises(ValueError):
-        es.block_sums(IIDBernoulli(0.5), 10, 0)
+        es.block_sums(IIDBernoulli(0.5), 10, 0, rng_for(0))
     for n in (10, 0, -1):
         with pytest.raises(ValueError, match="at least one block sum"):
             es.lambda_from_sums([], 1.0, n)
@@ -116,6 +116,11 @@ def test_lambda_input_validation():
             es.lambda_from_sums([1.0, 2.0], 1.0, n)
     with pytest.raises(ValueError, match="at least one block sum"):
         es.scaled_lambda_from_sums([], 1.0, es.ScalingFunctions(float, float), 0.5, 3)
+    # scalings positive at any n must not let a meaningless block length through
+    constant = es.ScalingFunctions(lambda t: 1.0, lambda t: 1.0)
+    for n in (0, -1, -3):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            es.scaled_lambda_from_sums([1.0, 2.0], 1.0, constant, 0.5, n)
 
 
 def test_convexity_defect_zero_on_convex_curve():

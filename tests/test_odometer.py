@@ -420,6 +420,36 @@ def test_band_depth_guards():
     assert od.band_limit(9) == 4
 
 
+def _band_checks(precision, i):
+    """The band rule's function and, where a point exists, two of its callers."""
+    yield lambda: od.band_limit(precision, i)
+    if precision >= 1:
+        p = od.DyadicPoint(0, precision)
+        yield lambda: od.in_run_seed(p, i)
+        yield lambda: od.in_arrival_set(p, i)
+
+
+def test_band_limit_is_the_one_band_rule():
+    # a band is testable when it is nonnegative and its depth 2i+1 fits a
+    # positive precision; the band functions raise exactly where it is not
+    for precision in range(-2, 70):
+        if precision < 1:
+            with pytest.raises(od.PrecisionError):
+                od.band_limit(precision)
+        else:
+            assert od.band_limit(precision) == (precision - 1) // 2
+        for i in range(-3, 40):
+            testable = i >= 0 and 2 * i + 1 <= precision and precision >= 1
+            if testable:
+                assert od.band_limit(precision, i) == i
+            for check in _band_checks(precision, i):
+                if testable:
+                    check()
+                else:
+                    with pytest.raises(od.PrecisionError):
+                        check()
+
+
 # -- window counting --------------------------------------------------------
 
 

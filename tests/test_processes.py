@@ -197,6 +197,25 @@ def test_negative_lengths_fail_fast(proc, n):
 
 
 @pytest.mark.parametrize(
+    "proc", [IIDBernoulli(0.5), TraceProcess(values=[1, 2, 3]), OdometerProcess()],
+    ids=["bernoulli", "trace", "odometer"],
+)
+@pytest.mark.parametrize("rng", [None, 7, np.random.SeedSequence(7)])
+def test_draws_take_only_a_generator(proc, rng):
+    # rng_for is the one way a seed becomes a stream; a trace, which draws
+    # nothing, refuses a seed too
+    samples = [
+        proc.forward,
+        proc.blocks,
+        proc.backward_window,
+        lambda width, rng: proc.window_counts(1, width, rng),
+    ]
+    for sample in samples:
+        with pytest.raises(TypeError, match="rng_for"):
+            sample(3, rng)
+
+
+@pytest.mark.parametrize(
     "proc",
     [
         IIDBernoulli(0.5),
@@ -312,8 +331,8 @@ def test_trace_reads_forward_and_backward(tmp_path):
     f = tmp_path / "trace.txt"
     f.write_text("1\n0.5\n\n2\n", encoding="utf-8")
     proc = TraceProcess(path=f)
-    assert proc.forward(2, None).tolist() == [1.0, 0.5]
-    assert proc.backward_window(3, None).tolist() == [2.0, 0.5, 1.0]
+    assert proc.forward(2, rng_for(0)).tolist() == [1.0, 0.5]
+    assert proc.backward_window(3, rng_for(0)).tolist() == [2.0, 0.5, 1.0]
 
 
 def test_trace_parse_error_carries_line_number(tmp_path):
@@ -329,32 +348,35 @@ def test_trace_parse_error_carries_line_number(tmp_path):
 def test_trace_exhaustion_reports_sizes():
     proc = TraceProcess(values=[1.0, 2.0])
     with pytest.raises(TraceError, match="exhausted"):
-        proc.forward(3, None)
+        proc.forward(3, rng_for(0))
     with pytest.raises(TraceError, match="exhausted"):
-        proc.backward_window(3, None)
+        proc.backward_window(3, rng_for(0))
 
 
 def test_trace_window_counts_are_disjoint_stretches():
     proc = TraceProcess(values=np.arange(1.0, 51.0))
-    assert proc.window_counts(4, 5, None).tolist() == [15.0, 40.0, 65.0, 90.0]
-    assert proc.window_counts(10, 5, None).sum() == 1275.0
+    rng = rng_for(0)
+    assert proc.window_counts(4, 5, rng).tolist() == [15.0, 40.0, 65.0, 90.0]
+    assert proc.window_counts(10, 5, rng).sum() == 1275.0
     with pytest.raises(TraceError, match="11 windows of 5 need 55 values, 50 recorded"):
-        proc.window_counts(11, 5, None)
+        proc.window_counts(11, 5, rng)
 
 
 def test_trace_pieces_do_not_alias_the_recording():
     given = np.array([1.0, 0.5, 2.0])
     proc = TraceProcess(values=given)
     given[:] = 7.0  # the caller's array is copied, not held
-    for piece in proc.blocks(3):
+    rng = rng_for(0)
+    for piece in proc.blocks(3, rng):
         try:
             piece[:] = 9.0
         except ValueError:  # a read-only view refuses the write
             pass
-    whole = proc.forward(3)
+    whole = proc.forward(3, rng)
     assert whole.tolist() == [1.0, 0.5, 2.0]
     whole[:] = 9.0  # forward hands over a copy of its own
-    assert proc.forward(3).tolist() == proc.backward_window(3)[::-1].tolist() == [1.0, 0.5, 2.0]
+    back = proc.backward_window(3, rng)
+    assert proc.forward(3, rng).tolist() == back[::-1].tolist() == [1.0, 0.5, 2.0]
 
 
 @pytest.mark.parametrize("proc", [OdometerProcess(), KINDS[-1]], ids=["odometer", "trace"])
