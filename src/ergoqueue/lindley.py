@@ -116,6 +116,7 @@ FIRST_COUPLE_BLOCK = 256
 ABSORPTION_CHECK = 64
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _reflect(
     x: float,
     z: np.ndarray,
@@ -131,7 +132,8 @@ def _reflect(
     dyadic grid.  The block is then certified against the defining step bit
     for bit, sign of zero included; since the first step starts from x, that
     proves the whole block equal to the sequential recursion.  From the
-    first step that fails the check, the step itself is iterated.
+    first step that fails the check, the step itself is iterated, so sums
+    that overflow downward are exact; a state that overflows raises.
     """
     x = float(x)
     if sums is None:
@@ -162,6 +164,8 @@ def _reflect(
                 x = 0.0
             append(x)
         out[k:] = tail
+    if np.isinf(out).any():
+        raise ValueError("the queue recursion overflows the float range")
     return out
 
 
@@ -226,7 +230,8 @@ def forward_couple(
         while i < z.size and n < end:
             zb = z[i : i + min(size, end - n)]
             size = BLOCK
-            sums = np.cumsum(zb)
+            with np.errstate(over="ignore"):  # _reflect raises if a state overflows
+                sums = np.cumsum(zb)
             if tau is None:
                 # in exact arithmetic the chains meet where the prefix sum
                 # first falls to -upper; ending the block there (plus the

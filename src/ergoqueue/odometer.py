@@ -62,7 +62,6 @@ __all__ = [
     "in_run_seed",
     "in_arrival_band",
     "in_arrival_set",
-    "in_arrival_set_batch",
     "membership_window",
     "window_arrival_counts",
     "uniform_counters",
@@ -364,35 +363,43 @@ class DyadicIntervalSet:
 # arrival bands
 
 
+def _band_depth(i: int) -> int:
+    """max(2i+1, 2): the low counter bits that decide band i, and bands 0..i together."""
+    return max(2 * i + 1, 2)
+
+
 def band_limit(precision: int, i_max: int | None = None) -> int:
     """The deepest band testable at the given precision, or the band ``i_max`` once checked.
 
-    Band i needs depth 2i+1, so the deepest is (precision - 1) // 2; the one
-    band-cap rule of the package, raising PrecisionError.
+    Band i needs ``_band_depth(i)`` bits, so precision 1 holds no band and
+    the deepest is (precision - 1) // 2; the one band-cap rule of the
+    package, raising PrecisionError.
     """
-    if precision < 1:
-        raise PrecisionError(f"precision must be positive, got {precision}")
+    if precision < _band_depth(0):
+        raise PrecisionError(f"precision {precision} holds no band (band 0 needs depth 2)")
     cap = (precision - 1) // 2
     if i_max is None:
         return cap
     if not 0 <= i_max <= cap:
         raise PrecisionError(
-            f"band {i_max} outside 0..{cap} at precision {precision} (band i needs depth 2i+1)"
+            f"band {i_max} outside 0..{cap} at precision {precision} (depth max(2i+1, 2))"
         )
     return i_max
 
 
-def _band_cells(i: int, seeds: bool = False) -> Iterator[tuple[int, int]]:
-    """The (depth, index) cells of band i, or of its run seeds (none for band 0).
+def _band(i: int) -> tuple[int, int, int]:
+    """Band i as (depth, lo, hi): the counters in [lo, hi) modulo 2**depth.
 
-    Band 0 is the depth-2 cell of index 0.  Band i >= 1 is depth 2i+1 with
-    indices [2**(i-1), 2**i); its seeds are the indices [0, 2**(i-1)).
+    Band 0 is (2, 0, 1) and band i >= 1 is (2i+1, 2**(i-1), 2**i); the run
+    seeds of band i are the residues [0, lo) at its depth, none for band 0.
     """
-    if i == 0:
-        return iter(() if seeds else ((2, 0),))
-    half = 1 << (i - 1)
-    first = 0 if seeds else half
-    return ((2 * i + 1, j) for j in range(first, first + half))
+    return _band_depth(i), (1 << i) >> 1, 1 << i
+
+
+def _band_cells(i: int, seeds: bool = False) -> Iterator[tuple[int, int]]:
+    """The (depth, index) cells of band i, or of its run seeds."""
+    depth, lo, hi = _band(i)
+    return ((depth, j) for j in (range(lo) if seeds else range(lo, hi)))
 
 
 def run_seed_set(i: int, precision: int = DEFAULT_PRECISION) -> DyadicIntervalSet:
@@ -430,25 +437,20 @@ def arrival_set_truncated(
     return DyadicIntervalSet(cells), Fraction(1, 1 << (i_max + 2))
 
 
-def _period_bits(cap: int) -> int:
-    """L = max(2*cap+1, 2): the low bits that decide membership of bands 0..cap."""
-    return max(2 * cap + 1, 2)
-
-
 def _deadline_walk(cap: int) -> Iterator[tuple[int, dict[int, int]]]:
     """The "pending deadline" automaton over the free low bits of a counter.
 
     Scanning a counter from bit 0 upward, the only live state is the deadline
     by which the current zero-run must last: band 0 watches bits 0..1, and a
     one at bit j < cap opens band j+1, which needs zeros through bit 2j+2.
-    Membership is decided by the low L = _period_bits(cap) bits.  Before each
+    Membership is decided by the low L = _band_depth(cap) bits.  Before each
     bit b = 0..L the walk yields the counts over the 2**b settings of bits
     0..b-1: ``member`` prefixes already in the set and ``pending[d]``
     prefixes whose open run needs zeros through bit d.  The dict is live:
     read it before the next step.
     """
     member, pending = 0, {1: 1}
-    for b in range(_period_bits(cap) + 1):
+    for b in range(_band_depth(cap) + 1):
         yield member, pending
         resolved = pending.pop(b, 0)  # a zero at bit b meets deadline b
         broken = resolved + sum(pending.values())  # a one at bit b breaks every run
@@ -499,16 +501,14 @@ def arrival_set_components(i_max: int) -> int:
 
 def in_run_seed(p: DyadicPoint, i: int) -> bool:
     band_limit(p.precision, i)
-    if i == 0:
-        return False
-    return interval_index(p, 2 * i + 1) < (1 << (i - 1))
+    depth, lo, _ = _band(i)
+    return interval_index(p, depth) < lo
 
 
 def in_arrival_band(p: DyadicPoint, i: int) -> bool:
     band_limit(p.precision, i)
-    if i == 0:
-        return interval_index(p, 2) == 0
-    return (1 << (i - 1)) <= interval_index(p, 2 * i + 1) < (1 << i)
+    depth, lo, hi = _band(i)
+    return lo <= interval_index(p, depth) < hi
 
 
 def in_arrival_set(p: DyadicPoint, i_max: int | None = None) -> bool:
@@ -523,44 +523,37 @@ def in_arrival_set(p: DyadicPoint, i_max: int | None = None) -> bool:
     return False
 
 
-def in_arrival_set_batch(
-    counters: np.ndarray, precision: int = DEFAULT_PRECISION, i_max: int | None = None
-) -> np.ndarray:
-    """Vectorized arrival-set membership for an array of counters (K <= 64).
-
-    One shifted-mask test per band: reading membership off the chunk tables
-    of ``_prefix_counts`` would take two prefix counts per counter, about
-    three times the time.
-    """
-    if precision > 64:
-        raise PrecisionError("batch membership supports precision <= 64")
-    cap = band_limit(precision, i_max)
-    c = np.asarray(counters, dtype=np.uint64)
-    member = (c & np.uint64(3)) == 0
-    for i in range(1, cap + 1):
-        mask = np.uint64((1 << (i + 2)) - 1)
-        member |= ((c >> np.uint64(i - 1)) & mask) == np.uint64(1)
-    return member
+# Counters per block of membership_window's padded run: every band whose
+# period 2**depth is at most this (bands 0..5) is one strided slice.
+RUN_ALIGN = 1 << 12
 
 
 def membership_window(p: DyadicPoint, width: int, i_max: int | None = None) -> np.ndarray:
-    """Arrival indicators at counters c, c+1, ..., c+width-1 (backward orbit)."""
+    """Arrival indicators at counters c, c+1, ..., c+width-1 (backward orbit), any precision.
+
+    Each band (``_band``) is a periodic slice of the run, padded to whole
+    blocks of RUN_ALIGN counters: one strided slice when the period fits a
+    block, else one slice per period the run meets, offsets in Python ints.
+    """
     if width < 0:
         raise ValueError("width must be nonnegative")
-    if width == 0:
-        return np.empty(0, bool)
-    if p.counter + width > (1 << p.precision):
-        raise OrbitRangeError(
-            f"window of width {width} from counter {p.counter} leaves precision {p.precision}"
-        )
-    if p.precision <= 64:
-        counters = np.uint64(p.counter) + np.arange(width, dtype=np.uint64)
-        return in_arrival_set_batch(counters, p.precision, i_max)
     cap = band_limit(p.precision, i_max)
-    return np.asarray(
-        [in_arrival_set(DyadicPoint(p.counter + j, p.precision), cap) for j in range(width)],
-        dtype=bool,
-    )
+    c = p.counter
+    if c + width > (1 << p.precision):
+        raise OrbitRangeError(
+            f"window of width {width} from counter {c} leaves precision {p.precision}"
+        )
+    skip = c % RUN_ALIGN  # the padded run starts at c - skip, a block edge
+    out = np.zeros(-(-(skip + width) // RUN_ALIGN) * RUN_ALIGN, bool)
+    for i in range(cap + 1):
+        depth, lo, hi = _band(i)
+        period = 1 << depth
+        if period <= RUN_ALIGN:
+            out.reshape(-1, period)[:, lo:hi] = True
+        else:
+            for base in range(-((c - skip) % period), out.size, period):
+                out[max(base + lo, 0) : max(base + hi, 0)] = True
+    return out[skip : skip + width]
 
 
 # Counters per block in window_arrival_counts: bounds the temporaries at a
@@ -583,7 +576,7 @@ def _digit_steps(cap: int) -> tuple[np.ndarray, np.ndarray]:
     from the walk before bit b, the members and the runs due below the state,
     which the zeros b..state-1 complete; in state L + 1, all 2**b settings.
     """
-    top = _period_bits(cap)
+    top = _band_depth(cap)
     states = np.arange(top + 2)
     gain = np.zeros((top, 2 * top + 4), np.uint64)
     step = np.empty((top, 2 * top + 4), np.intp)
@@ -677,7 +670,7 @@ def window_arrival_counts(
             f"window of width {width} from counter {bad} leaves precision {precision}"
         )
     cs = np.asarray(starts, dtype=np.uint64)
-    top = _period_bits(cap)
+    top = _band_depth(cap)
     period_members = np.uint64(arrival_set_measure(cap) * (1 << top))  # exact: period 2**top
     low = np.uint64((1 << top) - 1)
     # c + width may be 2**64, so add the quotients and remainders mod P apart
@@ -752,6 +745,7 @@ def sample_run_seed(
     band_limit(precision, i)
     if i < 1:
         raise ValueError("run seeds exist for band indices i >= 1 only")
-    low = int(rng.integers(0, 1 << (i - 1)))
-    high = _uniform_int(rng, precision - (2 * i + 1))
-    return DyadicPoint((high << (2 * i + 1)) | low, precision)
+    depth, half, _ = _band(i)
+    low = int(rng.integers(0, half))
+    high = _uniform_int(rng, precision - depth)
+    return DyadicPoint((high << depth) | low, precision)

@@ -292,7 +292,7 @@ class OdometerProcess(_ProcessBase):
         try:
             odometer.band_limit(self.precision, self.i_max)
         except odometer.PrecisionError as exc:
-            raise ProcessError(f"i_max: {exc}") from None
+            raise ProcessError(str(exc)) from None
 
     def exact_mean_bounds(self) -> tuple[Fraction, Fraction]:
         """(exact E[Y] of this truncated process, upper bound for the full set).
@@ -323,9 +323,9 @@ class OdometerProcess(_ProcessBase):
         if n == 0:
             return  # no counter is drawn for an empty sample
         c = self._draw_counter(rng, margin_low=n, width=1)
-        counters = np.uint64(c) - np.arange(1, n + 1, dtype=np.uint64)
-        member = odometer.in_arrival_set_batch(counters, self.precision, self.i_max)
-        yield member.astype(np.float64)
+        # the counters c-1, ..., c-n: the run from c-n, read backwards
+        p = odometer.DyadicPoint(c - n, self.precision)
+        yield odometer.membership_window(p, n, self.i_max)[::-1].astype(np.float64)
 
     def _backward_window(self, n: int, rng) -> np.ndarray:
         if n == 0:

@@ -244,24 +244,67 @@ def test_unwritable_out_is_the_json_error(tmp_path, capsys):
     assert err["error"].startswith("NotADirectoryError") and str(blocker) in err["error"]
 
 
-# numpy reports the overflow, and the inf - inf after it, as RuntimeWarnings:
-# the run goes on past them, as it does without -W error
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# outside the queue recursion, numpy reports the overflow, and the inf - inf
+# after it, as RuntimeWarnings: the run goes on past them, as it does without
+# -W error
+_NUMPY_WARNS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, reason",
     [
-        ["gg1", "--service", "iid-table:1e308@1", "--interarrival", "iid-table:0@1", "--n", "5"],
-        ["loynes", "--process", "iid-table:1e308@1", "--s", "0.5", "--window", "5"],
-        ["cumulant", "--process", "iid-bernoulli:0.5", "--theta-grid", "0,1e308", "--n", "10",
-         "--m", "10", "--s", "0.75"],
+        # the recursion checks its states once per block, warning-free
+        pytest.param(
+            ["gg1", "--service", "iid-table:1e308@1", "--interarrival", "iid-table:0@1",
+             "--n", "5"],
+            "the queue recursion overflows the float range",
+            id="gg1",
+        ),
+        pytest.param(
+            ["loynes", "--process", "iid-table:1e308@1", "--s", "0.5", "--window", "5"],
+            "JSON compliant",
+            id="loynes",
+            marks=_NUMPY_WARNS,
+        ),
+        pytest.param(
+            ["cumulant", "--process", "iid-bernoulli:0.5", "--theta-grid", "0,1e308",
+             "--n", "10", "--m", "10", "--s", "0.75"],
+            "JSON compliant",
+            id="cumulant",
+            marks=_NUMPY_WARNS,
+        ),
+        pytest.param(
+            ["couple", "--process", "iid-table:1e308@1", "--s", "0.5", "--x0", "10",
+             "--horizon", "50", "--replicas", "2"],
+            "the queue recursion overflows the float range",
+            id="couple",
+        ),
+        pytest.param(
+            ["simulate", "--process", "iid-table:1e308@1", "--s", "0.5", "--horizon", "50",
+             "--thresholds", "1"],
+            "the queue recursion overflows the float range",
+            id="simulate",
+        ),
     ],
-    ids=["gg1", "loynes", "cumulant"],
 )
-def test_non_finite_results_are_the_json_error(tmp_path, capsys, args):
-    # JSON has no Infinity or NaN: such a summary fails before either file is written
+def test_non_finite_results_are_the_json_error(tmp_path, capsys, args, reason):
+    # such a run fails before either file is written: in the recursion at the
+    # first block that overflows, else when the summary meets JSON, which has
+    # no Infinity or NaN
     assert cli.main([*args, "--out", str(tmp_path / "x")]) == 2
-    assert "JSON compliant" in json.loads(capsys.readouterr().err)["error"]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and reason in json.loads(err)["error"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sums_overflowing_downward_leave_the_queue_empty(tmp_path):
+    # the prefix sums reach -inf, but the waits stay 0 and are stepped exactly
+    _, summary = run(
+        tmp_path,
+        "w",
+        ["gg1", "--service", "iid-table:0@1", "--interarrival", "iid-table:1e308@1", "--n", "5"],
+    )
+    assert summary["results"]["max_wait"] == summary["results"]["final_wait"] == 0.0
 
 
 def test_config_file_without_subcommand_rejected(tmp_path, capsys):
@@ -332,6 +375,16 @@ def test_gg1_and_scaled_subcommands_run(tmp_path):
         ],
     )
     assert float(rows[1][1]) == 0.0  # zero tilt
+
+
+def test_odometer_precision_without_a_band_fails_fast(tmp_path, capsys):
+    # band 0 reads two bits, so precision 1 holds no band
+    argv = ["simulate", "--process", "odometer:1", "--s", "0.75", "--horizon", "1"]
+    assert cli.main([*argv, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "precision 1 holds no band" in json.loads(err)["error"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_odometer_precision_above_64_fails_fast(tmp_path, capsys):

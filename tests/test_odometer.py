@@ -355,12 +355,57 @@ def test_membership_matches_raw_definition(c, i_max):
     assert s.contains_point(p) == raw
 
 
-def test_batch_membership_matches_scalar():
-    rng = np.random.default_rng(11)
-    cs = od.uniform_counters(rng, 500, 64)
-    batch = od.in_arrival_set_batch(cs, 64)
-    for c, b in zip(cs.tolist(), batch.tolist()):
-        assert od.in_arrival_set(od.DyadicPoint(int(c), 64)) == b
+def assert_run_matches_scalar(precision, cap, c, width, every=False):
+    """membership_window against in_arrival_set at every offset, or at the
+    run's ends, both sides of each RUN_ALIGN edge inside it and a stride."""
+    got = od.membership_window(od.DyadicPoint(c, precision), width, cap)
+    assert got.dtype == bool and got.shape == (width,)
+    if every or width <= 512:
+        offsets = range(width)
+    else:
+        edges = range(-c % od.RUN_ALIGN, width, od.RUN_ALIGN)
+        offsets = {*range(256), *range(width - 256, width), *range(0, width, 97)}
+        offsets |= {e + d for e in edges for d in range(-16, 16) if 0 <= e + d < width}
+    for j in offsets:
+        assert got[j] == od.in_arrival_set(od.DyadicPoint(c + j, precision), cap), (c, j)
+
+
+@st.composite
+def runs(draw):
+    """(precision, cap, start, width) with the run inside 2**precision."""
+    precision = draw(st.integers(min_value=2, max_value=130))
+    cap = draw(st.integers(min_value=0, max_value=od.band_limit(precision)))
+    width = draw(st.integers(min_value=0, max_value=min(3 * od.RUN_ALIGN, 1 << precision)))
+    last = min((1 << precision) - width, (1 << precision) - 1)  # the run ending at 2**K
+    block = draw(st.integers(min_value=0, max_value=last // od.RUN_ALIGN)) * od.RUN_ALIGN
+    near_edge = block + draw(st.integers(min_value=-width, max_value=8))
+    c = draw(st.one_of(st.integers(0, last), st.sampled_from([0, last]), st.just(near_edge)))
+    return precision, cap, min(max(c, 0), last), width
+
+
+@given(runs())
+@settings(max_examples=150, deadline=None)
+def test_membership_window_matches_scalar(run):
+    assert_run_matches_scalar(*run)
+
+
+@pytest.mark.parametrize(
+    "precision, cap, c, width",
+    [
+        (64, 5, od.RUN_ALIGN - 100, 300),  # crosses a block edge; every period fits a block
+        (64, 31, 0, 3 * od.RUN_ALIGN),  # starts at 0; bands 6.. are sliced per period
+        (13, 6, 0, 1 << 13),  # the whole orbit: band 6 has one period
+        (20, 9, (1 << 20) - 3 * od.RUN_ALIGN - 5, 3 * od.RUN_ALIGN + 5),  # ends at 2**K
+        (128, 63, (1 << 128) - 5000, 5000),
+        (130, 7, (1 << 64) - 2000, 4000),  # crosses 2**64
+        (2, 0, 0, 4),
+        (2, 0, 3, 0),  # width 0, here and below
+        (64, 31, od.RUN_ALIGN, 0),
+        (130, 64, 12345, 0),
+    ],
+)
+def test_membership_window_edges_match_scalar(precision, cap, c, width):
+    assert_run_matches_scalar(precision, cap, c, width, every=True)
 
 
 def test_run_seed_sets():
@@ -393,8 +438,7 @@ def test_run_seed_edge_of_band():
 
 @pytest.mark.parametrize("precision", [65, 80, 128])
 def test_membership_window_beyond_64_bits_matches_interval_sets(precision):
-    # above 64 bits the window tests one counter at a time; the interval set
-    # and, on the low 64 bits, the batch test are its oracles
+    # above 64 bits the band offsets are Python ints; the interval set is the oracle
     rng = random.Random(precision)
     width = 40
     top = (1 << precision) - width
@@ -407,8 +451,6 @@ def test_membership_window_beyond_64_bits_matches_interval_sets(precision):
             got = od.membership_window(od.DyadicPoint(c, precision), width, cap).tolist()
             points = [od.DyadicPoint(c + j, precision) for j in range(width)]
             assert got == [band_union.contains_point(p) for p in points]
-            low = np.array([(c + j) % (1 << 64) for j in range(width)], dtype=np.uint64)
-            assert got == od.in_arrival_set_batch(low, 64, cap).tolist()
 
 
 def test_band_depth_guards():
@@ -421,25 +463,30 @@ def test_band_depth_guards():
 
 
 def _band_checks(precision, i):
-    """The band rule's function and, where a point exists, two of its callers."""
+    """The band rule's function and, where a point exists, its callers."""
     yield lambda: od.band_limit(precision, i)
+    if i <= 6:  # band i has 2**(i-1) cells: build only small sets
+        yield lambda: od.arrival_band(i, precision)
     if precision >= 1:
         p = od.DyadicPoint(0, precision)
         yield lambda: od.in_run_seed(p, i)
+        yield lambda: od.in_arrival_band(p, i)
         yield lambda: od.in_arrival_set(p, i)
+        yield lambda: od.membership_window(p, 1, i)
 
 
 def test_band_limit_is_the_one_band_rule():
-    # a band is testable when it is nonnegative and its depth 2i+1 fits a
-    # positive precision; the band functions raise exactly where it is not
+    # a band is testable when it is nonnegative and its depth max(2i+1, 2)
+    # fits the precision, so precision 1 holds none; the band functions
+    # raise exactly where it is not
     for precision in range(-2, 70):
-        if precision < 1:
+        if precision < 2:
             with pytest.raises(od.PrecisionError):
                 od.band_limit(precision)
         else:
             assert od.band_limit(precision) == (precision - 1) // 2
         for i in range(-3, 40):
-            testable = i >= 0 and 2 * i + 1 <= precision and precision >= 1
+            testable = i >= 0 and max(2 * i + 1, 2) <= precision
             if testable:
                 assert od.band_limit(precision, i) == i
             for check in _band_checks(precision, i):
@@ -520,7 +567,7 @@ def test_prefix_counts_match_per_bit_walk(cap, data):
 def test_prefix_counts_match_member_tally(cap):
     # every counter of a short period against a running count of members
     rs = np.arange(1 << period_bits(cap), dtype=np.uint64)
-    member = od.in_arrival_set_batch(rs, 64, cap)
+    member = [od.in_arrival_set(od.DyadicPoint(r, 64), cap) for r in range(rs.size)]
     tally = np.concatenate([[0], np.cumsum(member)[:-1]])
     assert (od._prefix_counts(rs, cap) == tally).all()
 
@@ -542,7 +589,7 @@ def test_whole_periods_hold_the_set_measure(cap):
     members = int(measure)
     top = np.array([period - 1], dtype=np.uint64)
     assert od._prefix_counts(top, cap)[0] == members
-    assert not od.in_arrival_set_batch(top, 64, cap)[0]
+    assert not od.in_arrival_set(od.DyadicPoint(period - 1, 64), cap)
     for k in (1, 2):
         width = k * period
         last = (1 << 64) - width
@@ -566,9 +613,10 @@ def test_window_counts_near_counter_top():
 def test_window_counts_span_several_blocks():
     width = 16
     cs = od.uniform_counters(np.random.default_rng(21), 3 * od.COUNT_BLOCK + 5, 64, width)
-    cells = cs[:, None] + np.arange(width, dtype=np.uint64)
-    slow = od.in_arrival_set_batch(cells, 64).sum(axis=1)
-    assert (od.window_arrival_counts(cs, width, 64) == slow).all()
+    slow = [
+        sum(od.in_arrival_set(od.DyadicPoint(c + j, 64)) for j in range(width)) for c in cs.tolist()
+    ]
+    assert od.window_arrival_counts(cs, width, 64).tolist() == slow
 
 
 def test_window_counts_need_precision_at_most_64():

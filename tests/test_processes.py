@@ -316,7 +316,7 @@ def test_odometer_forward_beyond_orbit_rejected():
         proc.window_counts(1, 257, rng_for(0))
 
 
-@pytest.mark.parametrize("precision", [0, 65, 80])
+@pytest.mark.parametrize("precision", [0, 1, 65, 80])  # precision 1 holds no band
 def test_odometer_precision_checked_at_construction(precision):
     with pytest.raises(ProcessError, match="precision"):
         OdometerProcess(precision)
