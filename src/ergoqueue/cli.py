@@ -275,13 +275,15 @@ def _run_odometer(cfg: dict):
         p = odometer.DyadicPoint.from_fraction(frac, precision)
     steps = cfg["steps"]
     sign = -1 if cfg["direction"] == "backward" else 1
-    ks = range(steps + 1)
-    points = [odometer.apply_power(p, sign * k) for k in ks]
+    # step k is counter c - sign*k: the run is checked once at its far end and
+    # read as one window from its lowest counter, reversed going forward
+    far = odometer.apply_power(p, sign * steps)
+    counters = range(p.counter, far.counter - sign, -sign)
     columns = [
-        ks,
-        [format(pt.counter, "x") for pt in points],
-        [float(pt.value) for pt in points],
-        [odometer.in_arrival_set(pt, cfg["i_max"]) for pt in points],
+        range(steps + 1),
+        [format(c, "x") for c in counters],
+        [odometer.bit_reverse(c, precision) / (1 << precision) for c in counters],
+        odometer.membership_window(p if sign < 0 else far, steps + 1, cfg["i_max"])[::-sign],
     ]
     summary = {
         "start": p.to_json(),

@@ -125,12 +125,19 @@ def block_sums(process, n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(process.window_counts(m, n, rng), dtype=np.float64)
 
 
-def _log_mean_exp(x: np.ndarray) -> float:
-    """log of the sample mean of exp(x), shifted by the max to avoid overflow."""
+def _log_mean_exp(theta: float, x: np.ndarray) -> float:
+    """log of the sample mean of exp(theta * x), shifted by the max to avoid overflow.
+
+    An infinite largest tilted sum is a ValueError; an infinite smaller one weighs 0.
+    """
     if x.size == 0:
         raise ValueError("need at least one block sum")
-    xm = float(np.max(x))
-    return xm + math.log(float(np.mean(np.exp(x - xm))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tilted = theta * x
+        xm = float(np.max(tilted))
+        if not math.isfinite(xm):
+            raise ValueError("the tilted sums overflow the float range")
+        return xm + math.log(float(np.mean(np.exp(tilted - xm))))
 
 
 def _check_block_length(n: int) -> None:
@@ -158,7 +165,7 @@ def lambda_from_sums(sums: Sequence[float], theta: float, n: int) -> float:
     """
     arr = np.asarray(sums, dtype=np.float64)
     theta = float(theta)
-    log_mean = _log_mean_exp(theta * arr)
+    log_mean = _log_mean_exp(theta, arr)
     mean_rate, min_rate, max_rate = _sample_rates(arr, n)
     cap = theta * max_rate if theta >= 0 else theta * min_rate
     return min(max(log_mean / n, theta * mean_rate), cap)
@@ -301,8 +308,9 @@ def scaled_lambda_from_sums(
     scaling.validate([n])
     a_n = float(scaling.a(n))
     v_n = float(scaling.v(n))
-    x = float(theta) * (v_n / a_n) * (np.asarray(sums, dtype=np.float64) - float(n) * float(s))
-    return _log_mean_exp(x) / v_n
+    with np.errstate(over="ignore"):  # _log_mean_exp raises if a tilted sum overflows
+        centered = np.asarray(sums, dtype=np.float64) - float(n) * float(s)
+    return _log_mean_exp(float(theta) * (v_n / a_n), centered) / v_n
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +490,7 @@ def burst_cumulant_report(
             kept.append(draw[(draw & seed_bits) >= seed_end])
             accepted += kept[-1].size
         comp_counts = odometer.window_arrival_counts(np.concatenate(kept), n, precision)
-        ln_mean_comp = _log_mean_exp(theta * comp_counts.astype(np.float64))
+        ln_mean_comp = _log_mean_exp(theta, comp_counts.astype(np.float64))
         lam_strat = float(
             np.logaddexp(ln_mu + theta * n, math.log1p(-mu) + ln_mean_comp) / n
         )

@@ -49,10 +49,14 @@ def partial_sums(window: Sequence[float]) -> np.ndarray:
 
     window[j] is the increment at lag j (time 0, -1, ..., -N+1); V_0 = 0 and
     V_n is the sum of the n most recent increments, accumulated in order.
+    A sum past the float range leaves the last one infinite: a ValueError.
     """
     arr = _as_float_array(window, "window")
     sums = np.zeros(arr.size + 1)
-    np.cumsum(arr, out=sums[1:])
+    with np.errstate(over="ignore"):
+        np.cumsum(arr, out=sums[1:])
+    if not np.isfinite(sums[-1]):
+        raise ValueError("the partial sums overflow the float range")
     return sums
 
 

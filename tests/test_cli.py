@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergoqueue import cli, lindley
+from ergoqueue import odometer as od
 from ergoqueue.processes import parse_process, rng_for
 
 
@@ -167,6 +169,33 @@ def test_tandem_output_conserves_work(tmp_path):
     assert summary["results"]["conservation_exact"] is True
 
 
+@pytest.mark.parametrize("precision", [2, 16, 64, 130])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("with_i_max", [False, True])
+def test_odometer_orbit_rows_match_per_point_queries(tmp_path, precision, direction, with_i_max):
+    # the run is read as one window; each row must equal its point's own
+    # queries, on a run that crosses a RUN_ALIGN boundary where the orbit has one
+    top = (1 << precision) - 1
+    edge = (3 << (precision - 2)) & -od.RUN_ALIGN
+    if direction == "forward":
+        start = min(edge + 20, top)
+        steps = min(40, start)
+    else:
+        start = max(edge - 20, 0)
+        steps = min(40, top - start)
+    i_max = od.band_limit(precision) // 2 if with_i_max else None
+    args = ["odometer", "--value", hex(start), "--precision", str(precision),
+            "--steps", str(steps), "--direction", direction]
+    rows, _ = run(tmp_path, "o", args + (["--i-max", str(i_max)] if with_i_max else []))
+    assert rows[0] == ["k", "counter_hex", "value", "arrival"] and len(rows) == steps + 2
+    sign = 1 if direction == "forward" else -1
+    for k, row in enumerate(rows[1:]):
+        pt = od.DyadicPoint(start - sign * k, precision)
+        arrival = "true" if od.in_arrival_set(pt, i_max) else "false"
+        want = (k, format(pt.counter, "x"), float(pt.value), arrival)
+        assert (int(row[0]), row[1], float(row[2]), row[3]) == want
+
+
 def test_odometer_measure_table(tmp_path):
     rows, summary = run(tmp_path, "m", ["odometer", "--mode", "measure", "--i-max", "3"])
     assert rows[1:] == [
@@ -244,12 +273,6 @@ def test_unwritable_out_is_the_json_error(tmp_path, capsys):
     assert err["error"].startswith("NotADirectoryError") and str(blocker) in err["error"]
 
 
-# outside the queue recursion, numpy reports the overflow, and the inf - inf
-# after it, as RuntimeWarnings: the run goes on past them, as it does without
-# -W error
-_NUMPY_WARNS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
-
 @pytest.mark.parametrize(
     "args, reason",
     [
@@ -260,18 +283,28 @@ _NUMPY_WARNS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
             "the queue recursion overflows the float range",
             id="gg1",
         ),
+        # the partial sums and the tilts check their last or largest value
         pytest.param(
             ["loynes", "--process", "iid-table:1e308@1", "--s", "0.5", "--window", "5"],
-            "JSON compliant",
+            "the partial sums overflow the float range",
             id="loynes",
-            marks=_NUMPY_WARNS,
+        ),
+        pytest.param(
+            ["loynes", "--process", "iid-table:0@1", "--s", "1e308", "--window", "5"],
+            "the partial sums overflow the float range",
+            id="loynes-downward",
         ),
         pytest.param(
             ["cumulant", "--process", "iid-bernoulli:0.5", "--theta-grid", "0,1e308",
              "--n", "10", "--m", "10", "--s", "0.75"],
-            "JSON compliant",
+            "the tilted sums overflow the float range",
             id="cumulant",
-            marks=_NUMPY_WARNS,
+        ),
+        pytest.param(
+            ["scaled-cumulant", "--process", "iid-bernoulli:0.5", "--theta-grid", "0,1e308",
+             "--n", "10", "--m", "10", "--s", "0.25"],
+            "the tilted sums overflow the float range",
+            id="scaled-cumulant",
         ),
         pytest.param(
             ["couple", "--process", "iid-table:1e308@1", "--s", "0.5", "--x0", "10",
@@ -288,12 +321,24 @@ _NUMPY_WARNS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
     ],
 )
 def test_non_finite_results_are_the_json_error(tmp_path, capsys, args, reason):
-    # such a run fails before either file is written: in the recursion at the
-    # first block that overflows, else when the summary meets JSON, which has
-    # no Infinity or NaN
+    # such a run fails, warning-free, before either file is written: where the
+    # sums that overflow are formed
     assert cli.main([*args, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and reason in json.loads(err)["error"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_summary_is_the_json_error(tmp_path, capsys, monkeypatch):
+    # JSON has no Infinity or NaN, so the summary fails before either file is written
+    def infinite(cfg):
+        return ["x"], [[1.0]], {"value": math.inf}
+
+    _, *rest = cli._SUBCOMMANDS["simulate"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "simulate", (infinite, *rest))
+    argv = ["simulate", "--process", "iid-bernoulli:0.5", "--s", "0.75", "--horizon", "1"]
+    assert cli.main([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert "JSON compliant" in json.loads(capsys.readouterr().err)["error"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -123,6 +123,21 @@ def test_lambda_input_validation():
             es.scaled_lambda_from_sums([1.0, 2.0], 1.0, constant, 0.5, n)
 
 
+def test_tilted_sums_outside_the_float_range():
+    linear = es.ScalingFunctions(float, float)
+    # a largest tilted sum past the float range is the one ValueError
+    with pytest.raises(ValueError, match="the tilted sums overflow the float range"):
+        es.lambda_from_sums([0.0, 5.0], 1e308, 10)
+    with pytest.raises(ValueError, match="the tilted sums overflow the float range"):
+        es.scaled_lambda_from_sums([0.0, 7.0], 1e308, linear, 0.25, 10)
+    with pytest.raises(ValueError, match="the tilted sums overflow the float range"):
+        es.scaled_lambda_from_sums([-1e308], 1.0, linear, 1e308, 1)  # centering overflows
+    # below a finite maximum, a sum that overflows downward weighs exp(-inf) = 0
+    assert es.scaled_lambda_from_sums([7.0, 0.0], 1e308, linear, 0.75, 10) == (
+        (1e308 * -0.5 + math.log(0.5)) / 10
+    )
+
+
 def test_convexity_defect_zero_on_convex_curve():
     grid = [0.0, 0.5, 1.0, 1.5, 2.0]
     est = es.CumulantEstimate(

@@ -16,7 +16,8 @@ ALLOWED = {
     "processes": {"odometer"},
     "estimators": {"lindley", "odometer", "processes"},
     "cli": {"lindley", "odometer", "processes", "estimators"},
-    "__init__": {"lindley", "odometer", "processes", "estimators"},
+    # the package exports no name, so it imports no module
+    "__init__": set(),
 }
 
 

@@ -203,6 +203,15 @@ def test_partial_sums_reject_non_finite():
         ld.loynes_sup([math.inf])
 
 
+@pytest.mark.parametrize("step", [1e308, -1e308])
+def test_partial_sums_outside_the_float_range_are_a_value_error(step):
+    # finite increments whose sums leave the float range, either way, warning-free
+    with pytest.raises(ValueError, match="the partial sums overflow the float range"):
+        ld.partial_sums([step, step, 0.0])
+    with pytest.raises(ValueError, match="the partial sums overflow the float range"):
+        ld.loynes_sup([step, step])
+
+
 @given(st.lists(st.floats(-4, 4), max_size=200))
 def test_sup_matches_sequential_scan(values):
     # off the dyadic grid the sums round; the scan must round identically
