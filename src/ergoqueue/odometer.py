@@ -558,9 +558,11 @@ def membership_window(p: DyadicPoint, width: int, i_max: int | None = None) -> n
 
 # Counters per block in window_arrival_counts: bounds the temporaries at a
 # few hundred KiB whatever the number of windows.  Counter bits per pass of
-# _prefix_counts: the chunk tables of a band cap hold (L+1-hi) * 2**COUNT_BITS
+# _walk: the chunk tables of a band cap hold (L+1-hi) * 2**COUNT_BITS
 # entries for a chunk whose top bit is hi, 223 KiB at cap 31; 8 bits would
-# save three of its eleven passes for 633 KiB of tables.
+# save three of its eleven passes for 633 KiB of tables.  A block of window
+# counts reads the chunks at and below its highest carry bit for both ends
+# and the chunks above it once.
 COUNT_BLOCK = 8192
 COUNT_BITS = 6
 
@@ -619,6 +621,21 @@ def _chunk_tables(cap: int) -> tuple[tuple[np.uint64, np.uint64, np.ndarray, np.
     return tuple(chunks)
 
 
+def _walk(r: np.ndarray, chunks: Sequence[tuple], base, total: np.ndarray | None = None):
+    """Walk the counters r through ``chunks`` from key base ``base``; return the key base after.
+
+    Each chunk reads its bits of r, adds its gain to ``total`` when one is
+    given (else the walk only finds the state) and moves to the next state.
+    """
+    for lo, mask, gain, nxt in chunks:
+        key = ((r >> lo) & mask).view(np.int64)
+        key += base
+        if total is not None:
+            total += gain[key]
+        base = nxt[key]
+    return base
+
+
 def _prefix_counts(r: np.ndarray, cap: int) -> np.ndarray:
     """Members of bands 0..cap below each counter r inside one period.
 
@@ -628,12 +645,7 @@ def _prefix_counts(r: np.ndarray, cap: int) -> np.ndarray:
     the tables of ``_chunk_tables``: the top chunk is entered in state L, row 0.
     """
     total = np.zeros(r.size, np.uint64)
-    base = np.zeros(r.size, np.int32)
-    for lo, mask, gain, nxt in _chunk_tables(cap):
-        key = ((r >> lo) & mask).view(np.int64)
-        key += base
-        total += gain[key]
-        base = nxt[key]
+    _walk(r, _chunk_tables(cap), 0, total)
     return total
 
 
@@ -648,10 +660,15 @@ def window_arrival_counts(
     An exact prefix count F(c + width) - F(c), where F(N) counts the members
     below N.  Membership has period P = 2**(2*cap+1) (4 for cap = 0), so F(N)
     is (N // P) * (members per period) plus a digit DP over the bits of
-    N mod P, read COUNT_BITS bits per table lookup (``_prefix_counts``) for
-    COUNT_BLOCK counters at a time.  The cost does not depend on the width;
-    precision must be <= 64.  Agrees with ``membership_window(...).sum()``
-    pointwise.
+    N mod P, read COUNT_BITS bits per table lookup (``_walk``) for
+    COUNT_BLOCK counters at a time.  Within a block, c mod P and
+    (c + width) mod P agree above the highest bit t where any pair of them
+    differs, the top of the carry that adding the width sets off: the chunks
+    above t are walked once, on the starts, for the state both ends share,
+    and only the chunks at and below t on both ends.  A width small against
+    P keeps t low (for uniform starts about log2(COUNT_BLOCK) bits above the
+    width's top bit); at worst every chunk is read twice.  Precision must be
+    <= 64.  Agrees with ``membership_window(...).sum()`` pointwise.
     """
     if precision > 64:
         raise PrecisionError("window counting supports precision <= 64")
@@ -675,16 +692,23 @@ def window_arrival_counts(
     low = np.uint64((1 << top) - 1)
     # c + width may be 2**64, so add the quotients and remainders mod P apart
     w_periods, w_rest = np.uint64(width >> top), np.uint64(width & ((1 << top) - 1))
+    chunks = _chunk_tables(cap)
     out = np.empty(cs.size, np.int64)
     for s in range(0, cs.size, COUNT_BLOCK):
         c_rest = cs[s : s + COUNT_BLOCK] & low
         end = c_rest + w_rest  # below 2P <= 2**64
-        periods = w_periods + (end >> np.uint64(top))
-        f = _prefix_counts(np.concatenate([end & low, c_rest]), cap)
-        k = c_rest.size
+        count = (w_periods + (end >> np.uint64(top))) * period_members
+        end &= low
+        # every start and its end agree above bit t: one walk, shared state
+        t = int(np.bitwise_or.reduce(c_rest ^ end)).bit_length() - 1
+        shared = sum(int(lo) > t for lo, *_ in chunks)
+        base = _walk(c_rest, chunks[:shared], 0)
+        minus = np.zeros(c_rest.size, np.uint64)
+        _walk(end, chunks[shared:], base, count)
+        _walk(c_rest, chunks[shared:], base, minus)
         # uint64 arithmetic wraps, but the true count lies in [0, 2**63)
-        count = periods * period_members + f[:k] - f[k:]
-        out[s : s + k] = count.astype(np.int64)
+        count -= minus
+        out[s : s + c_rest.size] = count.astype(np.int64)
     return out
 
 

@@ -105,9 +105,17 @@ class _ProcessBase:
         return self._backward_window(n, rng)
 
     def window_counts(self, m: int, width: int, rng: np.random.Generator) -> np.ndarray:
-        """Totals of m windows of ``width`` values; by default of m independent realizations."""
+        """Totals of m windows of ``width`` values; by default of m independent realizations.
+
+        A total past the float range (or NaN, from overflows of both signs)
+        is a ValueError, raised without a numpy warning.
+        """
         _check_draw(rng, m, width)
-        return self._window_counts(m, width, rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals = self._window_counts(m, width, rng)
+        if not np.isfinite(totals).all():
+            raise ValueError("the window sums overflow the float range")
+        return totals
 
     def _backward_window(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.forward(n, rng)[::-1].copy()

@@ -306,6 +306,18 @@ def test_unwritable_out_is_the_json_error(tmp_path, capsys):
             "the tilted sums overflow the float range",
             id="scaled-cumulant",
         ),
+        # the window sums of a sampled process check every total
+        pytest.param(
+            ["cumulant", "--process", "iid-table:1e308@1", "--n", "10", "--m", "10"],
+            "the window sums overflow the float range",
+            id="cumulant-window-sums",
+        ),
+        pytest.param(
+            ["scaled-cumulant", "--process", "iid-table:1e308@1", "--n", "10", "--m", "10",
+             "--s", "0.5"],
+            "the window sums overflow the float range",
+            id="scaled-cumulant-window-sums",
+        ),
         pytest.param(
             ["couple", "--process", "iid-table:1e308@1", "--s", "0.5", "--x0", "10",
              "--horizon", "50", "--replicas", "2"],

@@ -35,6 +35,10 @@ Cases ``cumulant-no-s`` (``"delta": null``), ``cumulant-at-grid-max``,
 ``prop2-theta-0`` pin the result JSON on its null and boundary branches;
 their digests were recorded from commit dca5aed, before the estimator
 results were serialized by one shared ``to_json``.
+
+Case ``prop2-blocks`` counts 20000 windows per sample, three of the window
+counter's ``odometer.COUNT_BLOCK`` (8192) blocks; its digests were recorded
+from commit b01c64c, before each block walked its shared high bits once.
 """
 
 import hashlib
@@ -95,6 +99,7 @@ CASES = {
     "simulate-no-fit": ["simulate", "--process", "iid-bernoulli:0.5", "--s", "0.75", "--horizon",
                         "500", "--thresholds", "0,5,10", "--seed", "22"],
     "prop2-theta-0": ["prop2", "--i", "5", "--theta", "0", "--m", "300", "--seed", "23"],
+    "prop2-blocks": ["prop2", "--i", "11", "--theta", "1", "--m", "20000", "--seed", "16"],
 }
 
 # (sha256 of BASE.csv, sha256 of BASE.json) per case
@@ -166,6 +171,10 @@ DIGESTS = {
     "prop2": (
         "861325c0067a6e4e1547ce593f06f52fb41d747a36dbc1ddcb689e198d40c8d1",
         "227fa4a861adc5683a860a84038008c2d79d7fd8de608c358f6a417a48f56652",
+    ),
+    "prop2-blocks": (
+        "b416b96827b41c221141a590c9a00b15569ec2f2f8f7fd190c67f3a3a3e2d1bb",
+        "b1625fbee286452e4df45ae7ea91658394c43ba0552cb9f090b6547fd74ea47f",
     ),
     "prop2-shallow": (
         "39ef413fccd367c5a1f257f1e7a1d8ded96b47a19e7e6aa90356d3dbaa1b5056",

@@ -619,6 +619,47 @@ def test_window_counts_span_several_blocks():
     assert od.window_arrival_counts(cs, width, 64).tolist() == slow
 
 
+def carry_calls(width: int, top: int, rnd: random.Random):
+    """(t, starts) for calls whose highest carry bit is t, at 64-bit precision.
+
+    Adding the width carries out of b, the top bit of width mod 2**top.  Each
+    call leads with the start 0, whose carry stops at b, then has starts with
+    bits b..t-1 set and bit t clear, whose carry stops at t (t = top: it
+    leaves the period).  A width of whole periods carries nowhere: t is None.
+    """
+    rest = width % (1 << top)
+    if not rest:
+        yield None, [0] + [rnd.getrandbits(64) for _ in range(8)]
+        return
+    b = rest.bit_length() - 1
+    for t in range(b + 1, top + 1):
+        ones = (1 << t) - (1 << b)
+        starts = [(r & ~((2 << t) - 1)) | ones | (r & ((1 << b) - 1))
+                  for r in (rnd.getrandbits(64) for _ in range(8))]
+        yield t, [0] + [c for c in starts if c <= (1 << 64) - width]
+
+
+@pytest.mark.parametrize("cap", [0, 1, 5, 11, 31])
+def test_window_counts_mix_carry_depths_in_a_block(cap):
+    # one block holds starts whose carries stop at different bits: only the
+    # chunks above the deepest carry may be walked once for both ends
+    top = period_bits(cap)
+    period = 1 << top
+    rnd = random.Random(cap)
+    for width in (1, 1024, period - 1, period + 1024):
+        for t, starts in carry_calls(width, top, rnd):
+            if t is not None and t < top:
+                carried = [(c % period) ^ ((c + width) % period) for c in starts]
+                assert max(carried).bit_length() - 1 == t
+            elif t == top:
+                assert all(c % period + width % period >= period for c in starts[1:])
+            got = od.window_arrival_counts(starts, width, 64, cap).tolist()
+            assert got == [od.window_arrival_counts([c], width, 64, cap)[0] for c in starts]
+            if width <= 4096:
+                windows = (od.membership_window(od.DyadicPoint(c, 64), width, cap) for c in starts)
+                assert got == [w.sum() for w in windows]
+
+
 def test_window_counts_need_precision_at_most_64():
     with pytest.raises(od.PrecisionError):
         od.window_arrival_counts([0], 8, 65)

@@ -231,6 +231,20 @@ def test_zero_width_windows_count_nothing(proc):
     assert proc.window_counts(0, 0, rng_for(0)).size == 0
 
 
+@pytest.mark.parametrize(
+    "proc",
+    [
+        IIDTable((1e308,), (1.0,)),
+        IIDTable((1e308, -1e308), (0.5, 0.5)),  # overflows of both signs sum to NaN
+        TraceProcess(values=[1e308] * 8),
+    ],
+)
+def test_window_sums_outside_the_float_range_are_a_value_error(proc):
+    # the suite turns warnings into errors, so this also checks there is none
+    with pytest.raises(ValueError, match="the window sums overflow the float range"):
+        proc.window_counts(2, 4 if isinstance(proc, TraceProcess) else 400, rng_for(0))
+
+
 # -- odometer kind -----------------------------------------------------------
 
 
