@@ -15,8 +15,11 @@ configuration dict; either reproduces the files byte for byte.
 
 Floats are written with 17 significant digits (``FLOAT_FORMAT``); exact
 rationals as "p/q".  The CSV is written column by column, ``WRITE_BLOCK`` rows
-at a time, and is byte for byte what formatting each cell on its own and
-writing the rows with ``csv.writer`` would give.
+at a time: a block of numeric arrays is assembled as one byte buffer (integers
+by digit arithmetic, every other number by formatting each distinct bit
+pattern once), any other block goes through ``csv.writer``.  Either way the
+file is byte for byte what formatting each cell on its own and writing the
+rows with ``csv.writer`` would give.
 """
 
 from __future__ import annotations
@@ -56,47 +59,106 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _column_text(col) -> list[str]:
-    """``_fmt`` of every cell of one column slice.
+def _numeric(col) -> bool:
+    """A numeric array whose bit patterns an integer dtype can key."""
+    return isinstance(col, np.ndarray) and col.dtype.kind in "biuf" and col.dtype.itemsize <= 8
 
-    A float64 array formats each distinct value once with ``FLOAT_FORMAT``,
-    keyed on its bit pattern: ``np.unique`` on the floats would merge -0.0
-    with 0.0, which ``_fmt`` writes as "-0" and "0".  An integer array becomes
-    Python ints, which ``_fmt`` writes with ``str``.  Anything else goes cell
-    by cell.
+
+def _distinct_texts(col: np.ndarray, dtype) -> np.ndarray:
+    """``_fmt`` of every cell of a numeric column, as an array of ``dtype``.
+
+    Each distinct bit pattern is formatted once and gathered back per cell;
+    keying on the bits keeps -0.0 ("-0") apart from 0.0 ("0").  A pattern
+    reaches ``_fmt`` as the Python scalar ``tolist`` gives, written as the
+    column's numpy scalar would be, only faster; a float narrower than a
+    double would widen, so it stays a numpy scalar.
     """
-    if isinstance(col, np.ndarray):
-        if col.dtype == np.float64:
-            keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-            texts = [format(v, FLOAT_FORMAT) for v in keys.view(np.float64).tolist()]
-            return np.array(texts, dtype=object)[inverse].tolist()
-        if col.dtype.kind in "iu":
-            return list(map(str, col.tolist()))
+    keys, inverse = np.unique(col.view(f"i{col.dtype.itemsize}"), return_inverse=True)
+    values = keys.view(col.dtype)
+    if not (col.dtype.kind == "f" and col.dtype.itemsize < 8):
+        values = values.tolist()
+    return np.array(list(map(_fmt, values)), dtype=dtype)[inverse]
+
+
+def _column_text(col) -> list[str]:
+    """``_fmt`` of every cell of one column slice."""
+    if _numeric(col):
+        return _distinct_texts(col, object).tolist()
     return [_fmt(v) for v in col]
+
+
+def _int_bytes(col: np.ndarray) -> np.ndarray:
+    """The decimal text of each cell of an integer column, one NUL-padded row each.
+
+    The magnitudes are taken in uint64, so -2**63 and 2**64-1 are exact, and
+    in int32 when they fit.  Digit p is (m // 10**p) % 10 by one scalar divisor
+    per digit; above the units digit a zero quotient marks a leading zero,
+    which is blanked to NUL, and a minus sign goes just before the first digit.
+    """
+    negative = col < col.dtype.type(0)
+    mag = col.astype(np.uint64)
+    np.negative(mag, out=mag, where=negative)
+    top = int(mag.max())
+    if top < 2**31:
+        mag = mag.astype(np.int32)
+    scalar, width = mag.dtype.type, len(str(top))
+    cells = np.zeros((col.size, width + 1), np.uint8)
+    for p in range(width):
+        quotient = mag // scalar(10**p)
+        digit = (quotient % scalar(10)).astype(np.uint8) + np.uint8(ord("0"))
+        if p:
+            digit *= quotient != scalar(0)
+        cells[:, width - p] = digit
+    rows = np.flatnonzero(negative)
+    cells[rows, (cells[rows] != 0).argmax(axis=1) - 1] = ord("-")
+    return cells
+
+
+def _block_bytes(block: list[np.ndarray]) -> bytes:
+    """Rows of numeric column slices as CSV bytes.
+
+    Each column becomes a NUL-padded matrix of its cells' text; the matrices
+    are joined with one-byte "," and "\n" columns and the NULs dropped.  The
+    text of a number never holds a delimiter, quote or line break, so this is
+    what ``csv.writer`` writes.
+    """
+    size = block[0].size
+    comma, newline = (np.full((size, 1), ord(c), np.uint8) for c in ",\n")
+    parts = []
+    for col in block:
+        if col.dtype.kind in "iu":
+            parts.append(_int_bytes(col))
+        else:
+            parts.append(_distinct_texts(col, "S").view(np.uint8).reshape(size, -1))
+        parts.append(comma)
+    parts[-1] = newline
+    matrix = np.concatenate(parts, axis=1)
+    return matrix[matrix != 0].tobytes()
 
 
 def _write_outputs(base: Path, header, columns, summary: dict) -> None:
     """Write BASE.csv from one sequence per header field, and BASE.json.
 
-    The text of a number never holds a delimiter, quote or line break, so
-    when every column is a numeric array the rows are joined directly;
-    otherwise ``csv.writer`` writes them and does the quoting.  JSON has no
-    inf or nan, so a non-finite summary is a ValueError before either file
+    When every column is a numeric array, each block of rows is assembled as
+    bytes (``_block_bytes``) and written below the text layer in one call;
+    otherwise ``csv.writer`` writes the rows and does the quoting.  JSON has
+    no inf or nan, so a non-finite summary is a ValueError before either file
     is written.
     """
     text = json.dumps(summary, indent=2, allow_nan=False)
     rows = len(columns[0])
-    numeric = all(isinstance(col, np.ndarray) and col.dtype.kind in "biuf" for col in columns)
+    numeric = all(map(_numeric, columns))
     base.parent.mkdir(parents=True, exist_ok=True)
     with open(f"{base}.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
+        fh.flush()  # the header reaches the file before any byte block
         for start in range(0, rows, WRITE_BLOCK):
-            block = [_column_text(col[start : start + WRITE_BLOCK]) for col in columns]
+            block = [col[start : start + WRITE_BLOCK] for col in columns]
             if numeric:
-                fh.write("\n".join(map(",".join, zip(*block, strict=True))) + "\n")
+                fh.buffer.write(_block_bytes(block))
             else:
-                writer.writerows(zip(*block, strict=True))
+                writer.writerows(zip(*map(_column_text, block), strict=True))
     with open(f"{base}.json", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -161,12 +223,10 @@ def _run_simulate(cfg: dict):
 def _run_loynes(cfg: dict):
     proc = parse_process(cfg["process"])
     window = proc.backward_window(cfg["window"], rng_for(cfg["seed"])) - cfg["s"]
-    sums = lindley.partial_sums(window)
-    maxima = lindley.loynes_prefix_maxima(window)
     result = lindley.loynes_sup(window, slack=cfg["slack"])
     return (
         ["n", "partial_sum", "running_max"],
-        [np.arange(sums.size), sums, maxima],
+        [np.arange(result.sums.size), result.sums, result.prefix_maxima],
         {
             "value": result.value,
             "argmax": result.argmax,

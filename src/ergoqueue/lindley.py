@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,12 @@ class LoynesResult:
     value: float
     argmax: int
     converged: bool
+    sums: np.ndarray = field(repr=False, compare=False)  # V_0..V_N, from partial_sums
+
+    @property
+    def prefix_maxima(self) -> np.ndarray:
+        """The sup over every prefix length 0..N; nondecreasing."""
+        return np.maximum.accumulate(np.maximum(self.sums, 0.0))
 
 
 @dataclass
@@ -94,19 +100,21 @@ def loynes_sup(window: Sequence[float], slack: float = 0.0) -> LoynesResult:
     is nonnegative because V_0 = 0 participates.  ``converged`` reports a
     finite-window diagnostic, not a guarantee: the argmax is interior and the
     trailing sum has dropped at least ``slack`` below the max, so extending
-    the window a little would not have changed the answer.
+    the window a little would not have changed the answer.  The result keeps
+    the partial sums it was read from, so their running maxima
+    (``prefix_maxima``) need no second pass over the window.
     """
     sums = partial_sums(window)
     arg = int(np.argmax(sums))  # first maximizing index
     best = float(sums[arg])
     n_total = sums.size - 1
     converged = bool(arg < n_total and sums[-1] < best - slack)
-    return LoynesResult(best, arg, converged)
+    return LoynesResult(best, arg, converged, sums)
 
 
 def loynes_prefix_maxima(window: Sequence[float]) -> np.ndarray:
     """loynes_sup value over every prefix length 0..N; nondecreasing."""
-    return np.maximum.accumulate(np.maximum(partial_sums(window), 0.0))
+    return loynes_sup(window).prefix_maxima
 
 
 # the reflection kernel walks its input this many steps at a time, so its

@@ -902,12 +902,36 @@ _SPECIAL_FLOATS = [
 _FLOAT_POOLS = st.lists(st.floats(), max_size=8).map(
     lambda extra: np.array(_SPECIAL_FLOATS + extra, dtype=np.float64)
 )
-_INT_POOLS = st.lists(st.integers(-(2**63), 2**63 - 1), max_size=8).map(
-    lambda extra: np.array([-(2**63), 2**63 - 1, -1, 0, 1] + extra, dtype=np.int64)
+# integer edges, each kept in the pool of every dtype whose range holds it:
+# the dtype limits, digit-count boundaries, and either side of the magnitude
+# 2**31 at which the byte writer narrows its digit arithmetic to int32
+_INT_EDGES = [
+    -1, 0, 1, 9, 10, 99, 100, -100, 2**31 - 1, 2**31, -(2**31), -(2**31) - 1, 2**32 - 1,
+    2**32, 10**18 - 1, 10**18, -(10**18), 10**19, 2**63, 2**64 - 1,
+]
+
+
+def _int_pool(dtype):
+    info = np.iinfo(dtype)
+    low, high = int(info.min), int(info.max)
+    edges = [low, high] + [v for v in _INT_EDGES if low <= v <= high]
+    return st.lists(st.integers(low, high), max_size=8).map(
+        lambda extra: np.array(edges + extra, dtype=dtype)
+    )
+
+
+_INT_POOLS = st.one_of([_int_pool(t) for t in (np.int8, np.int16, np.int32, np.int64)]) | (
+    st.sampled_from(
+        [
+            np.zeros(3, dtype=np.int64),
+            np.array([-1, -9, -10, -100, -(2**63)], dtype=np.int64),
+            np.array([-1, -9, -10, -100], dtype=np.int32),
+            np.array([2**31 - 1, -(2**31 - 1), 0], dtype=np.int64),
+            np.array([2**31, -(2**31), 7], dtype=np.int64),
+        ]
+    )
 )
-_UINT_POOLS = st.lists(st.integers(0, 2**64 - 1), max_size=8).map(
-    lambda extra: np.array([0, 2**63, 2**64 - 1] + extra, dtype=np.uint64)
-)
+_UINT_POOLS = st.one_of([_int_pool(t) for t in (np.uint8, np.uint32, np.uint64)])
 _OBJECT_POOLS = st.lists(
     st.fractions(max_denominator=10**6)
     | st.booleans()
@@ -917,11 +941,16 @@ _OBJECT_POOLS = st.lists(
     min_size=1,
     max_size=12,
 )
-# other dtypes go cell by cell through _fmt, as numpy scalars
+# bools and narrow floats take the rule of float64 columns: each distinct bit
+# pattern is formatted once by _fmt
 _OTHER_POOLS = st.sampled_from(
-    [np.array([True, False]), np.array([0.1, -0.0, np.nan], dtype=np.float32)]
+    [
+        np.array([True, False]),
+        np.array([0.1, -0.0, np.nan], dtype=np.float32),
+        np.array([0.1, -0.0, 0.0, np.nan, -np.inf, 65504, 6e-08, 1.0], dtype=np.float16),
+    ]
 )
-# numeric arrays only: every block takes the writer's joined path
+# numeric arrays only: every block is assembled as bytes
 _NUMERIC_POOLS = _FLOAT_POOLS | _INT_POOLS | _UINT_POOLS | _OTHER_POOLS
 _POOLS = _NUMERIC_POOLS | _OBJECT_POOLS
 _LENGTHS = [0, 1, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1]
@@ -963,7 +992,7 @@ def test_bool_cells_do_not_depend_on_their_container(tmp_path):
 
 
 def test_writer_quotes_text_beside_numbers(tmp_path):
-    # one column needs the csv module's quoting, so no block is joined directly;
+    # one column needs the csv module's quoting, so no block is assembled as bytes;
     # a numpy text array is not numeric either
     numbers = np.array([0.5, -0.0, np.nan])
     columns = [numbers, ["a,b", 'q"t', ""], np.array(["x\ny", "p", "r,s"])]
