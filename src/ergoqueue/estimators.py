@@ -237,10 +237,10 @@ def decay_delta(
 ) -> DecayResult:
     """sup{theta > 0 : interpolated lambda(theta) - theta*s < 0} on the grid.
 
-    Piecewise-linear interpolation between grid nodes, refined by bisection
-    inside the last cell where the sign flips.  The grid maximum is a hard
-    boundary: when the curve is still below the line there, the result is
-    flagged rather than extrapolated.
+    Piecewise-linear interpolation between grid nodes, solved in closed
+    form inside the last cell where the sign flips.  The grid maximum is a
+    hard boundary: when the curve is still below the line there, the result
+    is flagged rather than extrapolated.
     """
     t = np.asarray(thetas, dtype=np.float64)
     l = np.asarray(lambda_hat, dtype=np.float64)
@@ -260,22 +260,10 @@ def decay_delta(
     k = int(below[-1])
     if k == t.size - 1:
         return DecayResult(float(t[-1]), "at-grid-max")
-    # sign flips in [t[k], t[k+1]]: g[k] < 0 <= g[k+1]; bisect the interpolant
+    # sign flips in [t[k], t[k+1]]: g[k] < 0 <= g[k+1]; the interpolant's root
     lo, hi = float(t[k]), float(t[k + 1])
     glo, ghi = float(g[k]), float(g[k + 1])
-
-    def interp(x: float) -> float:
-        w = (x - lo) / (hi - lo)
-        return glo + w * (ghi - glo)
-
-    a, b = lo, hi
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if interp(mid) < 0.0:
-            a = mid
-        else:
-            b = mid
-    return DecayResult(0.5 * (a + b), "interior")
+    return DecayResult(lo + (hi - lo) * (glo / (glo - ghi)), "interior")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ __all__ = [
     "CoupleResult",
     "partial_sums",
     "loynes_sup",
-    "loynes_prefix_maxima",
     "run_recursion",
     "forward_couple",
     "queue_path",
@@ -110,11 +109,6 @@ def loynes_sup(window: Sequence[float], slack: float = 0.0) -> LoynesResult:
     n_total = sums.size - 1
     converged = bool(arg < n_total and sums[-1] < best - slack)
     return LoynesResult(best, arg, converged, sums)
-
-
-def loynes_prefix_maxima(window: Sequence[float]) -> np.ndarray:
-    """loynes_sup value over every prefix length 0..N; nondecreasing."""
-    return loynes_sup(window).prefix_maxima
 
 
 # the reflection kernel walks its input this many steps at a time, so its

@@ -65,6 +65,7 @@ __all__ = [
     "membership_window",
     "window_arrival_counts",
     "uniform_counters",
+    "uniform_counter",
     "uniform_point",
     "sample_run_seed",
 ]
@@ -679,7 +680,7 @@ def window_arrival_counts(
         starts = counters.reshape(-1)
         bounds = (int(starts.min()), int(starts.max())) if starts.size else None
     else:
-        starts = [int(c) for c in counters]
+        starts = [operator.index(c) for c in counters]  # as DyadicInterval: no float truncates
         bounds = (min(starts), max(starts)) if starts else None
     if bounds and not (0 <= bounds[0] and bounds[1] <= (1 << precision) - width):
         bad = bounds[0] if bounds[0] < 0 else bounds[1]
@@ -725,7 +726,7 @@ def uniform_counters(
     clipped sliver has probability width * 2**-K.
     """
     if precision > 64:
-        raise PrecisionError("vector sampling supports precision <= 64")
+        raise PrecisionError("window counting supports precision <= 64")
     if not 1 <= width <= (1 << precision):
         raise ValueError("width out of range")
     limit = (1 << precision) - width  # largest admissible counter
@@ -743,23 +744,27 @@ def uniform_counters(
     return out
 
 
-def _uniform_int(rng: np.random.Generator, bits: int) -> int:
-    """Uniform integer in [0, 2**bits), any bit count."""
-    value = 0
-    for shift in range(0, bits, 32):
-        value |= int(rng.integers(0, 1 << 32)) << shift
-    return value & ((1 << bits) - 1)
+def uniform_counter(
+    rng: np.random.Generator, precision: int, low: int = 0, high: int | None = None
+) -> int:
+    """Counter uniform on [low, high] (by default every K-bit counter), any precision K.
+
+    Each try reads K bits, 32 per ``rng.integers(0, 2**32)`` draw, lowest
+    first, as ``uniform_counters`` does; a value outside is drawn again.
+    """
+    high = (1 << precision) - 1 if high is None else high
+    if not 0 <= low <= high < 1 << precision:
+        raise PrecisionError(f"no counter in [{low}, {high}] at precision {precision}")
+    while True:
+        words = (int(rng.integers(0, 1 << 32)) << s for s in range(0, precision, 32))
+        value = sum(words) % (1 << precision)
+        if low <= value <= high:
+            return value
 
 
 def uniform_point(rng: np.random.Generator, precision: int = DEFAULT_PRECISION) -> DyadicPoint:
     """Uniform point whose forward and backward orbits both exist (endpoints resampled)."""
-    if precision < 2:
-        raise PrecisionError(f"precision {precision} leaves no counter between the endpoints")
-    top = (1 << precision) - 1
-    while True:
-        c = _uniform_int(rng, precision)
-        if 0 < c < top:
-            return DyadicPoint(c, precision)
+    return DyadicPoint(uniform_counter(rng, precision, 1, (1 << max(precision, 0)) - 2), precision)
 
 
 def sample_run_seed(
@@ -771,5 +776,5 @@ def sample_run_seed(
         raise ValueError("run seeds exist for band indices i >= 1 only")
     depth, half, _ = _band(i)
     low = int(rng.integers(0, half))
-    high = _uniform_int(rng, precision - depth)
+    high = uniform_counter(rng, precision - depth)
     return DyadicPoint((high << depth) | low, precision)

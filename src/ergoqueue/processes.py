@@ -282,21 +282,19 @@ class TraceProcess(_ProcessBase):
 class OdometerProcess(_ProcessBase):
     """0/1 arrivals read off the adding-machine orbit.
 
-    A uniform point is drawn once per realization; Y at forward time k is
-    the arrival-set indicator at counter c - k, so a backward window of
-    width N is the indicator over counters c, c+1, ..., c+N-1.  Membership
-    uses bands up to i_max (default: the deepest band the precision allows),
-    giving a subset of the full arrival set with measure deficit at most
-    2^-(i_max+2).
+    A uniform counter c (``odometer.uniform_counter``, any precision K >= 2)
+    is drawn once per realization; Y at forward time k is the arrival-set
+    indicator at counter c - k, so a backward window of width N is the
+    indicator over counters c, c+1, ..., c+N-1.  Membership uses bands up to
+    i_max (default: the deepest), a subset of the full arrival set with
+    measure deficit at most 2^-(i_max+2).  Window totals are counted by
+    ``odometer.window_arrival_counts``, at the precisions it supports.
     """
 
     precision: int = odometer.DEFAULT_PRECISION
     i_max: int | None = None
 
     def __post_init__(self) -> None:
-        # the vectorized counter samplers carry at most 64 bits
-        if not 1 <= self.precision <= 64:
-            raise ProcessError(f"precision must be in 1..64, got {self.precision}")
         try:
             odometer.band_limit(self.precision, self.i_max)
         except odometer.PrecisionError as exc:
@@ -319,18 +317,15 @@ class OdometerProcess(_ProcessBase):
                 f"2**{self.precision} exist at K={self.precision}"
             )
 
-    def _draw_counter(self, rng: np.random.Generator, margin_low: int, width: int) -> int:
-        # counters c with c - margin_low >= 0 and c + width <= 2**K
-        self._check_orbit(margin_low + width)
-        while True:
-            c = int(odometer.uniform_counters(rng, 1, self.precision, max(width, 1))[0])
-            if c >= margin_low:
-                return c
+    def _draw_counter(self, rng: np.random.Generator, low: int, width: int) -> int:
+        # counters c with c - low >= 0 and c + width <= 2**K
+        self._check_orbit(low + width)
+        return odometer.uniform_counter(rng, self.precision, low, (1 << self.precision) - width)
 
     def _blocks(self, n: int, rng) -> Iterator[np.ndarray]:
         if n == 0:
             return  # no counter is drawn for an empty sample
-        c = self._draw_counter(rng, margin_low=n, width=1)
+        c = self._draw_counter(rng, low=n, width=1)
         # the counters c-1, ..., c-n: the run from c-n, read backwards
         p = odometer.DyadicPoint(c - n, self.precision)
         yield odometer.membership_window(p, n, self.i_max)[::-1].astype(np.float64)
@@ -338,7 +333,7 @@ class OdometerProcess(_ProcessBase):
     def _backward_window(self, n: int, rng) -> np.ndarray:
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        c = self._draw_counter(rng, margin_low=0, width=n)
+        c = self._draw_counter(rng, low=0, width=n)
         p = odometer.DyadicPoint(c, self.precision)
         return odometer.membership_window(p, n, self.i_max).astype(np.float64)
 

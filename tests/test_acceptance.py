@@ -64,7 +64,7 @@ def test_criterion_02_prefix_monotonicity():
             w = (rng.random(1000) < 0.5).astype(np.float64) - SERVICE
         else:
             w = proc.backward_window(1000, rng) - SERVICE
-        maxima = ld.loynes_prefix_maxima(w)
+        maxima = ld.loynes_sup(w).prefix_maxima
         assert (np.diff(maxima) >= 0.0).all()
         if k < 10:
             assert maxima[-1] == ld.loynes_sup(w).value

@@ -445,14 +445,23 @@ def test_odometer_precision_without_a_band_fails_fast(tmp_path, capsys):
 
 
 def test_odometer_precision_above_64_fails_fast(tmp_path, capsys):
+    # a run reads one counter of any width; only window counting is uint64
     code = cli.main(
         ["simulate", "--process", "odometer:80", "--s", "0.75", "--horizon", "100",
          "--out", str(tmp_path / "x")]
     )
+    assert code == 0
+    assert (tmp_path / "x.csv").exists()
+    capsys.readouterr()
+    code = cli.main(
+        ["cumulant", "--process", "odometer:80", "--theta-grid", "0,1", "--n", "8", "--m", "4",
+         "--out", str(tmp_path / "y")]
+    )
     assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert "precision" in err["error"]
-    assert not (tmp_path / "x.csv").exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "PrecisionError: window counting supports precision <= 64"
+    assert not (tmp_path / "y.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -852,6 +861,31 @@ def test_trace_block_sums_are_disjoint_stretches(tmp_path, capsys):
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == (
         "TraceError: trace too short: 11 windows of 5 need 55 values, 50 recorded")
+
+
+WINDOW_COUNT_PRECISION = "PrecisionError: window counting supports precision <= 64"
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        pytest.param(["odometer", "--mode", "measure"],
+                     "ValueError: measure mode needs i_max", id="measure-without-i-max"),
+        pytest.param(["prop1", "--i", "3", "--m", "10", "--precision", "80"],
+                     WINDOW_COUNT_PRECISION, id="prop1-precision-80"),
+        pytest.param(["prop2", "--i", "3", "--theta", "1", "--m", "10", "--precision", "80"],
+                     WINDOW_COUNT_PRECISION, id="prop2-precision-80"),
+        pytest.param(["scaled-cumulant", "--process", "odometer:80", "--theta-grid", "0,1",
+                      "--n", "8", "--m", "4", "--s", "0.75"],
+                     WINDOW_COUNT_PRECISION, id="scaled-cumulant-precision-80"),
+    ],
+)
+def test_fail_fast_checks_are_the_json_error(tmp_path, capsys, args, error):
+    assert cli.main([*args, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == error
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_odometer_block_sums_beyond_orbit_fail_fast(tmp_path, capsys):

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ergoqueue import estimators as es
 from ergoqueue import odometer as od
@@ -184,6 +186,45 @@ def test_delta_matches_independent_bisection():
     res = es.decay_delta(grid, bern_curve(grid), 0.75)
     assert res.status == "interior"
     assert abs(res.delta - DECAY_ROOT) < 1e-6
+
+
+def bisected_root(lo, hi, glo, ghi):
+    """The root of the line through (lo, glo), (hi, ghi), glo < 0 <= ghi, by 80 bisections."""
+    a, b = lo, hi
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        if glo + (mid - lo) / (hi - lo) * (ghi - glo) < 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    lo=st.floats(1e-9, 1e3),
+    width=st.floats(1e-12, 1e3),
+    s=st.floats(1e-3, 20.0),
+    glo=st.floats(-1e3, -1e-300),
+    ghi=st.floats(0.0, 1e3),
+)
+def test_delta_closed_form_matches_bisection(lo, width, s, glo, ghi):
+    hi = lo + width
+    assume(hi > lo)
+    thetas, lams = [0.0, lo, hi], [0.0, glo + lo * s, ghi + hi * s]
+    res = es.decay_delta(thetas, lams, s)
+    assume(res.status == "interior")
+    g = np.asarray(lams) - np.asarray(thetas) * s
+    want = bisected_root(lo, hi, float(g[1]), float(g[2]))
+    # Both roots differ from the exact root of the line only by rounding,
+    # and 2**-53 * x < ulp(hi) for any x <= hi.  The closed form rounds
+    # hi - lo, glo - ghi, the quotient and the product, each a relative
+    # 2**-53 of a term <= hi - lo, and the sum by half an ulp: < 4.5 ulps.
+    # Bisection halts where the rounded line changes sign; that line is
+    # off by five roundings of terms <= |glo|, which move its root by at
+    # most 5 * 2**-53 * (hi - lo), and the last midpoint rounds to an
+    # endpoint: < 6 ulps.  Random cells differ by at most 2 ulps.
+    assert abs(res.delta - want) <= 11 * math.ulp(hi)
 
 
 def test_delta_grid_validation():

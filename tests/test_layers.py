@@ -126,3 +126,39 @@ def test_the_private_reader_sees_every_form(tmp_path):
         "6: lin._reflect",
         "7: ergoqueue.estimators._burst_windows",
     ]
+
+
+def _by_function(path: Path) -> list[tuple[str | None, ast.AST]]:
+    """(name of the innermost def around it, node) for every node of one source file."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else func
+            found.append((inner, child))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_only_the_uint64_kernels_compare_with_64():
+    # every other counter path computes in Python ints, at any precision
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func, node in _by_function(path):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(isinstance(x, ast.Constant) and x.value == 64 for x in operands):
+                    found.add((path.stem, func))
+    assert found == {("odometer", "uniform_counters"), ("odometer", "window_arrival_counts")}
+
+
+def test_odometer_process_draws_uint64_counters_only_to_count_windows():
+    # a run reads one counter, drawn by odometer.uniform_counter at any width
+    callers = {
+        func
+        for func, node in _by_function(PACKAGE / "processes.py")
+        if isinstance(node, ast.Attribute) and node.attr == "uniform_counters"
+    }
+    assert callers == {"_window_counts"}

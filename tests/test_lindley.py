@@ -184,7 +184,7 @@ def test_sup_matches_enumeration(values):
 def test_sup_prefix_monotone(values):
     sups = [ld.loynes_sup(values[:n]).value for n in range(len(values) + 1)]
     assert all(a <= b for a, b in zip(sups, sups[1:]))
-    maxima = ld.loynes_prefix_maxima(values)
+    maxima = ld.loynes_sup(values).prefix_maxima
     assert maxima.tolist() == sups
 
 
@@ -268,6 +268,31 @@ def test_recursion_trace_invariant(x0, values):
     trace = ld.run_recursion(x0, values)
     trace.verify()
     assert (trace.states >= 0).all()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: ld.forward_couple(-1.0, [0.0]),
+                     "x0 must be finite and nonnegative", id="couple-negative-x0"),
+        pytest.param(lambda: ld.forward_couple(math.nan, [0.0]),
+                     "x0 must be finite and nonnegative", id="couple-nan-x0"),
+        pytest.param(lambda: ld.waiting_path([1.0, 2.0], [1.0]),
+                     "services and interarrivals must have equal length", id="waiting-lengths"),
+        pytest.param(lambda: ld.waiting_path([-1.0], [1.0]),
+                     "times must be nonnegative", id="waiting-negative-service"),
+        pytest.param(lambda: ld.waiting_path([1.0], [-1.0]),
+                     "times must be nonnegative", id="waiting-negative-gap"),
+        pytest.param(lambda: ld.QueueTrace(np.zeros(3), np.zeros(3)).verify(),
+                     "states must be one longer than increments", id="verify-shape"),
+        pytest.param(lambda: ld.QueueTrace(np.array([0.0, -1.0]), np.array([-1.0])).verify(),
+                     "negative state", id="verify-negative-state"),
+    ],
+)
+def test_fail_fast_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_verify_reports_first_bad_step():

@@ -610,6 +610,17 @@ def test_window_counts_near_counter_top():
         od.window_arrival_counts([top - width + 1], width, 64)
 
 
+def test_window_counts_take_integer_counters_only():
+    # numpy integers count as the ints they are; a float, even an integral
+    # one, is a TypeError as in DyadicInterval, never truncated to a counter
+    want = od.window_arrival_counts([1], 4, 8).tolist()
+    for ok in ([np.int64(1)], [np.uint8(1)], np.array([1], np.int64), np.array([1], np.uint64)):
+        assert od.window_arrival_counts(ok, 4, 8).tolist() == want
+    for bad in ([1.5], [2.0], [np.float64(1.0)], np.array([1.0])):
+        with pytest.raises(TypeError, match="integer"):
+            od.window_arrival_counts(bad, 4, 8)
+
+
 def test_window_counts_span_several_blocks():
     width = 16
     cs = od.uniform_counters(np.random.default_rng(21), 3 * od.COUNT_BLOCK + 5, 64, width)
@@ -687,6 +698,75 @@ def test_window_count_long_run_frequency():
     counts = od.window_arrival_counts(range(0, 1 << 15, width), width, 64, i_max=4)
     freq = Fraction(int(np.sum(counts)), 1 << 15)
     assert freq == od.arrival_set_measure(4)
+
+
+# -- fail-fast checks --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: od.bit_reverse(1, -1), ValueError,
+                     "width must be nonnegative", id="bit-reverse-width"),
+        pytest.param(lambda: od.bit_reverse(4, 2), ValueError,
+                     "4 does not fit in 2 bits", id="bit-reverse-too-wide"),
+        pytest.param(lambda: od.bit_reverse(-1, 3), ValueError,
+                     "-1 does not fit in 3 bits", id="bit-reverse-negative"),
+        pytest.param(lambda: od.DyadicPoint(0, 0), od.PrecisionError,
+                     "precision must be a positive integer, got 0", id="point-precision"),
+        pytest.param(lambda: od.DyadicPoint(0, 8.0), od.PrecisionError,
+                     "precision must be a positive integer, got 8.0", id="point-float-precision"),
+        pytest.param(lambda: od.DyadicPoint(1.0, 8), TypeError,
+                     "counter must be an int, got float", id="point-type"),
+        pytest.param(lambda: od.DyadicPoint(256, 8), ValueError,
+                     "counter 256 out of range for precision 8", id="point-range"),
+        pytest.param(lambda: od.DyadicPoint(-1, 8), ValueError,
+                     "counter -1 out of range for precision 8", id="point-negative"),
+        pytest.param(lambda: od.DyadicPoint.from_bits([0, 2]), ValueError,
+                     "bits must be 0 or 1", id="from-bits-digit"),
+        pytest.param(lambda: od.DyadicPoint.from_bits([1, 0, 1], 2), od.PrecisionError,
+                     "3 bits exceed precision 2", id="from-bits-precision"),
+        pytest.param(lambda: od.DyadicPoint.from_fraction(Fraction(1)), ValueError,
+                     "value 1 outside [0, 1)", id="from-fraction-range"),
+        pytest.param(lambda: od.DyadicPoint.from_fraction(Fraction(1, 3), 8), od.PrecisionError,
+                     "1/3 is not dyadic at precision 8", id="from-fraction-not-dyadic"),
+        pytest.param(lambda: od.DyadicPoint.from_fraction(Fraction(1, 512), 8), od.PrecisionError,
+                     "1/512 is not dyadic at precision 8", id="from-fraction-too-deep"),
+        pytest.param(lambda: od.DyadicPoint(5, 8).bit(0), od.PrecisionError,
+                     "bit index 0 outside 1..8", id="bit-zero"),
+        pytest.param(lambda: od.interval_index(od.DyadicPoint(5, 8), -1), ValueError,
+                     "depth must be nonnegative", id="interval-index-depth"),
+        pytest.param(lambda: od.DyadicInterval(64, 0), od.PrecisionError,
+                     "depth must be in 0..63, got 64", id="interval-depth-64"),
+        pytest.param(lambda: od.DyadicInterval(5, 0).contains(od.DyadicPoint(0, 4)),
+                     od.PrecisionError, "depth 5 exceeds point precision 4", id="contains-deeper"),
+        pytest.param(lambda: od.membership_window(od.DyadicPoint(5, 8), -1), ValueError,
+                     "width must be nonnegative", id="membership-width"),
+        pytest.param(lambda: od.membership_window(od.DyadicPoint(250, 8), 7), od.OrbitRangeError,
+                     "window of width 7 from counter 250 leaves precision 8",
+                     id="membership-leaves-window"),
+        pytest.param(lambda: od.window_arrival_counts([0], 0, 8), ValueError,
+                     "width must be positive", id="window-counts-width"),
+        pytest.param(lambda: od.uniform_counters(np.random.default_rng(0), 1, 65),
+                     od.PrecisionError,
+                     "window counting supports precision <= 64",
+                     id="uniform-counters-precision"),
+        pytest.param(lambda: od.uniform_counters(np.random.default_rng(0), 1, 8, 0), ValueError,
+                     "width out of range", id="uniform-counters-width"),
+        pytest.param(lambda: od.uniform_counter(np.random.default_rng(0), 8, 5, 4),
+                     od.PrecisionError, "no counter in [5, 4] at precision 8",
+                     id="uniform-counter-empty"),
+        pytest.param(lambda: od.uniform_counter(np.random.default_rng(0), 8, 0, 256),
+                     od.PrecisionError, "no counter in [0, 256] at precision 8",
+                     id="uniform-counter-above-top"),
+        pytest.param(lambda: od.sample_run_seed(0, np.random.default_rng(0), 8), ValueError,
+                     "run seeds exist for band indices i >= 1 only", id="run-seed-band-0"),
+    ],
+)
+def test_fail_fast_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 # -- sampling ---------------------------------------------------------------

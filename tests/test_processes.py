@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -272,6 +272,55 @@ def test_odometer_backward_matches_direct_membership():
     assert w.tolist() == want
 
 
+def _vector_draw(rng, precision, low, width):
+    """The counter as the vector sampler draws it: one uint64 counter, then margin rejection."""
+    while True:
+        c = int(od.uniform_counters(rng, 1, precision, width)[0])
+        if c >= low:
+            return c
+
+
+def _run(c, precision, n, step):
+    """Membership, counter by counter, at c + step, c + 2*step, ... (n counters)."""
+    return [float(od.in_arrival_set(od.DyadicPoint(c + k * step, precision))) for k in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    precision=st.integers(2, 64),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    backward=st.booleans(),
+)
+# only counter 7 (forward) or 0 (backward) fits: most draws are rejected
+@example(precision=3, n=7, seed=0, backward=False)
+@example(precision=2, n=4, seed=1, backward=True)
+def test_odometer_draw_matches_the_vector_sampler(precision, n, seed, backward):
+    n = min(n, (1 << precision) if backward else (1 << precision) - 1)
+    rng, oracle = rng_for(seed), rng_for(seed)
+    if backward:
+        got = OdometerProcess(precision).backward_window(n, rng).tolist()
+        c = _vector_draw(oracle, precision, 0, n)
+        assert got == _run(c, precision, n, 1)
+    else:
+        got = OdometerProcess(precision).forward(n, rng).tolist()
+        c = _vector_draw(oracle, precision, n, 1)
+        assert got == _run(c - 1, precision, n, -1)
+    assert state(rng) == state(oracle)
+
+
+@pytest.mark.parametrize("precision", [65, 100, 130])
+def test_odometer_runs_above_64_bits_match_direct_membership(precision):
+    proc, n, top = OdometerProcess(precision), 300, 1 << precision
+    for seed in range(3):
+        c = od.uniform_counter(rng_for(seed), precision, n, top - 1)
+        want = _run(c - 1, precision, n, -1)
+        assert proc.forward(n, rng_for(seed)).tolist() == want
+        assert np.concatenate(list(proc.blocks(n, rng_for(seed)))).tolist() == want
+        c = od.uniform_counter(rng_for(seed), precision, 0, top - n)
+        assert proc.backward_window(n, rng_for(seed)).tolist() == _run(c, precision, n, 1)
+
+
 def test_odometer_run_seed_window_is_all_ones():
     # seed 83 frozen: its first draw lands in the depth-7 run-seed set
     w = OdometerProcess().backward_window(4, rng_for(83))
@@ -330,12 +379,45 @@ def test_odometer_forward_beyond_orbit_rejected():
         proc.window_counts(1, 257, rng_for(0))
 
 
-@pytest.mark.parametrize("precision", [0, 1, 65, 80])  # precision 1 holds no band
+@pytest.mark.parametrize("precision", [0, 1, 65, 80])
 def test_odometer_precision_checked_at_construction(precision):
+    if precision >= 2:  # band_limit is the one rule, and it has no ceiling
+        proc = parse_process(f"odometer:{precision}")
+        assert proc == OdometerProcess(precision)
+        assert set(proc.forward(50, rng_for(precision)).tolist()) <= {0.0, 1.0}
+        return
+    # precision 1 holds no band
     with pytest.raises(ProcessError, match="precision"):
         OdometerProcess(precision)
     with pytest.raises(ProcessError, match="precision"):
         parse_process(f"odometer:{precision}")
+
+
+# -- fail-fast checks ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: IIDTable((), ()), ProcessError,
+                     "values and probabilities must be equal-length and nonempty",
+                     id="table-empty"),
+        pytest.param(lambda: IIDTable((1.0, np.inf), (0.5, 0.5)), ProcessError,
+                     "table values must be finite", id="table-infinite"),
+        pytest.param(lambda: TraceProcess(), ProcessError,
+                     "provide exactly one of path or values", id="trace-no-source"),
+        pytest.param(lambda: TraceProcess(path="t.txt", values=[1.0]), ProcessError,
+                     "provide exactly one of path or values", id="trace-both-sources"),
+        pytest.param(lambda: TraceProcess(values=[[1.0], [2.0]]), TraceError,
+                     "values: trace must be one-dimensional", id="trace-2d"),
+        pytest.param(lambda: TraceProcess(values=[1.0, np.nan]), TraceError,
+                     "values: values must be finite and nonnegative", id="trace-nan"),
+    ],
+)
+def test_fail_fast_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 # -- trace kind ----------------------------------------------------------------
