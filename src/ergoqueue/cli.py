@@ -14,18 +14,17 @@ run wrote (its embedded ``config`` object is unwrapped) or a bare
 configuration dict; either reproduces the files byte for byte.
 
 Floats are written with 17 significant digits (``FLOAT_FORMAT``); exact
-rationals as "p/q".  The CSV is written column by column, ``WRITE_BLOCK`` rows
-at a time: a block of numeric arrays is assembled as one byte buffer (integers
-by digit arithmetic, every other number by formatting each distinct bit
-pattern once), any other block goes through ``csv.writer``.  Either way the
-file is byte for byte what formatting each cell on its own and writing the
-rows with ``csv.writer`` would give.
+rationals as "p/q".  The CSV is assembled as bytes, the header as a one-row
+block and then ``WRITE_BLOCK`` rows at a time: integers by digit arithmetic,
+floats and booleans by formatting each distinct bit pattern once, any other
+cell by ``_fmt``.  The bytes are what ``csv.writer`` writes for those cells.
+A cell it would quote (one holding a comma, quote, CR or LF, or an empty
+field alone in its row) or one holding NUL or non-ASCII text is a ValueError.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -59,13 +58,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _numeric(col) -> bool:
-    """A numeric array whose bit patterns an integer dtype can key."""
-    return isinstance(col, np.ndarray) and col.dtype.kind in "biuf" and col.dtype.itemsize <= 8
+# a character of a cell that ``csv.writer`` would quote (CR on some Python
+# versions only), that the assembly would drop (NUL), or that ASCII lacks
+_NEEDS_QUOTING = re.compile('[,"\r\n\x00]|[^\x00-\x7f]')
 
 
-def _distinct_texts(col: np.ndarray, dtype) -> np.ndarray:
-    """``_fmt`` of every cell of a numeric column, as an array of ``dtype``.
+def _distinct_texts(col: np.ndarray) -> np.ndarray:
+    """``_fmt`` of every cell of a float or bool column, as an ``"S"`` array.
 
     Each distinct bit pattern is formatted once and gathered back per cell;
     keying on the bits keeps -0.0 ("-0") apart from 0.0 ("0").  A pattern
@@ -77,14 +76,7 @@ def _distinct_texts(col: np.ndarray, dtype) -> np.ndarray:
     values = keys.view(col.dtype)
     if not (col.dtype.kind == "f" and col.dtype.itemsize < 8):
         values = values.tolist()
-    return np.array(list(map(_fmt, values)), dtype=dtype)[inverse]
-
-
-def _column_text(col) -> list[str]:
-    """``_fmt`` of every cell of one column slice."""
-    if _numeric(col):
-        return _distinct_texts(col, object).tolist()
-    return [_fmt(v) for v in col]
+    return np.array(list(map(_fmt, values)), dtype="S")[inverse]
 
 
 def _int_bytes(col: np.ndarray) -> np.ndarray:
@@ -114,22 +106,33 @@ def _int_bytes(col: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _block_bytes(block: list[np.ndarray]) -> bytes:
-    """Rows of numeric column slices as CSV bytes.
+def _block_bytes(block: list) -> bytes:
+    """Rows of column slices as CSV bytes, as ``csv.writer`` writes them.
 
-    Each column becomes a NUL-padded matrix of its cells' text; the matrices
-    are joined with one-byte "," and "\n" columns and the NULs dropped.  The
-    text of a number never holds a delimiter, quote or line break, so this is
-    what ``csv.writer`` writes.
+    Each column becomes a NUL-padded matrix of its cells' text: an integer
+    array by ``_int_bytes``, a float or bool array that an integer dtype can
+    key by ``_distinct_texts``, any other column (a list, a range, any other
+    array) by ``_fmt`` per cell.  The matrices are joined with one-byte ","
+    and "\n" columns and the NULs dropped.  A cell of another column that
+    ``csv.writer`` would quote, one ``_NEEDS_QUOTING`` matches or an empty
+    field alone in its row (written '""'), is a ValueError.
     """
-    size = block[0].size
+    size = len(block[0])
     comma, newline = (np.full((size, 1), ord(c), np.uint8) for c in ",\n")
     parts = []
     for col in block:
-        if col.dtype.kind in "iu":
+        kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
+        if kind in "iu":
             parts.append(_int_bytes(col))
+        elif kind in "bf" and col.dtype.itemsize <= 8:
+            parts.append(_distinct_texts(col).view(np.uint8).reshape(size, -1))
         else:
-            parts.append(_distinct_texts(col, "S").view(np.uint8).reshape(size, -1))
+            cells = list(map(_fmt, col))
+            bad = _NEEDS_QUOTING.search("".join(cells))
+            if bad or (len(block) == 1 and "" in cells):
+                what = f"holds {bad.group()!r}" if bad else "is an empty field alone in its row"
+                raise ValueError(f"a CSV cell {what}; the writer does not quote")
+            parts.append(np.array(cells, dtype="S").view(np.uint8).reshape(size, -1))
         parts.append(comma)
     parts[-1] = newline
     matrix = np.concatenate(parts, axis=1)
@@ -139,26 +142,19 @@ def _block_bytes(block: list[np.ndarray]) -> bytes:
 def _write_outputs(base: Path, header, columns, summary: dict) -> None:
     """Write BASE.csv from one sequence per header field, and BASE.json.
 
-    When every column is a numeric array, each block of rows is assembled as
-    bytes (``_block_bytes``) and written below the text layer in one call;
-    otherwise ``csv.writer`` writes the rows and does the quoting.  JSON has
-    no inf or nan, so a non-finite summary is a ValueError before either file
-    is written.
+    The header is written as a one-row block, then the rows ``WRITE_BLOCK``
+    at a time, each block assembled as bytes by ``_block_bytes``.  JSON has
+    no inf or nan, so a non-finite summary is a ValueError before either
+    file is written.  A cell that would need quoting is a ValueError before
+    its block is written, and no JSON is written.
     """
     text = json.dumps(summary, indent=2, allow_nan=False)
     rows = len(columns[0])
-    numeric = all(map(_numeric, columns))
     base.parent.mkdir(parents=True, exist_ok=True)
-    with open(f"{base}.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        fh.flush()  # the header reaches the file before any byte block
+    with open(f"{base}.csv", "wb") as fh:
+        fh.write(_block_bytes([[name] for name in header]))
         for start in range(0, rows, WRITE_BLOCK):
-            block = [col[start : start + WRITE_BLOCK] for col in columns]
-            if numeric:
-                fh.buffer.write(_block_bytes(block))
-            else:
-                writer.writerows(zip(*map(_column_text, block), strict=True))
+            fh.write(_block_bytes([col[start : start + WRITE_BLOCK] for col in columns]))
     with open(f"{base}.json", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

@@ -569,11 +569,15 @@ COUNT_BITS = 6
 
 
 def _digit_steps(cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """The digit DP of ``_prefix_counts`` one bit at a time, as uint64 gains and next states.
+    """The digit DP of a prefix count one bit at a time, as uint64 gains and next states.
 
-    Both are indexed by [bit position b, 2 * state + bit of N at b] for b
-    below the period bits L, and the next state is stored doubled, ready to
-    take the next bit.  The state is the position of the next set bit of N
+    The prefix count of a counter N is the number of members of bands 0..cap
+    below it inside one period: each set bit b of N adds the members that
+    agree with N above b, have a zero at b and any bits below.  The bits are
+    read from the top down, starting in state L.  Gains and next states are
+    indexed by [bit position b, 2 * state + bit of N at b] for b below the
+    period bits L, and the next state is stored doubled, ready to take the
+    next bit.  The state is the position of the next set bit of N
     above b (L when none), or L + 1 once the bits above b hold a whole band,
     after which every completion below is a member.  A set bit at b gains,
     from the walk before bit b, the members and the runs due below the state,
@@ -635,19 +639,6 @@ def _walk(r: np.ndarray, chunks: Sequence[tuple], base, total: np.ndarray | None
             total += gain[key]
         base = nxt[key]
     return base
-
-
-def _prefix_counts(r: np.ndarray, cap: int) -> np.ndarray:
-    """Members of bands 0..cap below each counter r inside one period.
-
-    Every set bit b of r contributes the members among the counters that
-    agree with r above b, have a zero at b and any bits below.  The bits are
-    read from the top down, one chunk of up to COUNT_BITS per pass, through
-    the tables of ``_chunk_tables``: the top chunk is entered in state L, row 0.
-    """
-    total = np.zeros(r.size, np.uint64)
-    _walk(r, _chunk_tables(cap), 0, total)
-    return total
 
 
 def window_arrival_counts(

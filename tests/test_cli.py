@@ -984,7 +984,7 @@ _OTHER_POOLS = st.sampled_from(
         np.array([0.1, -0.0, 0.0, np.nan, -np.inf, 65504, 6e-08, 1.0], dtype=np.float16),
     ]
 )
-# numeric arrays only: every block is assembled as bytes
+# numeric arrays only: no cell needs quoting, so every write is checked byte for byte
 _NUMERIC_POOLS = _FLOAT_POOLS | _INT_POOLS | _UINT_POOLS | _OTHER_POOLS
 _POOLS = _NUMERIC_POOLS | _OBJECT_POOLS
 _LENGTHS = [0, 1, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1]
@@ -1004,6 +1004,12 @@ def test_numeric_writer_matches_per_row_oracle(tmp_path_factory, length, pools, 
     _check_writer(tmp_path_factory, length, pools, seed)
 
 
+def _needs_quoting(text: str, columns: int) -> bool:
+    """A cell csv.writer would quote, one whose NUL the byte assembly would drop, or non-ASCII."""
+    lone_empty = columns == 1 and text == ""
+    return lone_empty or any(c in ',"\r\n\x00' or ord(c) > 127 for c in text)
+
+
 def _check_writer(tmp_path_factory, length, pools, seed):
     rng = np.random.default_rng(seed)
     columns = []
@@ -1013,6 +1019,13 @@ def _check_writer(tmp_path_factory, length, pools, seed):
         columns.append(pool[picks] if isinstance(pool, np.ndarray) else [pool[i] for i in picks])
     header = [f"c{j}" for j in range(len(columns))]
     base = tmp_path_factory.mktemp("writer") / "out"
+    # the writer does not quote: it writes csv.writer's bytes, or refuses
+    # exactly when some cell would need quoting
+    if any(_needs_quoting(cli._fmt(v), len(columns)) for col in columns for v in col):
+        with pytest.raises(ValueError, match="CSV cell"):
+            cli._write_outputs(base, header, columns, {})
+        assert not base.with_suffix(".json").exists()
+        return
     cli._write_outputs(base, header, columns, {})
     got = base.with_suffix(".csv").read_bytes()
     assert got == _per_row_csv(header, columns).encode("utf-8")
@@ -1025,12 +1038,53 @@ def test_bool_cells_do_not_depend_on_their_container(tmp_path):
     assert text == (tmp_path / "l.csv").read_text(encoding="utf-8") == "b\ntrue\nfalse\n"
 
 
-def test_writer_quotes_text_beside_numbers(tmp_path):
-    # one column needs the csv module's quoting, so no block is assembled as bytes;
-    # a numpy text array is not numeric either
-    numbers = np.array([0.5, -0.0, np.nan])
-    columns = [numbers, ["a,b", 'q"t', ""], np.array(["x\ny", "p", "r,s"])]
-    cli._write_outputs(tmp_path / "m", ["f", "o", "u"], columns, {})
-    got = (tmp_path / "m.csv").read_text(encoding="utf-8")
-    assert got == 'f,o,u\n0.5,"a,b","x\ny"\n-0,"q""t",p\nnan,,"r,s"\n'
-    assert got == _per_row_csv(["f", "o", "u"], columns)
+def test_writer_refuses_cells_that_need_quoting(tmp_path):
+    # a cell csv.writer would quote, or whose NUL the byte assembly would
+    # drop (csv.writer writes "a\x00b", the bytes "ab"), is a ValueError; the
+    # summary is not written
+    numbers = np.array([0.5, -0.0])
+    cases = {
+        "comma": [numbers, ["a,b", "c"]],
+        "quote": [numbers, ['q"t', "c"]],
+        "lf": [numbers, np.array(["x\ny", "p"])],
+        "cr": [numbers, ["x\ry", "p"]],
+        "nul": [numbers, ["a\x00b", "c"]],
+        "non-ascii": [numbers, ["c", "\u00e9"]],
+        "lone-empty": [["c", None]],
+    }
+    for name, columns in cases.items():
+        with pytest.raises(ValueError, match="CSV cell"):
+            cli._write_outputs(tmp_path / name, ["f", "o"][: len(columns)], columns, {"ok": 1})
+        assert not (tmp_path / f"{name}.json").exists()
+    with pytest.raises(ValueError, match="CSV cell"):  # the header is a one-row block
+        cli._write_outputs(tmp_path / "h", ["f,g"], [numbers], {})
+    # an empty field beside another is an empty cell, as csv.writer writes it
+    cli._write_outputs(tmp_path / "m", ["f", "o"], [numbers, ["", None]], {})
+    assert (tmp_path / "m.csv").read_text(encoding="utf-8") == "f,o\n0.5,\n-0,\n"
+
+
+def test_refused_cell_is_the_json_error(tmp_path, capsys, monkeypatch):
+    # no subcommand writes such a cell, so a runner that does stands in for one
+    def runner(cfg):
+        return ["k", "text"], [[0], ["a,b"]], {}
+
+    _, *rest = cli._SUBCOMMANDS["odometer"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "odometer", (runner, *rest))
+    assert cli.main(["odometer", "--out", str(tmp_path / "x")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == "ValueError: a CSV cell holds ','; the writer does not quote"
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    argv = ["odometer", "--value", "11/16", "--precision", "16", "--steps", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ergoqueue", *argv, "--out", str(tmp_path / "m")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main([*argv, "--out", str(tmp_path / "c")]) == 0
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"m{suffix}").read_bytes() == (tmp_path / f"c{suffix}").read_bytes()

@@ -521,13 +521,20 @@ def test_window_counts_match_brute_force(window):
 
 
 def prefix_count_oracle(r: int, cap: int) -> int:
-    """``_prefix_counts`` of one counter, walking ``_digit_steps`` one bit at a time."""
+    """The prefix count of one counter, walking ``_digit_steps`` one bit at a time."""
     gain, step = (t.tolist() for t in od._digit_steps(cap))
     total, idx = 0, 2 * len(gain)
     for b in reversed(range(len(gain))):
         idx |= (r >> b) & 1
         total += gain[b][idx]
         idx = step[b][idx]
+    return total
+
+
+def prefix_counts(rs: np.ndarray, cap: int) -> np.ndarray:
+    """The prefix counts of uint64 counters inside one period, walked chunk by chunk."""
+    total = np.zeros(rs.size, np.uint64)
+    od._walk(rs, od._chunk_tables(cap), 0, total)
     return total
 
 
@@ -559,7 +566,7 @@ def test_prefix_counts_match_per_bit_walk(cap, data):
     top = period_bits(cap)
     drawn = data.draw(st.lists(st.integers(0, (1 << top) - 1), max_size=16))
     rs = sorted(chunk_edges(cap)) + drawn
-    got = od._prefix_counts(np.array(rs, dtype=np.uint64), cap)
+    got = prefix_counts(np.array(rs, dtype=np.uint64), cap)
     assert got.tolist() == [prefix_count_oracle(r, cap) for r in rs]
 
 
@@ -569,7 +576,7 @@ def test_prefix_counts_match_member_tally(cap):
     rs = np.arange(1 << period_bits(cap), dtype=np.uint64)
     member = [od.in_arrival_set(od.DyadicPoint(r, 64), cap) for r in range(rs.size)]
     tally = np.concatenate([[0], np.cumsum(member)[:-1]])
-    assert (od._prefix_counts(rs, cap) == tally).all()
+    assert (prefix_counts(rs, cap) == tally).all()
 
 
 def test_chunk_tables_stay_small():
@@ -588,7 +595,7 @@ def test_whole_periods_hold_the_set_measure(cap):
     assert measure.denominator == 1
     members = int(measure)
     top = np.array([period - 1], dtype=np.uint64)
-    assert od._prefix_counts(top, cap)[0] == members
+    assert prefix_counts(top, cap)[0] == members
     assert not od.in_arrival_set(od.DyadicPoint(period - 1, 64), cap)
     for k in (1, 2):
         width = k * period
