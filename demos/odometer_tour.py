@@ -40,7 +40,7 @@ def main():
     print("band  run length  measure      union so far")
     total = Fraction(0)
     for i in range(0, 9):
-        m = od.arrival_band(i).measure
+        m = Fraction(1, 1 << (i + 2))  # every band has measure 2**-(i+2)
         total = od.arrival_set_measure(i)
         run = 1 if i == 0 else (1 << (i - 1))
         print(f"  {i}   {run:6d}      {str(m):>8}    {str(total):>14}")

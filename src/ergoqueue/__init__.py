@@ -8,9 +8,9 @@ Every name is imported from its module; the package itself exports none.
     One-sided recursions (queue length, waiting time), the backward-supremum
     construction of the stationary state, forward coupling, tandem output.
 ``odometer``
-    Exact adding-machine dynamics on binary expansions: orbits, dyadic
-    interval sets with rational measures, and the arrival bands whose
-    all-ones runs defeat exponential tail bounds.
+    Exact adding-machine dynamics on binary expansions: orbits, and the
+    arrival bands, with rational measures, whose all-ones runs defeat
+    exponential tail bounds.
 ``processes``
     Stationary input streams (iid, binary Markov, recorded traces, and the
     counter-driven arrival process) behind one interface.

@@ -145,11 +145,15 @@ def _write_outputs(base: Path, header, columns, summary: dict) -> None:
     The header is written as a one-row block, then the rows ``WRITE_BLOCK``
     at a time, each block assembled as bytes by ``_block_bytes``.  JSON has
     no inf or nan, so a non-finite summary is a ValueError before either
-    file is written.  A cell that would need quoting is a ValueError before
-    its block is written, and no JSON is written.
+    file is written, as is a column whose length differs from the first's.
+    A cell that would need quoting is a ValueError before its block is
+    written, and no JSON is written.
     """
     text = json.dumps(summary, indent=2, allow_nan=False)
     rows = len(columns[0])
+    for name, col in zip(header, columns, strict=True):
+        if len(col) != rows:
+            raise ValueError(f"CSV column {name!r} has {len(col)} rows, the first has {rows}")
     base.parent.mkdir(parents=True, exist_ok=True)
     with open(f"{base}.csv", "wb") as fh:
         fh.write(_block_bytes([[name] for name in header]))

@@ -470,12 +470,10 @@ def burst_cumulant_report(
     else:
         # stratify on the seed set: inside it the window sum is exactly n
         mu = float(params.seed_measure)  # 2**-(i+2), exact in binary
-        # a counter seeds a run when its low 2i+1 bits are below 2**(i-1)
-        seed_bits, seed_end = np.uint64((1 << (2 * i + 1)) - 1), np.uint64(1 << (i - 1))
         kept, accepted = [], 0
         while accepted < m:
             draw = odometer.uniform_counters(rng, m - accepted, precision, n)
-            kept.append(draw[(draw & seed_bits) >= seed_end])
+            kept.append(draw[~odometer.run_seed_mask(draw, i)])
             accepted += kept[-1].size
         comp_counts = odometer.window_arrival_counts(np.concatenate(kept), n, precision)
         ln_mean_comp = _log_mean_exp(theta, comp_counts.astype(np.float64))

@@ -5,8 +5,8 @@ where bit r_l has weight 2**-l.  Reading the same bits lowest-weight-first
 as an unsigned integer ("the counter") turns the interval map into an exact
 counter decrement: the map flips the leading run of zeros to ones and the
 first one to zero, which is exactly what subtracting 1 does to the counter.
-Orbits, images of dyadic intervals, and measures of the arrival bands built
-from them can therefore be computed without any rounding.
+Orbits, band membership, and the measures of the arrival bands can
+therefore be computed without any rounding.
 
 Conventions used throughout:
 
@@ -27,7 +27,6 @@ every one of the next 2**(i-1) counter values lands in some band.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import operator
@@ -39,13 +38,10 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_PRECISION",
-    "MAX_SET_DEPTH",
     "ExceptionalPointError",
     "OrbitRangeError",
     "PrecisionError",
     "DyadicPoint",
-    "DyadicInterval",
-    "DyadicIntervalSet",
     "bit_reverse",
     "first_one_index",
     "apply_map",
@@ -53,15 +49,11 @@ __all__ = [
     "apply_power",
     "interval_index",
     "band_limit",
-    "run_seed_set",
-    "arrival_band",
-    "arrival_set_truncated",
     "arrival_set_measure",
     "arrival_set_measures",
     "arrival_set_components",
-    "in_run_seed",
-    "in_arrival_band",
     "in_arrival_set",
+    "run_seed_mask",
     "membership_window",
     "window_arrival_counts",
     "uniform_counters",
@@ -71,11 +63,6 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION = 64
-
-# Deepest dyadic interval: DyadicInterval raises PrecisionError beyond it.
-# Interval sets compute with exact Python integers and need no cap; the
-# limit is kept as public behaviour.
-MAX_SET_DEPTH = 63
 
 
 class ExceptionalPointError(ValueError):
@@ -229,138 +216,6 @@ def interval_index(p: DyadicPoint, depth: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dyadic intervals and canonical interval sets
-
-
-@dataclass(frozen=True)
-class DyadicInterval:
-    """Half-open dyadic interval of length 2**-depth.
-
-    ``index`` spells the shared leading bits lowest-weight-first; the interval
-    therefore collects the points whose counter is congruent to ``index``
-    modulo 2**depth.
-    """
-
-    depth: int
-    index: int
-
-    def __post_init__(self) -> None:
-        # Python ints, so the shifts below cannot wrap as numpy integers do
-        object.__setattr__(self, "depth", operator.index(self.depth))
-        object.__setattr__(self, "index", operator.index(self.index))
-        if not 0 <= self.depth <= MAX_SET_DEPTH:
-            raise PrecisionError(f"depth must be in 0..{MAX_SET_DEPTH}, got {self.depth}")
-        if not 0 <= self.index < (1 << self.depth):
-            raise ValueError(f"index {self.index} out of range at depth {self.depth}")
-
-    @property
-    def measure(self) -> Fraction:
-        return Fraction(1, 1 << self.depth)
-
-    @property
-    def value_start(self) -> Fraction:
-        """Left endpoint on the value axis."""
-        return Fraction(bit_reverse(self.index, self.depth), 1 << self.depth)
-
-    def contains(self, p: DyadicPoint) -> bool:
-        if self.depth > p.precision:
-            raise PrecisionError(f"depth {self.depth} exceeds point precision {p.precision}")
-        return (p.counter & ((1 << self.depth) - 1)) == self.index
-
-
-class DyadicIntervalSet:
-    """A finite union of dyadic intervals in canonical form, in exact integers.
-
-    The canonical form is the unique minimal decomposition: components are
-    pairwise disjoint and no two siblings (same parent interval) are both
-    present, so equal unions compare equal.  The union is also kept as merged
-    segments [start, end) in units of 2**-base, base the deepest input depth.
-    Measures are exact rationals.
-    """
-
-    __slots__ = ("_cells", "_base", "_starts", "_ends", "_measure")
-
-    def __init__(self, intervals: Iterable[DyadicInterval | tuple[int, int]] = ()):
-        ivs = [x if isinstance(x, DyadicInterval) else DyadicInterval(*x) for x in intervals]
-        cells = [(iv.depth, iv.index) for iv in ivs]
-        base = max((d for d, _ in cells), default=0)
-        # place every interval on the value axis, then merge overlapping or
-        # touching segments
-        starts: list[int] = []
-        ends: list[int] = []
-        spans = sorted((bit_reverse(j, d) << (base - d), 1 << (base - d)) for d, j in cells)
-        for a, size in spans:
-            if ends and a <= ends[-1]:
-                ends[-1] = max(ends[-1], a + size)
-            else:
-                starts.append(a)
-                ends.append(a + size)
-        # re-cut each merged segment into maximal aligned blocks
-        comps = []
-        for a, b in zip(starts, ends):
-            while a < b:
-                align = (a & -a).bit_length() - 1 if a else base
-                exp = min(align, (b - a).bit_length() - 1)
-                comps.append((base - exp, bit_reverse(a >> exp, base - exp)))
-                a += 1 << exp
-        self._cells = tuple(sorted(comps))
-        self._base = base
-        self._starts = tuple(starts)
-        self._ends = tuple(ends)
-        self._measure = Fraction(sum(ends) - sum(starts), 1 << base)
-
-    @property
-    def measure(self) -> Fraction:
-        return self._measure
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def components(self) -> list[DyadicInterval]:
-        """Canonical components sorted by (depth, index)."""
-        return [DyadicInterval(d, j) for d, j in self._cells]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DyadicIntervalSet):
-            return NotImplemented
-        return self._cells == other._cells
-
-    def __hash__(self) -> int:
-        return hash(self._cells)
-
-    def __repr__(self) -> str:
-        return f"DyadicIntervalSet({len(self)} components, measure={self._measure})"
-
-    def _covers(self, a: int, b: int, base: int) -> bool:
-        """True when [a, b), in units of 2**-base, lies inside the set."""
-        # merged segments are maximal: a covered span lies inside the last
-        # one that starts at or before it
-        up, down = max(base - self._base, 0), max(self._base - base, 0)
-        k = bisect.bisect_right(self._starts, (a << down) >> up) - 1
-        return k >= 0 and b << down <= self._ends[k] << up
-
-    def contains_point(self, p: DyadicPoint) -> bool:
-        # a point carried to fewer bits than the base has trailing zeros
-        shift = max(self._base - p.precision, 0)
-        v = bit_reverse(p.counter, p.precision) << shift
-        return self._covers(v, v + 1, p.precision + shift)
-
-    def __contains__(self, p: DyadicPoint) -> bool:
-        return self.contains_point(p)
-
-    def contains_set(self, other: "DyadicIntervalSet") -> bool:
-        """Exact containment: every point of `other` lies in this set."""
-        return all(self._covers(a, b, other._base) for a, b in zip(other._starts, other._ends))
-
-    def to_json(self) -> list[list[int]]:
-        return [[d, j] for d, j in self._cells]
-
-    @classmethod
-    def from_json(cls, data: Iterable[Sequence[int]]) -> "DyadicIntervalSet":
-        return cls((int(d), int(j)) for d, j in data)
-
-
-# ---------------------------------------------------------------------------
 # arrival bands
 
 
@@ -397,47 +252,6 @@ def _band(i: int) -> tuple[int, int, int]:
     return _band_depth(i), (1 << i) >> 1, 1 << i
 
 
-def _band_cells(i: int, seeds: bool = False) -> Iterator[tuple[int, int]]:
-    """The (depth, index) cells of band i, or of its run seeds."""
-    depth, lo, hi = _band(i)
-    return ((depth, j) for j in (range(lo) if seeds else range(lo, hi)))
-
-
-def run_seed_set(i: int, precision: int = DEFAULT_PRECISION) -> DyadicIntervalSet:
-    """Depth-(2i+1) intervals with indices [0, 2**(i-1)): the seeds of all-ones runs.
-
-    Empty for i = 0.  A counter in this set begins a stretch of 2**(i-1)
-    consecutive counters that all land in some arrival band.
-    """
-    band_limit(precision, i)
-    return DyadicIntervalSet(_band_cells(i, seeds=True))
-
-
-def arrival_band(i: int, precision: int = DEFAULT_PRECISION) -> DyadicIntervalSet:
-    """Band i of the arrival set.
-
-    Band 0 is the single depth-2 interval of index 0; band i >= 1 collects the
-    depth-(2i+1) intervals with indices [2**(i-1), 2**i).  Every band has
-    measure 2**-(i+2).
-    """
-    band_limit(precision, i)
-    return DyadicIntervalSet(_band_cells(i))
-
-
-def arrival_set_truncated(
-    i_max: int, precision: int = DEFAULT_PRECISION
-) -> tuple[DyadicIntervalSet, Fraction]:
-    """Union of bands 0..i_max and the measure dropped by truncation.
-
-    The truncation is one-sided: the returned set is a subset of the full
-    union, and the dropped bands account for at most the returned tail bound
-    sum(2**-(i+2), i > i_max) = 2**-(i_max+2).
-    """
-    band_limit(precision, i_max)
-    cells = itertools.chain.from_iterable(_band_cells(i) for i in range(i_max + 1))
-    return DyadicIntervalSet(cells), Fraction(1, 1 << (i_max + 2))
-
-
 def _deadline_walk(cap: int) -> Iterator[tuple[int, dict[int, int]]]:
     """The "pending deadline" automaton over the free low bits of a counter.
 
@@ -466,8 +280,8 @@ def arrival_set_measures(i_max: int) -> list[Fraction]:
     After bits 0..i-1 of the cap-i_max walk, the open runs belong to bands
     0..i, and one due at bit d completes on a further d-i+1 zeros, so the
     union of bands 0..i measures member/2**i + sum(pending[d]/2**(d+1)).
-    Agrees with the interval-set union but stays cheap for deep truncations,
-    where the union has ~2**i components.
+    Agrees with the union of the bands' intervals but stays cheap for deep
+    truncations, where the union has ~2**i components.
     """
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
@@ -500,18 +314,6 @@ def arrival_set_components(i_max: int) -> int:
     return sum(members[b + 1] - 2 * members[b] for b in range(len(members) - 1))
 
 
-def in_run_seed(p: DyadicPoint, i: int) -> bool:
-    band_limit(p.precision, i)
-    depth, lo, _ = _band(i)
-    return interval_index(p, depth) < lo
-
-
-def in_arrival_band(p: DyadicPoint, i: int) -> bool:
-    band_limit(p.precision, i)
-    depth, lo, hi = _band(i)
-    return lo <= interval_index(p, depth) < hi
-
-
 def in_arrival_set(p: DyadicPoint, i_max: int | None = None) -> bool:
     """True when some band 0..i_max matches the point's leading bits."""
     cap = band_limit(p.precision, i_max)
@@ -522,6 +324,17 @@ def in_arrival_set(p: DyadicPoint, i_max: int | None = None) -> bool:
         if (c >> (i - 1)) & ((1 << (i + 2)) - 1) == 1:
             return True
     return False
+
+
+def run_seed_mask(counters: np.ndarray, i: int) -> np.ndarray:
+    """Whether each counter of a uint64 array seeds a run of band i.
+
+    A seed's low ``depth`` bits are below ``lo`` (``_band``), so the
+    2**(i-1) counters from it all arrive; band 0 has no seeds.  A uint64
+    counter carries bands 0..31.
+    """
+    depth, lo, _ = _band(band_limit(64, i))
+    return (counters & np.uint64((1 << depth) - 1)) < np.uint64(lo)
 
 
 # Counters per block of membership_window's padded run: every band whose
@@ -671,7 +484,7 @@ def window_arrival_counts(
         starts = counters.reshape(-1)
         bounds = (int(starts.min()), int(starts.max())) if starts.size else None
     else:
-        starts = [operator.index(c) for c in counters]  # as DyadicInterval: no float truncates
+        starts = [operator.index(c) for c in counters]  # no float truncates to a counter
         bounds = (min(starts), max(starts)) if starts else None
     if bounds and not (0 <= bounds[0] and bounds[1] <= (1 << precision) - width):
         bad = bounds[0] if bounds[0] < 0 else bounds[1]

@@ -24,6 +24,8 @@ from ergoqueue.processes import (
     rng_for,
 )
 
+import oracles
+
 # frozen from an independent scipy brentq run on the closed form
 DECAY_ROOT = 2.437511453744036
 
@@ -96,10 +98,10 @@ def test_criterion_03_counter_exactness():
 
 def test_criterion_04_exact_measures():
     for i in range(1, 11):
-        seeds = od.run_seed_set(i)
-        band = od.arrival_band(i)
+        seeds = oracles.run_seed_set(i)
+        band = oracles.arrival_band(i)
         assert seeds.measure == band.measure == Fraction(1, 1 << (i + 2))
-        union_below, _ = od.arrival_set_truncated(i - 1)
+        union_below, _ = oracles.arrival_set_truncated(i - 1)
         assert union_below.contains_set(seeds)
     assert od.arrival_set_measure(20) + Fraction(1, 1 << 22) <= Fraction(1, 2)
     print("[criterion 04] PASS - seed/band measures 2^-(i+2) for i=1..10, nesting, truncated union below 1/2")

@@ -1063,6 +1063,21 @@ def test_writer_refuses_cells_that_need_quoting(tmp_path):
     assert (tmp_path / "m.csv").read_text(encoding="utf-8") == "f,o\n0.5,\n-0,\n"
 
 
+@pytest.mark.parametrize(
+    "lengths",
+    [(cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1), (cli.WRITE_BLOCK + 1, cli.WRITE_BLOCK), (5, 3)],
+    ids=["longer-past-the-last-block", "shorter-in-the-last-block", "inside-one-block"],
+)
+def test_writer_refuses_columns_of_unequal_length(tmp_path, lengths):
+    # the first column used to set the row count, so cells past its last
+    # block were dropped without an error
+    columns = [np.arange(lengths[0]), np.arange(lengths[1])]
+    message = f"CSV column 'b' has {lengths[1]} rows, the first has {lengths[0]}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli._write_outputs(tmp_path / "x", ["a", "b"], columns, {})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_refused_cell_is_the_json_error(tmp_path, capsys, monkeypatch):
     # no subcommand writes such a cell, so a runner that does stands in for one
     def runner(cfg):

@@ -1,11 +1,13 @@
 """The package's layering: which sibling modules each module imports."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import ergoqueue
+from ergoqueue import odometer
 
 PACKAGE = Path(ergoqueue.__file__).parent
 
@@ -62,6 +64,58 @@ def test_the_reader_sees_every_import_form(tmp_path):
         encoding="utf-8",
     )
     assert _sibling_imports(source) == {"odometer", "lindley", "cli", "estimators", "processes"}
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_every_exported_name_resolves(module):
+    # the benchmark's layer trace wraps each name of __all__ with getattr
+    mod = importlib.import_module(f"ergoqueue.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
+
+
+# the interval-set algebra is the arrival set's test oracle, kept in tests/oracles.py
+ORACLE_NAMES = [
+    "DyadicInterval",
+    "DyadicIntervalSet",
+    "run_seed_set",
+    "arrival_band",
+    "arrival_set_truncated",
+    "in_run_seed",
+    "in_arrival_band",
+    "_band_cells",
+    "MAX_SET_DEPTH",
+]
+
+
+def test_odometer_holds_one_arrival_set_implementation():
+    present = [name for name in ORACLE_NAMES if hasattr(odometer, name)]
+    assert present == []
+
+
+def _module_names(path: Path) -> set[str]:
+    """Every dotted part of every module or name one source file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            found.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                found.update(alias.name.split("."))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_no_module_imports_the_test_oracles(module):
+    assert "oracles" not in _module_names(PACKAGE / f"{module}.py")
+
+
+def test_the_import_reader_sees_the_oracles(tmp_path):
+    for line in ("import oracles", "from tests import oracles", "from tests.oracles import x",
+                 "import tests.oracles as o", "from . import oracles"):
+        source = tmp_path / "m.py"
+        source.write_text(line + "\n", encoding="utf-8")
+        assert "oracles" in _module_names(source), line
 
 
 def test_cli_has_one_csv_writer():

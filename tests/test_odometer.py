@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from ergoqueue import odometer as od
 
+import oracles
+
 K = od.DEFAULT_PRECISION
 
 
@@ -110,7 +112,7 @@ def test_interval_index_tracks_leading_bits(c, depth):
     p = od.DyadicPoint(c, 20)
     j = od.interval_index(p, depth)
     assert j == c % (1 << depth)
-    assert od.DyadicInterval(depth, j).contains(p)
+    assert oracles.DyadicInterval(depth, j).contains(p)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 16) - 1))
@@ -128,41 +130,38 @@ def test_ordering_flip():
 
 
 def test_interval_basics():
-    iv = od.DyadicInterval(2, 0)
+    iv = oracles.DyadicInterval(2, 0)
     assert iv.measure == Fraction(1, 4)
-    assert iv.value_start == 0
     assert iv.contains(pt(0, 1)) and iv.contains(pt(1, 8))
     assert not iv.contains(pt(1, 2))
-    assert od.DyadicInterval(2, 1).value_start == Fraction(1, 2)
 
 
 def test_interval_takes_numpy_integers():
     # a numpy depth of 63 used to wrap 1 << depth negative and reject every index
     for depth in (np.int64(63), np.uint64(63), np.int32(63)):
-        iv = od.DyadicInterval(depth, np.uint64(5))
-        assert iv == od.DyadicInterval(63, 5)
+        iv = oracles.DyadicInterval(depth, np.uint64(5))
+        assert iv == oracles.DyadicInterval(63, 5)
         assert type(iv.depth) is int and type(iv.index) is int
         assert iv.measure == Fraction(1, 2**63)
         assert iv.contains(od.DyadicPoint(5 + 2**63, 64))
-    top = od.DyadicInterval(np.int64(63), np.uint64(2**63 - 1))
-    assert top.value_start == 1 - Fraction(1, 2**63)
-    assert od.DyadicIntervalSet([(np.int64(63), 5)]) == od.DyadicIntervalSet([(63, 5)])
-    assert od.DyadicIntervalSet([(np.int64(63), 5)]).measure == Fraction(1, 2**63)
+    oracles.DyadicInterval(np.int64(63), np.uint64(2**63 - 1))  # the last index at depth 63
+    assert oracles.DyadicIntervalSet([(np.int64(63), 5)]) == oracles.DyadicIntervalSet([(63, 5)])
+    assert oracles.DyadicIntervalSet([(np.int64(63), 5)]).measure == Fraction(1, 2**63)
     for bad in ((2.0, 1), (2, 1.0)):  # a float is not an integer, even an integral one
         with pytest.raises(TypeError):
-            od.DyadicInterval(*bad)
+            oracles.DyadicInterval(*bad)
     with pytest.raises(ValueError, match="out of range"):
-        od.DyadicInterval(np.int64(63), 2**63)
+        oracles.DyadicInterval(np.int64(63), 2**63)
 
 
 def test_sibling_merge_is_canonical():
-    whole = od.DyadicIntervalSet([(0, 0)])
-    assert od.DyadicIntervalSet([(1, 0), (1, 1)]) == whole
-    assert od.DyadicIntervalSet([(2, 0), (2, 1), (2, 2), (2, 3)]) == whole
+    whole = oracles.DyadicIntervalSet([(0, 0)])
+    assert oracles.DyadicIntervalSet([(1, 0), (1, 1)]) == whole
+    assert oracles.DyadicIntervalSet([(2, 0), (2, 1), (2, 2), (2, 3)]) == whole
     # same union, different overlapping descriptions, one canonical form:
     # [0, 3/4) as half + quarter vs. two quarters + two eighths + a duplicate
-    a = od.DyadicIntervalSet([(1, 0), (2, 1)])
-    b = od.DyadicIntervalSet([(2, 0), (2, 2), (3, 1), (3, 5), (2, 2)])
+    a = oracles.DyadicIntervalSet([(1, 0), (2, 1)])
+    b = oracles.DyadicIntervalSet([(2, 0), (2, 2), (3, 1), (3, 5), (2, 2)])
     assert a == b
     assert a.measure == Fraction(3, 4)
     assert a.contains_point(pt(5, 8)) and not a.contains_point(pt(7, 8))
@@ -172,7 +171,7 @@ def test_no_siblings_in_components():
     rng = np.random.default_rng(7)
     for _ in range(50):
         items = [(int(d), int(rng.integers(0, 1 << d))) for d in rng.integers(1, 12, size=8)]
-        comps = od.DyadicIntervalSet(items).components()
+        comps = oracles.DyadicIntervalSet(items).components()
         seen = {(c.depth, c.index) for c in comps}
         for c in comps:
             if c.depth > 0:
@@ -183,7 +182,7 @@ def test_set_measure_and_membership_brute():
     rng = np.random.default_rng(3)
     for _ in range(25):
         items = [(int(d), int(rng.integers(0, 1 << d))) for d in rng.integers(0, 10, size=6)]
-        s = od.DyadicIntervalSet(items)
+        s = oracles.DyadicIntervalSet(items)
         depth = 10
         hits = 0
         for c in range(1 << depth):
@@ -201,22 +200,22 @@ def test_set_measure_and_membership_brute():
 
 
 def test_contains_set():
-    big = od.DyadicIntervalSet([(1, 0)])
-    small = od.DyadicIntervalSet([(3, 0), (3, 4)])
+    big = oracles.DyadicIntervalSet([(1, 0)])
+    small = oracles.DyadicIntervalSet([(3, 0), (3, 4)])
     assert big.contains_set(small)
     assert not small.contains_set(big)
-    assert big.contains_set(od.DyadicIntervalSet())
-    assert od.DyadicIntervalSet().contains_set(od.DyadicIntervalSet())
+    assert big.contains_set(oracles.DyadicIntervalSet())
+    assert oracles.DyadicIntervalSet().contains_set(oracles.DyadicIntervalSet())
 
 
 def test_contains_set_exact_beyond_double_resolution():
     # neighbouring depth-63 cells near 1 start at 2**63 - 2 and 2**63 - 1
     # units, which one double cannot tell apart
     def cell(start):
-        return od.DyadicIntervalSet([(63, od.bit_reverse(start, 63))])
+        return oracles.DyadicIntervalSet([(63, od.bit_reverse(start, 63))])
 
     left, right = cell((1 << 63) - 2), cell((1 << 63) - 1)
-    coarse = od.DyadicIntervalSet([(62, od.bit_reverse((1 << 62) - 1, 62))])
+    coarse = oracles.DyadicIntervalSet([(62, od.bit_reverse((1 << 62) - 1, 62))])
     assert not left.contains_set(right)
     assert not right.contains_set(left)
     assert coarse.contains_set(left) and coarse.contains_set(right)
@@ -238,13 +237,8 @@ def test_contains_set_exact_beyond_double_resolution():
     assert not right.contains_point(point((1 << 62) - 1, 62))
 
 
-def test_set_json_roundtrip():
-    s = od.DyadicIntervalSet([(3, 5), (2, 2), (5, 17)])
-    assert od.DyadicIntervalSet.from_json(s.to_json()) == s
-
-
 def test_empty_set():
-    s = od.DyadicIntervalSet()
+    s = oracles.DyadicIntervalSet()
     assert len(s) == 0 and s.measure == 0
     assert not s.contains_point(pt(1, 2))
 
@@ -254,7 +248,7 @@ def test_empty_set():
 
 def test_band_measures():
     for i in range(0, 12):
-        assert od.arrival_band(i).measure == Fraction(1, 1 << (i + 2))
+        assert oracles.arrival_band(i).measure == Fraction(1, 1 << (i + 2))
 
 
 def test_arrival_measure_frozen():
@@ -270,7 +264,7 @@ def test_arrival_measure_frozen():
 
 def test_arrival_measure_two_routes_agree():
     for i_max in range(0, 10):
-        s, tail = od.arrival_set_truncated(i_max)
+        s, tail = oracles.arrival_set_truncated(i_max)
         assert s.measure == od.arrival_set_measure(i_max)
         assert tail == Fraction(1, 1 << (i_max + 2))
 
@@ -281,7 +275,7 @@ def test_arrival_set_components_match_oracle():
               34228, 68380, 136615]
     assert [od.arrival_set_components(i) for i in range(len(oracle))] == oracle
     for i_max in range(12):
-        assert od.arrival_set_components(i_max) == len(od.arrival_set_truncated(i_max)[0])
+        assert od.arrival_set_components(i_max) == len(oracles.arrival_set_truncated(i_max)[0])
     with pytest.raises(ValueError):
         od.arrival_set_components(-1)
 
@@ -289,7 +283,7 @@ def test_arrival_set_components_match_oracle():
 def test_arrival_set_measures_match_interval_union():
     # one walk of the cap-11 automaton gives every band's union measure
     measures = od.arrival_set_measures(11)
-    assert measures == [od.arrival_set_truncated(i)[0].measure for i in range(12)]
+    assert measures == [oracles.arrival_set_truncated(i)[0].measure for i in range(12)]
     assert measures == [od.arrival_set_measure(i) for i in range(12)]
     # each band adds at most its own measure 2**-(i+2)
     deep = od.arrival_set_measures(200)
@@ -306,7 +300,7 @@ def test_bands_overlap_so_union_is_strictly_smaller():
     assert od.arrival_set_measure(3) < disjoint_sum
     c = 0b0000100
     p = od.DyadicPoint(c, 16)
-    assert od.in_arrival_band(p, 0) and od.in_arrival_band(p, 3)
+    assert oracles.in_arrival_band(p, 0) and oracles.in_arrival_band(p, 3)
 
 
 def test_arrival_measure_monotone_below_union_bound():
@@ -333,8 +327,8 @@ def test_membership_frozen_examples():
     assert od.in_arrival_set(pt(0, 1))  # counter 0, band 0
     assert od.in_arrival_set(pt(3, 4))  # counter 3, band 2 residue
     assert od.in_arrival_set(pt(1, 2))  # counter 1, band 1 residue
-    assert od.in_arrival_band(pt(3, 4), 2)
-    assert not od.in_arrival_band(pt(3, 4), 1)
+    assert oracles.in_arrival_band(pt(3, 4), 2)
+    assert not oracles.in_arrival_band(pt(3, 4), 1)
     # small counters are always arrivals: band bit_length(c) catches them
     assert all(od.in_arrival_set(od.DyadicPoint(c, 64)) for c in range(1 << 12))
     # an all-ones block longer than any admissible band is never caught
@@ -351,7 +345,7 @@ def test_membership_matches_raw_definition(c, i_max):
         (1 << (i - 1)) <= c % (1 << (2 * i + 1)) < (1 << i) for i in range(1, i_max + 1)
     )
     assert od.in_arrival_set(p, i_max) == raw
-    s, _ = od.arrival_set_truncated(i_max, 40)
+    s, _ = oracles.arrival_set_truncated(i_max, 40)
     assert s.contains_point(p) == raw
 
 
@@ -409,12 +403,35 @@ def test_membership_window_edges_match_scalar(precision, cap, c, width):
 
 
 def test_run_seed_sets():
-    assert len(od.run_seed_set(0)) == 0
+    assert len(oracles.run_seed_set(0)) == 0
+    assert not od.run_seed_mask(np.arange(1 << 12, dtype=np.uint64), 0).any()
     for i in range(1, 8):
-        s = od.run_seed_set(i)
+        s = oracles.run_seed_set(i)
         assert s.measure == Fraction(1, 1 << (i + 2))
-        band_union, _ = od.arrival_set_truncated(i)
+        band_union, _ = oracles.arrival_set_truncated(i)
         assert band_union.contains_set(s)
+
+
+@given(st.integers(min_value=2, max_value=64), st.data())
+@settings(deadline=None)
+def test_run_seed_mask_matches_oracle(precision, data):
+    # band 0 has no seeds; the residues next to each band's seed edge are drawn often
+    i = data.draw(st.integers(min_value=0, max_value=od.band_limit(precision)), label="i")
+    depth, lo = max(2 * i + 1, 2), (1 << i) >> 1
+    residues = st.one_of(
+        st.integers(min_value=0, max_value=(1 << depth) - 1),
+        st.sampled_from([0, max(lo - 1, 0), lo, (1 << depth) - 1]),
+    )
+    high = st.integers(min_value=0, max_value=(1 << (precision - depth)) - 1)
+    pairs = st.lists(st.tuples(high, residues), min_size=1, max_size=32)
+    counters = [(h << depth) | r for h, r in data.draw(pairs, label="counters")]
+    got = od.run_seed_mask(np.array(counters, dtype=np.uint64), i)
+    assert got.dtype == bool and got.shape == (len(counters),)
+    points = [od.DyadicPoint(c, precision) for c in counters]
+    assert got.tolist() == [oracles.in_run_seed(p, i) for p in points]
+    if i <= 8:  # the set has 2**(i-1) cells
+        seeds = oracles.run_seed_set(i, precision)
+        assert got.tolist() == [seeds.contains_point(p) for p in points]
 
 
 @given(st.integers(min_value=1, max_value=14), st.integers(min_value=0, max_value=10 ** 6))
@@ -422,7 +439,7 @@ def test_run_seed_sets():
 def test_run_seed_window_is_all_arrivals(i, salt):
     rng = np.random.default_rng(salt)
     p = od.sample_run_seed(i, rng)
-    assert od.in_run_seed(p, i)
+    assert oracles.in_run_seed(p, i)
     w = od.membership_window(p, 1 << (i - 1))
     assert bool(w.all())
 
@@ -446,7 +463,7 @@ def test_membership_window_beyond_64_bits_matches_interval_sets(precision):
     counters += [rng.randrange(top + 1) for _ in range(8)]
     counters += [rng.randrange((1 << 64) - width) for _ in range(4)]
     for cap in range(9):
-        band_union, _ = od.arrival_set_truncated(cap, precision)
+        band_union, _ = oracles.arrival_set_truncated(cap, precision)
         for c in counters:
             got = od.membership_window(od.DyadicPoint(c, precision), width, cap).tolist()
             points = [od.DyadicPoint(c + j, precision) for j in range(width)]
@@ -455,9 +472,9 @@ def test_membership_window_beyond_64_bits_matches_interval_sets(precision):
 
 def test_band_depth_guards():
     with pytest.raises(od.PrecisionError):
-        od.in_arrival_band(od.DyadicPoint(0, 8), 4)  # needs depth 9
+        oracles.in_arrival_band(od.DyadicPoint(0, 8), 4)  # needs depth 9
     with pytest.raises(od.PrecisionError):
-        od.run_seed_set(40, 64)
+        oracles.run_seed_set(40, 64)
     assert od.band_limit(64) == 31
     assert od.band_limit(9) == 4
 
@@ -466,11 +483,11 @@ def _band_checks(precision, i):
     """The band rule's function and, where a point exists, its callers."""
     yield lambda: od.band_limit(precision, i)
     if i <= 6:  # band i has 2**(i-1) cells: build only small sets
-        yield lambda: od.arrival_band(i, precision)
+        yield lambda: oracles.arrival_band(i, precision)
     if precision >= 1:
         p = od.DyadicPoint(0, precision)
-        yield lambda: od.in_run_seed(p, i)
-        yield lambda: od.in_arrival_band(p, i)
+        yield lambda: oracles.in_run_seed(p, i)
+        yield lambda: oracles.in_arrival_band(p, i)
         yield lambda: od.in_arrival_set(p, i)
         yield lambda: od.membership_window(p, 1, i)
 
@@ -743,9 +760,7 @@ def test_window_count_long_run_frequency():
                      "bit index 0 outside 1..8", id="bit-zero"),
         pytest.param(lambda: od.interval_index(od.DyadicPoint(5, 8), -1), ValueError,
                      "depth must be nonnegative", id="interval-index-depth"),
-        pytest.param(lambda: od.DyadicInterval(64, 0), od.PrecisionError,
-                     "depth must be in 0..63, got 64", id="interval-depth-64"),
-        pytest.param(lambda: od.DyadicInterval(5, 0).contains(od.DyadicPoint(0, 4)),
+        pytest.param(lambda: oracles.DyadicInterval(5, 0).contains(od.DyadicPoint(0, 4)),
                      od.PrecisionError, "depth 5 exceeds point precision 4", id="contains-deeper"),
         pytest.param(lambda: od.membership_window(od.DyadicPoint(5, 8), -1), ValueError,
                      "width must be nonnegative", id="membership-width"),
@@ -766,6 +781,9 @@ def test_window_count_long_run_frequency():
         pytest.param(lambda: od.uniform_counter(np.random.default_rng(0), 8, 0, 256),
                      od.PrecisionError, "no counter in [0, 256] at precision 8",
                      id="uniform-counter-above-top"),
+        pytest.param(lambda: od.run_seed_mask(np.zeros(1, np.uint64), 32), od.PrecisionError,
+                     "band 32 outside 0..31 at precision 64 (depth max(2i+1, 2))",
+                     id="run-seed-mask-band-32"),
         pytest.param(lambda: od.sample_run_seed(0, np.random.default_rng(0), 8), ValueError,
                      "run seeds exist for band indices i >= 1 only", id="run-seed-band-0"),
     ],
