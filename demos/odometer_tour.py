@@ -1,7 +1,7 @@
 """A walk along the binary adding-machine orbit.
 
 Everything here is integer arithmetic on counters, so every printed number
-is exact: measures are fractions, membership is a bit test, and the orbit
+is exact: measures are fractions, membership is a residue test, and the orbit
 is literally counter minus one per step.
 """
 
@@ -38,11 +38,10 @@ def main():
 
     # band measures: each band is half as likely as a run twice as long
     print("band  run length  measure      union so far")
-    total = Fraction(0)
     for i in range(0, 9):
-        m = Fraction(1, 1 << (i + 2))  # every band has measure 2**-(i+2)
+        m = od.band_measure(i)
         total = od.arrival_set_measure(i)
-        run = 1 if i == 0 else (1 << (i - 1))
+        run = od.band(i)[1] or 1  # a seed of band i starts lo arrivals; band 0 holds single ones
         print(f"  {i}   {run:6d}      {str(m):>8}    {str(total):>14}")
     print(f"limit of the union stays below 1/2: at depth 31 it is "
           f"{float(od.arrival_set_measure(31)):.6f}")

@@ -313,11 +313,11 @@ def _run_odometer(cfg: dict):
         odometer.band_limit(precision, i_max)
         bands = range(i_max + 1)
         measures = odometer.arrival_set_measures(i_max)
-        columns = [bands, [Fraction(1, 1 << (i + 2)) for i in bands], measures]
+        columns = [bands, [odometer.band_measure(i) for i in bands], measures]
         summary = {
             "i_max": i_max,
             "union_measure": str(measures[-1]),
-            "tail_bound": str(Fraction(1, 1 << (i_max + 2))),
+            "tail_bound": str(odometer.band_measure(i_max)),  # what the bands past i_max weigh
             "components": odometer.arrival_set_components(i_max),
         }
         return ["i", "band_measure", "union_measure"], columns, summary

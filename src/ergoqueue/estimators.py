@@ -331,7 +331,7 @@ class BurstParams:
 
     @property
     def window(self) -> int:
-        return 1 << (self.i - 1)
+        return odometer.band(self.i)[1]  # the lo counters from a seed all arrive
 
     @property
     def service(self) -> float:
@@ -343,7 +343,7 @@ class BurstParams:
 
     @property
     def seed_measure(self) -> Fraction:
-        return Fraction(1, 1 << (self.i + 2))
+        return odometer.band_measure(self.i)  # the seeds [0, lo) are as many as [lo, hi)
 
     @property
     def target(self) -> Fraction:
@@ -456,10 +456,10 @@ def burst_cumulant_report(
     params, counts = _burst_windows(i, m, rng, precision)
     n = params.window
     theta = float(theta)
-    # one shared expression for log(seed measure): the reported lower bound
-    # and the stratified estimate must agree to the last bit, and the window
-    # is a power of two, so scaling by it commutes with rounding
-    ln_mu = -((i + 2) * math.log(2.0))
+    # one shared expression for log(seed measure), a power of two: the lower
+    # bound and the stratified estimate must agree to the last bit, and the
+    # window is a power of two, so scaling by it commutes with rounding
+    ln_mu = -((params.seed_measure.denominator.bit_length() - 1) * math.log(2.0))
     upper = theta
     lower = theta + ln_mu / n
     lam_plain = lambda_from_sums(counts, theta, n)
@@ -469,7 +469,7 @@ def burst_cumulant_report(
         lower = 0.0
     else:
         # stratify on the seed set: inside it the window sum is exactly n
-        mu = float(params.seed_measure)  # 2**-(i+2), exact in binary
+        mu = float(params.seed_measure)  # a power of two, exact in binary
         kept, accepted = [], 0
         while accepted < m:
             draw = odometer.uniform_counters(rng, m - accepted, precision, n)

@@ -18,11 +18,11 @@ Conventions used throughout:
   classical adding machine (counter increment).
 
 The arrival model marks a point if some band matches its leading bits.
-Band 0 is "first two bits are 00".  Band i >= 1 is "bit i is the first
-one among bits i..2i+1", equivalently the counter is congruent to a value
-in [2**(i-1), 2**i) modulo 2**(2i+1).  A point seeds a run of length
-2**(i-1): starting from a counter whose low 2i+1 bits are below 2**(i-1),
-every one of the next 2**(i-1) counter values lands in some band.
+Band 0 is "first two bits are 00".  Band i >= 1 is "bit i is the only
+one among bits i..2i+1": the counter is congruent to a value in
+[2**(i-1), 2**i) modulo 2**(2i+1), as ``band(i)`` states once.  A point
+seeds a run of length 2**(i-1): starting from a counter whose low 2i+1 bits
+are below 2**(i-1), every one of the next 2**(i-1) counter values arrives.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ __all__ = [
     "apply_inverse",
     "apply_power",
     "interval_index",
+    "band",
+    "band_measure",
     "band_limit",
     "arrival_set_measure",
     "arrival_set_measures",
@@ -219,19 +221,30 @@ def interval_index(p: DyadicPoint, depth: int) -> int:
 # arrival bands
 
 
-def _band_depth(i: int) -> int:
-    """max(2i+1, 2): the low counter bits that decide band i, and bands 0..i together."""
-    return max(2 * i + 1, 2)
+def band(i: int) -> tuple[int, int, int]:
+    """Band i as (depth, lo, hi): the counters in [lo, hi) modulo 2**depth.
+
+    Band 0 is (2, 0, 1) and band i >= 1 is (2i+1, 2**(i-1), 2**i).  The depth
+    grows with i, so band i's depth decides bands 0..i; the run seeds of band
+    i are the residues [0, lo) at its depth, none for band 0.
+    """
+    return max(2 * i + 1, 2), (1 << i) >> 1, 1 << i
+
+
+def band_measure(i: int) -> Fraction:
+    """Exact measure of band i: its hi - lo residues out of 2**depth."""
+    depth, lo, hi = band(i)
+    return Fraction(hi - lo, 1 << depth)
 
 
 def band_limit(precision: int, i_max: int | None = None) -> int:
     """The deepest band testable at the given precision, or the band ``i_max`` once checked.
 
-    Band i needs ``_band_depth(i)`` bits, so precision 1 holds no band and
-    the deepest is (precision - 1) // 2; the one band-cap rule of the
-    package, raising PrecisionError.
+    Band i needs ``band(i)[0]`` bits, so precision 1 holds no band and the
+    deepest is (precision - 1) // 2; the one band-cap rule of the package,
+    raising PrecisionError.
     """
-    if precision < _band_depth(0):
+    if precision < band(0)[0]:
         raise PrecisionError(f"precision {precision} holds no band (band 0 needs depth 2)")
     cap = (precision - 1) // 2
     if i_max is None:
@@ -243,35 +256,28 @@ def band_limit(precision: int, i_max: int | None = None) -> int:
     return i_max
 
 
-def _band(i: int) -> tuple[int, int, int]:
-    """Band i as (depth, lo, hi): the counters in [lo, hi) modulo 2**depth.
-
-    Band 0 is (2, 0, 1) and band i >= 1 is (2i+1, 2**(i-1), 2**i); the run
-    seeds of band i are the residues [0, lo) at its depth, none for band 0.
-    """
-    return _band_depth(i), (1 << i) >> 1, 1 << i
-
-
 def _deadline_walk(cap: int) -> Iterator[tuple[int, dict[int, int]]]:
     """The "pending deadline" automaton over the free low bits of a counter.
 
     Scanning a counter from bit 0 upward, the only live state is the deadline
-    by which the current zero-run must last: band 0 watches bits 0..1, and a
-    one at bit j < cap opens band j+1, which needs zeros through bit 2j+2.
-    Membership is decided by the low L = _band_depth(cap) bits.  Before each
-    bit b = 0..L the walk yields the counts over the 2**b settings of bits
-    0..b-1: ``member`` prefixes already in the set and ``pending[d]``
-    prefixes whose open run needs zeros through bit d.  The dict is live:
-    read it before the next step.
+    by which the current zero-run must last: band 0 needs zeros below its
+    depth, and a one at bit j < cap opens band j+1, which needs zeros above
+    it up to its depth.  The low L = band(cap)[0] bits decide membership.
+    Before each bit b = 0..L the walk yields the counts over the 2**b
+    settings of bits 0..b-1: ``member`` prefixes already in the set and
+    ``pending[d]`` prefixes whose open run needs zeros through bit d.  The
+    dict is live: read it before the next step.
     """
-    member, pending = 0, {1: 1}
-    for b in range(_band_depth(cap) + 1):
+    member, pending = 0, {band(0)[0] - 1: 1}
+    for b in range(band(cap)[0] + 1):
         yield member, pending
         resolved = pending.pop(b, 0)  # a zero at bit b meets deadline b
         broken = resolved + sum(pending.values())  # a one at bit b breaks every run
         member = 2 * member + resolved
         if b < cap:
-            pending[2 * b + 2] = broken
+            depth, lo, hi = band(b + 1)
+            assert (lo, hi) == (1 << b, 2 << b), "band b+1 is a one at bit b over free bits"
+            pending[depth - 1] = broken
 
 
 def arrival_set_measures(i_max: int) -> list[Fraction]:
@@ -287,7 +293,7 @@ def arrival_set_measures(i_max: int) -> list[Fraction]:
         raise ValueError("i_max must be nonnegative")
     out = []
     for i, (member, pending) in zip(range(i_max + 1), _deadline_walk(i_max)):
-        top = 2 * i + 2  # every open deadline is at most 2i
+        top = band(i)[0]  # every open deadline lies below band i's depth
         num = (member << (top - i)) + sum(n << (top - 1 - d) for d, n in pending.items())
         out.append(Fraction(num, 1 << top))
     return out
@@ -316,24 +322,18 @@ def arrival_set_components(i_max: int) -> int:
 
 def in_arrival_set(p: DyadicPoint, i_max: int | None = None) -> bool:
     """True when some band 0..i_max matches the point's leading bits."""
-    cap = band_limit(p.precision, i_max)
-    c = p.counter
-    if c & 3 == 0:
-        return True
-    for i in range(1, cap + 1):
-        if (c >> (i - 1)) & ((1 << (i + 2)) - 1) == 1:
-            return True
-    return False
+    bands = map(band, range(band_limit(p.precision, i_max) + 1))
+    return any(lo <= p.counter % (1 << depth) < hi for depth, lo, hi in bands)
 
 
 def run_seed_mask(counters: np.ndarray, i: int) -> np.ndarray:
     """Whether each counter of a uint64 array seeds a run of band i.
 
-    A seed's low ``depth`` bits are below ``lo`` (``_band``), so the
+    A seed's low ``depth`` bits are below ``lo`` (``band``), so the
     2**(i-1) counters from it all arrive; band 0 has no seeds.  A uint64
     counter carries bands 0..31.
     """
-    depth, lo, _ = _band(band_limit(64, i))
+    depth, lo, _ = band(band_limit(64, i))
     return (counters & np.uint64((1 << depth) - 1)) < np.uint64(lo)
 
 
@@ -345,7 +345,7 @@ RUN_ALIGN = 1 << 12
 def membership_window(p: DyadicPoint, width: int, i_max: int | None = None) -> np.ndarray:
     """Arrival indicators at counters c, c+1, ..., c+width-1 (backward orbit), any precision.
 
-    Each band (``_band``) is a periodic slice of the run, padded to whole
+    Each band (``band``) is a periodic slice of the run, padded to whole
     blocks of RUN_ALIGN counters: one strided slice when the period fits a
     block, else one slice per period the run meets, offsets in Python ints.
     """
@@ -360,7 +360,7 @@ def membership_window(p: DyadicPoint, width: int, i_max: int | None = None) -> n
     skip = c % RUN_ALIGN  # the padded run starts at c - skip, a block edge
     out = np.zeros(-(-(skip + width) // RUN_ALIGN) * RUN_ALIGN, bool)
     for i in range(cap + 1):
-        depth, lo, hi = _band(i)
+        depth, lo, hi = band(i)
         period = 1 << depth
         if period <= RUN_ALIGN:
             out.reshape(-1, period)[:, lo:hi] = True
@@ -396,7 +396,7 @@ def _digit_steps(cap: int) -> tuple[np.ndarray, np.ndarray]:
     from the walk before bit b, the members and the runs due below the state,
     which the zeros b..state-1 complete; in state L + 1, all 2**b settings.
     """
-    top = _band_depth(cap)
+    top = band(cap)[0]
     states = np.arange(top + 2)
     gain = np.zeros((top, 2 * top + 4), np.uint64)
     step = np.empty((top, 2 * top + 4), np.intp)
@@ -404,8 +404,8 @@ def _digit_steps(cap: int) -> tuple[np.ndarray, np.ndarray]:
     for b, (member, pending) in zip(range(top), _deadline_walk(cap)):
         due = itertools.accumulate((pending.get(p, 0) for p in range(top)), initial=member)
         gain[b, 1::2] = (*due, 1 << b)
-        # a one at b < cap followed by zeros through bit 2b+2 is band b+1
-        whole = 2 * b + 2 if b < cap else top
+        # a one at b < cap followed by zeros up to band b+1's depth is that band
+        whole = band(b + 1)[0] - 1 if b < cap else top
         step[b, 1::2] = 2 * np.where(states > whole, top + 1, b)
     return gain, step
 
@@ -463,7 +463,7 @@ def window_arrival_counts(
     """Number of arrivals among counters c..c+width-1, for each starting counter.
 
     An exact prefix count F(c + width) - F(c), where F(N) counts the members
-    below N.  Membership has period P = 2**(2*cap+1) (4 for cap = 0), so F(N)
+    below N.  Membership has period P = 2**band(cap)[0], so F(N)
     is (N // P) * (members per period) plus a digit DP over the bits of
     N mod P, read COUNT_BITS bits per table lookup (``_walk``) for
     COUNT_BLOCK counters at a time.  Within a block, c mod P and
@@ -492,7 +492,7 @@ def window_arrival_counts(
             f"window of width {width} from counter {bad} leaves precision {precision}"
         )
     cs = np.asarray(starts, dtype=np.uint64)
-    top = _band_depth(cap)
+    top = band(cap)[0]
     period_members = np.uint64(arrival_set_measure(cap) * (1 << top))  # exact: period 2**top
     low = np.uint64((1 << top) - 1)
     # c + width may be 2**64, so add the quotients and remainders mod P apart
@@ -527,24 +527,27 @@ def uniform_counters(
     """Counters uniform over the values whose width-`width` window stays representable.
 
     Rejection keeps the draw exactly uniform on [0, 2**K - width]; the
-    clipped sliver has probability width * 2**-K.
+    clipped sliver has probability width * 2**-K.  Each try reads the bits
+    of the largest admissible counter, K unless the window spans over half
+    the orbit, so more than half the tries land.
     """
     if precision > 64:
         raise PrecisionError("window counting supports precision <= 64")
     if not 1 <= width <= (1 << precision):
         raise ValueError("width out of range")
     limit = (1 << precision) - width  # largest admissible counter
+    bits = limit.bit_length()
     out = np.empty(size, np.uint64)
     need = np.arange(size)
     while need.size:
         draw = np.zeros(need.size, np.uint64)
-        for shift in range(0, precision, 32):
+        for shift in range(0, bits, 32):
             block = rng.integers(0, 1 << 32, size=need.size, dtype=np.uint64)
             draw |= block << np.uint64(shift)
-        if precision < 64:
-            draw &= np.uint64((1 << precision) - 1)
+        if bits < 64:
+            draw &= np.uint64((1 << bits) - 1)
         out[need] = draw
-        need = need[draw > np.uint64(limit)] if limit < (1 << precision) - 1 else need[:0]
+        need = need[draw > np.uint64(limit)] if limit < (1 << bits) - 1 else need[:0]
     return out
 
 
@@ -553,15 +556,19 @@ def uniform_counter(
 ) -> int:
     """Counter uniform on [low, high] (by default every K-bit counter), any precision K.
 
-    Each try reads K bits, 32 per ``rng.integers(0, 2**32)`` draw, lowest
-    first, as ``uniform_counters`` does; a value outside is drawn again.
+    Each try reads the b bits of the span high - low, 32 per
+    ``rng.integers(0, 2**32)`` draw, lowest first, as ``uniform_counters``
+    does, and adds ``low``; a span of b = K bits reads the counter itself.
+    A value outside is drawn again, so more than half the tries land.
     """
     high = (1 << precision) - 1 if high is None else high
     if not 0 <= low <= high < 1 << precision:
         raise PrecisionError(f"no counter in [{low}, {high}] at precision {precision}")
+    bits = (high - low).bit_length()
+    base = low if bits < precision else 0
     while True:
-        words = (int(rng.integers(0, 1 << 32)) << s for s in range(0, precision, 32))
-        value = sum(words) % (1 << precision)
+        words = (int(rng.integers(0, 1 << 32)) << s for s in range(0, bits, 32))
+        value = base + sum(words) % (1 << bits)
         if low <= value <= high:
             return value
 
@@ -578,7 +585,7 @@ def sample_run_seed(
     band_limit(precision, i)
     if i < 1:
         raise ValueError("run seeds exist for band indices i >= 1 only")
-    depth, half, _ = _band(i)
+    depth, half, _ = band(i)
     low = int(rng.integers(0, half))
     high = uniform_counter(rng, precision - depth)
     return DyadicPoint((high << depth) | low, precision)

@@ -286,8 +286,8 @@ class OdometerProcess(_ProcessBase):
     is drawn once per realization; Y at forward time k is the arrival-set
     indicator at counter c - k, so a backward window of width N is the
     indicator over counters c, c+1, ..., c+N-1.  Membership uses bands up to
-    i_max (default: the deepest), a subset of the full arrival set with
-    measure deficit at most 2^-(i_max+2).  Window totals are counted by
+    i_max (default: the deepest), missing at most ``odometer.band_measure(i_max)``
+    of the full arrival set.  Window totals are counted by
     ``odometer.window_arrival_counts``, at the precisions it supports.
     """
 
@@ -308,7 +308,7 @@ class OdometerProcess(_ProcessBase):
         """
         cap = odometer.band_limit(self.precision, self.i_max)
         lo = odometer.arrival_set_measure(cap)
-        return lo, lo + Fraction(1, 1 << (cap + 2))
+        return lo, lo + odometer.band_measure(cap)  # the bands past cap weigh band cap
 
     def _check_orbit(self, needed: int) -> None:
         if needed > (1 << self.precision):

@@ -2,10 +2,13 @@
 
 The package computes the arrival set's measures and component counts from
 the deadline walk (``arrival_set_measures``, ``arrival_set_components``)
-and its membership from band slices (``membership_window``) and bit tests
-(``in_arrival_set``).  This module builds the same set a second way, as an
-explicit union of dyadic intervals in canonical form, so the tests can check
-those routes against an independent construction.  Only tests import it.
+and its membership from band slices (``membership_window``) and residue
+tests (``in_arrival_set``), all from one statement of the bands,
+``odometer.band``.  This module builds the same set a second way, as an
+explicit union of dyadic intervals in canonical form over bands it states
+itself (``band_residues``), so the tests can check those routes, and the
+band rule they share, against an independent construction.  Only tests
+import it.
 """
 
 from __future__ import annotations
@@ -128,12 +131,24 @@ class DyadicIntervalSet:
 
 
 # ---------------------------------------------------------------------------
-# the arrival bands as interval sets, from the package's band rule
+# the arrival bands as interval sets
+
+
+def band_residues(i: int) -> tuple[int, int, int]:
+    """Band i as (depth, lo, hi), the residues [lo, hi) modulo 2**depth.
+
+    Written from the rule in the ``odometer`` module docstring, not read from
+    the package: band 0 is "first two bits are 00", and band i >= 1 holds the
+    counters congruent to a value in [2**(i-1), 2**i) modulo 2**(2i+1).
+    """
+    if i == 0:
+        return 2, 0, 1
+    return 2 * i + 1, 2 ** (i - 1), 2**i
 
 
 def _band_cells(i: int, seeds: bool = False) -> Iterator[tuple[int, int]]:
     """The (depth, index) cells of band i, or of its run seeds."""
-    depth, lo, hi = od._band(i)
+    depth, lo, hi = band_residues(i)
     return ((depth, j) for j in (range(lo) if seeds else range(lo, hi)))
 
 
@@ -174,11 +189,11 @@ def arrival_set_truncated(
 
 def in_run_seed(p: od.DyadicPoint, i: int) -> bool:
     od.band_limit(p.precision, i)
-    depth, lo, _ = od._band(i)
+    depth, lo, _ = band_residues(i)
     return od.interval_index(p, depth) < lo
 
 
 def in_arrival_band(p: od.DyadicPoint, i: int) -> bool:
     od.band_limit(p.precision, i)
-    depth, lo, hi = od._band(i)
+    depth, lo, hi = band_residues(i)
     return lo <= od.interval_index(p, depth) < hi

@@ -670,6 +670,23 @@ def test_odometer_measure_walks_the_automaton_once(tmp_path):
     assert results["tail_bound"] == f"1/{1 << 1002}"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cumulant", "--process", "odometer", "--n", str(1 << 64), "--m", "1",
+         "--theta-grid", "0,1"],
+        ["cumulant", "--process", "odometer:20", "--n", str(1 << 20), "--m", "1"],
+        ["loynes", "--process", "odometer:20", "--s", "0.5", "--window", str(1 << 20)],
+    ],
+)
+def test_windows_that_fill_the_orbit_run_at_once(tmp_path, args):
+    # counter 0 is the only start whose window fits: a K-bit try lands there
+    # once in 2**K tries, a try over the span's bits at once
+    argv = [sys.executable, "-m", "ergoqueue.cli", *args, "--out", str(tmp_path / "x")]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- the subcommand table drives the flags and the --config checks ----------
 
 # the required options of each subcommand, small enough to run at once

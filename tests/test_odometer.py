@@ -249,6 +249,50 @@ def test_empty_set():
 def test_band_measures():
     for i in range(0, 12):
         assert oracles.arrival_band(i).measure == Fraction(1, 1 << (i + 2))
+    for i in [*range(41), 1000]:
+        assert od.band_measure(i) == Fraction(1, 2 ** (i + 2))
+
+
+def test_band_matches_the_oracle_statement():
+    for i in range(41):
+        assert od.band(i) == oracles.band_residues(i)
+
+
+def test_band_limit_closed_form_matches_band():
+    # the deepest band at precision K is the last whose depth fits K bits
+    for precision in range(2, 301):
+        cap = od.band_limit(precision)
+        assert od.band(cap)[0] <= precision < od.band(cap + 1)[0]
+
+
+def test_band_is_the_single_source(monkeypatch):
+    # another rule of the same shape, each band one bit deeper: every route to
+    # the arrival set reads band(), so they still agree with one another
+    def deeper(i):
+        return 2 * i + 2, (1 << i) >> 1, 1 << i
+
+    precision, cap = 16, 4
+    period = 1 << deeper(cap)[0]
+    counters = range(3 * period)
+    real = [od.in_arrival_set(od.DyadicPoint(c, precision), cap) for c in counters]
+    monkeypatch.setattr(od, "band", deeper)
+    od._chunk_tables.cache_clear()
+    try:
+        member = [od.in_arrival_set(od.DyadicPoint(c, precision), cap) for c in counters]
+        assert member != real  # the rule did change
+        window = od.membership_window(od.DyadicPoint(0, precision), len(counters), cap)
+        assert window.tolist() == member
+        for i, measure in enumerate(od.arrival_set_measures(cap)):
+            depth = deeper(i)[0]
+            union = [od.in_arrival_set(od.DyadicPoint(c, precision), i) for c in range(1 << depth)]
+            assert measure == Fraction(sum(union), 1 << depth)
+        starts = np.array([0, 1, 5, 63, 64, 511, period - 1, period + 7], np.uint64)
+        for width in (1, 2, 3, 17, 64, 100, period - 1, period, period + 3, 2 * period - 7):
+            got = od.window_arrival_counts(starts, width, precision, cap)
+            want = [sum(member[c : c + width]) for c in starts.tolist()]
+            assert got.tolist() == want
+    finally:
+        od._chunk_tables.cache_clear()
 
 
 def test_arrival_measure_frozen():
@@ -341,9 +385,8 @@ def test_membership_frozen_examples():
 @given(st.integers(min_value=0, max_value=(1 << 40) - 1), st.integers(min_value=0, max_value=12))
 def test_membership_matches_raw_definition(c, i_max):
     p = od.DyadicPoint(c, 40)
-    raw = c % 4 == 0 or any(
-        (1 << (i - 1)) <= c % (1 << (2 * i + 1)) < (1 << i) for i in range(1, i_max + 1)
-    )
+    bands = map(oracles.band_residues, range(i_max + 1))
+    raw = any(lo <= c % (1 << depth) < hi for depth, lo, hi in bands)
     assert od.in_arrival_set(p, i_max) == raw
     s, _ = oracles.arrival_set_truncated(i_max, 40)
     assert s.contains_point(p) == raw
@@ -417,7 +460,7 @@ def test_run_seed_sets():
 def test_run_seed_mask_matches_oracle(precision, data):
     # band 0 has no seeds; the residues next to each band's seed edge are drawn often
     i = data.draw(st.integers(min_value=0, max_value=od.band_limit(precision)), label="i")
-    depth, lo = max(2 * i + 1, 2), (1 << i) >> 1
+    depth, lo, _ = oracles.band_residues(i)
     residues = st.one_of(
         st.integers(min_value=0, max_value=(1 << depth) - 1),
         st.sampled_from([0, max(lo - 1, 0), lo, (1 << depth) - 1]),
@@ -804,6 +847,26 @@ def test_uniform_counters_range_and_determinism():
     assert int(cs.max()) <= (1 << 64) - 256
     rng2 = np.random.default_rng(5)
     assert (od.uniform_counters(rng2, 1000, 64, width=256) == cs).all()
+
+
+@pytest.mark.parametrize("precision", [2, 20, 40, 64, 65, 130])
+def test_counter_draws_near_a_full_orbit_end_at_once(precision):
+    # a try reads only the bits of the span: one counter left costs no draw at
+    # all, where a K-bit try would land on it once in 2**K tries
+    top = (1 << precision) - 1
+    rng = np.random.default_rng(7)
+    before = rng.bit_generator.state
+    assert od.uniform_counter(rng, precision, 0, 0) == 0
+    assert od.uniform_counter(rng, precision, top, top) == top
+    if precision <= 64:
+        assert od.uniform_counters(rng, 5, precision, top + 1).tolist() == [0] * 5
+    assert rng.bit_generator.state == before
+    # three counters at the top: each try reads two bits and lands three times in four
+    draws = [od.uniform_counter(rng, precision, top - 2, top) for _ in range(400)]
+    assert set(draws) == {top - 2, top - 1, top}
+    if precision <= 64:
+        wide = od.uniform_counters(rng, 400, precision, top - 1)
+        assert set(wide.tolist()) == {0, 1, 2}
 
 
 def test_uniform_point_avoids_endpoints():

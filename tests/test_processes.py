@@ -273,7 +273,14 @@ def test_odometer_backward_matches_direct_membership():
 
 
 def _vector_draw(rng, precision, low, width):
-    """The counter as the vector sampler draws it: one uint64 counter, then margin rejection."""
+    """The counter as the vector sampler draws it: one uint64 counter, then margin rejection.
+
+    A span of fewer than K bits is drawn as an offset from ``low``, over the
+    span's bits, as the vector sampler draws a window wider than half the orbit.
+    """
+    span = (1 << precision) - width - low
+    if span.bit_length() < precision:
+        return low + int(od.uniform_counters(rng, 1, precision, (1 << precision) - span)[0])
     while True:
         c = int(od.uniform_counters(rng, 1, precision, width)[0])
         if c >= low:
@@ -319,6 +326,15 @@ def test_odometer_runs_above_64_bits_match_direct_membership(precision):
         assert np.concatenate(list(proc.blocks(n, rng_for(seed)))).tolist() == want
         c = od.uniform_counter(rng_for(seed), precision, 0, top - n)
         assert proc.backward_window(n, rng_for(seed)).tolist() == _run(c, precision, n, 1)
+
+
+def test_odometer_draw_for_a_window_filling_the_orbit_ends_at_once():
+    # the only counter whose window of 2**K fits is 0: no try is drawn for it
+    rng = rng_for(5)
+    before = state(rng)
+    assert OdometerProcess(40)._draw_counter(rng, low=0, width=1 << 40) == 0
+    assert OdometerProcess(130)._draw_counter(rng, low=1 << 129, width=1 << 129) == 1 << 129
+    assert state(rng) == before
 
 
 def test_odometer_run_seed_window_is_all_ones():
