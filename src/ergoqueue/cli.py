@@ -16,10 +16,12 @@ configuration dict; either reproduces the files byte for byte.
 Floats are written with 17 significant digits (``FLOAT_FORMAT``); exact
 rationals as "p/q".  The CSV is assembled as bytes, the header as a one-row
 block and then ``WRITE_BLOCK`` rows at a time: integers by digit arithmetic,
-floats and booleans by formatting each distinct bit pattern once, any other
-cell by ``_fmt``.  The bytes are what ``csv.writer`` writes for those cells.
-A cell it would quote (one holding a comma, quote, CR or LF, or an empty
-field alone in its row) or one holding NUL or non-ASCII text is a ValueError.
+floats and booleans by formatting once each distinct bit pattern of the
+block, found by one sort of its bit patterns, any other cell by ``_fmt``;
+the padding is dropped in one byte pass.  The bytes are what ``csv.writer``
+writes for those cells.  A cell it would quote (one holding a comma, quote,
+CR or LF, or an empty field alone in its row) or one holding NUL or
+non-ASCII text is a ValueError.
 """
 
 from __future__ import annotations
@@ -66,17 +68,24 @@ _NEEDS_QUOTING = re.compile('[,"\r\n\x00]|[^\x00-\x7f]')
 def _distinct_texts(col: np.ndarray) -> np.ndarray:
     """``_fmt`` of every cell of a float or bool column, as an ``"S"`` array.
 
-    Each distinct bit pattern is formatted once and gathered back per cell;
-    keying on the bits keeps -0.0 ("-0") apart from 0.0 ("0").  A pattern
-    reaches ``_fmt`` as the Python scalar ``tolist`` gives, written as the
-    column's numpy scalar would be, only faster; a float narrower than a
-    double would widen, so it stays a numpy scalar.
+    The distinct bit patterns are found by one sort of the column's bits, read
+    as signed integers, keeping the first of each run of equal keys; each is
+    formatted once, and each cell's text is found by ``searchsorted`` of its
+    key among them.  Keying on the bits keeps -0.0 ("-0") apart from 0.0
+    ("0").  A pattern reaches ``_fmt`` as the Python scalar ``tolist`` gives,
+    written as the column's numpy scalar would be, only faster; a float
+    narrower than a double would widen, so it stays a numpy scalar.
     """
-    keys, inverse = np.unique(col.view(f"i{col.dtype.itemsize}"), return_inverse=True)
-    values = keys.view(col.dtype)
+    keys = col.view(f"i{col.dtype.itemsize}")
+    distinct = np.sort(keys)
+    first = np.empty(distinct.size, bool)
+    first[:1] = True  # nothing to keep in a 0-row column
+    np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
+    distinct = distinct[first]
+    values = distinct.view(col.dtype)
     if not (col.dtype.kind == "f" and col.dtype.itemsize < 8):
         values = values.tolist()
-    return np.array(list(map(_fmt, values)), dtype="S")[inverse]
+    return np.array(list(map(_fmt, values)), dtype="S")[np.searchsorted(distinct, keys)]
 
 
 def _int_bytes(col: np.ndarray) -> np.ndarray:
@@ -113,9 +122,10 @@ def _block_bytes(block: list) -> bytes:
     array by ``_int_bytes``, a float or bool array that an integer dtype can
     key by ``_distinct_texts``, any other column (a list, a range, any other
     array) by ``_fmt`` per cell.  The matrices are joined with one-byte ","
-    and "\n" columns and the NULs dropped.  A cell of another column that
-    ``csv.writer`` would quote, one ``_NEEDS_QUOTING`` matches or an empty
-    field alone in its row (written '""'), is a ValueError.
+    and "\n" columns and the padding NULs dropped in one byte pass over the
+    matrix's bytes.  A cell of another column that ``csv.writer`` would
+    quote, one ``_NEEDS_QUOTING`` matches or an empty field alone in its row
+    (written '""'), is a ValueError.
     """
     size = len(block[0])
     comma, newline = (np.full((size, 1), ord(c), np.uint8) for c in ",\n")
@@ -136,7 +146,7 @@ def _block_bytes(block: list) -> bytes:
         parts.append(comma)
     parts[-1] = newline
     matrix = np.concatenate(parts, axis=1)
-    return matrix[matrix != 0].tobytes()
+    return matrix.tobytes().translate(None, b"\x00")
 
 
 def _write_outputs(base: Path, header, columns, summary: dict) -> None:
@@ -416,7 +426,7 @@ COUNT = "a nonnegative integer"  # sizes and lengths: negative is not read as em
 TEXT_OR_REAL = "a string or a real number"
 REQUIRED = ...  # the default of an option that must be given
 
-_SEED = ("seed", INT, 0, "global 64-bit seed")
+_SEED = ("seed", COUNT, 0, "global seed, any nonnegative integer")
 _PROCESS = ("process", str, REQUIRED)
 _SCALES = tuple(sorted(_SCALINGS))
 

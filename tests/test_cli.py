@@ -793,9 +793,11 @@ def test_integer_options_reject_fractions(tmp_path, capsys, name, key, default):
 
 @pytest.mark.parametrize("name, key, default", _options(lambda k: k == cli.COUNT))
 def test_count_options_reject_negatives(tmp_path, capsys, name, key, default):
+    # the seed is a count too: SeedSequence takes any nonnegative integer
+    want = f"ValueError: {key} must be nonnegative, got -1"
     assert cli.main([*_flags(name, **{key: "-1"}), "--out", str(tmp_path / "x")]) == 2
-    assert "must be nonnegative" in json.loads(capsys.readouterr().err)["error"]
-    assert "must be nonnegative" in _bad_config(tmp_path, capsys, name, key, -1)
+    assert json.loads(capsys.readouterr().err)["error"] == want
+    assert _bad_config(tmp_path, capsys, name, key, -1) == want
 
 
 @pytest.mark.parametrize("name, key, default", _options(lambda k: k is float))
@@ -950,9 +952,23 @@ _SPECIAL_FLOATS = [
     -0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
     np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), np.nextafter(0.1, 1.0), 0.1, 0.75, 1e300,
 ]
+# NaNs beyond numpy's two defaults, each a distinct key written "nan": a
+# payload, a negative quiet NaN, and a signalling NaN
+_NAN_BITS = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001], np.uint64)
 _FLOAT_POOLS = st.lists(st.floats(), max_size=8).map(
-    lambda extra: np.array(_SPECIAL_FLOATS + extra, dtype=np.float64)
+    lambda extra: np.concatenate([_SPECIAL_FLOATS + extra, _NAN_BITS.view(np.float64)])
 )
+
+
+def _many_floats(seed):
+    """Several thousand distinct doubles: partial sums of random multiples of
+    1/4, as a dyadic queue's are, and doubles of uniformly random bits."""
+    rng = np.random.default_rng(seed)
+    sums = np.cumsum(rng.integers(-400, 401, size=3000) / 4)
+    bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64)
+    return np.concatenate([sums, bits.view(np.float64)])
+
+
 # integer edges, each kept in the pool of every dtype whose range holds it:
 # the dtype limits, digit-count boundaries, and either side of the magnitude
 # 2**31 at which the byte writer narrows its digit arithmetic to int32
@@ -1019,6 +1035,30 @@ def test_writer_matches_per_row_oracle(tmp_path_factory, length, pools, seed):
 @given(pools=st.lists(_NUMERIC_POOLS, min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
 def test_numeric_writer_matches_per_row_oracle(tmp_path_factory, length, pools, seed):
     _check_writer(tmp_path_factory, length, pools, seed)
+
+
+@pytest.mark.parametrize("length", _LENGTHS)
+@settings(max_examples=5, deadline=None)
+@given(
+    many=st.integers(0, 2**32 - 1).map(_many_floats),
+    pools=st.lists(_NUMERIC_POOLS, max_size=1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_high_cardinality_floats_match_per_row_oracle(tmp_path_factory, length, many, pools, seed):
+    # a block of thousands of distinct keys, where every other pool has a few dozen
+    _check_writer(tmp_path_factory, length, [many, *pools], seed)
+
+
+def test_float_keys_at_the_ends_of_the_bit_order(tmp_path):
+    # -0.0 keys as the smallest int64 and 0.0 as zero; NaNs of any sign or
+    # payload, signalling or quiet, are distinct keys that all write "nan"
+    zeros = np.array([0.0, -0.0, -0.0, 0.0, -0.0])
+    nans = np.append(_NAN_BITS, np.uint64(0x7FF8000000000000)).view(np.float64)
+    cli._write_outputs(tmp_path / "x", ["z", "n"], [zeros[:4], nans], {})
+    assert (tmp_path / "x.csv").read_text(encoding="utf-8") == "z,n\n0,nan\n-0,nan\n-0,nan\n0,nan\n"
+    assert cli._distinct_texts(zeros).tolist() == [b"0", b"-0", b"-0", b"0", b"-0"]
+    for dtype in (np.float64, np.float32, np.float16, np.bool_):
+        assert cli._distinct_texts(np.array([], dtype)).size == 0
 
 
 def _needs_quoting(text: str, columns: int) -> bool:
