@@ -20,12 +20,12 @@ def main():
     print("band   window   offset   burst prob      exponential target   beats it")
     for i in range(11, 21):
         rep = burst_probability_report(i, 1, rng_for(SEED, i))
-        print(f"  {i:2d}  {rep.params.window:7d}  {rep.params.offset:6d}   "
+        print(f"  {i:2d}  {rep.window:7d}  {rep.offset:6d}   "
               f"{str(rep.exact_lower):>13}   {str(rep.target):>17}   {rep.analytic_pass}")
     print()
 
     rep = burst_probability_report(MC_BAND, MC_SAMPLES, rng_for(SEED))
-    n, q = rep.params.window, rep.params.offset
+    n, q = rep.window, rep.offset
     print(f"Monte Carlo at band {MC_BAND}: P(sum over {n} steps > 0.75*{n} + {q})")
     print(f"  {rep.hits} hits in {MC_SAMPLES} windows: p_hat = {rep.p_hat:.3e} "
           f"(se {rep.p_se:.1e})")

@@ -349,11 +349,13 @@ def _run_odometer(cfg: dict):
     # read as one window from its lowest counter, reversed going forward
     far = odometer.apply_power(p, sign * steps)
     counters = range(p.counter, far.counter - sign, -sign)
+    # the arrival column first: its one allocation refuses an orbit too long to hold
+    arrival = odometer.membership_window(p if sign < 0 else far, steps + 1, cfg["i_max"])
     columns = [
         range(steps + 1),
         [format(c, "x") for c in counters],
         [odometer.bit_reverse(c, precision) / (1 << precision) for c in counters],
-        odometer.membership_window(p if sign < 0 else far, steps + 1, cfg["i_max"])[::-sign],
+        arrival[::-sign],
     ]
     summary = {
         "start": p.to_json(),

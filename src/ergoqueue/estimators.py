@@ -36,7 +36,6 @@ __all__ = [
     "CumulantEstimate",
     "DecayResult",
     "ScalingFunctions",
-    "BurstParams",
     "BurstProbabilityReport",
     "BurstCumulantReport",
     "QueueTailReport",
@@ -305,72 +304,34 @@ def scaled_lambda_from_sums(
 # packaged experiments
 
 
-@dataclass(frozen=True)
-class BurstParams:
-    """Derived constants for the band-i burst construction.
-
-    decay 1/i, threshold offset 2i^2, window 2^(i-1), service rate 3/4.
-    ``chain_valid`` records whether a quarter of the window exceeds the
-    offset (window > 4*offset, integer-exact), the condition making the
-    all-ones seed windows overflow the threshold.
-    """
-
-    i: int
-
-    def __post_init__(self) -> None:
-        if self.i < 1:
-            raise ValueError("band index must be >= 1")
-
-    @property
-    def decay(self) -> Fraction:
-        return Fraction(1, self.i)
-
-    @property
-    def offset(self) -> int:
-        return 2 * self.i * self.i
-
-    @property
-    def window(self) -> int:
-        return odometer.band(self.i)[1]  # the lo counters from a seed all arrive
-
-    @property
-    def service(self) -> float:
-        return 0.75
-
-    @property
-    def chain_valid(self) -> bool:
-        return self.window > 4 * self.offset
-
-    @property
-    def seed_measure(self) -> Fraction:
-        return odometer.band_measure(self.i)  # the seeds [0, lo) are as many as [lo, hi)
-
-    @property
-    def target(self) -> Fraction:
-        # 2 ** -(decay * offset) = 2 ** -(2i)
-        return Fraction(1, 1 << (2 * self.i))
-
-
-def _burst_windows(i: int, m: int, rng, precision: int) -> tuple[BurstParams, np.ndarray]:
-    """The start of both burst reports: checked parameters, then m plain window counts."""
+def _burst_windows(i: int, m: int, rng, precision: int) -> tuple[int, np.ndarray]:
+    """The start of both burst reports: the checked band's window, then m plain window counts."""
     if m < 1:
         raise ValueError("m must be positive")
-    params = BurstParams(i)
+    if i < 1:
+        raise ValueError("band index must be >= 1")
     odometer.band_limit(precision, i)
-    return params, OdometerProcess(precision).window_counts(m, params.window, rng)
+    n = odometer.band(i)[1]  # the lo counters from a seed all arrive
+    return n, OdometerProcess(precision).window_counts(m, n, rng)
 
 
 @dataclass(frozen=True)
 class BurstProbabilityReport(_Result):
     """Overflow probability of a backward window vs. exact bounds.
 
-    The Monte Carlo probability estimates P(window sum > (3/4)window + offset)
-    over uniform starting points.  The seed-set measure is a valid lower
-    bound exactly when chain_valid holds; the analytic check
-    seed_measure > target never involves sampling.
+    The band-i construction: window 2^(i-1), threshold offset 2i^2, service
+    rate 3/4, decay 1/i.  The Monte Carlo probability estimates
+    P(window sum > (3/4)window + offset) over uniform starting points.  The
+    seed-set measure exact_lower is a valid lower bound exactly when
+    lower_valid holds (window > 4*offset, integer-exact: then the all-ones
+    seed windows overflow the threshold); the analytic check
+    exact_lower > target = 2^-(decay*offset) never involves sampling.
     """
 
-    params: BurstParams
+    i: int
+    window: int
+    offset: int
+    service: float
     m: int
     hits: int
     p_hat: float
@@ -382,11 +343,6 @@ class BurstProbabilityReport(_Result):
 
     _JSON_NAMES = {"exact_lower": "mu_A", "analytic_pass": "pass"}
 
-    def to_json(self) -> dict:
-        p = self.params
-        head = {"i": p.i, "window": p.window, "offset": p.offset, "service": p.service}
-        return head | {k: v for k, v in super().to_json().items() if k != "params"}
-
 
 def burst_probability_report(
     i: int, m: int, rng: np.random.Generator, precision: int = odometer.DEFAULT_PRECISION
@@ -397,23 +353,27 @@ def burst_probability_report(
     one, so the Monte Carlo estimate is biased low, in the safe direction
     relative to the lower bound.
     """
-    params, counts = _burst_windows(i, m, rng, precision)
-    n = params.window
-    q = params.offset
+    n, counts = _burst_windows(i, m, rng, precision)
+    q = 2 * i * i
+    seed_measure = odometer.band_measure(i)  # the seeds [0, lo) are as many as [lo, hi)
+    target = Fraction(1, 1 << (2 * i))  # 2^-(decay * offset) with decay 1/i
     # integer-exact threshold: sum > (3/4) n + q <=> 4 sum > 3 n + 4 q
     hits = int(np.count_nonzero(4 * counts > 3 * n + 4 * q))
     p_hat = hits / m
     p_se = math.sqrt(p_hat * (1.0 - p_hat) / m)
     return BurstProbabilityReport(
-        params=params,
+        i=i,
+        window=n,
+        offset=q,
+        service=0.75,
         m=m,
         hits=hits,
         p_hat=p_hat,
         p_se=p_se,
-        exact_lower=params.seed_measure,
-        lower_valid=params.chain_valid,
-        target=params.target,
-        analytic_pass=params.seed_measure > params.target,
+        exact_lower=seed_measure,
+        lower_valid=n > 4 * q,
+        target=target,
+        analytic_pass=seed_measure > target,
     )
 
 
@@ -453,13 +413,13 @@ def burst_cumulant_report(
     if theta < 0 or not math.isfinite(theta):
         raise ValueError("theta must be nonnegative and finite")
     # plain Monte Carlo over unconditioned windows, drawn before the complement
-    params, counts = _burst_windows(i, m, rng, precision)
-    n = params.window
+    n, counts = _burst_windows(i, m, rng, precision)
+    seed_measure = odometer.band_measure(i)
     theta = float(theta)
     # one shared expression for log(seed measure), a power of two: the lower
     # bound and the stratified estimate must agree to the last bit, and the
     # window is a power of two, so scaling by it commutes with rounding
-    ln_mu = -((params.seed_measure.denominator.bit_length() - 1) * math.log(2.0))
+    ln_mu = -((seed_measure.denominator.bit_length() - 1) * math.log(2.0))
     upper = theta
     lower = theta + ln_mu / n
     lam_plain = lambda_from_sums(counts, theta, n)
@@ -469,7 +429,7 @@ def burst_cumulant_report(
         lower = 0.0
     else:
         # stratify on the seed set: inside it the window sum is exactly n
-        mu = float(params.seed_measure)  # a power of two, exact in binary
+        mu = float(seed_measure)  # a power of two, exact in binary
         kept, accepted = [], 0
         while accepted < m:
             draw = odometer.uniform_counters(rng, m - accepted, precision, n)
@@ -490,7 +450,7 @@ def burst_cumulant_report(
         lambda_strat=lam_strat,
         lambda_plain=lam_plain,
         gap=upper - lam_strat,
-        seed_measure=params.seed_measure,
+        seed_measure=seed_measure,
     )
 
 
@@ -525,7 +485,8 @@ def queue_tail_run(
     Standard errors are the iid binomial formula and understate the truth
     for autocorrelated occupation times; they are indicative only.  The
     fitted decay is the least-squares slope of log survival over the
-    thresholds with nonzero survival (needs at least two).
+    thresholds with nonzero survival (needs two distinct thresholds; a
+    repeated one keeps its weight in the fit).
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
@@ -542,7 +503,7 @@ def queue_tail_run(
     sv = np.asarray(tail.survival)
     keep = sv > 0.0
     fitted = None
-    if np.count_nonzero(keep) >= 2:
+    if np.unique(qs[keep]).size >= 2:
         slope = np.polyfit(qs[keep], np.log(sv[keep]), 1)[0]
         fitted = float(-slope)
     return QueueTailReport(

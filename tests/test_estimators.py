@@ -295,23 +295,31 @@ def test_scaling_validation():
 
 
 def test_burst_params_frozen_values():
-    p = es.BurstParams(17)
-    assert (p.window, p.offset, p.service) == (65536, 578, 0.75)
-    assert p.decay == Fraction(1, 17)
-    assert p.seed_measure == Fraction(1, 1 << 19)
-    assert p.target == Fraction(1, 1 << 34)
-    assert p.chain_valid
+    rep = es.burst_probability_report(17, 1, rng_for(0))
+    assert (rep.i, rep.window, rep.offset, rep.service) == (17, 65536, 578, 0.75)
+    assert rep.exact_lower == Fraction(1, 1 << 19)
+    assert rep.target == Fraction(1, 1 << 34)
+    assert rep.lower_valid
 
 
 def test_burst_chain_threshold_is_eleven():
     # window > 4*offset first holds at i=11: 1024 > 968
-    assert es.BurstParams(11).chain_valid
-    assert not any(es.BurstParams(i).chain_valid for i in range(1, 11))
+    assert es.burst_probability_report(11, 1, rng_for(0)).lower_valid
+    assert not any(es.burst_probability_report(i, 1, rng_for(0)).lower_valid for i in range(1, 11))
 
 
 def test_burst_params_reject_bad_index():
-    with pytest.raises(ValueError):
-        es.BurstParams(0)
+    with pytest.raises(ValueError, match="band index must be >= 1"):
+        es.burst_probability_report(0, 1, rng_for(0))
+    with pytest.raises(ValueError, match="band index must be >= 1"):
+        es.burst_cumulant_report(0, 1.0, 1, rng_for(0))
+
+
+def test_no_result_record_has_its_own_json_rule():
+    # _Result.to_json is the one JSON form: a record renames fields, never restructures
+    records = [v for v in vars(es).values() if isinstance(v, type) and issubclass(v, es._Result)]
+    assert es.BurstProbabilityReport in records
+    assert [r.__name__ for r in records if r is not es._Result and "to_json" in vars(r)] == []
 
 
 # -- burst probability report ----------------------------------------------------
@@ -348,7 +356,7 @@ def test_burst_probability_needs_precision():
 def test_burst_seed_windows_are_all_ones():
     # conditional sampling from the seed set forces a full window of arrivals
     for i in (5, 6, 7, 8):
-        n = es.BurstParams(i).window
+        n = od.band(i)[1]
         rng = rng_for(13, i)
         for _ in range(100):
             p = od.sample_run_seed(i, rng)
@@ -411,6 +419,15 @@ def test_queue_tail_slope_tracks_decay_rate():
     assert rep.stable_mean
     assert rep.fitted_decay is not None
     assert abs(rep.fitted_decay - DECAY_ROOT) / DECAY_ROOT < 0.15
+
+
+def test_queue_tail_fits_only_distinct_thresholds():
+    # a repeated threshold is one point: no slope through it
+    rep = es.queue_tail_run(IIDBernoulli(0.5), 0.75, [0.0, 0.0], 1000, rng=rng_for(16))
+    assert rep.tail.survival[0] > 0.0
+    assert rep.fitted_decay is None
+    rep = es.queue_tail_run(IIDBernoulli(0.5), 0.75, [0.0, 0.0, 1.0], 1000, rng=rng_for(16))
+    assert rep.fitted_decay is not None
 
 
 def test_queue_tail_flags_unstable_mean():
