@@ -14,7 +14,12 @@ run wrote (its embedded ``config`` object is unwrapped) or a bare
 configuration dict; either reproduces the files byte for byte.
 
 Floats are written with 17 significant digits (``FLOAT_FORMAT``); exact
-rationals as "p/q".  The CSV is assembled as bytes, the header as a one-row
+rationals as "p/q".  A runner hands over its rows as a stream of column
+blocks: ``simulate``, ``tandem`` and ``gg1`` as they compute them, so memory
+does not grow with the horizon, and the summary is read after the last
+block.  The CSV is written under a temporary name beside BASE and renamed
+once the summary has serialized, so a run that fails, mid-stream too,
+leaves neither file.  The CSV is assembled as bytes, the header as a one-row
 block and then ``WRITE_BLOCK`` rows at a time: integers by digit arithmetic,
 floats and booleans by formatting once each distinct bit pattern of the
 block, found by one sort of its bit patterns, any other cell by ``_fmt``;
@@ -27,6 +32,7 @@ non-ASCII text is a ValueError.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -149,26 +155,42 @@ def _block_bytes(block: list) -> bytes:
     return matrix.tobytes().translate(None, b"\x00")
 
 
-def _write_outputs(base: Path, header, columns, summary: dict) -> None:
-    """Write BASE.csv from one sequence per header field, and BASE.json.
+def _write_outputs(base: Path, header, blocks, summary: dict) -> None:
+    """Write BASE.csv from blocks of columns, then BASE.json from the summary.
 
-    The header is written as a one-row block, then the rows ``WRITE_BLOCK``
-    at a time, each block assembled as bytes by ``_block_bytes``.  JSON has
-    no inf or nan, so a non-finite summary is a ValueError before either
-    file is written, as is a column whose length differs from the first's.
-    A cell that would need quoting is a ValueError before its block is
-    written, and no JSON is written.
+    Each block holds one sequence per header field, all of one length; the
+    header is written as a one-row block, then each block ``WRITE_BLOCK``
+    rows at a time, assembled as bytes by ``_block_bytes``.  The summary is
+    serialized after the last block, so a runner that streams its rows may
+    fill it in as they pass.  The CSV is written under a temporary name
+    beside BASE and takes its own name only once the summary has
+    serialized; any error on the way (a block's columns of unequal length, a
+    cell that would need quoting, a non-finite summary, which JSON cannot
+    spell, or an error raised by the blocks themselves) removes it, so a
+    failed run leaves neither file.
     """
-    text = json.dumps(summary, indent=2, allow_nan=False)
-    rows = len(columns[0])
-    for name, col in zip(header, columns, strict=True):
-        if len(col) != rows:
-            raise ValueError(f"CSV column {name!r} has {len(col)} rows, the first has {rows}")
     base.parent.mkdir(parents=True, exist_ok=True)
-    with open(f"{base}.csv", "wb") as fh:
-        fh.write(_block_bytes([[name] for name in header]))
-        for start in range(0, rows, WRITE_BLOCK):
-            fh.write(_block_bytes([col[start : start + WRITE_BLOCK] for col in columns]))
+    part = Path(f"{base}.csv.part")
+    try:
+        with open(part, "wb") as fh:
+            fh.write(_block_bytes([[name] for name in header]))
+            for columns in blocks:
+                rows = len(columns[0])
+                for name, col in zip(header, columns, strict=True):
+                    if len(col) != rows:
+                        raise ValueError(
+                            f"CSV column {name!r} has {len(col)} rows, the first has {rows}"
+                        )
+                for start in range(0, rows, WRITE_BLOCK):
+                    fh.write(_block_bytes([col[start : start + WRITE_BLOCK] for col in columns]))
+        text = json.dumps(summary, indent=2, allow_nan=False)
+        # renamed onto a free name: ext4 flushes a file renamed over another
+        # (auto_da_alloc), which took longer than writing the whole CSV
+        Path(f"{base}.csv").unlink(missing_ok=True)
+        os.replace(part, f"{base}.csv")
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     with open(f"{base}.json", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -211,8 +233,9 @@ _SCALINGS = {
 
 # ---------------------------------------------------------------------------
 # subcommand implementations: each takes the resolved config with every
-# declared option present (``_with_defaults``) and returns (csv header, csv
-# columns, results object for the JSON summary)
+# declared option present (``_with_defaults``) and returns (csv header,
+# blocks of csv columns, results object for the JSON summary); a runner that
+# streams its rows fills its results in after its last block
 
 
 def _run_simulate(cfg: dict):
@@ -227,7 +250,7 @@ def _run_simulate(cfg: dict):
     )
     tail = report.tail
     columns = [tail.thresholds, tail.survival, tail.std_errors]
-    return ["threshold", "survival", "std_error"], columns, report.to_json()
+    return ["threshold", "survival", "std_error"], [columns], report.to_json()
 
 
 def _run_loynes(cfg: dict):
@@ -236,7 +259,7 @@ def _run_loynes(cfg: dict):
     result = lindley.loynes_sup(window, slack=cfg["slack"])
     return (
         ["n", "partial_sum", "running_max"],
-        [np.arange(result.sums.size), result.sums, result.prefix_maxima],
+        [[np.arange(result.sums.size), result.sums, result.prefix_maxima]],
         {
             "value": result.value,
             "argmax": result.argmax,
@@ -278,40 +301,60 @@ def _run_couple(cfg: dict):
         "mean_coupling_time": (sum(coupled) / len(coupled)) if coupled else None,
     }
     columns = [range(cfg["replicas"]), times, uppers, lowers]
-    return ["replica", "coupling_time", "final_upper", "final_lower"], columns, summary
+    return ["replica", "coupling_time", "final_upper", "final_lower"], [columns], summary
 
 
 def _run_gg1(cfg: dict):
     service, interarrival = parse_process(cfg["service"]), parse_process(cfg["interarrival"])
-    rng = rng_for(cfg["seed"])  # one generator: the services first, then the gaps
-    services = service.forward(cfg["n"], rng)
-    trace = lindley.waiting_path(services, interarrival.forward(cfg["n"], rng))
-    summary = {
-        "n": cfg["n"],
-        "mean_wait": float(np.mean(trace.states)),
-        "max_wait": float(np.max(trace.states)),
-        "final_wait": float(trace.states[-1]),
-    }
-    return ["n", "waiting_time"], [np.arange(trace.states.size), trace.states], summary
+    n = cfg["n"]
+    # one generator: every service is drawn before the first gap, so the
+    # services are drawn once to reach the gaps and again, from a second
+    # generator of the same seed, as the waits are written
+    rng = rng_for(cfg["seed"])
+    collections.deque(service.blocks(n, rng), maxlen=0)
+    services = service.blocks(n, rng_for(cfg["seed"]))
+    waits = lindley.waiting_blocks(services, interarrival.blocks(n, rng))
+    summary = {"n": n}
+
+    def rows():
+        total, top, last, k = lindley.ExactSum(), 0.0, 0.0, 0
+        yield [np.arange(1), np.zeros(1)]  # W_0 = 0
+        for states in waits:
+            w = states[1:]
+            total.add(w)
+            top, last = max(top, float(w.max())), float(w[-1])
+            yield [np.arange(k + 1, k + 1 + w.size), w]
+            k += w.size
+        summary.update(mean_wait=total.mean(n + 1), max_wait=top, final_wait=last)
+
+    return ["n", "waiting_time"], rows(), summary
 
 
 def _run_tandem(cfg: dict):
     proc = parse_process(cfg["process"])
-    y = proc.forward(cfg["horizon"], rng_for(cfg["seed"]))
-    first, outputs, second = lindley.tandem_path(y, cfg["s1"], cfg["s2"])
-    n = outputs.size
-    columns = [np.arange(n), y[:n], first.states[1:], outputs, second.states[1:]]
-    total_in = float(np.sum(y))
-    total_out = float(np.sum(outputs))
-    summary = {
-        "horizon": cfg["horizon"],
-        "total_input": total_in,
-        "total_first_output": total_out,
-        "first_backlog_change": float(first.states[-1] - first.states[0]),
-        "conservation_exact": total_in - total_out == float(first.states[-1] - first.states[0]),
-        "second_backlog_final": float(second.states[-1]),
-    }
-    return ["n", "arrival", "queue1", "output1", "queue2"], columns, summary
+    arrivals = proc.blocks(cfg["horizon"], rng_for(cfg["seed"]))
+    stations = lindley.tandem_blocks(arrivals, cfg["s1"], cfg["s2"])
+    summary = {"horizon": cfg["horizon"]}
+
+    def rows():
+        inflow, outflow = lindley.ExactSum(), lindley.ExactSum()
+        last1, last2, k = 0.0, 0.0, 0
+        for y, q, out, w in stations:
+            inflow.add(y)
+            outflow.add(out)
+            last1, last2 = float(q[-1]), float(w[-1])
+            yield [np.arange(k, k + y.size), y, q[1:], out, w[1:]]
+            k += y.size
+        total_in, total_out = inflow.total(), outflow.total()
+        summary.update(
+            total_input=total_in,
+            total_first_output=total_out,
+            first_backlog_change=last1,  # from an empty queue
+            conservation_exact=total_in - total_out == last1,
+            second_backlog_final=last2,
+        )
+
+    return ["n", "arrival", "queue1", "output1", "queue2"], rows(), summary
 
 
 def _run_odometer(cfg: dict):
@@ -330,7 +373,7 @@ def _run_odometer(cfg: dict):
             "tail_bound": str(odometer.band_measure(i_max)),  # what the bands past i_max weigh
             "components": odometer.arrival_set_components(i_max),
         }
-        return ["i", "band_measure", "union_measure"], columns, summary
+        return ["i", "band_measure", "union_measure"], [columns], summary
     # orbit mode
     value = cfg["value"]
     if value is None:
@@ -349,20 +392,25 @@ def _run_odometer(cfg: dict):
     # read as one window from its lowest counter, reversed going forward
     far = odometer.apply_power(p, sign * steps)
     counters = range(p.counter, far.counter - sign, -sign)
-    # the arrival column first: its one allocation refuses an orbit too long to hold
+    # the arrival column first, whole, one byte per step: its one allocation
+    # refuses an orbit too long to write
     arrival = odometer.membership_window(p if sign < 0 else far, steps + 1, cfg["i_max"])
-    columns = [
-        range(steps + 1),
-        [format(c, "x") for c in counters],
-        [odometer.bit_reverse(c, precision) / (1 << precision) for c in counters],
-        arrival[::-sign],
-    ]
+    blocks = (
+        [
+            range(k, min(k + WRITE_BLOCK, steps + 1)),
+            [format(c, "x") for c in counters[k : k + WRITE_BLOCK]],
+            [odometer.bit_reverse(c, precision) / (1 << precision)
+             for c in counters[k : k + WRITE_BLOCK]],
+            arrival[::-sign][k : k + WRITE_BLOCK],
+        ]
+        for k in range(0, steps + 1, WRITE_BLOCK)
+    )
     summary = {
         "start": p.to_json(),
         "steps": steps,
         "first_one_index": odometer.first_one_index(p) if p.counter else None,
     }
-    return ["k", "counter_hex", "value", "arrival"], columns, summary
+    return ["k", "counter_hex", "value", "arrival"], blocks, summary
 
 
 def _run_cumulant(cfg: dict):
@@ -370,7 +418,7 @@ def _run_cumulant(cfg: dict):
     est = estimators.estimate_lambda_grid(
         proc, cfg["theta_grid"], cfg["n"], cfg["m"], rng_for(cfg["seed"]), s=cfg["s"]
     )
-    return ["theta", "lambda_hat"], [est.thetas, est.lambda_hat], est.to_json()
+    return ["theta", "lambda_hat"], [[est.thetas, est.lambda_hat]], est.to_json()
 
 
 def _run_scaled_cumulant(cfg: dict):
@@ -392,7 +440,7 @@ def _run_scaled_cumulant(cfg: dict):
         "s": cfg["s"],
         "values": {format(t, FLOAT_FORMAT): v for t, v in zip(thetas, values)},
     }
-    return ["theta", "scaled_lambda"], [thetas, values], summary
+    return ["theta", "scaled_lambda"], [[thetas, values]], summary
 
 
 def _run_prop1(cfg: dict):
@@ -402,7 +450,7 @@ def _run_prop1(cfg: dict):
     data = report.to_json()
     header = ["i", "window", "offset", "m", "hits", "p_hat", "mu_A", "target", "lower_valid",
               "pass"]
-    return header, [[data[key]] for key in header], data
+    return header, [[[data[key]] for key in header]], data
 
 
 def _run_prop2(cfg: dict):
@@ -413,7 +461,7 @@ def _run_prop2(cfg: dict):
     header = ["i", "theta", "window", "m", "lower_bound", "lambda_strat", "upper_bound",
               "lambda_plain", "gap"]
     row = dict(data, window=data["n"])
-    return header, [[row[key]] for key in header], data
+    return header, [[[row[key]] for key in header]], data
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +710,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _resolve_config(args)
-        header, columns, results = _SUBCOMMANDS[cfg["subcommand"]][0](_with_defaults(cfg))
+        header, blocks, results = _SUBCOMMANDS[cfg["subcommand"]][0](_with_defaults(cfg))
         base = Path(args.out) if args.out else _default_base(cfg["subcommand"])
-        _write_outputs(base, header, columns, {"config": cfg, "results": results})
+        _write_outputs(base, header, blocks, {"config": cfg, "results": results})
     except (ProcessError, ValueError, OSError, KeyError, MemoryError) as exc:
         json.dump({"error": f"{type(exc).__name__}: {exc}"}, sys.stderr)
         sys.stderr.write("\n")

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import odometer
-from .lindley import queue_path
+from .lindley import ExactSum, queue_blocks
 from .processes import OdometerProcess
 
 __all__ = [
@@ -103,13 +103,17 @@ def empirical_tail(samples: Sequence[float], thresholds: Sequence[float]) -> Tai
     if arr.size == 0:
         raise ValueError("need at least one sample")
     qs = np.sort(np.asarray(thresholds, dtype=np.float64))
-    m = arr.size
-    surv = []
-    errs = []
-    for q in qs:
-        p = float(np.count_nonzero(arr > q)) / m
-        surv.append(p)
-        errs.append(math.sqrt(p * (1.0 - p) / m))
+    return _tail(qs, _exceedances(arr, qs), arr.size)
+
+
+def _exceedances(samples: np.ndarray, qs: np.ndarray) -> list[int]:
+    return [np.count_nonzero(samples > q) for q in qs]
+
+
+def _tail(qs: np.ndarray, counts: Sequence[int], m: int) -> TailEstimate:
+    """The survival function from the count of m samples strictly above each threshold."""
+    surv = [float(count) / m for count in counts]
+    errs = [math.sqrt(p * (1.0 - p) / m) for p in surv]
     return TailEstimate(tuple(qs.tolist()), tuple(surv), tuple(errs), m)
 
 
@@ -482,6 +486,10 @@ def queue_tail_run(
 ) -> QueueTailReport:
     """Simulate the queue and estimate its stationary tail by time averages.
 
+    The sample streams through the queue one piece at a time: exceedances
+    are counted per piece, as integers, and the input mean is the exact sum
+    over the horizon, rounded once, so memory does not grow with the horizon.
+
     Standard errors are the iid binomial formula and understate the truth
     for autocorrelated occupation times; they are indicative only.  The
     fitted decay is the least-squares slope of log survival over the
@@ -494,12 +502,17 @@ def queue_tail_run(
         burn_in = horizon // 10
     if not 0 <= burn_in < horizon:
         raise ValueError("need 0 <= burn_in < horizon")
-    y = process.forward(horizon, rng)
-    trace = queue_path(y, s)
-    samples = trace.states[burn_in + 1 :]
-    tail = empirical_tail(samples, thresholds)
-    input_mean = float(np.mean(y))
-    qs = np.asarray(tail.thresholds)
+    qs = np.sort(np.asarray(thresholds, dtype=np.float64))
+    counts = [0] * qs.size
+    total, seen = ExactSum(), 0
+    for y, states in queue_blocks(process.blocks(horizon, rng), s):
+        total.add(y)
+        # states[j] is the state after step seen + j; those after burn_in count
+        kept = states[1 + max(burn_in - seen, 0) :]
+        counts = [c + k for c, k in zip(counts, _exceedances(kept, qs))]
+        seen += y.size
+    tail = _tail(qs, counts, horizon - burn_in)
+    input_mean = total.mean(horizon)
     sv = np.asarray(tail.survival)
     keep = sv > 0.0
     fitted = None

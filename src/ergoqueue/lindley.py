@@ -14,8 +14,9 @@ Q_{n+1} = (Q_n + Y_{n+1} - s)^+ and W_{n+1} = (W_n + S_n - T_{n+1})^+.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,12 @@ __all__ = [
     "CoupleResult",
     "partial_sums",
     "loynes_sup",
+    "ExactSum",
     "run_recursion",
     "forward_couple",
+    "queue_blocks",
+    "waiting_blocks",
+    "tandem_blocks",
     "queue_path",
     "waiting_path",
     "tandem_path",
@@ -175,18 +180,147 @@ def _reflect(
     return out
 
 
-def run_recursion(x0: float, increments: Sequence[float]) -> QueueTrace:
-    """Drive the recursion forward from x0, keeping the whole trajectory."""
+def _start(x0: float) -> float:
     x0 = float(x0)
     if not math.isfinite(x0) or x0 < 0:
         raise ValueError("x0 must be finite and nonnegative")
+    return x0
+
+
+def _pieces(streams, names, negative: str | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+    """Pieces of at most BLOCK values, one from each stream, cut at the same places.
+
+    A stream is an iterable of 1-D blocks read in order as one sequence, and a
+    block is pulled only when the pieces reach it.  Each block is checked as
+    it is read (``_as_float_array``, and for a negative entry when
+    ``negative`` gives the error); a stream that ends before another is a
+    ValueError.
+    """
+    streams = [iter(stream) for stream in streams]
+    heads = [np.empty(0)] * len(streams)
+    while True:
+        for i, stream in enumerate(streams):
+            while not heads[i].size and (block := next(stream, None)) is not None:
+                heads[i] = _as_float_array(block, names[i])
+                if negative and (heads[i] < 0).any():
+                    raise ValueError(negative)
+        size = min(BLOCK, *(head.size for head in heads))
+        if not size:
+            if any(head.size for head in heads):
+                raise ValueError(f"{' and '.join(names)} must have equal length")
+            return
+        yield tuple(head[:size] for head in heads)
+        heads = [head[size:] for head in heads]
+
+
+def _drive(x: float, pieces: Iterable[tuple]) -> Iterator[tuple]:
+    """The one block loop: the recursion from x, over pieces of at most BLOCK increments.
+
+    ``pieces`` yields (inputs, increments) pairs.  ``_drive`` yields
+    (inputs, states) per piece, the inputs handed through untouched so that a
+    reader keeps each piece beside its states, and the states one longer
+    than the piece: entry 0 is the state carried in (x for the first piece),
+    entry k + 1 the state after the piece's step k.  The state is carried
+    from piece to piece, so the joined states are the sequential
+    recursion's bit for bit, however the increments are cut.
+    """
+    for inputs, z in pieces:
+        states = np.empty(z.size + 1)
+        states[0] = x
+        x = _reflect(x, z, states[1:])[-1]
+        yield inputs, states
+
+
+def _joined(x0: float, blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """x0, then the states after each step of ``_drive``'s state blocks."""
+    return np.concatenate([[x0], *(states[1:] for states in blocks)])
+
+
+def run_recursion(x0: float, increments: Sequence[float]) -> QueueTrace:
+    """Drive the recursion forward from x0, keeping the whole trajectory."""
+    x0 = _start(x0)
     z = _as_float_array(increments, "increments")
-    states = np.empty(z.size + 1)
-    states[0] = x0
-    for n in range(0, z.size, BLOCK):
-        end = min(n + BLOCK, z.size)
-        _reflect(states[n], z[n:end], states[n + 1 : end + 1])
-    return QueueTrace(states=states, increments=z)
+    pieces = ((None, piece) for piece, in _pieces([[z]], ["increments"]))
+    return QueueTrace(_joined(x0, (states for _, states in _drive(x0, pieces))), z)
+
+
+def _units(x: float) -> int:
+    """A finite double as a whole number of units of 2**-1074."""
+    numerator, denominator = x.as_integer_ratio()  # the denominator is a power of two
+    return numerator << (1075 - denominator.bit_length())
+
+
+class ExactSum:
+    """A sum of float64 blocks that never rounds, read once rounded.
+
+    The sum is kept in units of 2**-1074, the spacing of the subnormals, so
+    every finite double is a whole number of them.  ``add`` splits each
+    value's bits at bit 26 of its significand into a high part and the rest
+    and adds each part, per binade (exponent field), into a float64 bin by
+    ``np.bincount``.  The bins are exact: a binade's high parts are
+    multiples of 2**26 of its spacing and below 2**53 of it, so up to 2**26
+    values of either part keep every bin within 53 bits.  Before that many
+    have been added the bins are moved into one Python int, as is, at once,
+    every value from binade ``_TOP`` up (above about 1e294), whose bin could
+    overflow.  ``total`` and ``mean`` divide the int once, so the total is
+    the correctly rounded sum, the value ``math.fsum`` gives, and a mean is
+    rounded once too.  A non-finite value, or a result past the float range,
+    is a ValueError.
+    """
+
+    _HIGH = np.int64(-(1 << 26))  # clears the low 26 bits of the significand
+    _CHUNK = 1 << 26  # values per bin flush
+    _TOP = 2000  # 2**26 values of a binade below this sum below the float max
+
+    def __init__(self) -> None:
+        self._units = 0
+        self._bins = np.zeros((2, self._TOP))  # high and low parts per binade
+        self._pending = 0  # values in the bins
+
+    @np.errstate(invalid="ignore")  # inf - inf in the split of a non-finite value, refused below
+    def add(self, values: np.ndarray) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        for k in range(0, values.size, self._CHUNK):
+            z = values[k : k + self._CHUNK]
+            if self._pending + z.size > self._CHUNK:
+                self._flush()
+            self._pending += z.size
+            bits = z.view(np.int64)
+            binade = (bits >> 52) & 0x7FF
+            high = (bits & self._HIGH).view(np.float64)
+            for bins, part in zip(self._bins, (high, z - high)):
+                if not part.any():  # values on a coarse grid have no low part
+                    continue
+                sums = np.bincount(binade, weights=part)
+                if sums.size > 0x7FF:
+                    raise ValueError("the summed values must be finite")
+                for e in np.flatnonzero(sums[self._TOP :]).tolist():
+                    self._units += sum(map(_units, part[binade == self._TOP + e].tolist()))
+                bins[: sums.size] += sums[: self._TOP]
+
+    def _flush(self) -> None:
+        for x in self._bins[self._bins != 0].tolist():
+            self._units += _units(x)
+        self._bins[:] = 0.0
+        self._pending = 0
+
+    @property
+    def units(self) -> int:
+        """The sum so far, exactly, in units of 2**-1074."""
+        self._flush()
+        return self._units
+
+    def total(self) -> float:
+        return self.mean(1)
+
+    def mean(self, count: int) -> float:
+        """The sum over ``count``, rounded once."""
+        if count < 1:
+            raise ValueError("a mean needs a positive count")
+        try:
+            return self.units / (count << 1074)
+        except OverflowError:  # int / int past the float range
+            raise ValueError("the sum overflows the float range") from None
 
 
 @dataclass(frozen=True)
@@ -213,9 +347,7 @@ def forward_couple(
     read, and no block is pulled once the run has stopped, so a lazily drawn
     stream is drawn no further than the block holding the last step run.
     """
-    x0 = float(x0)
-    if x0 < 0 or not math.isfinite(x0):
-        raise ValueError("x0 must be finite and nonnegative")
+    x0 = _start(x0)
     if isinstance(increments, (np.ndarray, Sequence)) or not isinstance(increments, Iterable):
         blocks = iter((_as_float_array(increments, "increments"),))
     else:
@@ -268,47 +400,101 @@ def forward_couple(
     return CoupleResult(tau, upper, lower, n)
 
 
-def queue_path(arrivals: Sequence[float], s: float) -> QueueTrace:
-    """Queue trajectory under constant service rate s, from an empty queue."""
-    y = _as_float_array(arrivals, "arrivals")
-    if (y < 0).any():
-        raise ValueError("arrivals must be nonnegative")
+def _rate(s: float) -> float:
     s = float(s)
     if s <= 0 or not math.isfinite(s):
         raise ValueError("service rate must be positive and finite")
-    return run_recursion(0.0, y - s)
+    return s
+
+
+def queue_blocks(
+    arrivals: Iterable[np.ndarray], s: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A queue under constant service rate s, from empty, one piece at a time.
+
+    ``arrivals`` is a stream of 1-D blocks, read as the pieces are and each
+    checked as it is read (finite and nonnegative).  Yields (arrivals,
+    states) per piece of at most BLOCK slots, the states as ``_drive`` yields
+    them: entry 0 is the backlog carried in.
+    """
+    s = _rate(s)
+    checked = _pieces([arrivals], ["arrivals"], "arrivals must be nonnegative")
+    return _drive(0.0, ((y, y - s) for y, in checked))
+
+
+def waiting_blocks(
+    services: Iterable[np.ndarray], interarrivals: Iterable[np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Waiting times from W_0 = 0, one state block (as ``_drive`` yields it) per piece.
+
+    Increment n is services[n] - interarrivals[n]: services[n] is the service
+    of customer n (the one ahead), interarrivals[n] the gap to customer n+1.
+    Both are streams of 1-D blocks, cut at the same places whatever their own
+    blocks, and each block is checked as it is read.
+    """
+    pairs = _pieces(
+        [services, interarrivals], ["services", "interarrivals"], "times must be nonnegative"
+    )
+    return (states for _, states in _drive(0.0, ((None, s - t) for s, t in pairs)))
+
+
+@np.errstate(over="ignore")
+def _outputs(y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """A station's per-slot outputs, inflow plus backlog drop, from its arrivals and states.
+
+    Never negative, since rounding is monotone: q[n+1] is 0 or
+    fl(q[n] + fl(y[n] - s)) <= fl(q[n] + y[n]).  An inflow past the float
+    range is a ValueError, raised without a numpy warning.
+    """
+    out = (q[:-1] + y) - q[1:]
+    if np.isinf(out).any():
+        raise ValueError("the first station's outputs overflow the float range")
+    return out
+
+
+def tandem_blocks(
+    arrivals: Iterable[np.ndarray], s_first: float, s_second: float
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Two stations in series, both from empty: departures of the first feed the second.
+
+    Yields (arrivals, first-station states, first-station outputs,
+    second-station states) per piece, the states as ``queue_blocks`` yields
+    them.  Outputs satisfy out[n] = min(Q_n + Y_{n+1}, s_first) exactly, and
+    each station conserves work: cumulative inflow minus cumulative outflow
+    equals the backlog change.
+    """
+    first = ((y, q, _outputs(y, q)) for y, q in queue_blocks(arrivals, s_first))
+    s_second = _rate(s_second)
+    second = _drive(0.0, ((row, row[2] - s_second) for row in first))
+    return ((*row, w) for row, w in second)
+
+
+def queue_path(arrivals: Sequence[float], s: float) -> QueueTrace:
+    """Queue trajectory under constant service rate s, from an empty queue."""
+    y = _as_float_array(arrivals, "arrivals")
+    states = _joined(0.0, (q for _, q in queue_blocks([y], s)))
+    return QueueTrace(states, y - float(s))
 
 
 def waiting_path(services: Sequence[float], interarrivals: Sequence[float]) -> QueueTrace:
-    """Waiting times W_0..W_T from W_0 = 0; increment n is services[n] - interarrivals[n].
-
-    services[n] is the service of customer n (the one ahead), interarrivals[n]
-    the gap to customer n+1.
-    """
+    """Waiting times W_0..W_T from W_0 = 0, as ``waiting_blocks`` gives them."""
     s_arr = _as_float_array(services, "services")
     t_arr = _as_float_array(interarrivals, "interarrivals")
-    if s_arr.size != t_arr.size:
-        raise ValueError("services and interarrivals must have equal length")
-    if (s_arr < 0).any() or (t_arr < 0).any():
-        raise ValueError("times must be nonnegative")
-    return run_recursion(0.0, s_arr - t_arr)
+    states = _joined(0.0, waiting_blocks([s_arr], [t_arr]))
+    return QueueTrace(states, s_arr - t_arr)
 
 
 def tandem_path(
     arrivals: Sequence[float], s_first: float, s_second: float
 ) -> tuple[QueueTrace, np.ndarray, QueueTrace]:
-    """Two stations in series, both starting empty: departures of the first feed the second.
+    """Two stations in series, as ``tandem_blocks`` gives them, each piece joined.
 
     Returns (first-station trace, per-slot outputs of the first station,
-    second-station trace).  Outputs satisfy out[n] = min(Q_n + Y_{n+1}, s_first)
-    exactly, and each station conserves work: cumulative inflow minus
-    cumulative outflow equals the backlog change.
+    second-station trace).
     """
-    first = queue_path(arrivals, s_first)
-    q = first.states
     y = _as_float_array(arrivals, "arrivals")
-    # inflow plus backlog drop; never negative, since rounding is monotone:
-    # q[n+1] is 0 or fl(q[n] + fl(y[n] - s_first)) <= fl(q[n] + y[n])
-    outputs = (q[:-1] + y) - q[1:]
-    second = queue_path(outputs, s_second)
+    pieces = list(tandem_blocks([y], s_first, s_second))
+    outputs = np.concatenate([np.empty(0), *(out for _, _, out, _ in pieces)])
+    first = QueueTrace(_joined(0.0, (q for _, q, _, _ in pieces)), y - float(s_first))
+    second = QueueTrace(_joined(0.0, (w for *_, w in pieces)), outputs - float(s_second))
     return first, outputs, second

@@ -54,9 +54,9 @@ def rng_for(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replica,)))
 
 
-# the streaming samplers draw this many values per block, so a reader that
-# stops early stops the drawing too, and the Markov scan's temporaries stay
-# small however long the sample is
+# every kind but a trace hands over this many values per piece, so a reader
+# that stops early stops the drawing too, and the Markov scan's and the
+# membership window's temporaries stay small however long the sample is
 SCAN_BLOCK = 8192
 
 
@@ -326,9 +326,12 @@ class OdometerProcess(_ProcessBase):
         if n == 0:
             return  # no counter is drawn for an empty sample
         c = self._draw_counter(rng, low=n, width=1)
-        # the counters c-1, ..., c-n: the run from c-n, read backwards
-        p = odometer.DyadicPoint(c - n, self.precision)
-        yield odometer.membership_window(p, n, self.i_max)[::-1].astype(np.float64)
+        # the counters c-1, ..., c-n, SCAN_BLOCK at a time: piece k is the run
+        # below the one before it, read backwards
+        for k in range(0, n, SCAN_BLOCK):
+            size = min(SCAN_BLOCK, n - k)
+            p = odometer.DyadicPoint(c - k - size, self.precision)
+            yield odometer.membership_window(p, size, self.i_max)[::-1].astype(np.float64)
 
     def _backward_window(self, n: int, rng) -> np.ndarray:
         if n == 0:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from ergoqueue import cli, lindley
+from ergoqueue import cli, estimators, lindley
 from ergoqueue import odometer as od
 from ergoqueue.processes import parse_process, rng_for
 
@@ -371,7 +371,7 @@ def test_non_finite_results_are_the_json_error(tmp_path, capsys, args, reason):
 def test_non_finite_summary_is_the_json_error(tmp_path, capsys, monkeypatch):
     # JSON has no Infinity or NaN, so the summary fails before either file is written
     def infinite(cfg):
-        return ["x"], [[1.0]], {"value": math.inf}
+        return ["x"], [[[1.0]]], {"value": math.inf}
 
     _, *rest = cli._SUBCOMMANDS["simulate"]
     monkeypatch.setitem(cli._SUBCOMMANDS, "simulate", (infinite, *rest))
@@ -1084,7 +1084,7 @@ def test_float_keys_at_the_ends_of_the_bit_order(tmp_path):
     # payload, signalling or quiet, are distinct keys that all write "nan"
     zeros = np.array([0.0, -0.0, -0.0, 0.0, -0.0])
     nans = np.append(_NAN_BITS, np.uint64(0x7FF8000000000000)).view(np.float64)
-    cli._write_outputs(tmp_path / "x", ["z", "n"], [zeros[:4], nans], {})
+    cli._write_outputs(tmp_path / "x", ["z", "n"], [[zeros[:4], nans]], {})
     assert (tmp_path / "x.csv").read_text(encoding="utf-8") == "z,n\n0,nan\n-0,nan\n-0,nan\n0,nan\n"
     assert cli._distinct_texts(zeros).tolist() == [b"0", b"-0", b"-0", b"0", b"-0"]
     for dtype in (np.float64, np.float32, np.float16, np.bool_):
@@ -1110,17 +1110,17 @@ def _check_writer(tmp_path_factory, length, pools, seed):
     # exactly when some cell would need quoting
     if any(_needs_quoting(cli._fmt(v), len(columns)) for col in columns for v in col):
         with pytest.raises(ValueError, match="CSV cell"):
-            cli._write_outputs(base, header, columns, {})
+            cli._write_outputs(base, header, [columns], {})
         assert not base.with_suffix(".json").exists()
         return
-    cli._write_outputs(base, header, columns, {})
+    cli._write_outputs(base, header, [columns], {})
     got = base.with_suffix(".csv").read_bytes()
     assert got == _per_row_csv(header, columns).encode("utf-8")
 
 
 def test_bool_cells_do_not_depend_on_their_container(tmp_path):
-    cli._write_outputs(tmp_path / "a", ["b"], [np.array([True, False])], {})
-    cli._write_outputs(tmp_path / "l", ["b"], [[True, False]], {})
+    cli._write_outputs(tmp_path / "a", ["b"], [[np.array([True, False])]], {})
+    cli._write_outputs(tmp_path / "l", ["b"], [[[True, False]]], {})
     text = (tmp_path / "a.csv").read_text(encoding="utf-8")
     assert text == (tmp_path / "l.csv").read_text(encoding="utf-8") == "b\ntrue\nfalse\n"
 
@@ -1141,12 +1141,12 @@ def test_writer_refuses_cells_that_need_quoting(tmp_path):
     }
     for name, columns in cases.items():
         with pytest.raises(ValueError, match="CSV cell"):
-            cli._write_outputs(tmp_path / name, ["f", "o"][: len(columns)], columns, {"ok": 1})
+            cli._write_outputs(tmp_path / name, ["f", "o"][: len(columns)], [columns], {"ok": 1})
         assert not (tmp_path / f"{name}.json").exists()
     with pytest.raises(ValueError, match="CSV cell"):  # the header is a one-row block
-        cli._write_outputs(tmp_path / "h", ["f,g"], [numbers], {})
+        cli._write_outputs(tmp_path / "h", ["f,g"], [[numbers]], {})
     # an empty field beside another is an empty cell, as csv.writer writes it
-    cli._write_outputs(tmp_path / "m", ["f", "o"], [numbers, ["", None]], {})
+    cli._write_outputs(tmp_path / "m", ["f", "o"], [[numbers, ["", None]]], {})
     assert (tmp_path / "m.csv").read_text(encoding="utf-8") == "f,o\n0.5,\n-0,\n"
 
 
@@ -1161,14 +1161,14 @@ def test_writer_refuses_columns_of_unequal_length(tmp_path, lengths):
     columns = [np.arange(lengths[0]), np.arange(lengths[1])]
     message = f"CSV column 'b' has {lengths[1]} rows, the first has {lengths[0]}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        cli._write_outputs(tmp_path / "x", ["a", "b"], columns, {})
+        cli._write_outputs(tmp_path / "x", ["a", "b"], [columns], {})
     assert list(tmp_path.iterdir()) == []
 
 
 def test_refused_cell_is_the_json_error(tmp_path, capsys, monkeypatch):
     # no subcommand writes such a cell, so a runner that does stands in for one
     def runner(cfg):
-        return ["k", "text"], [[0], ["a,b"]], {}
+        return ["k", "text"], [[[0], ["a,b"]]], {}
 
     _, *rest = cli._SUBCOMMANDS["odometer"]
     monkeypatch.setitem(cli._SUBCOMMANDS, "odometer", (runner, *rest))
@@ -1190,3 +1190,138 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     assert cli.main([*argv, "--out", str(tmp_path / "c")]) == 0
     for suffix in (".csv", ".json"):
         assert (tmp_path / f"m{suffix}").read_bytes() == (tmp_path / f"c{suffix}").read_bytes()
+
+
+# -- streamed trajectories ------------------------------------------------------
+
+NON_DYADIC = "iid-table:0,0.3,1.7@0.5,0.3,0.2"
+STREAM_HORIZONS = [0, 1, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK, cli.WRITE_BLOCK + 1, 80_000]
+
+
+def _stepped(z):
+    """The states after each step from 0, by one reflection over the whole input."""
+    return lindley._reflect(0.0, np.asarray(z, dtype=np.float64), np.empty(len(z)))
+
+
+def _whole_columns(name, process, horizon, seed):
+    """The CSV columns of a streamed subcommand, built whole as before streaming."""
+    proc = parse_process(process)
+    if name == "gg1":
+        rng = rng_for(seed)
+        services = proc.forward(horizon, rng)
+        waits = _stepped(services - proc.forward(horizon, rng))
+        return [np.arange(horizon + 1), np.concatenate(([0.0], waits))]
+    y = proc.forward(horizon, rng_for(seed))
+    if name == "simulate":
+        states = _stepped(y - 0.75)
+        tail = estimators.empirical_tail(states[horizon // 10 :], [0, 1, 2, 4, 8, 16])
+        return [tail.thresholds, tail.survival, tail.std_errors]
+    q1 = np.concatenate(([0.0], _stepped(y - 0.8)))
+    out = (q1[:-1] + y) - q1[1:]
+    return [np.arange(horizon), y, q1[1:], out, _stepped(out - 0.7)]
+
+
+def _streamed_argv(name, process, horizon):
+    if name == "gg1":
+        return ["gg1", "--service", process, "--interarrival", process, "--n", str(horizon)]
+    if name == "simulate":
+        return ["simulate", "--process", process, "--s", "0.75", "--horizon", str(horizon)]
+    return ["tandem", "--process", process, "--s1", "0.8", "--s2", "0.7", "--horizon", str(horizon)]
+
+
+@pytest.mark.parametrize("horizon", STREAM_HORIZONS)
+@pytest.mark.parametrize("process", ["odometer", NON_DYADIC])
+@pytest.mark.parametrize("name", ["simulate", "tandem", "gg1"])
+def test_streamed_csv_bytes_match_whole_columns(tmp_path, name, process, horizon):
+    # the rows stream through the writer a block at a time; the bytes are
+    # those of the whole columns written at once, across the block edges
+    if name == "simulate" and horizon == 0:
+        return  # a run needs a positive horizon
+    for seed in range(3):
+        argv = [*_streamed_argv(name, process, horizon), "--seed", str(seed)]
+        _, summary = run(tmp_path, "streamed", argv)
+        header = (tmp_path / "streamed.csv").read_text(encoding="utf-8").split("\n", 1)[0]
+        columns = _whole_columns(name, process, horizon, seed)
+        cli._write_outputs(tmp_path / "whole", header.split(","), [columns], {})
+        streamed = (tmp_path / "streamed.csv").read_bytes()
+        assert streamed == (tmp_path / "whole.csv").read_bytes()
+        results = summary["results"]
+        if name == "tandem":  # the totals are the correctly rounded sums
+            assert results["total_input"] == math.fsum(columns[1].tolist())
+            assert results["total_first_output"] == math.fsum(columns[3].tolist())
+        if name == "gg1" and seed == 0:
+            assert results["mean_wait"] == float(exact_mean(columns[1]))
+
+
+def exact_mean(values) -> Fraction:
+    return sum(map(Fraction, values.tolist()), Fraction(0)) / len(values)
+
+
+@pytest.mark.parametrize("name", ["simulate", "tandem", "gg1"])
+def test_streamed_runs_hold_a_fixed_number_of_blocks(tmp_path, name):
+    # numpy reports its buffers to tracemalloc: a run of 20 writer blocks
+    # peaks within a few blocks of a run of 2, where whole columns grew the
+    # peak by 50 to 100 blocks
+    import tracemalloc
+
+    def peak(blocks):
+        argv = _streamed_argv(name, NON_DYADIC, blocks * cli.WRITE_BLOCK)
+        tracemalloc.start()
+        try:
+            assert cli.main([*argv, "--out", str(tmp_path / f"{name}{blocks}")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block = cli.WRITE_BLOCK * 8  # bytes of one float64 column block
+    assert peak(20) - peak(2) < 8 * block
+
+
+def test_totals_past_the_float_range_fail_cleanly(tmp_path):
+    # each sum is exact and rounded once: the tandem totals of 4 x 1.5e308
+    # leave the float range, the JSON error without a numpy warning, and the
+    # simulate mean of the same input is 1.5e308; -W error makes any warning fatal
+    def cli_run(*argv):
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ergoqueue", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+
+    tandem = cli_run("tandem", "--process", "iid-table:1.5e308@1", "--s1", "1.6e308",
+                     "--s2", "1.7e308", "--horizon", "4", "--out", str(tmp_path / "t" / "x"))
+    assert tandem.returncode == 2 and tandem.stderr.count("\n") == 1
+    assert json.loads(tandem.stderr) == {"error": "ValueError: the sum overflows the float range"}
+    assert list((tmp_path / "t").iterdir()) == []
+    simulate = cli_run("simulate", "--process", "iid-table:1.5e308@1", "--s", "1.6e308",
+                       "--horizon", "4", "--out", str(tmp_path / "s"))
+    assert simulate.returncode == 0 and simulate.stderr == ""
+    summary = json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))
+    assert summary["results"]["input_mean"] == 1.5e308
+    assert summary["results"]["stable_mean"] is True
+
+
+def test_a_run_failing_mid_stream_leaves_no_files(tmp_path, capsys):
+    # the queue overflows in the third block, after two were written
+    trace = tmp_path / "trace.txt"
+    trace.write_text("0\n" * (2 * cli.WRITE_BLOCK) + "1.7e308\n" * 5, encoding="utf-8")
+    argv = ["tandem", "--process", f"trace:{trace}", "--s1", "0.5", "--s2", "0.5",
+            "--horizon", str(2 * cli.WRITE_BLOCK + 5)]
+    assert cli.main([*argv, "--out", str(tmp_path / "out" / "x")]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err) == {"error": "ValueError: the queue recursion overflows the float range"}
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_long_orbit_rows_span_writer_blocks(tmp_path):
+    # counter_hex and value are built one writer block at a time
+    start, steps = 0x2FFE << 40, 2 * cli.WRITE_BLOCK + 3
+    args = ["odometer", "--value", hex(start), "--precision", "64", "--steps", str(steps),
+            "--direction", "backward"]
+    rows, _ = run(tmp_path, "o", args)
+    assert len(rows) == steps + 2
+    edges = {0, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK, 2 * cli.WRITE_BLOCK, steps}
+    for k in sorted(edges | set(range(0, steps + 1, 997))):
+        pt = od.DyadicPoint(start + k, 64)
+        arrival = "true" if od.in_arrival_set(pt) else "false"
+        want = [str(k), format(pt.counter, "x"), format(float(pt.value), ".17g"), arrival]
+        assert rows[k + 1] == want

@@ -9,6 +9,7 @@ and the step takes over.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -504,3 +505,124 @@ def test_tandem_outputs_never_negative(arrivals, s):
     # never exceeds the inflow
     _, outputs, _ = ld.tandem_path(arrivals, s, 0.5)
     assert (outputs >= 0).all()
+
+
+# -- block streams ------------------------------------------------------------
+
+
+def split(values, cuts):
+    """``values`` as a stream of float64 blocks cut at ``cuts`` (empty blocks included)."""
+    values = np.asarray(values, dtype=np.float64)
+    edges = [0, *sorted(min(c, values.size) for c in cuts), values.size]
+    return [values[a:b] for a, b in zip(edges, edges[1:])]
+
+
+cuts = st.lists(st.integers(0, 21000), max_size=4)
+
+
+@settings(deadline=None, max_examples=40)
+@given(long_increments() | windows, cuts)
+def test_queue_stream_ignores_block_splits(values, where):
+    # the backlog is carried from piece to piece: the joined states
+    # are the defining step's, however the arrivals are cut
+    arrivals = np.abs(np.asarray(values, dtype=np.float64))
+    pieces = list(ld.queue_blocks(split(arrivals, where), 0.75))
+    assert all(0 < y.size <= ld.BLOCK and q.size == y.size + 1 for y, q in pieces)
+    assert bits(np.concatenate([np.empty(0), *(y for y, _ in pieces)])) == bits(arrivals)
+    states = [0.0, *(x for _, q in pieces for x in q[1:].tolist())]
+    assert bits(states) == bits(recursion_oracle(0.0, arrivals - 0.75))
+    starts = np.cumsum([0, *(y.size for y, _ in pieces)])[:-1]
+    assert bits([q[0] for _, q in pieces]) == bits([states[k] for k in starts])
+
+
+@settings(deadline=None, max_examples=40)
+@given(long_increments() | windows, cuts, cuts)
+def test_waiting_stream_aligns_differently_cut_inputs(values, where, elsewhere):
+    services = np.abs(np.asarray(values, dtype=np.float64))
+    gaps = services[::-1] * 0.5
+    blocks = ld.waiting_blocks(split(services, where), split(gaps, elsewhere))
+    states = [0.0, *(x for q in blocks for x in q[1:].tolist())]
+    assert bits(states) == bits(recursion_oracle(0.0, services - gaps))
+    assert bits(ld.waiting_path(services, gaps).states) == bits(states)
+
+
+def test_waiting_stream_of_unequal_lengths_fails():
+    with pytest.raises(ValueError, match="services and interarrivals must have equal length"):
+        list(ld.waiting_blocks([np.ones(ld.BLOCK + 3)], [np.ones(4), np.ones(ld.BLOCK)]))
+
+
+@settings(deadline=None, max_examples=30)
+@given(long_increments() | windows, cuts)
+def test_tandem_stream_is_two_stepped_stations(values, where):
+    arrivals = np.abs(np.asarray(values, dtype=np.float64))
+    rows = list(ld.tandem_blocks(split(arrivals, where), 0.8, 0.7))
+    q1 = recursion_oracle(0.0, arrivals - 0.8)
+    out = [(q1[n] + y) - q1[n + 1] for n, y in enumerate(arrivals.tolist())]
+    q2 = recursion_oracle(0.0, np.asarray(out) - 0.7)
+    joined = [np.concatenate([np.empty(0), *(row[j][1:] if j in (1, 3) else row[j] for row in rows)])
+              for j in range(4)]
+    assert [bits(col) for col in joined] == [bits(arrivals), bits(q1[1:]), bits(out), bits(q2[1:])]
+
+
+def test_tandem_output_past_the_float_range_fails_without_a_warning():
+    # backlog plus inflow overflows at the second step, although the backlog
+    # after it, 0.7e308 + 0.7e308, does not
+    with pytest.raises(ValueError, match="the first station's outputs overflow the float range"):
+        list(ld.tandem_blocks([[1.7e308, 1.7e308]], 1e308, 1.0))
+
+
+# -- the exact sum ------------------------------------------------------------
+
+MAX = float.fromhex("0x1.fffffffffffffp+1023")
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+         1e300, -1e300, MAX, -MAX, 1.0, 0.1, -0.3, 2.0**53, 1.0 - 2.0**-53]
+summands = st.sampled_from(EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def exact_total(values) -> Fraction:
+    return sum(map(Fraction, values), Fraction(0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(summands, max_size=300),
+    st.lists(st.integers(0, 300), max_size=4),
+    st.sampled_from([None, 1, 7]),
+)
+def test_exact_sum_is_fsum_over_any_block_split(values, where, chunk):
+    acc = ld.ExactSum()
+    if chunk:  # flush the binade bins into the int every few values
+        acc._CHUNK = chunk
+    for block in split(values, where):
+        acc.add(block)
+    exact = exact_total(values)
+    assert acc.units == exact * 2**1074
+    try:
+        want = float(exact)  # int / int: correctly rounded
+    except OverflowError:
+        with pytest.raises(ValueError, match="the sum overflows the float range"):
+            acc.total()
+        return
+    got = acc.total()
+    assert bits([got]) == bits([want])
+    try:
+        fsum = math.fsum(values)
+    except OverflowError:  # fsum gives up on an intermediate overflow
+        return
+    # fsum is correctly rounded too; from Python 3.12 it keeps the sign of an
+    # all -0.0 sum, where the exact sum (as np.sum) gives 0.0
+    assert got == fsum and (fsum == 0 or bits([got]) == bits([fsum]))
+    if values:
+        assert acc.mean(len(values)) == float(exact / len(values))
+
+
+def test_exact_sum_of_long_blocks_and_overflowing_binades():
+    acc = ld.ExactSum()
+    acc.add(np.full(100_000, 1.0 - 2.0**-53))  # one binade, every significand bit set
+    acc.add(np.array([MAX, MAX, MAX, -MAX, -MAX, -MAX, 5e-324]))  # a binade past the range
+    assert acc.units == (100_000 * Fraction(2**53 - 1, 2**53) + Fraction(5e-324)) * 2**1074
+    assert acc.total() == math.fsum([1.0 - 2.0**-53] * 100_000)
+    with pytest.raises(ValueError, match="finite"):
+        acc.add(np.array([1.0, math.inf]))
+    with pytest.raises(ValueError, match="positive count"):
+        acc.mean(0)

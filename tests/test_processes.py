@@ -491,13 +491,36 @@ def test_trace_pieces_do_not_alias_the_recording():
     assert proc.forward(3, rng).tolist() == back[::-1].tolist() == [1.0, 0.5, 2.0]
 
 
-@pytest.mark.parametrize("proc", [OdometerProcess(), KINDS[-1]], ids=["odometer", "trace"])
+@pytest.mark.parametrize("proc", [KINDS[-1]], ids=["trace"])
 def test_unstreamed_kinds_hand_over_one_piece(proc):
     rng = rng_for(4)
     before = state(rng)
     assert sum(piece.size for piece in proc.blocks(0, rng)) == proc.forward(0, rng).size == 0
-    assert state(rng) == before  # an empty odometer sample draws no counter
+    assert state(rng) == before
     assert [piece.size for piece in proc.blocks(3 * SCAN_BLOCK, rng)] == [3 * SCAN_BLOCK]
+
+
+@pytest.mark.parametrize("n", [0, 1, SCAN_BLOCK, SCAN_BLOCK + 1, 3 * SCAN_BLOCK + 17])
+@pytest.mark.parametrize("precision, i_max", [(64, None), (64, 9), (130, 20)])
+def test_odometer_pieces_are_scan_blocks_of_one_counter_draw(n, precision, i_max):
+    # one counter per sample, as one whole run read backwards gave it: the
+    # same values and generator end state, now SCAN_BLOCK counters per piece
+    proc = OdometerProcess(precision, i_max)
+    for seed in range(3):
+        rng, oracle = rng_for(seed), rng_for(seed)
+        pieces = list(proc.blocks(n, rng))
+        assert [piece.size for piece in pieces] == [
+            min(SCAN_BLOCK, n - k) for k in range(0, n, SCAN_BLOCK)
+        ]
+        want = []
+        if n:  # an empty sample draws no counter
+            c = od.uniform_counter(oracle, precision, n, (1 << precision) - 1)
+            run = od.membership_window(od.DyadicPoint(c - n, precision), n, i_max)
+            want = run[::-1].astype(np.float64).tolist()
+        assert np.concatenate([np.empty(0), *pieces]).tolist() == want
+        assert state(rng) == state(oracle)
+        again = rng_for(seed)
+        assert proc.forward(n, again).tolist() == want and state(again) == state(oracle)
 
 
 def test_trace_missing_file():
