@@ -14,7 +14,6 @@ Q_{n+1} = (Q_n + Y_{n+1} - s)^+ and W_{n+1} = (W_n + S_n - T_{n+1})^+.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -198,9 +197,10 @@ def _pieces(streams, names, negative: str | None = None) -> Iterator[tuple[np.nd
     """
     streams = [iter(stream) for stream in streams]
     heads = [np.empty(0)] * len(streams)
+    end = object()  # no stream yields it: a None block is checked, not taken for the end
     while True:
         for i, stream in enumerate(streams):
-            while not heads[i].size and (block := next(stream, None)) is not None:
+            while not heads[i].size and (block := next(stream, end)) is not end:
                 heads[i] = _as_float_array(block, names[i])
                 if negative and (heads[i] < 0).any():
                     raise ValueError(negative)
@@ -239,7 +239,7 @@ def _joined(x0: float, blocks: Iterable[np.ndarray]) -> np.ndarray:
 def run_recursion(x0: float, increments: Sequence[float]) -> QueueTrace:
     """Drive the recursion forward from x0, keeping the whole trajectory."""
     x0 = _start(x0)
-    z = _as_float_array(increments, "increments")
+    z = np.asarray(increments, dtype=np.float64)
     pieces = ((None, piece) for piece, in _pieces([[z]], ["increments"]))
     return QueueTrace(_joined(x0, (states for _, states in _drive(x0, pieces))), z)
 
@@ -342,31 +342,27 @@ def forward_couple(
     same map, same input), then stops early.  The run never reads past its
     input.  Ordering X(x0) >= X(0) is asserted throughout.
 
-    ``increments`` is one array, or a stream: an iterable of 1-D arrays
-    that are read in order as one sequence.  Each block is checked as it is
-    read, and no block is pulled once the run has stopped, so a lazily drawn
-    stream is drawn no further than the block holding the last step run.
+    ``increments`` is a stream, an iterable of 1-D arrays read in order as
+    one sequence, or one array, read as a stream of one block.  Each block
+    is checked as it is read (an array even when x0 is 0), and none is
+    pulled once the run has stopped: a stream is drawn no further than the
+    block holding the last step run, and not at all when x0 is 0.
     """
     x0 = _start(x0)
-    if isinstance(increments, (np.ndarray, Sequence)) or not isinstance(increments, Iterable):
-        blocks = iter((_as_float_array(increments, "increments"),))
-    else:
-        blocks = (_as_float_array(z, "increments") for z in increments)
-    upper = x0
-    lower = 0.0
+    array = isinstance(increments, (np.ndarray, Sequence)) or not isinstance(increments, Iterable)
+    pieces = _pieces([[increments] if array else increments], ["increments"])
+    upper, lower = x0, 0.0
     if upper == lower:
+        if array:
+            next(pieces, None)  # reads, and so checks, its one block
         return CoupleResult(0, upper, lower, 0)
     tau = None
     # the run ends ABSORPTION_CHECK steps after the meeting, or where the
     # increments run out
     n, end, size = 0, math.inf, FIRST_COUPLE_BLOCK
-    while n < end:
-        z = next(blocks, None)
-        if z is None:
-            break
-        i = 0
-        while i < z.size and n < end:
-            zb = z[i : i + min(size, end - n)]
+    for z, in pieces:
+        while z.size and n < end:
+            zb = z[: min(size, end - n)]
             size = BLOCK
             with np.errstate(over="ignore"):  # _reflect raises if a state overflows
                 sums = np.cumsum(zb)
@@ -396,7 +392,9 @@ def forward_couple(
                 raise AssertionError("absorption violated after coupling")
             upper, lower = float(up[used - 1]), float(lo[used - 1])
             n += used
-            i += used
+            z = z[used:]
+        if n == end:
+            break
     return CoupleResult(tau, upper, lower, n)
 
 
@@ -471,15 +469,15 @@ def tandem_blocks(
 
 def queue_path(arrivals: Sequence[float], s: float) -> QueueTrace:
     """Queue trajectory under constant service rate s, from an empty queue."""
-    y = _as_float_array(arrivals, "arrivals")
+    y = np.asarray(arrivals, dtype=np.float64)
     states = _joined(0.0, (q for _, q in queue_blocks([y], s)))
     return QueueTrace(states, y - float(s))
 
 
 def waiting_path(services: Sequence[float], interarrivals: Sequence[float]) -> QueueTrace:
     """Waiting times W_0..W_T from W_0 = 0, as ``waiting_blocks`` gives them."""
-    s_arr = _as_float_array(services, "services")
-    t_arr = _as_float_array(interarrivals, "interarrivals")
+    s_arr = np.asarray(services, dtype=np.float64)
+    t_arr = np.asarray(interarrivals, dtype=np.float64)
     states = _joined(0.0, waiting_blocks([s_arr], [t_arr]))
     return QueueTrace(states, s_arr - t_arr)
 
@@ -492,7 +490,7 @@ def tandem_path(
     Returns (first-station trace, per-slot outputs of the first station,
     second-station trace).
     """
-    y = _as_float_array(arrivals, "arrivals")
+    y = np.asarray(arrivals, dtype=np.float64)
     pieces = list(tandem_blocks([y], s_first, s_second))
     outputs = np.concatenate([np.empty(0), *(out for _, _, out, _ in pieces)])
     first = QueueTrace(_joined(0.0, (q for _, q, _, _ in pieces)), y - float(s_first))

@@ -778,6 +778,29 @@ def test_minimal_runs_replay_through_config(tmp_path, name):
         assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
 
 
+def _header(tmp_path, args) -> str:
+    """The header line a run writes, as the help text spells a column list."""
+    assert cli.main([*args, "--out", str(tmp_path / "h")]) == 0
+    with open(tmp_path / "h.csv", encoding="utf-8") as fh:
+        return ", ".join(next(csv.reader(fh)))
+
+
+@pytest.mark.parametrize("name", sorted(MINIMAL))
+def test_help_description_names_the_header_written(tmp_path, name):
+    # the table and each runner state the header; the help must not drift from the file
+    description = cli._SUBCOMMANDS[name][2]
+    if name == "odometer":
+        modes = {"orbit": [], "measure": ["--mode", "measure", "--i-max", "3"]}
+        assert description == "; ".join(
+            f"{mode} mode CSV: {_header(tmp_path, [*_flags(name), *extra])}"
+            for mode, extra in modes.items()
+        ) + "."
+    else:
+        # a column may carry a note on its values, as loynes' running maximum does
+        header = re.escape(_header(tmp_path, _flags(name)))
+        assert re.fullmatch(rf"CSV schema: {header}( \(\w+\))?\.", description), description
+
+
 def _bare(name):
     """Values of the options the table marks REQUIRED, from MINIMAL.
 

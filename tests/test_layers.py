@@ -42,6 +42,51 @@ def _sibling_imports(path: Path) -> set[str]:
     return found
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """``line: name`` for every name one source file imports and never reads.
+
+    A name is read where it appears as a bare name anywhere in the file, or
+    in its ``__all__``.  ``from __future__ import annotations`` binds no name.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and "__all__" in (ast.unparse(t) for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [f"{line}: {name}" for line, name in bound if name not in read]
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_module_reads_every_name_it_imports(module):
+    # no linter runs here: this is what catches an import left behind
+    assert _unused_imports(PACKAGE / f"{module}.py") == []
+
+
+def test_the_unused_import_reader_sees_every_form(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "from __future__ import annotations\n"
+        "import itertools\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from collections.abc import Iterable, Sequence\n"
+        "from . import odometer as od\n"
+        "from .lindley import forward_couple\n"
+        "__all__ = ['forward_couple']\n"
+        "def f(x: Iterable) -> None:\n"
+        "    import math\n"
+        "    return np.zeros(os.path.sep)\n",
+        encoding="utf-8",
+    )
+    assert _unused_imports(source) == ["2: itertools", "5: Sequence", "6: od", "10: math"]
+
+
 def test_every_module_has_a_layer():
     assert {path.stem for path in PACKAGE.glob("*.py")} == set(ALLOWED)
 

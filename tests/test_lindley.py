@@ -96,7 +96,8 @@ def long_increments(draw):
 @st.composite
 def drains(draw):
     """(x0, increments) where the upper chain empties j steps before the end."""
-    # forward_couple's blocks end at FIRST_COUPLE_BLOCK, then BLOCK apart
+    # forward_couple's first block ends at FIRST_COUPLE_BLOCK, the others at
+    # multiples of BLOCK (in LENGTHS); the last edge drains mid-block
     edges = (ld.FIRST_COUPLE_BLOCK + 1, ld.FIRST_COUPLE_BLOCK + ld.BLOCK + 1)
     n = draw(st.sampled_from(LENGTHS[1:] + edges))
     j = draw(st.integers(0, min(n - 1, 50)))
@@ -428,14 +429,44 @@ def test_couple_checks_every_block():
         yield first
         yield bad
 
-    for bad in (np.array([0.5, math.nan]), np.array([[1.0]])):
-        with pytest.raises(ValueError, match="increments"):
+    for bad, message in (
+        (np.array([0.5, math.nan]), "increments contains non-finite entries"),
+        (np.array([[1.0]]), "increments must be one-dimensional"),
+    ):
+        with pytest.raises(ValueError) as info:
             ld.forward_couple(5.0, stream(np.array([-1.0, 0.5]), bad))
+        assert str(info.value) == message
     # a block past the run's end is never read, so it is never checked: the
     # first block holds the meeting and the whole absorption check
     first = np.array([-1.0] + [0.5] * ld.ABSORPTION_CHECK)
     res = ld.forward_couple(1.0, stream(first, np.array([math.nan])))
     assert (res.coupling_time, res.steps_run) == (1, first.size)
+
+
+@pytest.mark.parametrize(
+    "increments, message",
+    [
+        (5.0, "increments must be one-dimensional"),
+        ([math.nan], "increments contains non-finite entries"),
+        ([[1.0]], "increments must be one-dimensional"),
+    ],
+)
+def test_couple_from_zero_checks_an_array(increments, message):
+    # the chains start equal, so no step is run, yet the array is checked
+    with pytest.raises(ValueError) as info:
+        ld.forward_couple(0.0, increments)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_couple_from_zero_pulls_no_block():
+    pulled = []
+
+    def stream():
+        pulled.append(1)
+        yield np.array([math.nan])
+
+    assert ld.forward_couple(0.0, stream()) == ld.CoupleResult(0, 0.0, 0.0, 0)
+    assert pulled == []
 
 
 # -- queue and waiting-time forms ---------------------------------------------
@@ -549,6 +580,13 @@ def test_waiting_stream_aligns_differently_cut_inputs(values, where, elsewhere):
 def test_waiting_stream_of_unequal_lengths_fails():
     with pytest.raises(ValueError, match="services and interarrivals must have equal length"):
         list(ld.waiting_blocks([np.ones(ld.BLOCK + 3)], [np.ones(4), np.ones(ld.BLOCK)]))
+
+
+def test_a_none_block_is_checked_not_taken_for_the_end_of_its_stream():
+    with pytest.raises(ValueError, match="^arrivals must be one-dimensional$"):
+        list(ld.queue_blocks([np.ones(2), None], 0.5))
+    with pytest.raises(ValueError, match="^increments must be one-dimensional$"):
+        ld.forward_couple(1.0, iter([None]))
 
 
 @settings(deadline=None, max_examples=30)
