@@ -207,10 +207,12 @@ def _theta_grid(text: str) -> list[float]:
         start, stop, step = (float(x) for x in text.split(":"))
         if step <= 0 or stop < start:
             raise ValueError("grid must be start:stop:step with positive step")
-        points = (stop - start) / step + 0.5
-        if not math.isfinite(points):
+        ratio = (stop - start) / step
+        if not math.isfinite(ratio):
             raise ValueError("grid must have a finite number of points")
-        count = int(math.floor(points)) + 1
+        # the points up to stop; a few ulps of slack keep the last point of
+        # a grid whose ratio is an integer that division rounded down
+        count = math.floor(ratio + 4 * math.ulp(ratio)) + 1
         try:  # start + k * step for every k, one array of the same bits
             grid = start + np.arange(count) * step
         except (MemoryError, ValueError) as exc:

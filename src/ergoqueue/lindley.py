@@ -83,18 +83,6 @@ class QueueTrace:
     states: np.ndarray
     increments: np.ndarray
 
-    def verify(self) -> None:
-        """Check the defining recursion holds exactly at every step."""
-        x = self.states
-        z = self.increments
-        if x.shape != (z.size + 1,):
-            raise ValueError("states must be one longer than increments")
-        if x.size and (x < 0).any():
-            raise ValueError("negative state")
-        bad = np.flatnonzero(x[1:] != np.maximum(x[:-1] + z, 0.0))
-        if bad.size:
-            raise ValueError(f"recursion violated at step {bad[0]}")
-
 
 def loynes_sup(window: Sequence[float], slack: float = 0.0) -> LoynesResult:
     """Maximum backward partial sum, the stationary state built from below.

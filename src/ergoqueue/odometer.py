@@ -60,7 +60,6 @@ __all__ = [
     "window_arrival_counts",
     "uniform_counters",
     "uniform_counter",
-    "uniform_point",
     "sample_run_seed",
 ]
 
@@ -117,19 +116,6 @@ class DyadicPoint:
             )
 
     @classmethod
-    def from_bits(cls, bits: Sequence[int], precision: int | None = None) -> "DyadicPoint":
-        """Build a point from expansion bits r_1, r_2, ... (highest weight first)."""
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be 0 or 1")
-        k = precision if precision is not None else max(len(bits), 1)
-        if len(bits) > k:
-            raise PrecisionError(f"{len(bits)} bits exceed precision {k}")
-        counter = 0
-        for l, b in enumerate(bits):
-            counter |= b << l
-        return cls(counter, k)
-
-    @classmethod
     def from_fraction(cls, value: Fraction, precision: int = DEFAULT_PRECISION) -> "DyadicPoint":
         value = Fraction(value)
         if not 0 <= value < 1:
@@ -146,9 +132,6 @@ class DyadicPoint:
             raise PrecisionError(f"bit index {l} outside 1..{self.precision}")
         return (self.counter >> (l - 1)) & 1
 
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.counter >> l) & 1 for l in range(self.precision))
-
     @property
     def value(self) -> Fraction:
         return Fraction(bit_reverse(self.counter, self.precision), 1 << self.precision)
@@ -158,10 +141,6 @@ class DyadicPoint:
 
     def to_json(self) -> dict:
         return {"counter": format(self.counter, "x"), "precision": self.precision}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DyadicPoint":
-        return cls(int(str(data["counter"]), 16), int(data["precision"]))
 
 
 def first_one_index(p: DyadicPoint) -> int:
@@ -571,11 +550,6 @@ def uniform_counter(
         value = base + sum(words) % (1 << bits)
         if low <= value <= high:
             return value
-
-
-def uniform_point(rng: np.random.Generator, precision: int = DEFAULT_PRECISION) -> DyadicPoint:
-    """Uniform point whose forward and backward orbits both exist (endpoints resampled)."""
-    return DyadicPoint(uniform_counter(rng, precision, 1, (1 << max(precision, 0)) - 2), precision)
 
 
 def sample_run_seed(

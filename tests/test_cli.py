@@ -561,6 +561,17 @@ def test_theta_grid_points_are_start_plus_k_steps():
         assert all(type(v) is float for v in grid)
 
 
+def test_theta_grid_stops_at_stop():
+    assert cli._theta_grid("0:1:0.6") == [0.0, 0.6]
+    assert cli._theta_grid("0:1:0.4") == [0.0, 0.4, 0.8]
+    # an integral ratio keeps its last point, however the division rounds:
+    # 0.3 / 0.1 is 2.9999999999999996
+    grid = cli._theta_grid("0:3:0.05")
+    assert len(grid) == 61 and grid[-1] == 3.0
+    assert cli._theta_grid("0:0.9:0.3")[-1] == 0.8999999999999999
+    assert len(cli._theta_grid("0:0.3:0.1")) == 4
+
+
 def test_couple_without_replicas_writes_header_only(tmp_path):
     rows, summary = run(
         tmp_path,
@@ -590,7 +601,7 @@ def test_couple_reads_a_short_trace_only_when_it_needs_input(tmp_path, capsys):
         ["cumulant", "--process", "iid-bernoulli:0.5", "--n", "10", "--m", "10",
          "--theta-grid", "0,inf"],
         ["cumulant", "--process", "iid-bernoulli:0.5", "--n", "10", "--m", "10",
-         "--theta-grid", "1e308:1.7e308:1e308"],  # the second point overflows
+         "--theta-grid", "0:1:inf"],  # the one point is 0 + 0 * inf, NaN
         ["simulate", "--process", "odometer", "--s", "0.75", "--horizon", "10",
          "--thresholds", "nan"],
     ],

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -273,3 +274,80 @@ def test_odometer_process_draws_uint64_counters_only_to_count_windows():
         if isinstance(node, ast.Attribute) and node.attr == "uniform_counters"
     }
     assert callers == {"_window_counts"}
+
+
+ROOT = PACKAGE.parents[1]
+
+
+def _public_definitions(path: Path) -> list[str]:
+    """Every public module-level function and class of one source file, and
+    every public method of those classes, as ``name`` or ``Class.method``."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return found
+
+
+def _read_names(path: Path) -> set[str]:
+    """Every bare name and every attribute name one source file reads."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_every_public_name_has_a_reader():
+    # a name only its own tests call is surface without a user: the package
+    # or a demo reads it, or the README documents it
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py")]:
+        read |= _read_names(path)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in _public_definitions(path):
+            word = name.rpartition(".")[2]
+            if word not in read and not re.search(rf"\b{word}\b", readme):
+                unread.append(f"{path.stem}.{name}")
+    assert unread == []
+
+
+def test_the_public_name_readers_see_every_form(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "import numpy as np\n"
+        "def public(x):\n"
+        "    def inner():\n"
+        "        return 'quoted'\n"
+        "    return np.zeros(x).size\n"
+        "def _private():\n"
+        "    pass\n"
+        "class Point:\n"
+        "    size = 1\n"
+        "    def __init__(self):\n"
+        "        self.counter = public\n"
+        "    def method(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def value(self):\n"
+        "        pass\n"
+        "    def _helper(self):\n"
+        "        pass\n"
+        "class _Hidden:\n"
+        "    def method(self):\n"
+        "        pass\n",
+        encoding="utf-8",
+    )
+    assert _public_definitions(source) == ["public", "Point", "Point.method", "Point.value"]
+    assert _read_names(source) == {"np", "zeros", "size", "x", "self", "counter", "public",
+                                   "property"}

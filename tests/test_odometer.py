@@ -96,8 +96,6 @@ def test_value_roundtrip(c):
     p = od.DyadicPoint(c, 20)
     assert od.DyadicPoint.from_fraction(p.value, 20) == p
     assert od.DyadicPoint.from_fraction(Fraction(float(p)), 20) == p  # 20 bits fit a double
-    assert od.DyadicPoint.from_bits(p.bits(), 20) == p
-    assert od.DyadicPoint.from_json(p.to_json()) == p
 
 
 @given(dyadic_counters.filter(lambda c: 0 < c < (1 << 20) - 1))
@@ -789,10 +787,6 @@ def test_window_count_long_run_frequency():
                      "counter 256 out of range for precision 8", id="point-range"),
         pytest.param(lambda: od.DyadicPoint(-1, 8), ValueError,
                      "counter -1 out of range for precision 8", id="point-negative"),
-        pytest.param(lambda: od.DyadicPoint.from_bits([0, 2]), ValueError,
-                     "bits must be 0 or 1", id="from-bits-digit"),
-        pytest.param(lambda: od.DyadicPoint.from_bits([1, 0, 1], 2), od.PrecisionError,
-                     "3 bits exceed precision 2", id="from-bits-precision"),
         pytest.param(lambda: od.DyadicPoint.from_fraction(Fraction(1)), ValueError,
                      "value 1 outside [0, 1)", id="from-fraction-range"),
         pytest.param(lambda: od.DyadicPoint.from_fraction(Fraction(1, 3), 8), od.PrecisionError,
@@ -869,15 +863,18 @@ def test_counter_draws_near_a_full_orbit_end_at_once(precision):
         assert set(wide.tolist()) == {0, 1, 2}
 
 
-def test_uniform_point_avoids_endpoints():
-    rng = np.random.default_rng(9)
-    for _ in range(200):
-        p = od.uniform_point(rng, 10)
-        assert 0 < p.counter < (1 << 10) - 1
-    assert od.uniform_point(rng, 2).counter in (1, 2)
-    for precision in (1, 0):  # no counter lies strictly between the endpoints
-        with pytest.raises(od.PrecisionError):
-            od.uniform_point(rng, precision)
+@pytest.mark.parametrize("precision", [2, 5, 20, 32, 33, 40, 63, 64])
+def test_scalar_and_vector_counter_draws_read_the_same_words(precision):
+    # uniform_counter's tries read the words uniform_counters reads for one counter
+    top = 1 << precision
+    for width in sorted({1, 2, 3, 1000, (top >> 1) + 1, top}):
+        if width > top:
+            continue
+        for seed in range(30):
+            rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            scalar = od.uniform_counter(rng, precision, 0, top - width)
+            assert scalar == int(od.uniform_counters(rng2, 1, precision, width)[0])
+            assert rng.bit_generator.state == rng2.bit_generator.state
 
 
 def test_sample_run_seed_distribution():
