@@ -28,7 +28,7 @@ def main():
 
     # one stream, several starting backlogs
     z = proc.forward(HORIZON, rng_for(SEED)) - SERVICE
-    paths = [run_recursion(x0, z).states for x0 in STARTS]
+    paths = [run_recursion(x0, z) for x0 in STARTS]
     merged_at = None
     for k in range(HORIZON + 1):
         vals = {p[k] for p in paths}
@@ -55,7 +55,7 @@ def main():
 
     # below the mean nothing settles; show the raw growth instead
     z_bad = proc.forward(HORIZON, rng_for(SEED + 1)) - 0.4
-    grown = run_recursion(0.0, z_bad).states
+    grown = run_recursion(0.0, z_bad)
     print(f"service 0.4 < E[Y]: backlog after {HORIZON} steps is {grown[-1]:.0f} "
           f"(vs {max(p[-1] for p in paths):.2f} when stable)")
 

@@ -7,7 +7,7 @@ tolerance.
 
 import numpy as np
 
-from ergoqueue.lindley import tandem_path, waiting_path
+from ergoqueue.lindley import run_recursion, tandem_path
 from ergoqueue.processes import IIDTable, OdometerProcess, parse_process, rng_for
 
 HORIZON = 20_000
@@ -23,11 +23,11 @@ def main():
 
     print(f"tandem, {HORIZON} steps, rates {S_FIRST} then {S_SECOND}:")
     print(f"  station 1: input mean {y.mean():.4f}, output mean {outs.mean():.4f}, "
-          f"final backlog {first.states[-1]:.2f}")
-    print(f"  station 2: final backlog {second.states[-1]:.2f}")
+          f"final backlog {first[-1]:.2f}")
+    print(f"  station 2: final backlog {second[-1]:.2f}")
 
     in_minus_out = float(np.sum(y) - np.sum(outs))
-    backlog_change = float(first.states[-1] - first.states[0])
+    backlog_change = float(first[-1] - first[0])
     print(f"  conservation: inflow - outflow = {in_minus_out}, "
           f"backlog change = {backlog_change}, equal: {in_minus_out == backlog_change}")
 
@@ -40,8 +40,7 @@ def main():
     gaps = parse_process("iid-table:0.5,1.5,2.5@0.2,0.5,0.3")
     rng = rng_for(SEED + 1)
     services = service.forward(10_000, rng)
-    trace = waiting_path(services, gaps.forward(10_000, rng))
-    w = trace.states
+    w = run_recursion(0.0, services - gaps.forward(10_000, rng))
     rho = 0.95 / 1.6  # mean service over mean gap
     print(f"single server: load {rho:.3f}")
     print(f"  mean wait {w.mean():.3f}, p99 {np.percentile(w, 99):.2f}, max {w.max():.2f}")

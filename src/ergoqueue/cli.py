@@ -385,7 +385,7 @@ def _run_odometer(cfg: dict):
     else:
         try:
             frac = Fraction(value)
-        except (ZeroDivisionError, OverflowError, TypeError) as exc:
+        except (ZeroDivisionError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"value must be a finite fraction, got {value!r}") from exc
         p = odometer.DyadicPoint.from_fraction(frac, precision)
     steps = cfg["steps"]
@@ -425,13 +425,11 @@ def _run_cumulant(cfg: dict):
 
 def _run_scaled_cumulant(cfg: dict):
     proc = parse_process(cfg["process"])
-    scaling = estimators.ScalingFunctions(
-        a=_SCALINGS[cfg["a_scale"]], v=_SCALINGS[cfg["v_scale"]]
-    )
-    thetas = cfg["theta_grid"]
-    sums = estimators.block_sums(proc, cfg["n"], cfg["m"], rng_for(cfg["seed"]))
+    thetas, n = cfg["theta_grid"], cfg["n"]
+    sums = estimators.block_sums(proc, n, cfg["m"], rng_for(cfg["seed"]))
+    a_n, v_n = _SCALINGS[cfg["a_scale"]](n), _SCALINGS[cfg["v_scale"]](n)
     values = [
-        estimators.scaled_lambda_from_sums(sums, theta, scaling, cfg["s"], cfg["n"])
+        estimators.scaled_lambda_from_sums(sums, theta, a_n, v_n, cfg["s"], n)
         for theta in thetas
     ]
     summary = {
@@ -647,8 +645,8 @@ def _checked(key: str, kind, default, value):
     elif isinstance(kind, tuple):
         ok, want = value in kind, "one of " + ", ".join(kind)
     else:  # a text parser's list
-        ok = isinstance(value, list) and all(map(_is_real, value))
-        want = "a list of finite real numbers"
+        ok = isinstance(value, list) and bool(value) and all(map(_is_real, value))
+        want = "a nonempty list of finite real numbers"
     if not ok:
         raise ValueError(f"{key} must be {want}, got {value!r}")
     return value

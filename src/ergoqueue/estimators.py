@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "TailEstimate",
     "CumulantEstimate",
     "DecayResult",
-    "ScalingFunctions",
     "BurstProbabilityReport",
     "BurstCumulantReport",
     "QueueTailReport",
@@ -269,36 +268,19 @@ def decay_delta(
     return DecayResult(lo + (hi - lo) * (glo / (glo - ghi)), "interior")
 
 
-@dataclass(frozen=True)
-class ScalingFunctions:
-    """Growth scalings (space, log-denominator) with basic sanity checks."""
-
-    a: Callable[[float], float]
-    v: Callable[[float], float]
-
-    def validate(self, grid: Sequence[float]) -> None:
-        pts = sorted(float(g) for g in grid)
-        prev_a = prev_v = -math.inf
-        for g in pts:
-            va, vv = float(self.a(g)), float(self.v(g))
-            if va <= 0 or vv <= 0:
-                raise ValueError(f"scalings must be positive, got a={va}, v={vv} at {g}")
-            if va < prev_a or vv < prev_v:
-                raise ValueError("scalings must be monotone increasing on the grid")
-            prev_a, prev_v = va, vv
-
-
 def scaled_lambda_from_sums(
-    sums: Sequence[float], theta: float, scaling: ScalingFunctions, s: float, n: int
+    sums: Sequence[float], theta: float, a_n: float, v_n: float, s: float, n: int
 ) -> float:
     """Generalized scaled log-moment of block sums of length n, centered at n*s.
 
-    Computes (1/v(n)) log mean exp(theta * (v(n)/a(n)) * (sum - n*s)).
+    Computes (1/v(n)) log mean exp(theta * (v(n)/a(n)) * (sum - n*s)), given
+    the growth scalings' values a_n = a(n) (space) and v_n = v(n)
+    (log-denominator), which must be positive.
     """
     _check_block_length(n)
-    scaling.validate([n])
-    a_n = float(scaling.a(n))
-    v_n = float(scaling.v(n))
+    a_n, v_n = float(a_n), float(v_n)
+    if a_n <= 0 or v_n <= 0:
+        raise ValueError(f"scalings must be positive, got a={a_n}, v={v_n} at {float(n)}")
     with np.errstate(over="ignore"):  # _log_mean_exp raises if a tilted sum overflows
         centered = np.asarray(sums, dtype=np.float64) - float(n) * float(s)
     return _log_mean_exp(float(theta) * (v_n / a_n), centered) / v_n

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "QueueTrace",
     "LoynesResult",
     "CoupleResult",
     "partial_sums",
@@ -32,8 +31,6 @@ __all__ = [
     "queue_blocks",
     "waiting_blocks",
     "tandem_blocks",
-    "queue_path",
-    "waiting_path",
     "tandem_path",
 ]
 
@@ -74,14 +71,6 @@ class LoynesResult:
     def prefix_maxima(self) -> np.ndarray:
         """The sup over every prefix length 0..N; nondecreasing."""
         return np.maximum.accumulate(np.maximum(self.sums, 0.0))
-
-
-@dataclass
-class QueueTrace:
-    """States X_0..X_T with the increments that drove them."""
-
-    states: np.ndarray
-    increments: np.ndarray
 
 
 def loynes_sup(window: Sequence[float], slack: float = 0.0) -> LoynesResult:
@@ -224,12 +213,15 @@ def _joined(x0: float, blocks: Iterable[np.ndarray]) -> np.ndarray:
     return np.concatenate([[x0], *(states[1:] for states in blocks)])
 
 
-def run_recursion(x0: float, increments: Sequence[float]) -> QueueTrace:
-    """Drive the recursion forward from x0, keeping the whole trajectory."""
+def run_recursion(x0: float, increments: Sequence[float]) -> np.ndarray:
+    """The states X_0..X_T of the recursion driven forward from x0.
+
+    The slotted queue is ``run_recursion(0.0, y - s)`` and the waiting line
+    ``run_recursion(0.0, S - T)``: the same map under substitution.
+    """
     x0 = _start(x0)
-    z = np.asarray(increments, dtype=np.float64)
-    pieces = ((None, piece) for piece, in _pieces([[z]], ["increments"]))
-    return QueueTrace(_joined(x0, (states for _, states in _drive(x0, pieces))), z)
+    pieces = ((None, piece) for piece, in _pieces([[increments]], ["increments"]))
+    return _joined(x0, (states for _, states in _drive(x0, pieces)))
 
 
 def _units(x: float) -> int:
@@ -455,32 +447,15 @@ def tandem_blocks(
     return ((*row, w) for row, w in second)
 
 
-def queue_path(arrivals: Sequence[float], s: float) -> QueueTrace:
-    """Queue trajectory under constant service rate s, from an empty queue."""
-    y = np.asarray(arrivals, dtype=np.float64)
-    states = _joined(0.0, (q for _, q in queue_blocks([y], s)))
-    return QueueTrace(states, y - float(s))
-
-
-def waiting_path(services: Sequence[float], interarrivals: Sequence[float]) -> QueueTrace:
-    """Waiting times W_0..W_T from W_0 = 0, as ``waiting_blocks`` gives them."""
-    s_arr = np.asarray(services, dtype=np.float64)
-    t_arr = np.asarray(interarrivals, dtype=np.float64)
-    states = _joined(0.0, waiting_blocks([s_arr], [t_arr]))
-    return QueueTrace(states, s_arr - t_arr)
-
-
 def tandem_path(
     arrivals: Sequence[float], s_first: float, s_second: float
-) -> tuple[QueueTrace, np.ndarray, QueueTrace]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two stations in series, as ``tandem_blocks`` gives them, each piece joined.
 
-    Returns (first-station trace, per-slot outputs of the first station,
-    second-station trace).
+    Returns (first-station states, per-slot outputs of the first station,
+    second-station states).
     """
-    y = np.asarray(arrivals, dtype=np.float64)
-    pieces = list(tandem_blocks([y], s_first, s_second))
+    pieces = list(tandem_blocks([arrivals], s_first, s_second))
     outputs = np.concatenate([np.empty(0), *(out for _, _, out, _ in pieces)])
-    first = QueueTrace(_joined(0.0, (q for _, q, _, _ in pieces)), y - float(s_first))
-    second = QueueTrace(_joined(0.0, (w for *_, w in pieces)), outputs - float(s_second))
-    return first, outputs, second
+    first = _joined(0.0, (q for _, q, _, _ in pieces))
+    return first, outputs, _joined(0.0, (w for *_, w in pieces))

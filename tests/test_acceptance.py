@@ -51,7 +51,7 @@ def test_criterion_01_expansion_identity():
     for k, n in enumerate(lengths.tolist()):
         proc = kinds[k % len(kinds)]
         w = proc.backward_window(n, rng) - SERVICE
-        forward_final = ld.run_recursion(0.0, w[::-1]).states[-1]
+        forward_final = ld.run_recursion(0.0, w[::-1])[-1]
         assert forward_final == ld.loynes_sup(w).value
     dt = time.perf_counter() - t0
     assert dt < 10.0
@@ -227,11 +227,9 @@ def test_criterion_11_coupling_stability():
 def test_criterion_12_tandem_conservation():
     for proc, seed in ((OdometerProcess(), 1), (IIDBernoulli(0.5), 2)):
         y = proc.forward(10_000, rng_for(112, seed))
-        first, outs, second = ld.tandem_path(y, SERVICE, 0.5)
-        q = first.states
+        q, outs, q2 = ld.tandem_path(y, SERVICE, 0.5)
         assert (outs == np.minimum(q[:-1] + y, SERVICE)).all()
         assert float(np.sum(y) - np.sum(outs)) == q[-1] - q[0]
-        q2 = second.states
         out2 = q2[:-1] + outs - q2[1:]
         assert float(np.sum(outs) - np.sum(out2)) == q2[-1] - q2[0]
     print("[criterion 12] PASS - per-step output min(Q+Y, s) and cumulative conservation, exact, 2x10^4 steps")

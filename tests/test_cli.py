@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,6 +403,18 @@ def test_config_file_without_subcommand_rejected(tmp_path, capsys):
 def test_missing_subcommand_rejected(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()
+
+
+def test_readme_command_block_runs_every_subcommand():
+    # the lines the README check runs: the "Command line" section up to the
+    # end of its first code block, those that start with the command
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## Command line\n"):]
+    block = section[: section.index("\n```\n")]
+    run = [line.split() for line in block.splitlines()
+           if re.match(r"(python -m )?ergoqueue ", line)]
+    named = {words[words.index("ergoqueue") + 1] for words in run}
+    assert set(cli._SUBCOMMANDS) <= named, set(cli._SUBCOMMANDS) - named
 
 
 def test_console_script_is_installed():
@@ -907,6 +920,10 @@ ODOMETER = '"subcommand": "odometer", "seed": 1'
         '"theta_grid": [0, NaN]}',
         '{"subcommand": "cumulant", "process": "odometer", "n": 4, "m": 4, "seed": 1, '
         '"theta_grid": "0:1e9:1e-9"}',
+        pytest.param('{"subcommand": "cumulant", "process": "odometer", "n": 4, "m": 4, '
+                     '"seed": 1, "theta_grid": []}', id="empty-theta-grid"),
+        pytest.param('{"subcommand": "simulate", "process": "odometer", "s": 0.75, '
+                     '"horizon": 10, "seed": 1, "thresholds": []}', id="empty-thresholds"),
         '{"subcommand": "prop2", "i": 3, "m": 10, "seed": 1, "theta": "1"}',
         '[{"subcommand": "prop1", "i": 3, "m": 10}]',
         '"prop1"',
@@ -981,6 +998,13 @@ def test_odometer_value_that_is_no_fraction_fails_fast(tmp_path, capsys):
     err = capsys.readouterr().err
     assert json.loads(err)["error"].startswith("ValueError: value")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-inf"])
+def test_odometer_value_error_names_the_option(tmp_path, capsys, value):
+    assert cli.main(["odometer", "--value", value, "--out", str(tmp_path / "x")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"ValueError: value must be a finite fraction, got {value!r}"
 
 
 def test_null_is_accepted_where_the_default_is_none(tmp_path):

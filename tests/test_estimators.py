@@ -117,25 +117,23 @@ def test_lambda_input_validation():
         with pytest.raises(ValueError, match="n must be at least 1"):
             es.lambda_from_sums([1.0, 2.0], 1.0, n)
     with pytest.raises(ValueError, match="at least one block sum"):
-        es.scaled_lambda_from_sums([], 1.0, es.ScalingFunctions(float, float), 0.5, 3)
-    # scalings positive at any n must not let a meaningless block length through
-    constant = es.ScalingFunctions(lambda t: 1.0, lambda t: 1.0)
+        es.scaled_lambda_from_sums([], 1.0, 3.0, 3.0, 0.5, 3)
+    # positive scalings must not let a meaningless block length through
     for n in (0, -1, -3):
         with pytest.raises(ValueError, match="n must be at least 1"):
-            es.scaled_lambda_from_sums([1.0, 2.0], 1.0, constant, 0.5, n)
+            es.scaled_lambda_from_sums([1.0, 2.0], 1.0, 1.0, 1.0, 0.5, n)
 
 
 def test_tilted_sums_outside_the_float_range():
-    linear = es.ScalingFunctions(float, float)
     # a largest tilted sum past the float range is the one ValueError
     with pytest.raises(ValueError, match="the tilted sums overflow the float range"):
         es.lambda_from_sums([0.0, 5.0], 1e308, 10)
     with pytest.raises(ValueError, match="the tilted sums overflow the float range"):
-        es.scaled_lambda_from_sums([0.0, 7.0], 1e308, linear, 0.25, 10)
+        es.scaled_lambda_from_sums([0.0, 7.0], 1e308, 10.0, 10.0, 0.25, 10)
     with pytest.raises(ValueError, match="the tilted sums overflow the float range"):
-        es.scaled_lambda_from_sums([-1e308], 1.0, linear, 1e308, 1)  # centering overflows
+        es.scaled_lambda_from_sums([-1e308], 1.0, 1.0, 1.0, 1e308, 1)  # centering overflows
     # below a finite maximum, a sum that overflows downward weighs exp(-inf) = 0
-    assert es.scaled_lambda_from_sums([7.0, 0.0], 1e308, linear, 0.75, 10) == (
+    assert es.scaled_lambda_from_sums([7.0, 0.0], 1e308, 10.0, 10.0, 0.75, 10) == (
         (1e308 * -0.5 + math.log(0.5)) / 10
     )
 
@@ -250,45 +248,40 @@ def test_delta_attached_to_grid_estimate():
 
 
 def test_scaled_identity_reduction():
-    scaling = es.ScalingFunctions(a=float, v=float)
     theta, n, m, s = 0.8, 40, 800, 0.75
     sums = es.block_sums(IIDBernoulli(0.5), n, m, rng_for(10))
-    scaled = es.scaled_lambda_from_sums(sums, theta, scaling, s, n)
+    scaled = es.scaled_lambda_from_sums(sums, theta, n, n, s, n)
     plain = es.lambda_from_sums(sums, theta, n)
     assert abs(scaled - (plain - theta * s)) < 1e-10
 
 
 def test_scaled_zero_tilt_and_centered_input():
-    scaling = es.ScalingFunctions(a=math.sqrt, v=math.sqrt)
     sums = es.block_sums(IIDBernoulli(0.5), 16, 32, rng_for(0))
-    assert es.scaled_lambda_from_sums(sums, 0.0, scaling, 0.75, 16) == 0.0
+    assert es.scaled_lambda_from_sums(sums, 0.0, 4.0, 4.0, 0.75, 16) == 0.0
     # Y identically equal to the service rate: centered sums vanish exactly
     sums = es.block_sums(IIDTable((0.75,), (1.0,)), 20, 16, rng_for(0))
-    for sc in (es.ScalingFunctions(float, float), scaling):
-        assert es.scaled_lambda_from_sums(sums, 1.3, sc, 0.75, 20) == 0.0
+    for a_n, v_n in ((20.0, 20.0), (math.sqrt(20), math.sqrt(20))):
+        assert es.scaled_lambda_from_sums(sums, 1.3, a_n, v_n, 0.75, 20) == 0.0
 
 
 def test_scaled_from_sums_matches_a_fresh_draw_per_tilt():
     # one sample of block sums serves every tilt: the value a fresh draw from
     # the same seed gives, bit for bit
-    scaling = es.ScalingFunctions(a=math.sqrt, v=math.log1p)
     proc, n, m, s = IIDBernoulli(0.5), 20, 100, 0.5
+    a_n, v_n = math.sqrt(n), math.log1p(n)
     sums = es.block_sums(proc, n, m, rng_for(12))
     for theta in (0.0, 0.5, 1.0, 2.5):
         fresh_sums = es.block_sums(proc, n, m, rng_for(12))
-        fresh = es.scaled_lambda_from_sums(fresh_sums, theta, scaling, s, n)
-        assert es.scaled_lambda_from_sums(sums, theta, scaling, s, n) == fresh
+        fresh = es.scaled_lambda_from_sums(fresh_sums, theta, a_n, v_n, s, n)
+        assert es.scaled_lambda_from_sums(sums, theta, a_n, v_n, s, n) == fresh
 
 
 def test_scaling_validation():
-    bad = es.ScalingFunctions(a=lambda t: -t, v=float)
-    with pytest.raises(ValueError):
-        bad.validate([1.0, 2.0])
-    nonmono = es.ScalingFunctions(a=lambda t: 1.0 / (1.0 + t), v=float)
-    with pytest.raises(ValueError):
-        nonmono.validate([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        es.scaled_lambda_from_sums(np.ones(8), 1.0, bad, 0.75, 8)
+    message = "scalings must be positive, got a=-8.0, v=8.0 at 8.0"
+    with pytest.raises(ValueError, match=message):
+        es.scaled_lambda_from_sums(np.ones(8), 1.0, -8.0, 8.0, 0.75, 8)
+    with pytest.raises(ValueError, match="scalings must be positive"):
+        es.scaled_lambda_from_sums(np.ones(8), 1.0, 8.0, 0.0, 0.75, 8)
 
 
 # -- burst window parameters ----------------------------------------------------

@@ -102,7 +102,7 @@ def test_the_reader_sees_every_import_form(tmp_path):
     source = tmp_path / "m.py"
     source.write_text(
         "from . import odometer\n"
-        "from .lindley import waiting_path\n"
+        "from .lindley import run_recursion\n"
         "from ergoqueue import cli\n"
         "from ergoqueue.estimators import block_sums\n"
         "import ergoqueue.processes\n"

@@ -29,7 +29,7 @@ def sup_oracle(values):
 
 def step(x, z):
     """One step of the recursion, through the trajectory kernel."""
-    return ld.run_recursion(x, [z]).states[-1]
+    return ld.run_recursion(x, [z])[-1]
 
 
 def bits(values):
@@ -232,18 +232,17 @@ def test_sup_matches_sequential_scan(values):
 
 
 def test_recursion_frozen_examples():
-    assert ld.run_recursion(0.0, [1.0, -2.0, 1.0]).states.tolist() == [0.0, 1.0, 0.0, 1.0]
-    assert ld.run_recursion(5.0, []).states.tolist() == [5.0]
-    trace = ld.run_recursion(0.0, [-1.0, 0.0, -0.5])
-    assert trace.states.tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert ld.run_recursion(0.0, [1.0, -2.0, 1.0]).tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert ld.run_recursion(5.0, []).tolist() == [5.0]
+    assert ld.run_recursion(0.0, [-1.0, 0.0, -0.5]).tolist() == [0.0, 0.0, 0.0, 0.0]
     # max(-0.0, 0.0) is -0.0: the sign survives until a +0.0 increment
-    assert bits(ld.run_recursion(-0.0, [-0.0, 0.0]).states) == bits([-0.0, -0.0, 0.0])
+    assert bits(ld.run_recursion(-0.0, [-0.0, 0.0])) == bits([-0.0, -0.0, 0.0])
 
 
 @settings(deadline=None)
 @given(starts, increments)
 def test_recursion_matches_sequential_step(x0, values):
-    assert bits(ld.run_recursion(x0, values).states) == bits(recursion_oracle(x0, values))
+    assert bits(ld.run_recursion(x0, values)) == bits(recursion_oracle(x0, values))
 
 
 @settings(deadline=None)
@@ -267,9 +266,10 @@ def test_recursion_rejects_negative_start():
 
 @given(st.floats(0, 16), windows)
 def test_recursion_trace_invariant(x0, values):
-    trace = ld.run_recursion(x0, values)
-    assert bits(trace.states) == bits(recursion_oracle(x0, values))
-    assert (trace.states >= 0).all()
+    states = ld.run_recursion(x0, values)
+    assert states.dtype == np.float64
+    assert bits(states) == bits(recursion_oracle(x0, values))
+    assert (states >= 0).all()
 
 
 @pytest.mark.parametrize(
@@ -279,11 +279,11 @@ def test_recursion_trace_invariant(x0, values):
                      "x0 must be finite and nonnegative", id="couple-negative-x0"),
         pytest.param(lambda: ld.forward_couple(math.nan, [0.0]),
                      "x0 must be finite and nonnegative", id="couple-nan-x0"),
-        pytest.param(lambda: ld.waiting_path([1.0, 2.0], [1.0]),
+        pytest.param(lambda: list(ld.waiting_blocks([[1.0, 2.0]], [[1.0]])),
                      "services and interarrivals must have equal length", id="waiting-lengths"),
-        pytest.param(lambda: ld.waiting_path([-1.0], [1.0]),
+        pytest.param(lambda: list(ld.waiting_blocks([[-1.0]], [[1.0]])),
                      "times must be nonnegative", id="waiting-negative-service"),
-        pytest.param(lambda: ld.waiting_path([1.0], [-1.0]),
+        pytest.param(lambda: list(ld.waiting_blocks([[1.0]], [[-1.0]])),
                      "times must be nonnegative", id="waiting-negative-gap"),
     ],
 )
@@ -296,7 +296,7 @@ def test_fail_fast_checks(call, message):
 @given(windows)
 def test_expansion_equivalence(values):
     # forward from 0 on the reversed window reaches exactly the backward sup
-    final = ld.run_recursion(0.0, values[::-1]).states[-1]
+    final = ld.run_recursion(0.0, values[::-1])[-1]
     assert final == ld.loynes_sup(values).value
 
 
@@ -304,7 +304,7 @@ def test_expansion_equivalence(values):
 def test_shift_consistency(values, fresh):
     # step the backward-constructed state forward m times; the result is the
     # backward sup of the extended window, exactly, at full depth N + m
-    x = ld.run_recursion(ld.loynes_sup(values).value, fresh).states[-1]
+    x = ld.run_recursion(ld.loynes_sup(values).value, fresh)[-1]
     extended = list(reversed(fresh)) + list(values)
     res = ld.loynes_sup(extended)
     assert x == res.value
@@ -359,8 +359,8 @@ cut_lengths = st.none() | st.sampled_from(LENGTHS) | st.integers(0, 25_000)
 def test_couple_absorption_and_ordering(case, length):
     x0, values = case
     values = values[:length]
-    upper = ld.run_recursion(x0, values).states
-    lower = ld.run_recursion(0.0, values).states
+    upper = ld.run_recursion(x0, values)
+    lower = ld.run_recursion(0.0, values)
     assert (upper >= lower).all()
     met = np.flatnonzero(upper == lower)
     if met.size:
@@ -460,39 +460,49 @@ def test_couple_from_zero_pulls_no_block():
 # -- queue and waiting-time forms ---------------------------------------------
 
 
+def queue(arrivals, s):
+    """The slotted queue from empty: the recursion on arrivals less the rate."""
+    return ld.run_recursion(0.0, np.asarray(arrivals, dtype=np.float64) - s)
+
+
+def waiting(services, gaps):
+    """Waiting times from W_0 = 0: the recursion on services less gaps."""
+    return ld.run_recursion(0.0, np.subtract(services, gaps, dtype=np.float64))
+
+
 def test_queue_step_frozen_examples():
-    assert ld.queue_path([0.0], 0.75).states[-1] == 0.0
-    assert ld.queue_path([1.0], 0.75).states[-1] == 0.25
-    assert ld.queue_path([1.0, 0.0], 0.75).states.tolist() == [0.0, 0.25, 0.0]
+    assert queue([0.0], 0.75)[-1] == 0.0
+    assert queue([1.0], 0.75)[-1] == 0.25
+    assert queue([1.0, 0.0], 0.75).tolist() == [0.0, 0.25, 0.0]
 
 
 def test_queue_step_rejects():
-    with pytest.raises(ValueError):
-        ld.queue_path([-1.0], 0.75)
-    with pytest.raises(ValueError):
-        ld.queue_path([1.0], 0.0)
+    with pytest.raises(ValueError, match="arrivals must be nonnegative"):
+        list(ld.queue_blocks([[-1.0]], 0.75))
+    with pytest.raises(ValueError, match="service rate must be positive and finite"):
+        list(ld.queue_blocks([[1.0]], 0.0))
 
 
 @given(st.lists(st.floats(0, 4), max_size=50), st.floats(0.25, 4))
 def test_queue_step_is_lindley_step(arrivals, s):
     expected = recursion_oracle(0.0, [y - s for y in arrivals])
-    assert bits(ld.queue_path(arrivals, s).states) == bits(expected)
+    assert bits(queue(arrivals, s)) == bits(expected)
 
 
 def test_waiting_step_frozen_examples():
-    assert ld.waiting_path([0.0], [1.0]).states[-1] == 0.0
-    assert ld.waiting_path([2.0, 1.0], [0.0, 0.5]).states.tolist() == [0.0, 2.0, 2.5]
-    assert ld.waiting_path([1.0, 0.0], [0.0, 1.0]).states.tolist() == [0.0, 1.0, 0.0]
+    assert waiting([0.0], [1.0])[-1] == 0.0
+    assert waiting([2.0, 1.0], [0.0, 0.5]).tolist() == [0.0, 2.0, 2.5]
+    assert waiting([1.0, 0.0], [0.0, 1.0]).tolist() == [0.0, 1.0, 0.0]
 
 
 def test_waiting_path_matches_steps():
     services = [1.0, 0.25, 2.0]
     gaps = [0.5, 1.0, 0.25]
-    trace = ld.waiting_path(services, gaps)
+    states = waiting(services, gaps)
     w = 0.0
     for n in range(3):
         w = max(w + (services[n] - gaps[n]), 0.0)
-        assert trace.states[n + 1] == w
+        assert states[n + 1] == w
 
 
 # -- tandem -------------------------------------------------------------------
@@ -507,13 +517,11 @@ def test_tandem_output_frozen_examples():
 @given(st.lists(st.integers(0, 1 << 20).map(lambda k: k / 1048576.0), max_size=120))
 def test_tandem_outputs_are_capped_inflow(arrivals):
     s = 0.75
-    first, outputs, second = ld.tandem_path(arrivals, s, 0.5)
-    q = first.states
+    q, outputs, q2 = ld.tandem_path(arrivals, s, 0.5)
     for n in range(len(arrivals)):
         assert outputs[n] == min(q[n] + arrivals[n], s)
     # per-station conservation, exact
     assert float(np.sum(arrivals) - np.sum(outputs)) == q[-1] - q[0]
-    q2 = second.states
     out2 = (q2[:-1] + outputs) - q2[1:]
     assert float(np.sum(outputs) - np.sum(out2)) == q2[-1] - q2[0]
 
@@ -562,7 +570,7 @@ def test_waiting_stream_aligns_differently_cut_inputs(values, where, elsewhere):
     blocks = ld.waiting_blocks(split(services, where), split(gaps, elsewhere))
     states = [0.0, *(x for q in blocks for x in q[1:].tolist())]
     assert bits(states) == bits(recursion_oracle(0.0, services - gaps))
-    assert bits(ld.waiting_path(services, gaps).states) == bits(states)
+    assert bits(waiting(services, gaps)) == bits(states)
 
 
 def test_waiting_stream_of_unequal_lengths_fails():

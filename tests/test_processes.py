@@ -598,7 +598,7 @@ def test_law_of_tuples_independent_of_offset(proc, base, relabel):
 
 def _gg1_waits(service, interarrival, n, rng):
     services = service.forward(n, rng)
-    return lindley.waiting_path(services, interarrival.forward(n, rng)).states
+    return lindley.run_recursion(0.0, services - interarrival.forward(n, rng))
 
 
 def test_gg1_trace_matches_manual_recursion():
