@@ -475,6 +475,7 @@ INT = "an integer"
 COUNT = "a nonnegative integer"  # sizes and lengths: negative is not read as empty
 TEXT_OR_REAL = "a string or a real number"
 REQUIRED = ...  # the default of an option that must be given
+RATES = ("s", "s1", "s2")  # the service rates, real options under lindley.service_rate
 
 _SEED = ("seed", COUNT, 0, "global seed, any nonnegative integer")
 _PROCESS = ("process", str, REQUIRED)
@@ -649,6 +650,8 @@ def _checked(key: str, kind, default, value):
         want = "a nonempty list of finite real numbers"
     if not ok:
         raise ValueError(f"{key} must be {want}, got {value!r}")
+    if key in RATES:
+        lindley.service_rate(value)
     return value
 
 

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import odometer
-from .lindley import ExactSum, queue_blocks
+from .lindley import ExactSum, queue_blocks, service_rate
 from .processes import OdometerProcess
 
 __all__ = [
@@ -252,9 +252,7 @@ def decay_delta(
         raise ValueError("theta grid must be strictly increasing")
     if t[0] != 0.0:
         raise ValueError("theta grid must start at 0")
-    s = float(s)
-    if not math.isfinite(s) or s <= 0:
-        raise ValueError("service rate must be positive and finite")
+    s = service_rate(s)
     g = l - t * s
     below = np.flatnonzero(g[1:] < 0.0) + 1  # indices with theta > 0
     if below.size == 0:

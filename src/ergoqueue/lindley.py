@@ -28,6 +28,7 @@ __all__ = [
     "ExactSum",
     "run_recursion",
     "forward_couple",
+    "service_rate",
     "queue_blocks",
     "waiting_blocks",
     "tandem_blocks",
@@ -101,6 +102,10 @@ FIRST_COUPLE_BLOCK = 256
 # after the meeting, forward_couple steps this many more increments and
 # checks that the chains stay equal
 ABSORPTION_CHECK = 64
+# forward_couple advances a block without stepping it when its increments
+# and both chain states are whole multiples of 2**-GRID_BITS and its sums
+# stay below 2**(53 - GRID_BITS), where no addition rounds (_exact)
+GRID_BITS = 20
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -154,6 +159,55 @@ def _reflect(
     if np.isinf(out).any():
         raise ValueError("the queue recursion overflows the float range")
     return out
+
+
+def _exact(upper: float, lower: float, z: np.ndarray, sums: np.ndarray, low: float) -> bool:
+    """Whether both chains step ``z`` with no addition rounding, so it may be skipped.
+
+    ``sums`` are the prefix sums S of ``z`` as ``np.cumsum`` computes them,
+    and ``low`` their least.  True when ``upper``, ``lower`` and ``z`` are
+    whole multiples of 2**-J (J = ``GRID_BITS``) and |upper| + |lower| +
+    max|S| < 2**(53 - J).  The states are tested first, as they cost least,
+    and the bound before ``z``, so scaling ``z`` by 2**J cannot overflow:
+    under the bound every |z_k| < 2**(54 - J), or S_k would round to beyond
+    it.  The bound's own additions decide it exactly: on the grid,
+    upper + lower is exact below the bound and rounds to at least it above,
+    and so does the whole sum.
+
+    Proof that a block of such increments, whose sums stay above -upper
+    (S_k > -upper, forward_couple's no-meeting test) with
+    0 <= lower < upper, lower not -0.0, is stepped exactly:
+
+    * A multiple of 2**-J below 2**(53 - J) in size is k 2**-J with
+      |k| < 2**53, a double.  Rounding is monotone and 2**(53 - J) is a
+      double, so a sum that rounds to below the bound was below it: by
+      induction every S_k is the exact sum, a multiple below the bound.
+    * The upper chain's exact states upper + S_k are multiples, positive,
+      and below |upper| + max|S|: each step's addition is exact and never
+      reflects, so the chain ends at upper + S[-1], added exactly.
+    * The lower chain's exact states lie in [0, upper + S_k], so a step's
+      sum that is not negative is exact, and a negative one, a multiple of
+      2**-J, rounds to a negative double and reflects to 0.0 as in exact
+      arithmetic.  The chain ends at S[-1] - min(-lower, min S), the
+      reflection identity, exactly: both terms are exact and so is their
+      difference, a state.  The difference is +0.0 when the state is 0, as
+      the step gives (x + z is -0.0 only when both are): it could be -0.0
+      only as -0.0 - 0.0, but S[-1] is -0.0 only when every increment is,
+      and then min S and -lower are -0.0 or below.
+    * The lower state max(lower + S_k, S_k - min_(j<=k) S_j) is below
+      upper + S_k, since lower < upper and every S_j > -upper: the chains
+      stay strictly ordered and do not meet.
+
+    So the block's end states are those of the step recursion bit for bit,
+    as the kernel would give them.
+    """
+    scale = 2.0**GRID_BITS
+    if not ((upper * scale).is_integer() and (lower * scale).is_integer()):
+        return False
+    if not upper + lower + max(float(sums.max()), -low) < 2.0 ** (53 - GRID_BITS):
+        return False
+    scaled = z * scale
+    return bool((np.rint(scaled) == scaled).all())
 
 
 def _start(x0: float) -> float:
@@ -320,13 +374,24 @@ def forward_couple(
     do not meet within the increments.  After meeting, continues for
     ``ABSORPTION_CHECK`` steps verifying the chains stay equal (they must:
     same map, same input), then stops early.  The run never reads past its
-    input.  Ordering X(x0) >= X(0) is asserted throughout.
+    input.  Ordering X(x0) >= X(0) is asserted in every block stepped, and
+    proven in the blocks advanced without stepping (below).
 
     ``increments`` is a stream, an iterable of 1-D arrays read in order as
     one sequence, or one array, read as a stream of one block.  Each block
     is checked as it is read (an array even when x0 is 0), and none is
     pulled once the run has stopped: a stream is drawn no further than the
     block holding the last step run, and not at all when x0 is 0.
+
+    The chains are stepped by the reflection kernel a block at a time, the
+    first block ``FIRST_COUPLE_BLOCK`` steps long and the others ``BLOCK``,
+    each cut where its prefix sums S first fall to -upper, the predicted
+    meeting.  A block before the meeting whose sums stay above -upper is
+    not stepped when ``_exact`` holds (increments and states on the grid of
+    2**-GRID_BITS, sums and states below 2**(53 - GRID_BITS)): no addition
+    of the step rounds there, so the upper chain never empties, the chains
+    stay strictly ordered, and they end the block at upper + S[-1] and
+    S[-1] - min(-lower, min S), the states the step gives bit for bit.
     """
     x0 = _start(x0)
     array = isinstance(increments, (np.ndarray, Sequence)) or not isinstance(increments, Iterable)
@@ -351,10 +416,17 @@ def forward_couple(
                 # first falls to -upper; ending the block there (plus the
                 # absorption check) keeps the kernel from stepping off-grid
                 # input far past it
-                k = int(np.argmax(sums <= -upper))
-                if sums[k] <= -upper:
-                    stop = k + 1 + ABSORPTION_CHECK
+                least = float(sums.min())
+                if least <= -upper:
+                    stop = int(np.argmax(sums <= -upper)) + 1 + ABSORPTION_CHECK
                     zb, sums = zb[:stop], sums[:stop]
+                elif _exact(upper, lower, zb, sums, least):
+                    # no meeting, no rounding: the end states in closed form
+                    last = float(sums[-1])
+                    upper, lower = upper + last, last - min(-lower, least)
+                    n += zb.size
+                    z = z[zb.size :]
+                    continue
             low = np.minimum.accumulate(sums)  # the same for both chains
             up = _reflect(upper, zb, np.empty(zb.size), sums, low)
             lo = _reflect(lower, zb, np.empty(zb.size), sums, low)
@@ -378,7 +450,8 @@ def forward_couple(
     return CoupleResult(tau, upper, lower, n)
 
 
-def _rate(s: float) -> float:
+def service_rate(s: float) -> float:
+    """The one rule for a service rate: a positive finite float, else a ValueError."""
     s = float(s)
     if s <= 0 or not math.isfinite(s):
         raise ValueError("service rate must be positive and finite")
@@ -395,7 +468,7 @@ def queue_blocks(
     states) per piece of at most BLOCK slots, the states as ``_drive`` yields
     them: entry 0 is the backlog carried in.
     """
-    s = _rate(s)
+    s = service_rate(s)
     checked = _pieces([arrivals], ["arrivals"], "arrivals must be nonnegative")
     return _drive(0.0, ((y, y - s) for y, in checked))
 
@@ -442,7 +515,7 @@ def tandem_blocks(
     equals the backlog change.
     """
     first = ((y, q, _outputs(y, q)) for y, q in queue_blocks(arrivals, s_first))
-    s_second = _rate(s_second)
+    s_second = service_rate(s_second)
     second = _drive(0.0, ((row, row[2] - s_second) for row in first))
     return ((*row, w) for row, w in second)
 

@@ -888,6 +888,29 @@ def test_real_config_keys_reject_non_numbers(tmp_path, capsys, name, key, defaul
         assert f"{key} must be a real number" in bad
 
 
+RATE_OPTIONS = [
+    pytest.param(name, key, id=f"{name}-{key}")
+    for name, (*_, options) in cli._SUBCOMMANDS.items()
+    for key, *_ in options
+    if key in cli.RATES
+]
+
+
+def test_every_service_rate_option_is_a_rate():
+    named = {param.values[0] for param in RATE_OPTIONS}
+    assert named == {"simulate", "loynes", "couple", "tandem", "cumulant", "scaled-cumulant"}
+
+
+@pytest.mark.parametrize("name, key", RATE_OPTIONS)
+def test_service_rates_share_one_rule(tmp_path, capsys, name, key):
+    want = "ValueError: service rate must be positive and finite"
+    for value in (0, -1, -0.0):  # from a flag and from a config file alike
+        assert cli.main([*_flags(name, **{key: str(value)}), "--out", str(tmp_path / "x")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == want
+        assert not (tmp_path / "x.csv").exists()
+        assert _bad_config(tmp_path, capsys, name, key, value) == want
+
+
 @pytest.mark.parametrize("name, key, default", _options(lambda k: isinstance(k, tuple)))
 def test_choices_reject_unknown_values(tmp_path, capsys, name, key, default):
     with pytest.raises(SystemExit) as exc:

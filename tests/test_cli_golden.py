@@ -30,6 +30,12 @@ fourth block of the samplers' ``SCAN_BLOCK`` (8192) values, and
 recorded from commit a93eccf, before ``couple`` streamed each replica's input
 into the coupler.
 
+Case ``couple-far-start`` starts the upper chain at 10000 on the quarter grid
+of ``binary-markov`` input, so every replica meets after step 26000, past
+``lindley.FIRST_COUPLE_BLOCK`` and three blocks of ``lindley.BLOCK`` (8192)
+steps, which the coupler advances without stepping them; its digests were
+recorded from commit 50d339f, before ``forward_couple`` skipped any block.
+
 Cases ``cumulant-no-s`` (``"delta": null``), ``cumulant-at-grid-max``,
 ``cumulant-empty``, ``simulate-no-fit`` (``"fitted_decay": null``) and
 ``prop2-theta-0`` pin the result JSON on its null and boundary branches;
@@ -79,6 +85,9 @@ CASES = {
                                 "--seed", "25"],
     "couple-non-dyadic-blocks": ["couple", "--process", NON_DYADIC, "--s", "0.65", "--x0",
                                  "6000", "--horizon", "60000", "--replicas", "3", "--seed", "26"],
+    "couple-far-start": ["couple", "--process", "binary-markov:0.3,0.5", "--s", "0.75",
+                         "--x0", "10000", "--horizon", "50000", "--replicas", "4",
+                         "--seed", "28"],
     "couple-never-meets": ["couple", "--process", NON_DYADIC, "--s", "0.3", "--x0", "50",
                            "--horizon", "20000", "--replicas", "2", "--seed", "27"],
     "gg1": ["gg1", "--service", "iid-table:0.2,1.3@0.5,0.5", "--interarrival",
@@ -125,6 +134,10 @@ DIGESTS = {
     "couple-bernoulli-blocks": (
         "c81af309590d28dc530acaf3cfbd1fe8a71b629fdd84c5a8ceac82d0bf1e509e",
         "5f938cf7350e0cbd6f785e17bdeea1fc70156e7371e0ce1078ea55b73b4c221c",
+    ),
+    "couple-far-start": (
+        "15d05e9a8f688316a3899da54f5b10432c3622da7b28d8eafd6f48a103d32b5e",
+        "38560fff6bdb2338dabceb3d97c7e0bc91d2a346e14d8dc9604cc684d77c52a5",
     ),
     "couple-never-meets": (
         "dbcc78cd62df3163286bab7cf0bb16d3a94e3a76865569d2ddfabc61893f6746",

@@ -457,6 +457,137 @@ def test_couple_from_zero_pulls_no_block():
     assert pulled == []
 
 
+# -- blocks advanced without stepping ----------------------------------------
+
+UNIT = 2.0**-ld.GRID_BITS  # the grid on which forward_couple may skip a block
+BOUND = 2.0 ** (53 - ld.GRID_BITS)  # the size its sums and states must stay below
+
+
+def stepped(x0, values):
+    """forward_couple's result, and how many blocks it stepped through the kernel."""
+    sizes = []
+    kernel = ld._reflect
+
+    def counting(x, z, *args):
+        sizes.append(z.size)
+        return kernel(x, z, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ld, "_reflect", counting)
+        res = ld.forward_couple(x0, values)
+    assert sizes[::2] == sizes[1::2]  # both chains, block by block
+    return res, len(sizes) // 2
+
+
+def assert_oracle(res, x0, values):
+    tau, final_upper, final_lower, steps_run = couple_oracle(x0, values)
+    assert (res.coupling_time, res.steps_run) == (tau, steps_run)
+    assert bits([res.final_upper, res.final_lower]) == bits([final_upper, final_lower])
+
+
+def quarter_walk(seed, n):
+    """Steps of -3/4 .. 1/4 in quarters, drift -1/4: a chain from x meets near 4x."""
+    return np.random.default_rng(seed).integers(-3, 2, n) / 4.0
+
+
+# the block holding step FIRST_COUPLE_BLOCK + 2 * BLOCK, the third one after the first
+THIRD = ld.FIRST_COUPLE_BLOCK + 2 * ld.BLOCK
+
+
+@st.composite
+def far_meetings(draw):
+    """(x0, increments) on the skip grid whose chains meet three or more blocks in."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    z = quarter_walk(seed, THIRD + 2 * ld.BLOCK)
+    if draw(st.booleans()):  # fine steps, down to the grid's spacing
+        z += np.random.default_rng(seed + 1).integers(-1000, 1001, z.size) * UNIT
+    x0 = draw(st.integers(4400 << ld.GRID_BITS, 5400 << ld.GRID_BITS)) * UNIT
+    return x0, z
+
+
+@settings(deadline=None, max_examples=25)
+@given(far_meetings())
+def test_couple_advances_blocks_before_a_far_meeting(case):
+    x0, values = case
+    res, blocks = stepped(x0, values)
+    assert_oracle(res, x0, values)
+    assert res.coupling_time > THIRD
+    # the meeting block, and the next one when the absorption check spills
+    assert 1 <= blocks <= 2
+
+
+def test_couple_steps_only_the_meeting_block():
+    z = quarter_walk(3, 3 * ld.BLOCK)
+    res, blocks = stepped(3000.0, z)
+    assert_oracle(res, 3000.0, z)
+    assert ld.FIRST_COUPLE_BLOCK + ld.BLOCK < res.coupling_time < THIRD - ld.ABSORPTION_CHECK
+    assert blocks == 1
+
+
+@pytest.mark.parametrize(
+    "fine, x0, blocks",
+    [
+        (UNIT, 3000.0, 1),
+        (UNIT / 2, 3000.0, 3),  # increments off the grid: every block is stepped
+        (UNIT, 3000.0 + UNIT / 2, 3),  # a start off the grid
+    ],
+)
+def test_couple_skips_only_on_the_grid(fine, x0, blocks):
+    z = quarter_walk(3, 3 * ld.BLOCK)
+    z[::7] += fine
+    res, stepped_blocks = stepped(x0, z)
+    assert_oracle(res, x0, z)
+    assert stepped_blocks == blocks
+
+
+@pytest.mark.parametrize(
+    "x0, blocks",
+    [
+        # the sums stay just below the bound: exact
+        pytest.param(BOUND - 4 * UNIT, 0, id="inside"),
+        # 2**(53 - J) + UNIT rounds to even, 2**(53 - J), at every step, so
+        # the stepped upper chain ends where the closed form would not
+        pytest.param(BOUND - UNIT, 1, id="outside"),
+    ],
+)
+def test_couple_skips_only_below_the_bound(x0, blocks):
+    z = np.full(3, UNIT)
+    res, stepped_blocks = stepped(x0, z)
+    assert_oracle(res, x0, z)
+    assert stepped_blocks == blocks
+
+
+def test_couple_skip_carries_a_lower_chain_that_has_not_emptied():
+    # the lower chain rises through three blocks and falls through a fourth,
+    # never emptying, so it enters each block after the first above 0
+    z = np.concatenate([np.full(THIRD, 0.25), np.full(ld.BLOCK, -0.25)])
+    res, blocks = stepped(5000.0, z)
+    assert_oracle(res, 5000.0, z)
+    assert res.final_lower == 0.25 * (THIRD - ld.BLOCK) and blocks == 0
+
+
+MAX = float.fromhex("0x1.fffffffffffffp+1023")
+
+
+@pytest.mark.parametrize(
+    "x0, values",
+    [
+        pytest.param(1.0, np.full(THIRD, -0.0), id="negative-zeros"),
+        pytest.param(1.0, np.where(quarter_walk(4, THIRD) < 0, -0.0, 0.0), id="signed-zeros"),
+        pytest.param(0.25, np.concatenate([[0.0, -0.0, -0.25], np.full(THIRD, -0.0)]),
+                     id="meets-then-zeros"),
+        pytest.param(1.0, np.tile([MAX, -MAX], THIRD), id="float-max-increments"),
+        pytest.param(2.0**1000, np.tile([-2.0**999, 2.0**999], THIRD), id="huge-start"),
+        pytest.param(MAX, np.full(THIRD, -0.25), id="float-max-start"),
+    ],
+)
+def test_couple_skip_edges_match_the_steps_without_a_warning(x0, values):
+    # the suite turns warnings into errors: scaling a huge increment to the
+    # grid would overflow, so none is scaled before the bound is checked
+    res, _ = stepped(x0, values)
+    assert_oracle(res, x0, values)
+
+
 # -- queue and waiting-time forms ---------------------------------------------
 
 
@@ -607,7 +738,6 @@ def test_tandem_output_past_the_float_range_fails_without_a_warning():
 
 # -- the exact sum ------------------------------------------------------------
 
-MAX = float.fromhex("0x1.fffffffffffffp+1023")
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
          1e300, -1e300, MAX, -MAX, 1.0, 0.1, -0.3, 2.0**53, 1.0 - 2.0**-53]
 summands = st.sampled_from(EDGES) | st.floats(allow_nan=False, allow_infinity=False)
