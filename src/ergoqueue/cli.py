@@ -205,8 +205,8 @@ def _theta_grid(text: str) -> list[float]:
     """Parse 'start:stop:step' or a comma list."""
     if ":" in text:
         start, stop, step = (float(x) for x in text.split(":"))
-        if step <= 0 or stop < start:
-            raise ValueError("grid must be start:stop:step with positive step")
+        if not 0 < step < math.inf or stop < start:  # an infinite step makes the point 0 * inf
+            raise ValueError("grid must be start:stop:step with positive finite step")
         ratio = (stop - start) / step
         if not math.isfinite(ratio):
             raise ValueError("grid must have a finite number of points")

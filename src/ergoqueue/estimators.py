@@ -151,7 +151,8 @@ def _check_block_length(n: int) -> None:
 def _sample_rates(sums: np.ndarray, n: int) -> tuple[float, float, float]:
     """(mean, min, max) block rates; mean clamped into [min, max]."""
     _check_block_length(n)
-    mean_rate = float(np.mean(sums)) / n
+    with np.errstate(over="ignore"):  # a sum past the float range is clamped to max below
+        mean_rate = float(np.mean(sums)) / n
     min_rate = float(np.min(sums)) / n
     max_rate = float(np.max(sums)) / n
     mean_rate = min(max(mean_rate, min_rate), max_rate)
@@ -253,7 +254,8 @@ def decay_delta(
     if t[0] != 0.0:
         raise ValueError("theta grid must start at 0")
     s = service_rate(s)
-    g = l - t * s
+    with np.errstate(over="ignore"):  # an infinite t*s leaves g = -inf, below the line
+        g = l - t * s
     below = np.flatnonzero(g[1:] < 0.0) + 1  # indices with theta > 0
     if below.size == 0:
         return DecayResult(None, "empty")

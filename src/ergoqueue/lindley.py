@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "LoynesResult",
     "CoupleResult",
-    "partial_sums",
     "loynes_sup",
     "ExactSum",
     "run_recursion",
@@ -45,28 +44,12 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
-def partial_sums(window: Sequence[float]) -> np.ndarray:
-    """Backward partial sums of a window whose entry 0 is the most recent.
-
-    window[j] is the increment at lag j (time 0, -1, ..., -N+1); V_0 = 0 and
-    V_n is the sum of the n most recent increments, accumulated in order.
-    A sum past the float range leaves the last one infinite: a ValueError.
-    """
-    arr = _as_float_array(window, "window")
-    sums = np.zeros(arr.size + 1)
-    with np.errstate(over="ignore"):
-        np.cumsum(arr, out=sums[1:])
-    if not np.isfinite(sums[-1]):
-        raise ValueError("the partial sums overflow the float range")
-    return sums
-
-
 @dataclass(frozen=True)
 class LoynesResult:
     value: float
     argmax: int
     converged: bool
-    sums: np.ndarray = field(repr=False, compare=False)  # V_0..V_N, from partial_sums
+    sums: np.ndarray = field(repr=False, compare=False)  # V_0..V_N
 
     @property
     def prefix_maxima(self) -> np.ndarray:
@@ -77,6 +60,9 @@ class LoynesResult:
 def loynes_sup(window: Sequence[float], slack: float = 0.0) -> LoynesResult:
     """Maximum backward partial sum, the stationary state built from below.
 
+    window[j] is the increment at lag j (time 0, -1, ..., -N+1); V_0 = 0 and
+    V_n is the sum of the n most recent increments, accumulated in order.
+    A sum past the float range leaves the last one infinite: a ValueError.
     Returns the max of V_0..V_N and the smallest maximizing index.  The value
     is nonnegative because V_0 = 0 participates.  ``converged`` reports a
     finite-window diagnostic, not a guarantee: the argmax is interior and the
@@ -85,11 +71,15 @@ def loynes_sup(window: Sequence[float], slack: float = 0.0) -> LoynesResult:
     the partial sums it was read from, so their running maxima
     (``prefix_maxima``) need no second pass over the window.
     """
-    sums = partial_sums(window)
+    arr = _as_float_array(window, "window")
+    sums = np.zeros(arr.size + 1)
+    with np.errstate(over="ignore"):
+        np.cumsum(arr, out=sums[1:])
+    if not np.isfinite(sums[-1]):
+        raise ValueError("the partial sums overflow the float range")
     arg = int(np.argmax(sums))  # first maximizing index
     best = float(sums[arg])
-    n_total = sums.size - 1
-    converged = bool(arg < n_total and sums[-1] < best - slack)
+    converged = bool(arg < arr.size and sums[-1] < best - slack)
     return LoynesResult(best, arg, converged, sums)
 
 

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -434,12 +433,15 @@ def _walk(r: np.ndarray, chunks: Sequence[tuple], base, total: np.ndarray | None
 
 
 def window_arrival_counts(
-    counters: Iterable[int],
+    counters: np.ndarray,
     width: int,
     precision: int = DEFAULT_PRECISION,
     i_max: int | None = None,
 ) -> np.ndarray:
     """Number of arrivals among counters c..c+width-1, for each starting counter.
+
+    ``counters`` is a uint64 array, as ``uniform_counters`` draws it, of any
+    shape, read flat; anything else is a TypeError.
 
     An exact prefix count F(c + width) - F(c), where F(N) counts the members
     below N.  Membership has period P = 2**band(cap)[0], so F(N)
@@ -458,19 +460,14 @@ def window_arrival_counts(
         raise PrecisionError("window counting supports precision <= 64")
     if width < 1:
         raise ValueError("width must be positive")
+    if not (isinstance(counters, np.ndarray) and counters.dtype == np.uint64):
+        raise TypeError("counters must be a uint64 numpy array")
     cap = band_limit(precision, i_max)
-    if isinstance(counters, np.ndarray) and counters.dtype == np.uint64:
-        starts = counters.reshape(-1)
-        bounds = (int(starts.min()), int(starts.max())) if starts.size else None
-    else:
-        starts = [operator.index(c) for c in counters]  # no float truncates to a counter
-        bounds = (min(starts), max(starts)) if starts else None
-    if bounds and not (0 <= bounds[0] and bounds[1] <= (1 << precision) - width):
-        bad = bounds[0] if bounds[0] < 0 else bounds[1]
+    cs = counters.reshape(-1)
+    if cs.size and int(cs.max()) > (1 << precision) - width:
         raise OrbitRangeError(
-            f"window of width {width} from counter {bad} leaves precision {precision}"
+            f"window of width {width} from counter {int(cs.max())} leaves precision {precision}"
         )
-    cs = np.asarray(starts, dtype=np.uint64)
     top = band(cap)[0]
     period_members = np.uint64(arrival_set_measure(cap) * (1 << top))  # exact: period 2**top
     low = np.uint64((1 << top) - 1)

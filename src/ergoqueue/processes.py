@@ -210,50 +210,21 @@ class BinaryMarkov(_ProcessBase):
 class TraceProcess(_ProcessBase):
     """One recorded realization, replayed verbatim.
 
-    File format: one nonnegative decimal per line, UTF-8, LF line ends.
     Forward streams read from the top; backward windows read from the end,
-    most recent last in file order; window totals sum consecutive, disjoint
+    most recent last in recorded order; window totals sum consecutive, disjoint
     stretches from the top, so m of them are m stretches of the recording,
     not m copies of its first one.  Stationarity of the recording is the
     caller's assumption, not something a single path can certify.
     """
 
-    def __init__(self, path: str | Path | None = None, values: Sequence[float] | None = None):
-        if (path is None) == (values is None):
-            raise ProcessError("provide exactly one of path or values")
-        if path is not None:
-            arr = self._load(Path(path))
-        else:
-            arr = np.array(values, dtype=np.float64)  # a copy, so its flags are ours
-            self._validate(arr, where="values")
+    def __init__(self, values: Sequence[float]):
+        arr = np.array(values, dtype=np.float64)  # a copy, so its flags are ours
+        if arr.ndim != 1:
+            raise TraceError("values: trace must be one-dimensional")
+        if not (np.isfinite(arr).all() and (arr >= 0).all()):
+            raise TraceError("values: values must be finite and nonnegative")
         arr.flags.writeable = False  # no reader of a piece can write into the recording
         self.values = arr
-
-    @staticmethod
-    def _load(path: Path) -> np.ndarray:
-        out = []
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise TraceError(f"cannot read trace {path}: {exc}") from exc
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(float(line))
-            except ValueError:
-                raise TraceError(f"{path}:{lineno}: not a number: {line!r}") from None
-            if not math.isfinite(out[-1]) or out[-1] < 0:
-                raise TraceError(f"{path}:{lineno}: value must be finite and nonnegative")
-        return np.asarray(out, dtype=np.float64)
-
-    @staticmethod
-    def _validate(arr: np.ndarray, where: str) -> None:
-        if arr.ndim != 1:
-            raise TraceError(f"{where}: trace must be one-dimensional")
-        if arr.size and ((~np.isfinite(arr)).any() or (arr < 0).any()):
-            raise TraceError(f"{where}: values must be finite and nonnegative")
 
     def _blocks(self, n: int, rng) -> Iterator[np.ndarray]:
         if n > self.values.size:
@@ -353,11 +324,32 @@ class OdometerProcess(_ProcessBase):
 # spec strings
 
 
+def _load(path: Path) -> np.ndarray:
+    """The values of a trace file: one nonnegative decimal per line, UTF-8, LF line ends."""
+    out = []
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise TraceError(f"cannot read trace {path}: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append(float(line))
+        except ValueError:
+            raise TraceError(f"{path}:{lineno}: not a number: {line!r}") from None
+        if not math.isfinite(out[-1]) or out[-1] < 0:
+            raise TraceError(f"{path}:{lineno}: value must be finite and nonnegative")
+    return np.asarray(out, dtype=np.float64)
+
+
 def parse_process(text: str) -> _ProcessBase:
     """Parse a process spec string.
 
     Forms: ``iid-bernoulli:P``, ``iid-table:V1,V2,..@P1,P2,..``,
     ``binary-markov:P01,P10``, ``trace:PATH``, ``odometer[:K[,I_MAX]]``.
+    ``trace:PATH`` reads the file at PATH (``_load``).
     """
     kind, _, arg = text.partition(":")
     kind = kind.strip().lower()
@@ -376,7 +368,7 @@ def parse_process(text: str) -> _ProcessBase:
         if kind == "trace":
             if not arg:
                 raise ProcessError("trace needs a path")
-            return TraceProcess(path=arg)
+            return TraceProcess(_load(Path(arg)))
         if kind == "odometer":
             parts = [int(x) for x in arg.split(",")] if arg else []
             if len(parts) > 2:

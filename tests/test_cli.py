@@ -61,6 +61,13 @@ def test_loynes_running_max_column_is_nondecreasing(tmp_path):
     assert summary["results"]["value"] == col[-1]
 
 
+def test_cumulant_with_a_huge_service_rate_runs(tmp_path):
+    # every tilt's service line t * s overflows to inf, so the whole grid lies below it
+    args = ["cumulant", "--process", "odometer:4", "--n", "8", "--m", "3", "--s", "1e308"]
+    _, summary = run(tmp_path, "c", args)
+    assert summary["results"]["delta"] == {"delta": 3.0, "status": "at-grid-max"}
+
+
 def test_config_round_trip_reproduces_outputs(tmp_path):
     args = [
         "cumulant",

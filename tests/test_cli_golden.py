@@ -24,6 +24,12 @@ Case ``loynes-blocks`` writes 20001 rows of a non-dyadic ``iid-table``
 window, nearly every partial sum a distinct float; its digests were recorded
 from commit 6e7bc0f, before numeric blocks were joined without ``csv.writer``.
 
+Cases ``loynes-markov-blocks`` and ``loynes-odometer-blocks`` read the
+backward windows of ``binary-markov`` and ``odometer`` input longer than one
+``processes.SCAN_BLOCK`` (8192) values; their digests were recorded from
+commit fb6716f, before ``lindley.partial_sums`` was folded into
+``loynes_sup``.
+
 Cases ``couple-bernoulli-blocks`` and ``couple-non-dyadic-blocks`` meet in the
 fourth block of the samplers' ``SCAN_BLOCK`` (8192) values, and
 ``couple-never-meets`` runs every replica to its horizon; their digests were
@@ -78,6 +84,10 @@ CASES = {
                           "--seed", "6"],
     "loynes-blocks": ["loynes", "--process", NON_DYADIC, "--s", "0.65", "--window", "20000",
                       "--seed", "24"],
+    "loynes-markov-blocks": ["loynes", "--process", "binary-markov:0.3,0.5", "--s", "0.5",
+                             "--window", "10000", "--seed", "29"],
+    "loynes-odometer-blocks": ["loynes", "--process", "odometer", "--s", "0.5", "--window",
+                               "12000", "--seed", "30"],
     "couple": ["couple", "--process", "binary-markov:0.3,0.5", "--s", "0.75", "--x0", "20",
                "--horizon", "3000", "--replicas", "5", "--seed", "7"],
     "couple-bernoulli-blocks": ["couple", "--process", "iid-bernoulli:0.5", "--s", "0.75",
@@ -179,9 +189,17 @@ DIGESTS = {
         "396a54f1f8ecfd831f787f1b11579bcef55af214e48cf36502797bb3e160b558",
         "0ee0c086efaf4779b7b728b4eb1607e61808eaac6b7399d36c8d3b7dba83d39b",
     ),
+    "loynes-markov-blocks": (
+        "606482fbbb2d5d456cf2e85db32f1b444efa6dfa49234987d8c8bb770a19c401",
+        "067b7ff3f48d7e8bc78721f1f30ec2f1ed099a46e7d70dbb6cea375be2633bde",
+    ),
     "loynes-non-dyadic": (
         "360b83c8710c9508e8b0ba1732e8c20601438ce764899e841a450978d8e5f580",
         "81550a6bbfcd6eaf017764651d9682e571835e587c43f45d528fc02989ebc179",
+    ),
+    "loynes-odometer-blocks": (
+        "5f396c3b52e7db28fadd74d1556c652d0ffa6fa5c2d9e6d92fd213cbd23a80bc",
+        "05620d995cb85b64b30c2a820913f064cdb151699bc1b6fc26e7cd1657b2b12a",
     ),
     "odometer-measure": (
         "fc8c332cdf549e785d690f4184cc28f30d2c1638a1d0b24f208f5acf50a9a8dd",

@@ -225,6 +225,18 @@ def test_delta_closed_form_matches_bisection(lo, width, s, glo, ghi):
     assert abs(res.delta - want) <= 11 * math.ulp(hi)
 
 
+def test_delta_with_a_huge_service_rate_is_warning_free():
+    # t * s overflows at t = 2: g = -inf, below the line, and no numpy warning
+    res = es.decay_delta([0.0, 2.0], [0.0, 1.0], 1e308)
+    assert (res.delta, res.status) == (2.0, "at-grid-max")
+
+
+def test_rates_of_sums_past_the_float_range_are_warning_free():
+    # the mean of two block sums of 1e308 overflows; the clamp reads it as the largest rate
+    est = es.estimate_lambda_grid(IIDTable((1e308,), (1.0,)), [0.0], 1, 2, rng_for(0))
+    assert est.mean_rate == est.max_rate == 1e308
+
+
 def test_delta_grid_validation():
     with pytest.raises(ValueError):
         es.decay_delta([0.5, 1.0], [0.0, 0.0], 0.75)  # must start at 0

@@ -192,15 +192,15 @@ def test_sup_prefix_monotone(values):
 
 def test_window_partial_sum_increments():
     window = [0.5, -1.25, 2.0]
-    v = ld.partial_sums(window)
+    v = ld.loynes_sup(window).sums
     assert v.tolist() == [0.0, 0.5, -0.75, 1.25]
     for n in range(3):
         assert v[n + 1] - v[n] == window[n]
 
 
 def test_partial_sums_reject_non_finite():
-    with pytest.raises(ValueError):
-        ld.partial_sums([1.0, math.nan])
+    with pytest.raises(ValueError, match="window contains non-finite entries"):
+        ld.loynes_sup([1.0, math.nan])
     with pytest.raises(ValueError):
         ld.loynes_sup([math.inf])
 
@@ -209,7 +209,7 @@ def test_partial_sums_reject_non_finite():
 def test_partial_sums_outside_the_float_range_are_a_value_error(step):
     # finite increments whose sums leave the float range, either way, warning-free
     with pytest.raises(ValueError, match="the partial sums overflow the float range"):
-        ld.partial_sums([step, step, 0.0])
+        ld.loynes_sup([step, step, 0.0])
     with pytest.raises(ValueError, match="the partial sums overflow the float range"):
         ld.loynes_sup([step, step])
 

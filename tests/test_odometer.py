@@ -23,6 +23,11 @@ def pt(num, den, precision=K):
     return od.DyadicPoint.from_fraction(Fraction(num, den), precision)
 
 
+def u64(counters):
+    """Counters as the uint64 array window_arrival_counts takes."""
+    return np.array(counters, dtype=np.uint64)
+
+
 # -- points and the map -----------------------------------------------------
 
 
@@ -573,7 +578,7 @@ def windows(draw):
 @settings(max_examples=300, deadline=None)
 def test_window_counts_match_brute_force(window):
     precision, i_max, width, c = window
-    fast = od.window_arrival_counts([c], width, precision, i_max)[0]
+    fast = od.window_arrival_counts(u64([c]), width, precision, i_max)[0]
     slow = int(od.membership_window(od.DyadicPoint(c, precision), width, i_max).sum())
     assert fast == slow
 
@@ -660,7 +665,7 @@ def test_whole_periods_hold_the_set_measure(cap):
         last = (1 << 64) - width
         edges = {0, 1, period - 1, period + 5, last // 3, last - 1, last}
         starts = sorted(c for c in edges if 0 <= c <= last)
-        got = od.window_arrival_counts(starts, width, 64, cap)
+        got = od.window_arrival_counts(u64(starts), width, 64, cap)
         assert got.tolist() == [k * members] * len(starts)
 
 
@@ -668,22 +673,25 @@ def test_window_counts_near_counter_top():
     top = 1 << 64
     width = 64
     cs = [top - width, top - width - 1, 0, 1]
-    fast = od.window_arrival_counts(cs, width, 64)
+    fast = od.window_arrival_counts(u64(cs), width, 64)
     slow = [int(od.membership_window(od.DyadicPoint(c, 64), width).sum()) for c in cs]
     assert fast.tolist() == slow
     with pytest.raises(od.OrbitRangeError):
-        od.window_arrival_counts([top - width + 1], width, 64)
+        od.window_arrival_counts(u64([top - width + 1]), width, 64)
 
 
-def test_window_counts_take_integer_counters_only():
-    # numpy integers count as the ints they are; a float, even an integral
-    # one, is a TypeError as in DyadicInterval, never truncated to a counter
-    want = od.window_arrival_counts([1], 4, 8).tolist()
-    for ok in ([np.int64(1)], [np.uint8(1)], np.array([1], np.int64), np.array([1], np.uint64)):
-        assert od.window_arrival_counts(ok, 4, 8).tolist() == want
-    for bad in ([1.5], [2.0], [np.float64(1.0)], np.array([1.0])):
-        with pytest.raises(TypeError, match="integer"):
-            od.window_arrival_counts(bad, 4, 8)
+def test_window_counts_take_uint64_counters_only():
+    # counters come as uniform_counters draws them, a uint64 array of any
+    # shape read flat; any other form, even of the same integers, is a
+    # TypeError, and no float is ever truncated to a counter
+    want = [int(od.membership_window(od.DyadicPoint(c, 8), 4).sum()) for c in (1, 2, 3, 4)]
+    assert od.window_arrival_counts(u64([1, 2, 3, 4]), 4, 8).tolist() == want
+    assert od.window_arrival_counts(u64([[1, 2], [3, 4]]), 4, 8).tolist() == want
+    bad = ([1], [np.uint64(1)], range(1), np.array([1], np.int64), np.array([1], np.uint8),
+           np.array([1.0]), [1.5])
+    for counters in bad:
+        with pytest.raises(TypeError, match="counters must be a uint64 numpy array"):
+            od.window_arrival_counts(counters, 4, 8)
 
 
 def test_window_counts_span_several_blocks():
@@ -729,8 +737,8 @@ def test_window_counts_mix_carry_depths_in_a_block(cap):
                 assert max(carried).bit_length() - 1 == t
             elif t == top:
                 assert all(c % period + width % period >= period for c in starts[1:])
-            got = od.window_arrival_counts(starts, width, 64, cap).tolist()
-            assert got == [od.window_arrival_counts([c], width, 64, cap)[0] for c in starts]
+            got = od.window_arrival_counts(u64(starts), width, 64, cap).tolist()
+            assert got == [od.window_arrival_counts(u64([c]), width, 64, cap)[0] for c in starts]
             if width <= 4096:
                 windows = (od.membership_window(od.DyadicPoint(c, 64), width, cap) for c in starts)
                 assert got == [w.sum() for w in windows]
@@ -738,7 +746,7 @@ def test_window_counts_mix_carry_depths_in_a_block(cap):
 
 def test_window_counts_need_precision_at_most_64():
     with pytest.raises(od.PrecisionError):
-        od.window_arrival_counts([0], 8, 65)
+        od.window_arrival_counts(u64([0]), 8, 65)
 
 
 @pytest.mark.parametrize(
@@ -751,7 +759,7 @@ def test_window_counts_need_precision_at_most_64():
 def test_window_counts_over_whole_periods(i_max, width, starts):
     # the set has period 2**(2*i_max+1), so a window of whole periods holds
     # exactly measure * width arrivals wherever it starts
-    counts = od.window_arrival_counts(starts, width, 64, i_max)
+    counts = od.window_arrival_counts(u64(starts), width, 64, i_max)
     want = od.arrival_set_measure(i_max) * width
     assert [Fraction(int(n)) for n in counts] == [want] * len(starts)
 
@@ -760,7 +768,8 @@ def test_window_count_long_run_frequency():
     # over a stretch whose length all band periods divide, the arrival
     # frequency equals the exact truncated measure
     width = 1 << 10
-    counts = od.window_arrival_counts(range(0, 1 << 15, width), width, 64, i_max=4)
+    starts = np.arange(0, 1 << 15, width, dtype=np.uint64)
+    counts = od.window_arrival_counts(starts, width, 64, i_max=4)
     freq = Fraction(int(np.sum(counts)), 1 << 15)
     assert freq == od.arrival_set_measure(4)
 
@@ -804,7 +813,7 @@ def test_window_count_long_run_frequency():
         pytest.param(lambda: od.membership_window(od.DyadicPoint(250, 8), 7), od.OrbitRangeError,
                      "window of width 7 from counter 250 leaves precision 8",
                      id="membership-leaves-window"),
-        pytest.param(lambda: od.window_arrival_counts([0], 0, 8), ValueError,
+        pytest.param(lambda: od.window_arrival_counts(u64([0]), 0, 8), ValueError,
                      "width must be positive", id="window-counts-width"),
         pytest.param(lambda: od.uniform_counters(np.random.default_rng(0), 1, 65),
                      od.PrecisionError,

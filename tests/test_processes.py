@@ -420,10 +420,6 @@ def test_odometer_precision_checked_at_construction(precision):
                      id="table-empty"),
         pytest.param(lambda: IIDTable((1.0, np.inf), (0.5, 0.5)), ProcessError,
                      "table values must be finite", id="table-infinite"),
-        pytest.param(lambda: TraceProcess(), ProcessError,
-                     "provide exactly one of path or values", id="trace-no-source"),
-        pytest.param(lambda: TraceProcess(path="t.txt", values=[1.0]), ProcessError,
-                     "provide exactly one of path or values", id="trace-both-sources"),
         pytest.param(lambda: TraceProcess(values=[[1.0], [2.0]]), TraceError,
                      "values: trace must be one-dimensional", id="trace-2d"),
         pytest.param(lambda: TraceProcess(values=[1.0, np.nan]), TraceError,
@@ -442,7 +438,7 @@ def test_fail_fast_checks(call, error, message):
 def test_trace_reads_forward_and_backward(tmp_path):
     f = tmp_path / "trace.txt"
     f.write_text("1\n0.5\n\n2\n", encoding="utf-8")
-    proc = TraceProcess(path=f)
+    proc = parse_process(f"trace:{f}")
     assert proc.forward(2, rng_for(0)).tolist() == [1.0, 0.5]
     assert proc.backward_window(3, rng_for(0)).tolist() == [2.0, 0.5, 1.0]
 
@@ -450,11 +446,11 @@ def test_trace_reads_forward_and_backward(tmp_path):
 def test_trace_parse_error_carries_line_number(tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("1\n0.5\npotato\n2\n", encoding="utf-8")
-    with pytest.raises(TraceError, match=r"bad\.txt:3"):
-        TraceProcess(path=f)
+    with pytest.raises(TraceError, match=r"bad\.txt:3: not a number: 'potato'"):
+        parse_process(f"trace:{f}")
     f.write_text("1\n-2\n", encoding="utf-8")
-    with pytest.raises(TraceError, match=r"bad\.txt:2"):
-        TraceProcess(path=f)
+    with pytest.raises(TraceError, match=r"bad\.txt:2: value must be finite and nonnegative"):
+        parse_process(f"trace:{f}")
 
 
 def test_trace_exhaustion_reports_sizes():
@@ -525,7 +521,7 @@ def test_odometer_pieces_are_scan_blocks_of_one_counter_draw(n, precision, i_max
 
 def test_trace_missing_file():
     with pytest.raises(TraceError, match="cannot read"):
-        TraceProcess(path="/nonexistent/trace.txt")
+        parse_process("trace:/nonexistent/trace.txt")
 
 
 # -- determinism ----------------------------------------------------------------
