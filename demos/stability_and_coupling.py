@@ -44,7 +44,7 @@ def main():
     times = []
     for r in range(REPLICAS):
         y = proc.forward(HORIZON, rng_for(SEED, r))
-        res = forward_couple(10.0, y - SERVICE)
+        res = forward_couple(10.0, [y - SERVICE])
         times.append(res.coupling_time)
     hit = [t for t in times if t is not None]
     print(f"coupling from backlog 10, {REPLICAS} replicas, horizon {HORIZON}:")

@@ -21,7 +21,7 @@ block.  The CSV is written under a temporary name beside BASE and renamed
 once the summary has serialized, so a run that fails, mid-stream too,
 leaves neither file.  The CSV is assembled as bytes, the header as a one-row
 block and then ``WRITE_BLOCK`` rows at a time: integers by digit arithmetic,
-floats and booleans by formatting once each distinct bit pattern of the
+doubles and booleans by formatting once each distinct bit pattern of the
 block, found by one sort of its bit patterns, any other cell by ``_fmt``;
 the padding is dropped in one byte pass.  The bytes are what ``csv.writer``
 writes for those cells.  A cell it would quote (one holding a comma, quote,
@@ -72,15 +72,14 @@ _NEEDS_QUOTING = re.compile('[,"\r\n\x00]|[^\x00-\x7f]')
 
 
 def _distinct_texts(col: np.ndarray) -> np.ndarray:
-    """``_fmt`` of every cell of a float or bool column, as an ``"S"`` array.
+    """``_fmt`` of every cell of a float64 or bool column, as an ``"S"`` array.
 
     The distinct bit patterns are found by one sort of the column's bits, read
     as signed integers, keeping the first of each run of equal keys; each is
     formatted once, and each cell's text is found by ``searchsorted`` of its
     key among them.  Keying on the bits keeps -0.0 ("-0") apart from 0.0
     ("0").  A pattern reaches ``_fmt`` as the Python scalar ``tolist`` gives,
-    written as the column's numpy scalar would be, only faster; a float
-    narrower than a double would widen, so it stays a numpy scalar.
+    written as the column's numpy scalar would be, only faster.
     """
     keys = col.view(f"i{col.dtype.itemsize}")
     distinct = np.sort(keys)
@@ -88,9 +87,7 @@ def _distinct_texts(col: np.ndarray) -> np.ndarray:
     first[:1] = True  # nothing to keep in a 0-row column
     np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
     distinct = distinct[first]
-    values = distinct.view(col.dtype)
-    if not (col.dtype.kind == "f" and col.dtype.itemsize < 8):
-        values = values.tolist()
+    values = distinct.view(col.dtype).tolist()
     return np.array(list(map(_fmt, values)), dtype="S")[np.searchsorted(distinct, keys)]
 
 
@@ -125,9 +122,9 @@ def _block_bytes(block: list) -> bytes:
     """Rows of column slices as CSV bytes, as ``csv.writer`` writes them.
 
     Each column becomes a NUL-padded matrix of its cells' text: an integer
-    array by ``_int_bytes``, a float or bool array that an integer dtype can
-    key by ``_distinct_texts``, any other column (a list, a range, any other
-    array) by ``_fmt`` per cell.  The matrices are joined with one-byte ","
+    array by ``_int_bytes``, a float64 or bool array, the dtypes the runners
+    write, by ``_distinct_texts``, any other column (a list, a range, any
+    other array) by ``_fmt`` per cell.  The matrices are joined with one-byte ","
     and "\n" columns and the padding NULs dropped in one byte pass over the
     matrix's bytes.  A cell of another column that ``csv.writer`` would
     quote, one ``_NEEDS_QUOTING`` matches or an empty field alone in its row
@@ -137,10 +134,10 @@ def _block_bytes(block: list) -> bytes:
     comma, newline = (np.full((size, 1), ord(c), np.uint8) for c in ",\n")
     parts = []
     for col in block:
-        kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
-        if kind in "iu":
+        dtype = col.dtype if isinstance(col, np.ndarray) else np.dtype(object)
+        if dtype.kind in "iu":
             parts.append(_int_bytes(col))
-        elif kind in "bf" and col.dtype.itemsize <= 8:
+        elif dtype in (np.bool_, np.float64):
             parts.append(_distinct_texts(col).view(np.uint8).reshape(size, -1))
         else:
             cells = list(map(_fmt, col))
@@ -352,7 +349,7 @@ def _run_tandem(cfg: dict):
             total_input=total_in,
             total_first_output=total_out,
             first_backlog_change=last1,  # from an empty queue
-            conservation_exact=total_in - total_out == last1,
+            conservation_exact=Fraction(inflow.units - outflow.units, 1 << 1074) == last1,
             second_backlog_final=last2,
         )
 

@@ -149,14 +149,11 @@ def _check_block_length(n: int) -> None:
 
 
 def _sample_rates(sums: np.ndarray, n: int) -> tuple[float, float, float]:
-    """(mean, min, max) block rates; mean clamped into [min, max]."""
+    """(mean, min, max) block rates; the mean is exact, rounded once, so in [min, max]."""
     _check_block_length(n)
-    with np.errstate(over="ignore"):  # a sum past the float range is clamped to max below
-        mean_rate = float(np.mean(sums)) / n
-    min_rate = float(np.min(sums)) / n
-    max_rate = float(np.max(sums)) / n
-    mean_rate = min(max(mean_rate, min_rate), max_rate)
-    return mean_rate, min_rate, max_rate
+    total = ExactSum()
+    total.add(sums)
+    return total.mean(sums.size) / n, float(np.min(sums)) / n, float(np.max(sums)) / n
 
 
 def lambda_from_sums(sums: Sequence[float], theta: float, n: int) -> float:

@@ -53,8 +53,10 @@ class LoynesResult:
 
     @property
     def prefix_maxima(self) -> np.ndarray:
-        """The sup over every prefix length 0..N; nondecreasing."""
-        return np.maximum.accumulate(np.maximum(self.sums, 0.0))
+        """The sup over every prefix length 0..N; nondecreasing, from V_0 = +0.0."""
+        maxima = np.maximum.accumulate(self.sums)
+        maxima += 0.0  # np.maximum may keep a later -0.0 over V_0's +0.0; -0.0 + 0.0 is +0.0
+        return maxima
 
 
 def loynes_sup(window: Sequence[float], slack: float = 0.0) -> LoynesResult:
@@ -83,8 +85,8 @@ def loynes_sup(window: Sequence[float], slack: float = 0.0) -> LoynesResult:
     return LoynesResult(best, arg, converged, sums)
 
 
-# the reflection kernel walks its input this many steps at a time, so its
-# temporaries stay small however long the input is
+# the reflection kernel and ExactSum.add walk their input this many values at
+# a time, so their temporaries stay small however long the input is
 BLOCK = 8192
 # forward_couple's first block is short, so that a pair that meets at once
 # does not pay for a whole block of prefix sums
@@ -304,8 +306,8 @@ class ExactSum:
     @np.errstate(invalid="ignore")  # inf - inf in the split of a non-finite value, refused below
     def add(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
-        for k in range(0, values.size, self._CHUNK):
-            z = values[k : k + self._CHUNK]
+        for k in range(0, values.size, BLOCK):
+            z = values[k : k + BLOCK]
             if self._pending + z.size > self._CHUNK:
                 self._flush()
             self._pending += z.size
@@ -355,9 +357,7 @@ class CoupleResult:
     steps_run: int
 
 
-def forward_couple(
-    x0: float, increments: Sequence[float] | Iterable[np.ndarray]
-) -> CoupleResult:
+def forward_couple(x0: float, increments: Iterable[np.ndarray]) -> CoupleResult:
     """Run the chain from x0 and from 0 on the same increments until they meet.
 
     Returns the first index where the two chains are equal, or None if they
@@ -367,11 +367,11 @@ def forward_couple(
     input.  Ordering X(x0) >= X(0) is asserted in every block stepped, and
     proven in the blocks advanced without stepping (below).
 
-    ``increments`` is a stream, an iterable of 1-D arrays read in order as
-    one sequence, or one array, read as a stream of one block.  Each block
-    is checked as it is read (an array even when x0 is 0), and none is
-    pulled once the run has stopped: a stream is drawn no further than the
-    block holding the last step run, and not at all when x0 is 0.
+    ``increments`` is a stream, an iterable of 1-D blocks read in order as
+    one sequence, as ``queue_blocks`` reads its arrivals.  Each block is
+    checked as it is read, and none is pulled once the run has stopped: the
+    stream is drawn no further than the block holding the last step run,
+    and not at all when x0 is 0.
 
     The chains are stepped by the reflection kernel a block at a time, the
     first block ``FIRST_COUPLE_BLOCK`` steps long and the others ``BLOCK``,
@@ -384,12 +384,10 @@ def forward_couple(
     S[-1] - min(-lower, min S), the states the step gives bit for bit.
     """
     x0 = _start(x0)
-    array = isinstance(increments, (np.ndarray, Sequence)) or not isinstance(increments, Iterable)
-    pieces = _pieces([[increments] if array else increments], ["increments"])
+    # iter here, not in _pieces: a non-iterable is a TypeError even when no block is read
+    pieces = _pieces([iter(increments)], ["increments"])
     upper, lower = x0, 0.0
     if upper == lower:
-        if array:
-            next(pieces, None)  # reads, and so checks, its one block
         return CoupleResult(0, upper, lower, 0)
     tau = None
     # the run ends ABSORPTION_CHECK steps after the meeting, or where the

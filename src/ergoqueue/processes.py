@@ -118,7 +118,7 @@ class _ProcessBase:
         return totals
 
     def _backward_window(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.forward(n, rng)[::-1].copy()
+        return self.forward(n, rng)[::-1]
 
     def _window_counts(self, m: int, width: int, rng: np.random.Generator) -> np.ndarray:
         return np.asarray([float(np.sum(self.forward(width, rng))) for _ in range(m)])

@@ -207,7 +207,7 @@ def test_criterion_11_coupling_stability():
     slowest = 0
     for r in range(100):
         y = proc.forward(100_000, rng_for(111, r))
-        res = ld.forward_couple(10.0, y - SERVICE)
+        res = ld.forward_couple(10.0, [y - SERVICE])
         if res.coupling_time is not None:
             coupled += 1
             slowest = max(slowest, res.coupling_time)

@@ -121,7 +121,7 @@ def test_couple_rows_match_documented_seed_split(tmp_path):
     # replica r draws from SeedSequence(seed, spawn_key=(r,)); row 2 must be
     # reproducible in isolation
     y = parse_process("iid-bernoulli:0.5").forward(5000, rng_for(21, 2))
-    res = lindley.forward_couple(2.0, np.asarray(y) - 0.75)
+    res = lindley.forward_couple(2.0, [np.asarray(y) - 0.75])
     assert rows[3][0] == "2"
     assert rows[3][1] == str(res.coupling_time)
 
@@ -175,6 +175,25 @@ def test_tandem_output_conserves_work(tmp_path):
         ],
     )
     assert summary["results"]["conservation_exact"] is True
+
+
+@pytest.mark.parametrize(
+    "process, s1, s2, exact",
+    [
+        # off the dyadic grid the rounded totals agreed, yet the exact sums do not
+        ("iid-table:0,0.3,1.7@0.5,0.3,0.2", "0.8", "0.7", False),
+        ("odometer", "0.75", "0.5", True),
+    ],
+)
+def test_tandem_conservation_is_decided_on_the_exact_sums(tmp_path, process, s1, s2, exact):
+    args = ["tandem", "--process", process, "--s1", s1, "--s2", s2, "--horizon", "1000"]
+    rows, summary = run(tmp_path, "t", [*args, "--seed", "0"])
+    assert summary["results"]["conservation_exact"] is exact
+    # the CSV's 17 digits read back exactly: the oracle sums them as Fractions
+    header = rows[0]
+    column = [[Fraction(float(cell)) for cell in col] for col in zip(*rows[1:])]
+    inflow, outflow = (sum(column[header.index(name)]) for name in ("arrival", "output1"))
+    assert (inflow - outflow == column[header.index("queue1")][-1]) is exact
 
 
 @pytest.mark.parametrize("precision", [2, 16, 64, 130])
@@ -1123,8 +1142,8 @@ _OBJECT_POOLS = st.lists(
     min_size=1,
     max_size=12,
 )
-# bools and narrow floats take the rule of float64 columns: each distinct bit
-# pattern is formatted once by _fmt
+# bools take the rule of float64 columns, each distinct bit pattern formatted
+# once by _fmt; narrow floats, which no runner writes, are formatted per cell
 _OTHER_POOLS = st.sampled_from(
     [
         np.array([True, False]),
@@ -1175,7 +1194,7 @@ def test_float_keys_at_the_ends_of_the_bit_order(tmp_path):
     cli._write_outputs(tmp_path / "x", ["z", "n"], [[zeros[:4], nans]], {})
     assert (tmp_path / "x.csv").read_text(encoding="utf-8") == "z,n\n0,nan\n-0,nan\n-0,nan\n0,nan\n"
     assert cli._distinct_texts(zeros).tolist() == [b"0", b"-0", b"-0", b"0", b"-0"]
-    for dtype in (np.float64, np.float32, np.float16, np.bool_):
+    for dtype in (np.float64, np.bool_):
         assert cli._distinct_texts(np.array([], dtype)).size == 0
 
 

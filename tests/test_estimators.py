@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ergoqueue import estimators as es
@@ -103,6 +103,24 @@ def test_lambda_nondecreasing_in_tilt():
     est = es.estimate_lambda_grid(OdometerProcess(), grid, 24, 500, rng_for(8))
     for a, b in zip(est.lambda_hat, est.lambda_hat[1:]):
         assert b >= a - 1e-12
+
+
+# block sums at the top of the float range, subnormals and both signs, where a
+# sum of the values rounds or overflows
+_RATE_POOL = st.sampled_from(
+    [1e308, 1.7e308, -1.7e308, 5e-324, -5e-324, 2.0**-1070, 0.1, -0.3, 0.0, -0.0, 7.0]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(_RATE_POOL, min_size=1, max_size=40), st.sampled_from([1, 3, 10]))
+@example([1e308, 1.7e308], 1)
+def test_sample_mean_is_the_exact_mean_rounded_once(sums, n):
+    mean_rate, min_rate, max_rate = es._sample_rates(np.array(sums), n)
+    exact = sum(map(Fraction, sums)) / len(sums)
+    assert mean_rate == float(exact) / n
+    assert min_rate <= mean_rate <= max_rate
+    if sums == [1e308, 1.7e308]:  # the pairwise sum overflows; the mean does not
+        assert mean_rate == 1.35e308
 
 
 def test_lambda_input_validation():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergoqueue import lindley as ld
@@ -190,6 +190,17 @@ def test_sup_prefix_monotone(values):
     assert maxima.tolist() == sups
 
 
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.25, -0.25]), max_size=20))
+@example([-0.0, -0.0, 0.25])
+def test_prefix_maxima_keep_the_sign_of_zero_of_the_clamped_form(values):
+    # V_0 = +0.0 is the floor of the running maximum, so clamping each sum at
+    # 0.0 first changes no bit: a window opening with -0.0 still reads +0.0
+    res = ld.loynes_sup(values)
+    clamped = np.maximum.accumulate(np.maximum(res.sums, 0.0))
+    assert bits(res.prefix_maxima) == bits(clamped)
+    assert bits([-0.0])[0] not in bits(res.prefix_maxima)  # written "0", never "-0"
+
+
 def test_window_partial_sum_increments():
     window = [0.5, -1.25, 2.0]
     v = ld.loynes_sup(window).sums
@@ -275,9 +286,9 @@ def test_recursion_trace_invariant(x0, values):
 @pytest.mark.parametrize(
     "call, message",
     [
-        pytest.param(lambda: ld.forward_couple(-1.0, [0.0]),
+        pytest.param(lambda: ld.forward_couple(-1.0, [[0.0]]),
                      "x0 must be finite and nonnegative", id="couple-negative-x0"),
-        pytest.param(lambda: ld.forward_couple(math.nan, [0.0]),
+        pytest.param(lambda: ld.forward_couple(math.nan, [[0.0]]),
                      "x0 must be finite and nonnegative", id="couple-nan-x0"),
         pytest.param(lambda: list(ld.waiting_blocks([[1.0, 2.0]], [[1.0]])),
                      "services and interarrivals must have equal length", id="waiting-lengths"),
@@ -318,17 +329,17 @@ def test_shift_consistency(values, fresh):
 
 
 def test_couple_frozen_examples():
-    assert ld.forward_couple(0.0, [1.0, -1.0]).coupling_time == 0
-    assert ld.forward_couple(1.0, [-1.0]).coupling_time == 1
-    res = ld.forward_couple(10.0, [1.0] * 100)
+    assert ld.forward_couple(0.0, [[1.0, -1.0]]).coupling_time == 0
+    assert ld.forward_couple(1.0, [[-1.0]]).coupling_time == 1
+    res = ld.forward_couple(10.0, [[1.0] * 100])
     assert (res.coupling_time, res.steps_run) == (None, 100)
     assert res.final_upper - res.final_lower == 10.0
-    res = ld.forward_couple(2.0, [-1.0])
+    res = ld.forward_couple(2.0, [[-1.0]])
     assert (res.coupling_time, res.steps_run) == (None, 1)
 
 
 def test_couple_reports_finals():
-    res = ld.forward_couple(2.0, [-1.0, -1.0, 5.0])
+    res = ld.forward_couple(2.0, [[-1.0, -1.0, 5.0]])
     assert (res.coupling_time, res.steps_run) == (2, 3)
     assert res.final_upper == res.final_lower == 5.0
 
@@ -338,14 +349,14 @@ def test_couple_stops_at_absorption_check_or_input_end(extra):
     # the chains meet at step 2; the run then checks ABSORPTION_CHECK more
     # steps, or as many as the input holds
     z = [-1.0, -1.0] + [0.25] * (ld.ABSORPTION_CHECK + extra)
-    res = ld.forward_couple(2.0, z)
+    res = ld.forward_couple(2.0, [z])
     assert res.coupling_time == 2
     assert res.steps_run == min(len(z), 2 + ld.ABSORPTION_CHECK) <= len(z)
 
 
 def test_couple_meets_by_rounding():
     # the upper chain never empties: 1 + 2^53 rounds to 2^53 = the lower chain
-    res = ld.forward_couple(1.0, [2.0**53] + [-0.25] * 100)
+    res = ld.forward_couple(1.0, [[2.0**53] + [-0.25] * 100])
     assert (res.coupling_time, res.steps_run) == (1, 65)
 
 
@@ -366,11 +377,11 @@ def test_couple_absorption_and_ordering(case, length):
     if met.size:
         tau = int(met[0])
         assert (upper[tau:] == lower[tau:]).all()
-        assert ld.forward_couple(x0, values).coupling_time == tau
+        assert ld.forward_couple(x0, [values]).coupling_time == tau
     else:
-        assert ld.forward_couple(x0, values).coupling_time is None
+        assert ld.forward_couple(x0, [values]).coupling_time is None
     tau, final_upper, final_lower, steps_run = couple_oracle(x0, values)
-    got = ld.forward_couple(x0, values)
+    got = ld.forward_couple(x0, [values])
     assert (got.coupling_time, got.steps_run) == (tau, steps_run)
     assert got.steps_run <= len(values)
     assert bits([got.final_upper, got.final_lower]) == bits([final_upper, final_lower])
@@ -391,7 +402,7 @@ def splits(draw, values, cuts):
 def test_couple_ignores_block_splits(case, length, data):
     x0, values = case
     values = values[:length]
-    whole = ld.forward_couple(x0, values)
+    whole = ld.forward_couple(x0, [values])
     met = whole.coupling_time
     # cut at the meeting step and at the end of the absorption check too
     cuts = [] if met is None else [met - 1, met, met + ld.ABSORPTION_CHECK]
@@ -434,16 +445,37 @@ def test_couple_checks_every_block():
 @pytest.mark.parametrize(
     "increments, message",
     [
-        (5.0, "increments must be one-dimensional"),
-        ([math.nan], "increments contains non-finite entries"),
-        ([[1.0]], "increments must be one-dimensional"),
+        pytest.param([5.0], "increments must be one-dimensional", id="scalar-block"),
+        pytest.param([[math.nan]], "increments contains non-finite entries", id="non-finite"),
+        pytest.param([[[1.0]]], "increments must be one-dimensional", id="two-dimensional"),
     ],
 )
-def test_couple_from_zero_checks_an_array(increments, message):
-    # the chains start equal, so no step is run, yet the array is checked
+def test_couple_from_zero_reads_no_block_of_a_list(increments, message):
+    # a list of blocks is a stream like any other: the chains start equal, so
+    # no step is run and no block is read, nor checked
+    assert ld.forward_couple(0.0, increments) == ld.CoupleResult(0, 0.0, 0.0, 0)
+    # from any other start the first block is read, and checked
     with pytest.raises(ValueError) as info:
-        ld.forward_couple(0.0, increments)
+        ld.forward_couple(1.0, increments)
     assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "increments", [5.0, np.float64(5.0), np.array(5.0)], ids=["float", "numpy-scalar", "0-d"]
+)
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+def test_couple_refuses_a_non_iterable_at_any_start(x0, increments):
+    with pytest.raises(TypeError):
+        ld.forward_couple(x0, increments)
+
+
+@settings(deadline=None)
+@given(couple_cases, st.integers(0, 25_000))
+def test_couple_reads_a_list_of_blocks_as_their_join(case, cut):
+    # on the quarter grid and off it, a list of two blocks is one stream
+    x0, values = case
+    a, b = np.asarray(values[:cut], dtype=np.float64), np.asarray(values[cut:], dtype=np.float64)
+    assert ld.forward_couple(x0, [a, b]) == ld.forward_couple(x0, [np.concatenate([a, b])])
 
 
 def test_couple_from_zero_pulls_no_block():
@@ -474,7 +506,7 @@ def stepped(x0, values):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ld, "_reflect", counting)
-        res = ld.forward_couple(x0, values)
+        res = ld.forward_couple(x0, [values])
     assert sizes[::2] == sizes[1::2]  # both chains, block by block
     return res, len(sizes) // 2
 

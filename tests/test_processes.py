@@ -137,7 +137,7 @@ def test_streamed_couple_stops_drawing_at_its_last_step(proc, seed, horizon):
     rng = rng_for(seed)
     stream = (y - shift for y in proc.blocks(horizon, rng))
     res = lindley.forward_couple(8000.0, stream)
-    whole = lindley.forward_couple(8000.0, proc.forward(horizon, rng_for(seed)) - shift)
+    whole = lindley.forward_couple(8000.0, [proc.forward(horizon, rng_for(seed)) - shift])
     assert res == whole
     # the generator drew the blocks up to the one holding the last step
     # run, and no further
