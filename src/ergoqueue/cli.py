@@ -20,13 +20,14 @@ does not grow with the horizon, and the summary is read after the last
 block.  The CSV is written under a temporary name beside BASE and renamed
 once the summary has serialized, so a run that fails, mid-stream too,
 leaves neither file.  The CSV is assembled as bytes, the header as a one-row
-block and then ``WRITE_BLOCK`` rows at a time: integers by digit arithmetic,
-doubles and booleans by formatting once each distinct bit pattern of the
-block, found by one sort of its bit patterns, any other cell by ``_fmt``;
-the padding is dropped in one byte pass.  The bytes are what ``csv.writer``
-writes for those cells.  A cell it would quote (one holding a comma, quote,
-CR or LF, or an empty field alone in its row) or one holding NUL or
-non-ASCII text is a ValueError.
+block and then ``WRITE_BLOCK`` rows at a time: integers four digits per
+division, read from tables; doubles and booleans from one text table per
+column for the whole run, which formats each bit pattern once (a block that
+would take it past ``TEXT_TABLE_CAP`` patterns starts it afresh); any other
+cell by ``_fmt``.  The padding is dropped in one byte pass.  The bytes are
+what ``csv.writer`` writes for those cells.  A cell it would quote (one
+holding a comma, quote, CR or LF, or an empty field alone in its row) or one
+holding NUL or non-ASCII text is a ValueError.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = ["main"]
 
 
 WRITE_BLOCK = 8192  # CSV rows formatted per block
+TEXT_TABLE_CAP = 4096  # bit patterns a column's text table keeps between blocks
 FLOAT_FORMAT = ".17g"  # the format spec of every float cell
 
 
@@ -71,33 +73,80 @@ def _fmt(x) -> str:
 _NEEDS_QUOTING = re.compile('[,"\r\n\x00]|[^\x00-\x7f]')
 
 
-def _distinct_texts(col: np.ndarray) -> np.ndarray:
-    """``_fmt`` of every cell of a float64 or bool column, as an ``"S"`` array.
-
-    The distinct bit patterns are found by one sort of the column's bits, read
-    as signed integers, keeping the first of each run of equal keys; each is
-    formatted once, and each cell's text is found by ``searchsorted`` of its
-    key among them.  Keying on the bits keeps -0.0 ("-0") apart from 0.0
-    ("0").  A pattern reaches ``_fmt`` as the Python scalar ``tolist`` gives,
-    written as the column's numpy scalar would be, only faster.
-    """
-    keys = col.view(f"i{col.dtype.itemsize}")
-    distinct = np.sort(keys)
-    first = np.empty(distinct.size, bool)
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted: one sort, keeping the first of each run of equal keys."""
+    keys = np.sort(keys)
+    first = np.empty(keys.size, bool)
     first[:1] = True  # nothing to keep in a 0-row column
-    np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
-    distinct = distinct[first]
-    values = distinct.view(col.dtype).tolist()
-    return np.array(list(map(_fmt, values)), dtype="S")[np.searchsorted(distinct, keys)]
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
-def _int_bytes(col: np.ndarray) -> np.ndarray:
-    """The decimal text of each cell of an integer column, one NUL-padded row each.
+class _TextTable:
+    """``_fmt`` of each bit pattern a float64 or bool CSV column has shown, kept across blocks.
+
+    The patterns are keyed as signed integers, so -0.0 ("-0") stays apart
+    from 0.0 ("0") and each NaN payload is its own key.  ``keys`` is sorted,
+    and ``texts`` holds their texts NUL-padded to whole uint64 words, the
+    longest ``width`` bytes.  A block's cells are found by ``searchsorted``
+    and checked for equality; only the distinct keys it misses are formatted,
+    as the Python scalars ``tolist`` gives.  A block that would take the
+    table past ``TEXT_TABLE_CAP`` keys starts it afresh from its own distinct
+    keys, and a table past the cap is not searched: the next block does too.
+    """
+
+    def __init__(self):
+        self.keys, self.texts, self.width = np.empty(0, np.int8), np.empty(0, "S8"), 1
+
+    def _merge(self, keep: int, new: np.ndarray, dtype: np.dtype) -> None:
+        """Keep the first ``keep`` entries (all or none) and add the distinct ``new`` keys."""
+        texts = np.array(list(map(_fmt, new.view(dtype).tolist())), dtype="S")
+        self.width = max(texts.itemsize, self.width if keep else 1)
+        keys = np.concatenate([self.keys[:keep], new])
+        texts = np.concatenate([self.texts[:keep], texts.astype(f"S{-(-texts.itemsize // 8) * 8}")])
+        self.keys, self.texts = (np.sort(keys), np.empty_like(texts)) if keep else (keys, texts)
+        if keep:  # new alone is sorted; all the keys are distinct
+            self.texts[np.searchsorted(self.keys, keys)] = texts
+
+    def cells(self, col: np.ndarray) -> np.ndarray:
+        """The NUL-padded text of each cell of ``col``, one row of bytes each."""
+        keys = col.view(f"i{col.dtype.itemsize}")
+        known = self.keys
+        keep = known.size if known.size <= TEXT_TABLE_CAP and known.dtype == keys.dtype else 0
+        if keep:
+            at = np.searchsorted(known[:-1], keys)  # a key past the last is checked against it
+            missed = known[at] != keys
+        if not keep or np.count_nonzero(missed):
+            new = _distinct(keys[missed] if keep else keys)
+            if keep and keep + new.size > TEXT_TABLE_CAP:
+                keep, new = 0, _distinct(keys)
+            self._merge(keep, new, col.dtype)
+            at = np.searchsorted(self.keys, keys)
+        words = self.texts.view(np.uint64).reshape(self.keys.size, self.texts.itemsize // 8)
+        return np.take(words, at, axis=0).view(np.uint8)[:, : self.width]
+
+
+def _digit_groups() -> np.ndarray:
+    """The four-byte text of each group 0..9999: NUL-padded (0 blank), then zero-padded."""
+    groups = np.empty((2, 10**4, 4), np.uint8)
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for k in range(4):
+        groups.reshape(2, 10, 10, 10, 10, 4)[..., k] = digit.reshape((10,) + (1,) * (3 - k))
+        groups[0, : 10 ** (3 - k), k] = 0  # the leading zeros of a NUL-padded group
+    return groups.view(np.uint32).ravel()
+
+
+_GROUPS = _digit_groups()
+
+
+def _int_bytes(col: np.ndarray) -> list:
+    """The decimal text of each cell of an integer column, as NUL-padded byte matrices.
 
     The magnitudes are taken in uint64, so -2**63 and 2**64-1 are exact, and
-    in int32 when they fit.  Digit p is (m // 10**p) % 10 by one scalar divisor
-    per digit; above the units digit a zero quotient marks a leading zero,
-    which is blanked to NUL, and a minus sign goes just before the first digit.
+    in int32 when they fit.  Each four-digit group, units first, is cut off by
+    one scalar divisor and read from ``_GROUPS``: zero-padded while higher
+    digits remain, else NUL-padded, so a zero group above the first digit is
+    blank.  The first matrix holds a minus sign, or the "0" of a zero cell.
     """
     negative = col < col.dtype.type(0)
     mag = col.astype(np.uint64)
@@ -106,25 +155,26 @@ def _int_bytes(col: np.ndarray) -> np.ndarray:
     if top < 2**31:
         mag = mag.astype(np.int32)
     scalar, width = mag.dtype.type, len(str(top))
-    cells = np.zeros((col.size, width + 1), np.uint8)
-    for p in range(width):
-        quotient = mag // scalar(10**p)
-        digit = (quotient % scalar(10)).astype(np.uint8) + np.uint8(ord("0"))
-        if p:
-            digit *= quotient != scalar(0)
-        cells[:, width - p] = digit
-    rows = np.flatnonzero(negative)
-    cells[rows, (cells[rows] != 0).argmax(axis=1) - 1] = ord("-")
-    return cells
+    sign = negative.view(np.uint8) * np.uint8(ord("-"))
+    sign[mag == scalar(0)] = ord("0")
+    groups = []
+    for _ in range(0, width, 4):
+        high = mag // scalar(10**4)
+        mag -= high * scalar(10**4)  # the group, indexing the NUL-padded table
+        np.add(mag, scalar(10**4), out=mag, where=high != scalar(0))  # or the zero-padded one
+        groups.append(_GROUPS[mag].view(np.uint8).reshape(col.size, 4))
+        mag = high
+    groups[-1] = groups[-1][:, 3 - (width - 1) % 4 :]  # only the top's digits in its group
+    return [sign.reshape(col.size, 1), *reversed(groups)]
 
 
-def _block_bytes(block: list) -> bytes:
+def _block_bytes(block: list, tables: list) -> bytes:
     """Rows of column slices as CSV bytes, as ``csv.writer`` writes them.
 
-    Each column becomes a NUL-padded matrix of its cells' text: an integer
+    Each column becomes NUL-padded matrices of its cells' text: an integer
     array by ``_int_bytes``, a float64 or bool array, the dtypes the runners
-    write, by ``_distinct_texts``, any other column (a list, a range, any
-    other array) by ``_fmt`` per cell.  The matrices are joined with one-byte ","
+    write, by its column's ``_TextTable``, any other column (a list, a range,
+    any other array) by ``_fmt`` per cell.  The matrices are joined with one-byte ","
     and "\n" columns and the padding NULs dropped in one byte pass over the
     matrix's bytes.  A cell of another column that ``csv.writer`` would
     quote, one ``_NEEDS_QUOTING`` matches or an empty field alone in its row
@@ -133,12 +183,12 @@ def _block_bytes(block: list) -> bytes:
     size = len(block[0])
     comma, newline = (np.full((size, 1), ord(c), np.uint8) for c in ",\n")
     parts = []
-    for col in block:
+    for col, table in zip(block, tables):
         dtype = col.dtype if isinstance(col, np.ndarray) else np.dtype(object)
         if dtype.kind in "iu":
-            parts.append(_int_bytes(col))
+            parts += _int_bytes(col)
         elif dtype in (np.bool_, np.float64):
-            parts.append(_distinct_texts(col).view(np.uint8).reshape(size, -1))
+            parts.append(table.cells(col))
         else:
             cells = list(map(_fmt, col))
             bad = _NEEDS_QUOTING.search("".join(cells))
@@ -168,9 +218,10 @@ def _write_outputs(base: Path, header, blocks, summary: dict) -> None:
     """
     base.parent.mkdir(parents=True, exist_ok=True)
     part = Path(f"{base}.csv.part")
+    tables = [_TextTable() for _ in header]
     try:
         with open(part, "wb") as fh:
-            fh.write(_block_bytes([[name] for name in header]))
+            fh.write(_block_bytes([[name] for name in header], tables))
             for columns in blocks:
                 rows = len(columns[0])
                 for name, col in zip(header, columns, strict=True):
@@ -179,7 +230,8 @@ def _write_outputs(base: Path, header, blocks, summary: dict) -> None:
                             f"CSV column {name!r} has {len(col)} rows, the first has {rows}"
                         )
                 for start in range(0, rows, WRITE_BLOCK):
-                    fh.write(_block_bytes([col[start : start + WRITE_BLOCK] for col in columns]))
+                    block = [col[start : start + WRITE_BLOCK] for col in columns]
+                    fh.write(_block_bytes(block, tables))
         text = json.dumps(summary, indent=2, allow_nan=False)
         # renamed onto a free name: ext4 flushes a file renamed over another
         # (auto_da_alloc), which took longer than writing the whole CSV

@@ -166,7 +166,12 @@ def lambda_from_sums(sums: Sequence[float], theta: float, n: int) -> float:
     arr = np.asarray(sums, dtype=np.float64)
     theta = float(theta)
     log_mean = _log_mean_exp(theta, arr)
-    mean_rate, min_rate, max_rate = _sample_rates(arr, n)
+    return _clamped(log_mean, theta, n, _sample_rates(arr, n))
+
+
+def _clamped(log_mean: float, theta: float, n: int, rates: tuple[float, float, float]) -> float:
+    """log_mean / n, clamped to theta times the (mean, min, max) ``rates`` of its sample."""
+    mean_rate, min_rate, max_rate = rates
     cap = theta * max_rate if theta >= 0 else theta * min_rate
     return min(max(log_mean / n, theta * mean_rate), cap)
 
@@ -216,8 +221,9 @@ def estimate_lambda_grid(
     """Cumulant curve over a tilt grid, every tilt reusing one sample set."""
     sums = block_sums(process, n, m, rng)
     ts = [float(t) for t in thetas]
-    lams = [lambda_from_sums(sums, t, n) for t in ts]
-    mean_rate, min_rate, max_rate = _sample_rates(sums, n)
+    rates = _sample_rates(sums, n)
+    lams = [_clamped(_log_mean_exp(t, sums), t, n, rates) for t in ts]
+    mean_rate, min_rate, max_rate = rates
     delta = decay_delta(ts, lams, s) if s is not None else None
     return CumulantEstimate(
         thetas=tuple(ts),
@@ -494,9 +500,9 @@ def queue_tail_run(
     input_mean = total.mean(horizon)
     sv = np.asarray(tail.survival)
     keep = sv > 0.0
-    fitted = None
-    if np.unique(qs[keep]).size >= 2:
-        slope = np.polyfit(qs[keep], np.log(sv[keep]), 1)[0]
+    points, fitted = qs[keep], None
+    if points.size >= 2 and points[0] != points[-1]:  # two distinct thresholds: qs is sorted
+        slope = np.polyfit(points, np.log(sv[keep]), 1)[0]
         fitted = float(-slope)
     return QueueTailReport(
         tail=tail,

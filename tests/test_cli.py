@@ -9,10 +9,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from ergoqueue import cli, estimators, lindley
@@ -1193,9 +1194,17 @@ def test_float_keys_at_the_ends_of_the_bit_order(tmp_path):
     nans = np.append(_NAN_BITS, np.uint64(0x7FF8000000000000)).view(np.float64)
     cli._write_outputs(tmp_path / "x", ["z", "n"], [[zeros[:4], nans]], {})
     assert (tmp_path / "x.csv").read_text(encoding="utf-8") == "z,n\n0,nan\n-0,nan\n-0,nan\n0,nan\n"
-    assert cli._distinct_texts(zeros).tolist() == [b"0", b"-0", b"-0", b"0", b"-0"]
+    table = cli._TextTable()
+    assert _texts(table.cells(zeros)) == [b"0", b"-0", b"-0", b"0", b"-0"]
+    assert _texts(table.cells(nans[::-1])) == [b"nan"] * 4  # merged into the same table
+    assert _texts(table.cells(zeros[1:3])) == [b"-0", b"-0"]
     for dtype in (np.float64, np.bool_):
-        assert cli._distinct_texts(np.array([], dtype)).size == 0
+        assert cli._TextTable().cells(np.array([], dtype)).size == 0
+
+
+def _texts(cells):
+    """The text of each row of a NUL-padded byte matrix."""
+    return [bytes(row).rstrip(b"\x00") for row in cells]
 
 
 def _needs_quoting(text: str, columns: int) -> bool:
@@ -1223,6 +1232,60 @@ def _check_writer(tmp_path_factory, length, pools, seed):
     cli._write_outputs(base, header, [columns], {})
     got = base.with_suffix(".csv").read_bytes()
     assert got == _per_row_csv(header, columns).encode("utf-8")
+
+
+# integers at the edges of the writer's four-digit groups, and the dtype limits
+_GROUP_EDGES = [0, 1, 9, 9999, 10**4, 10**4 + 1, 10**8 - 1, 10**8, 10**12 - 1, 10**12, 10**16]
+_SIGNED_EDGES = np.array(_GROUP_EDGES + [-v for v in _GROUP_EDGES] + [-(2**63), 2**63 - 1])
+_UNSIGNED_EDGES = np.array(_GROUP_EDGES + [2**63, 10**19, 2**64 - 1], np.uint64)
+
+
+@st.composite
+def _block_streams(draw):
+    """Blocks of a float64, a bool, an int64 and a uint64 column: each block's
+    floats mix a shared pool (both zeros, every NaN pattern, other edges)
+    with values new to that block, up to past the text table's cap."""
+    shared = np.concatenate([_SPECIAL_FLOATS, _NAN_BITS.view(np.float64)])
+    blocks = []
+    for b in range(draw(st.integers(1, 4))):
+        rows = draw(st.sampled_from([0, 1, 7, 300, 4500]))
+        new = draw(st.sampled_from([0, 3, cli.TEXT_TABLE_CAP + 1]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        late = b * 1e6 + np.arange(new) * 0.25 if draw(st.booleans()) else (
+            rng.integers(0, 2**64, new, dtype=np.uint64).view(np.float64)
+        )
+        pool = np.concatenate([shared, late])
+        # the late values first, each once, so a block that passes the cap does
+        floats = np.concatenate([late, pool[rng.integers(pool.size, size=rows)]])[:rows]
+        blocks.append([
+            floats,
+            rng.integers(2, size=rows).astype(bool),
+            _SIGNED_EDGES[rng.integers(_SIGNED_EDGES.size, size=rows)],
+            _UNSIGNED_EDGES[rng.integers(_UNSIGNED_EDGES.size, size=rows)],
+        ])
+    return blocks
+
+
+@settings(max_examples=25, deadline=None, phases=_NO_SHRINK)
+@given(blocks=_block_streams(), cap=st.sampled_from([cli.TEXT_TABLE_CAP, 2, 5]))
+@example(  # -0.0 and 0.0, then the NaN patterns, then both again, each in its own block
+    blocks=[
+        [v, v > 0, np.arange(v.size), np.arange(v.size, dtype=np.uint64)]
+        for v in map(np.array, ([-0.0, 0.0], _NAN_BITS.view(np.float64),
+                                [0.0, *_NAN_BITS.view(np.float64), -0.0]))
+    ],
+    cap=2,
+)
+def test_streamed_blocks_match_per_row_oracle(tmp_path_factory, blocks, cap):
+    # each column keeps one text table across the stream: values recur from
+    # block to block, new ones come late, and a block that would take the
+    # table past its cap (the real one, or a small one here) starts it afresh
+    header = ["f", "b", "i", "u"]
+    base = tmp_path_factory.mktemp("stream") / "out"
+    with mock.patch.object(cli, "TEXT_TABLE_CAP", cap):
+        cli._write_outputs(base, header, blocks, {})
+    whole = [np.concatenate(col) for col in zip(*blocks)]
+    assert base.with_suffix(".csv").read_bytes() == _per_row_csv(header, whole).encode("utf-8")
 
 
 def test_bool_cells_do_not_depend_on_their_container(tmp_path):
@@ -1283,6 +1346,25 @@ def test_refused_cell_is_the_json_error(tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == "ValueError: a CSV cell holds ','; the writer does not quote"
     assert not (tmp_path / "x.json").exists()
+
+
+def test_no_subcommand_imports_numpy_ma(tmp_path):
+    # numpy.ma costs milliseconds and memory to import, and no run needs
+    # it; np.unique imports it on its first call
+    script = (
+        "import json, sys\n"
+        "from ergoqueue import cli\n"
+        "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    assert cli.main([*argv, '--out', f'{sys.argv[2]}/{k}']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    runs = [_flags(name) for name in MINIMAL] + [["odometer", "--mode", "measure", "--i-max", "4"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):

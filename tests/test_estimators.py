@@ -123,6 +123,19 @@ def test_sample_mean_is_the_exact_mean_rounded_once(sums, n):
         assert mean_rate == 1.35e308
 
 
+def test_lambda_grid_takes_the_sample_rates_once(monkeypatch):
+    # one exact pass over the block sums serves every tilt and the record
+    calls = []
+    rates = es._sample_rates
+    monkeypatch.setattr(es, "_sample_rates", lambda sums, n: calls.append(n) or rates(sums, n))
+    thetas = np.arange(0.0, 3.25, 0.25)  # 13 tilts
+    est = es.estimate_lambda_grid(IIDBernoulli(0.5), thetas, 10, 50, rng_for(3), s=0.75)
+    assert calls == [10]
+    sums = es.block_sums(IIDBernoulli(0.5), 10, 50, rng_for(3))
+    assert est.lambda_hat == tuple(es.lambda_from_sums(sums, t, 10) for t in thetas)
+    assert (est.mean_rate, est.min_rate, est.max_rate) == rates(sums, 10)
+
+
 def test_lambda_input_validation():
     with pytest.raises(ValueError):
         es.block_sums(IIDBernoulli(0.5), 0, 10, rng_for(0))
