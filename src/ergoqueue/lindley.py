@@ -94,9 +94,9 @@ FIRST_COUPLE_BLOCK = 256
 # after the meeting, forward_couple steps this many more increments and
 # checks that the chains stay equal
 ABSORPTION_CHECK = 64
-# forward_couple advances a block without stepping it when its increments
-# and both chain states are whole multiples of 2**-GRID_BITS and its sums
-# stay below 2**(53 - GRID_BITS), where no addition rounds (_exact)
+# forward_couple closes a block without stepping it when its increments
+# and both chain states are whole multiples of 2**-GRID_BITS and its states
+# and sums stay below 2**(53 - GRID_BITS), where no addition rounds (_exact)
 GRID_BITS = 20
 
 
@@ -154,49 +154,54 @@ def _reflect(
 
 
 def _exact(upper: float, lower: float, z: np.ndarray, sums: np.ndarray, low: float) -> bool:
-    """Whether both chains step ``z`` with no addition rounding, so it may be skipped.
+    """Whether both chains step ``z`` with no addition rounding, so it may be closed.
 
     ``sums`` are the prefix sums S of ``z`` as ``np.cumsum`` computes them,
     and ``low`` their least.  True when ``upper``, ``lower`` and ``z`` are
-    whole multiples of 2**-J (J = ``GRID_BITS``) and |upper| + |lower| +
-    max|S| < 2**(53 - J).  The states are tested first, as they cost least,
-    and the bound before ``z``, so scaling ``z`` by 2**J cannot overflow:
-    under the bound every |z_k| < 2**(54 - J), or S_k would round to beyond
-    it.  The bound's own additions decide it exactly: on the grid,
-    upper + lower is exact below the bound and rounds to at least it above,
-    and so does the whole sum.
+    whole multiples of 2**-J (J = ``GRID_BITS``) and upper + a + b <
+    2**(53 - J), with a = max(0, max S) and b = -min(0, min S).  The states
+    are tested first, as they cost least, and the bound before ``z``, so
+    scaling ``z`` by 2**J cannot overflow: under the bound every
+    |z_k| < 2**(54 - J), or S_k would round to beyond it.  The bound's own
+    additions decide it exactly: its terms are not negative and, on the
+    grid, multiples, so each partial sum is exact below the bound and rounds
+    to at least it above.
 
-    Proof that a block of such increments, whose sums stay above -upper
-    (S_k > -upper, forward_couple's no-meeting test) with
-    0 <= lower < upper, lower not -0.0, is stepped exactly:
+    Proof that each chain, from x = upper or x = lower, with
+    0 <= lower <= upper and neither -0.0 (forward_couple's states, as the
+    step makes -0.0 only from -0.0), steps such a block exactly, whether the
+    chains meet in it, met before it (upper == lower) or do not meet:
 
     * A multiple of 2**-J below 2**(53 - J) in size is k 2**-J with
       |k| < 2**53, a double.  Rounding is monotone and 2**(53 - J) is a
       double, so a sum that rounds to below the bound was below it: by
-      induction every S_k is the exact sum, a multiple below the bound.
-    * The upper chain's exact states upper + S_k are multiples, positive,
-      and below |upper| + max|S|: each step's addition is exact and never
-      reflects, so the chain ends at upper + S[-1], added exactly.
-    * The lower chain's exact states lie in [0, upper + S_k], so a step's
-      sum that is not negative is exact, and a negative one, a multiple of
-      2**-J, rounds to a negative double and reflects to 0.0 as in exact
-      arithmetic.  The chain ends at S[-1] - min(-lower, min S), the
-      reflection identity, exactly: both terms are exact and so is their
-      difference, a state.  The difference is +0.0 when the state is 0, as
-      the step gives (x + z is -0.0 only when both are): it could be -0.0
-      only as -0.0 - 0.0, but S[-1] is -0.0 only when every increment is,
-      and then min S and -lower are -0.0 or below.
-    * The lower state max(lower + S_k, S_k - min_(j<=k) S_j) is below
-      upper + S_k, since lower < upper and every S_j > -upper: the chains
-      stay strictly ordered and do not meet.
+      induction every S_k is the exact sum, a multiple in [-b, a].
+    * With m_k = min_(j<=k) S_j, the exact chain is at
+      X_k = S_k - min(-x, m_k) = max(x + S_k, S_k - m_k) after step k (the
+      reflection identity), in [0, x + a + b], and the step's sum
+      X_(k-1) + z_k = S_k - min(-x, m_(k-1)) (x + S_1 for the first step)
+      lies in [-b, x + a + b].  As x <= upper, both are multiples below the
+      bound, so by induction each step's addition is exact, a sum that is
+      not negative is the state, and a negative one reflects to 0.0 as in
+      exact arithmetic.
+    * The chain ends at S[-1] - min(-x, min S), exactly: both terms are
+      exact and so is their difference, a state.  The difference is +0.0
+      when the state is 0, as the step gives: of the differences of equal
+      values only -0.0 - 0.0 is -0.0, and min(-x, min S) is never +0.0,
+      since x is not -0.0 (min(-0.0, 0.0) is -0.0).
+    * The exact states differ by min(-lower, m_k) - min(-upper, m_k).  When
+      lower < upper that is positive while m_k > -upper and 0 from the first
+      k with S_k <= -upper, forward_couple's predicted meeting: the chains
+      stay strictly ordered before it and are equal from it on.  When
+      upper == lower they are one chain.
 
-    So the block's end states are those of the step recursion bit for bit,
-    as the kernel would give them.
+    So the block's end states, and its meeting step if it holds one, are
+    those of the step recursion bit for bit, as the kernel would give them.
     """
     scale = 2.0**GRID_BITS
     if not ((upper * scale).is_integer() and (lower * scale).is_integer()):
         return False
-    if not upper + lower + max(float(sums.max()), -low) < 2.0 ** (53 - GRID_BITS):
+    if not upper + max(float(sums.max()), 0.0) - min(low, 0.0) < 2.0 ** (53 - GRID_BITS):
         return False
     scaled = z * scale
     return bool((np.rint(scaled) == scaled).all())
@@ -364,8 +369,9 @@ def forward_couple(x0: float, increments: Iterable[np.ndarray]) -> CoupleResult:
     do not meet within the increments.  After meeting, continues for
     ``ABSORPTION_CHECK`` steps verifying the chains stay equal (they must:
     same map, same input), then stops early.  The run never reads past its
-    input.  Ordering X(x0) >= X(0) is asserted in every block stepped, and
-    proven in the blocks advanced without stepping (below).
+    input.  Ordering X(x0) >= X(0) is asserted in every block the kernel
+    steps before the meeting, and proven in the blocks closed without
+    stepping (below).
 
     ``increments`` is a stream, an iterable of 1-D blocks read in order as
     one sequence, as ``queue_blocks`` reads its arrivals.  Each block is
@@ -373,15 +379,16 @@ def forward_couple(x0: float, increments: Iterable[np.ndarray]) -> CoupleResult:
     stream is drawn no further than the block holding the last step run,
     and not at all when x0 is 0.
 
-    The chains are stepped by the reflection kernel a block at a time, the
-    first block ``FIRST_COUPLE_BLOCK`` steps long and the others ``BLOCK``,
-    each cut where its prefix sums S first fall to -upper, the predicted
-    meeting.  A block before the meeting whose sums stay above -upper is
-    not stepped when ``_exact`` holds (increments and states on the grid of
-    2**-GRID_BITS, sums and states below 2**(53 - GRID_BITS)): no addition
-    of the step rounds there, so the upper chain never empties, the chains
-    stay strictly ordered, and they end the block at upper + S[-1] and
-    S[-1] - min(-lower, min S), the states the step gives bit for bit.
+    The run goes a block at a time, the first block ``FIRST_COUPLE_BLOCK``
+    steps long and the others ``BLOCK``, over the block's prefix sums S.
+    The block where S first falls to -upper, the predicted meeting, is cut
+    ``ABSORPTION_CHECK`` steps after it.  A block on which ``_exact`` holds
+    (increments and states on the grid of 2**-GRID_BITS, states and sums
+    below 2**(53 - GRID_BITS)) is not stepped: no addition of the step
+    rounds there, so each chain ends it at S[-1] - min(-x, min S) from its
+    state x, the chains meet exactly where predicted, and both are the
+    states the step gives bit for bit.  Only the other blocks, off the
+    grid, run the reflection kernel, which finds the meeting itself.
     """
     x0 = _start(x0)
     # iter here, not in _pieces: a non-iterable is a TypeError even when no block is read
@@ -399,38 +406,42 @@ def forward_couple(x0: float, increments: Iterable[np.ndarray]) -> CoupleResult:
             size = BLOCK
             with np.errstate(over="ignore"):  # _reflect raises if a state overflows
                 sums = np.cumsum(zb)
-            if tau is None:
+            least = float(sums.min())
+            meet = None
+            if tau is None and least <= -upper:
                 # in exact arithmetic the chains meet where the prefix sum
                 # first falls to -upper; ending the block there (plus the
                 # absorption check) keeps the kernel from stepping off-grid
                 # input far past it
+                meet = int(np.argmax(sums <= -upper))
+                cut = meet + 1 + ABSORPTION_CHECK
+                zb, sums = zb[:cut], sums[:cut]
                 least = float(sums.min())
-                if least <= -upper:
-                    stop = int(np.argmax(sums <= -upper)) + 1 + ABSORPTION_CHECK
-                    zb, sums = zb[:stop], sums[:stop]
-                elif _exact(upper, lower, zb, sums, least):
-                    # no meeting, no rounding: the end states in closed form
-                    last = float(sums[-1])
-                    upper, lower = upper + last, last - min(-lower, least)
-                    n += zb.size
-                    z = z[zb.size :]
-                    continue
-            low = np.minimum.accumulate(sums)  # the same for both chains
-            up = _reflect(upper, zb, np.empty(zb.size), sums, low)
-            lo = _reflect(lower, zb, np.empty(zb.size), sums, low)
-            met, used = 0, zb.size  # met: the block's first step after the meeting
-            if tau is None:
-                hits = np.flatnonzero(up == lo)
-                met = int(hits[0]) + 1 if hits.size else used
-                if (up[:met] < lo[:met]).any():
-                    raise AssertionError("ordering violated (non-finite input?)")
-                if hits.size:
-                    tau = n + met
+            used = zb.size
+            if _exact(upper, lower, zb, sums, least):
+                # no rounding: the end states in closed form, the meeting where predicted
+                last = float(sums[-1])
+                upper, lower = last - min(-upper, least), last - min(-lower, least)
+                if meet is not None:
+                    tau = n + meet + 1
                     end = tau + ABSORPTION_CHECK
-                    used = min(used, met + ABSORPTION_CHECK)
-            if (up[met:used] != lo[met:used]).any():
-                raise AssertionError("absorption violated after coupling")
-            upper, lower = float(up[used - 1]), float(lo[used - 1])
+            else:
+                low = np.minimum.accumulate(sums)  # the same for both chains
+                up = _reflect(upper, zb, np.empty(used), sums, low)
+                lo = _reflect(lower, zb, np.empty(used), sums, low)
+                met = 0  # the block's first step after the meeting
+                if tau is None:
+                    hits = np.flatnonzero(up == lo)
+                    met = int(hits[0]) + 1 if hits.size else used
+                    if (up[:met] < lo[:met]).any():
+                        raise AssertionError("ordering violated (non-finite input?)")
+                    if hits.size:
+                        tau = n + met
+                        end = tau + ABSORPTION_CHECK
+                        used = min(used, met + ABSORPTION_CHECK)
+                if (up[met:used] != lo[met:used]).any():
+                    raise AssertionError("absorption violated after coupling")
+                upper, lower = float(up[used - 1]), float(lo[used - 1])
             n += used
             z = z[used:]
         if n == end:

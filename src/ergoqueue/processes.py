@@ -192,17 +192,24 @@ class BinaryMarkov(_ProcessBase):
         state = rng.random() < self.stationary_p1
         # step k sends 1 -> 0 when its uniform is < p10 and 0 -> 1 when it is
         # < p01, so it is the constant 0, the constant 1, the identity or a
-        # negation.  With P_k the parity of the negations up to step k, the
-        # state xor P_k changes only at a constant step, where it becomes the
-        # step's value (to1) xor P_k: it is a forward fill
+        # negation (to0 & to1).  The block is the xor scan of the state's
+        # changes: a negation changes it, an identity does not, and a
+        # constant sets it to its value, to1.  With P the xor scan of the
+        # negations, u = state xor P holds still between constants and is
+        # to1 xor P at each, so a constant changes the state by u xor the u
+        # of the constant before (the carried state, for the first); the
+        # carried state itself enters as a change at step 0
         for k in range(0, n, SCAN_BLOCK):
             w = rng.random(min(SCAN_BLOCK, n - k))
             to0 = w < self.p10
             to1 = w < self.p01
-            parity = np.logical_xor.accumulate(to0 & to1)
-            last = np.where(to0 != to1, np.arange(1, w.size + 1), 0)
-            np.maximum.accumulate(last, out=last)
-            block = np.concatenate(([state], to1 ^ parity))[last] ^ parity
+            flip = to0 & to1
+            at = np.flatnonzero(to0 ^ to1)
+            u = (to1 ^ np.logical_xor.accumulate(flip))[at]
+            flip[at[1:]] = u[1:] ^ u[:-1]
+            flip[at[:1]] = u[:1] ^ state
+            flip[0] ^= state
+            block = np.logical_xor.accumulate(flip)
             state = block[-1]
             yield block.astype(np.float64)
 

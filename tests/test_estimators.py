@@ -119,7 +119,7 @@ def test_sample_mean_is_the_exact_mean_rounded_once(sums, n):
     exact = sum(map(Fraction, sums)) / len(sums)
     assert mean_rate == float(exact) / n
     assert min_rate <= mean_rate <= max_rate
-    if sums == [1e308, 1.7e308]:  # the pairwise sum overflows; the mean does not
+    if (sums, n) == ([1e308, 1.7e308], 1):  # the pairwise sum overflows; the mean does not
         assert mean_rate == 1.35e308
 
 

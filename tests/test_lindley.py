@@ -495,8 +495,9 @@ UNIT = 2.0**-ld.GRID_BITS  # the grid on which forward_couple may skip a block
 BOUND = 2.0 ** (53 - ld.GRID_BITS)  # the size its sums and states must stay below
 
 
-def stepped(x0, values):
-    """forward_couple's result, and how many blocks it stepped through the kernel."""
+def stepped(x0, values, blocks=None):
+    """forward_couple's result on ``values`` (read as ``blocks`` when given), and
+    how many blocks it stepped through the kernel."""
     sizes = []
     kernel = ld._reflect
 
@@ -506,7 +507,7 @@ def stepped(x0, values):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ld, "_reflect", counting)
-        res = ld.forward_couple(x0, [values])
+        res = ld.forward_couple(x0, [values] if blocks is None else blocks)
     assert sizes[::2] == sizes[1::2]  # both chains, block by block
     return res, len(sizes) // 2
 
@@ -544,22 +545,57 @@ def test_couple_advances_blocks_before_a_far_meeting(case):
     res, blocks = stepped(x0, values)
     assert_oracle(res, x0, values)
     assert res.coupling_time > THIRD
-    # the meeting block, and the next one when the absorption check spills
-    assert 1 <= blocks <= 2
+    # the meeting block, and the next one when the absorption check spills,
+    # are closed like the others
+    assert blocks == 0
 
 
-def test_couple_steps_only_the_meeting_block():
+def test_couple_closes_the_meeting_block():
     z = quarter_walk(3, 3 * ld.BLOCK)
     res, blocks = stepped(3000.0, z)
     assert_oracle(res, 3000.0, z)
     assert ld.FIRST_COUPLE_BLOCK + ld.BLOCK < res.coupling_time < THIRD - ld.ABSORPTION_CHECK
-    assert blocks == 1
+    assert blocks == 0
+
+
+@st.composite
+def grid_meetings(draw):
+    """(x0, increments, meeting) on a quarter walk that meets in the first block,
+    on a block edge or within ABSORPTION_CHECK steps before one."""
+    n = ld.FIRST_COUPLE_BLOCK + ld.BLOCK + 2 * ld.ABSORPTION_CHECK
+    z = quarter_walk(draw(st.integers(0, 2**32 - 1)), n)
+    edges = [ld.FIRST_COUPLE_BLOCK, ld.FIRST_COUPLE_BLOCK + ld.BLOCK]
+    before = st.sampled_from(edges).flatmap(lambda e: st.integers(e - ld.ABSORPTION_CHECK, e - 1))
+    tau = draw(
+        st.integers(1, ld.FIRST_COUPLE_BLOCK)
+        | st.sampled_from([e + d for e in edges for d in (0, 1)])
+        | before
+    )
+    # step tau falls a quarter below every sum before it, so the walk first
+    # reaches -x0 there
+    sums = np.concatenate([[0.0], np.cumsum(z)])  # S_0 .. S_n
+    floor = float(sums[:tau].min()) - 0.25
+    z[tau - 1] = floor - sums[tau - 1]
+    return -floor, z, tau
+
+
+@settings(deadline=None, max_examples=40)
+@given(grid_meetings(), st.integers(-1, ld.ABSORPTION_CHECK), st.data())
+def test_couple_closes_every_block_of_a_grid_walk(case, cut, data):
+    # the stream is also cut at a drawn point near the meeting, so the
+    # absorption check may spill into the next piece
+    x0, values, tau = case
+    blocks = data.draw(splits(values, [tau + cut]))
+    res, stepped_blocks = stepped(x0, values, blocks)
+    assert_oracle(res, x0, values)
+    assert res.coupling_time == tau
+    assert stepped_blocks == 0
 
 
 @pytest.mark.parametrize(
     "fine, x0, blocks",
     [
-        (UNIT, 3000.0, 1),
+        (UNIT, 3000.0, 0),
         (UNIT / 2, 3000.0, 3),  # increments off the grid: every block is stepped
         (UNIT, 3000.0 + UNIT / 2, 3),  # a start off the grid
     ],
@@ -587,6 +623,16 @@ def test_couple_skips_only_below_the_bound(x0, blocks):
     res, stepped_blocks = stepped(x0, z)
     assert_oracle(res, x0, z)
     assert stepped_blocks == blocks
+
+
+def test_couple_steps_a_block_whose_states_pass_the_bound():
+    # the sums stay below the bound, but the chains meet at step 1 and then
+    # climb to 1.5 * BOUND, where the spacing is 2 * UNIT: each UNIT step
+    # rounds to even and is lost, which a closed form of the exact sums keeps
+    z = np.array([-0.75 * BOUND, 1.5 * BOUND, UNIT, UNIT])
+    res, blocks = stepped(1.0, z)
+    assert_oracle(res, 1.0, z)
+    assert res.final_upper == 1.5 * BOUND and blocks == 1
 
 
 def test_couple_skip_carries_a_lower_chain_that_has_not_emptied():

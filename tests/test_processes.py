@@ -68,6 +68,16 @@ probabilities = st.sampled_from([0.0, 1.0, 1e-12, 2.0**-40, 0.5]) | st.floats(0,
     | st.integers(0, 300),
     st.integers(0, 2**32 - 1),
 )
+# one value past a scan block, so the state carries across its edge: every
+# step a negation, every step the identity (each from a start of 0, seed 0,
+# and of 1, seed 5), constant steps only to 1, and a carried 1 that the
+# second block's first step, the constant 0, replaces
+@example(1.0, 1.0, SCAN_BLOCK + 1, 0)
+@example(1.0, 1.0, SCAN_BLOCK + 1, 5)
+@example(0.0, 0.0, SCAN_BLOCK + 1, 0)
+@example(0.0, 0.0, SCAN_BLOCK + 1, 5)
+@example(0.7, 0.2, SCAN_BLOCK + 1, 5)
+@example(0.3, 0.5, SCAN_BLOCK + 1, 17)
 def test_markov_matches_sequential_chain(p01, p10, n, seed):
     chain = BinaryMarkov(p01, p10)
     got = chain.forward(n, rng_for(seed))
