@@ -139,7 +139,9 @@ def _log_mean_exp(theta: float, x: np.ndarray) -> float:
         xm = float(np.max(tilted))
         if not math.isfinite(xm):
             raise ValueError("the tilted sums overflow the float range")
-        return xm + math.log(float(np.mean(np.exp(tilted - xm))))
+        tilted -= xm
+        np.exp(tilted, out=tilted)
+        return xm + math.log(float(np.mean(tilted)))
 
 
 def _check_block_length(n: int) -> None:

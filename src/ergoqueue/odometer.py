@@ -28,7 +28,6 @@ are below 2**(i-1), every one of the next 2**(i-1) counter values arrives.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -351,15 +350,15 @@ def membership_window(p: DyadicPoint, width: int, i_max: int | None = None) -> n
 # Counters per block in window_arrival_counts: bounds the temporaries at a
 # few hundred KiB whatever the number of windows.  Counter bits per pass of
 # _walk: the chunk tables of a band cap hold (L+1-hi) * 2**COUNT_BITS
-# entries for a chunk whose top bit is hi, 223 KiB at cap 31; 8 bits would
-# save three of its eleven passes for 633 KiB of tables.  A block of window
-# counts reads the chunks at and below its highest carry bit for both ends
-# and the chunks above it once.
+# entries for a chunk whose top bit is hi, 223 KiB at cap 31, cached per cap
+# with the members per period; 8 bits would save three of its eleven passes
+# for 633 KiB of tables.  A block of window counts reads the chunks at and
+# below its highest carry bit for both ends and the chunks above it once.
 COUNT_BLOCK = 8192
 COUNT_BITS = 6
 
 
-def _digit_steps(cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _digit_steps(cap: int) -> tuple[np.ndarray, np.ndarray, np.uint64]:
     """The digit DP of a prefix count one bit at a time, as uint64 gains and next states.
 
     The prefix count of a counter N is the number of members of bands 0..cap
@@ -373,24 +372,34 @@ def _digit_steps(cap: int) -> tuple[np.ndarray, np.ndarray]:
     after which every completion below is a member.  A set bit at b gains,
     from the walk before bit b, the members and the runs due below the state,
     which the zeros b..state-1 complete; in state L + 1, all 2**b settings.
+    The third entry is the members of one whole period, the walk's count
+    after bit L - 1, when no run is left pending.
     """
     top = band(cap)[0]
+    # due[b] = (member, pending[0], ..., pending[L-1]) before bit b, b = 0..L
+    due = np.zeros((top + 1, top + 1), np.uint64)
+    for b, (member, pending) in enumerate(_deadline_walk(cap)):
+        due[b, 0] = member
+        for d, n in pending.items():
+            due[b, d + 1] = n
+    assert not due[top, 1:].any(), "every run is decided within the period"
     states = np.arange(top + 2)
     gain = np.zeros((top, 2 * top + 4), np.uint64)
+    gain[:, 1:-2:2] = np.cumsum(due[:top], axis=1)
+    gain[:, -1] = np.uint64(1) << np.arange(top, dtype=np.uint64)
+    # a one at b < cap followed by zeros up to band b+1's depth is that band
+    whole = np.array([band(b + 1)[0] - 1 if b < cap else top for b in range(top)])
     step = np.empty((top, 2 * top + 4), np.intp)
     step[:, 0::2] = 2 * states
-    for b, (member, pending) in zip(range(top), _deadline_walk(cap)):
-        due = itertools.accumulate((pending.get(p, 0) for p in range(top)), initial=member)
-        gain[b, 1::2] = (*due, 1 << b)
-        # a one at b < cap followed by zeros up to band b+1's depth is that band
-        whole = band(b + 1)[0] - 1 if b < cap else top
-        step[b, 1::2] = 2 * np.where(states > whole, top + 1, b)
-    return gain, step
+    step[:, 1::2] = 2 * np.where(states > whole[:, None], top + 1, np.arange(top)[:, None])
+    return gain, step, due[top, 0]
 
 
 @functools.lru_cache(maxsize=None)
-def _chunk_tables(cap: int) -> tuple[tuple[np.uint64, np.uint64, np.ndarray, np.ndarray], ...]:
-    """``_digit_steps`` composed over chunks of up to COUNT_BITS counter bits.
+def _chunk_tables(
+    cap: int,
+) -> tuple[np.uint64, tuple[tuple[np.uint64, np.uint64, np.ndarray, np.ndarray], ...]]:
+    """Members per period, and ``_digit_steps`` composed over chunks of up to COUNT_BITS bits.
 
     The chunks run from the top period bit L-1 down, the lowest one narrower
     when COUNT_BITS does not divide L.  A chunk of bits lo..hi is entered in
@@ -400,7 +409,7 @@ def _chunk_tables(cap: int) -> tuple[tuple[np.uint64, np.uint64, np.ndarray, np.
     members counted at the chunk's set bits, and ``next`` is the key base of
     the following chunk, (state - lo) << w', as int32.
     """
-    gain1, step1 = _digit_steps(cap)
+    gain1, step1, period_members = _digit_steps(cap)
     top = gain1.shape[0]
     chunks = []
     for hi in range(top - 1, -1, -COUNT_BITS):
@@ -414,7 +423,7 @@ def _chunk_tables(cap: int) -> tuple[tuple[np.uint64, np.uint64, np.ndarray, np.
             idx = step1[b][key]
         nxt = ((idx // 2 - lo) << min(COUNT_BITS, lo)).astype(np.int32)
         chunks.append((np.uint64(lo), np.uint64(bits.size - 1), gain.ravel(), nxt.ravel()))
-    return tuple(chunks)
+    return period_members, tuple(chunks)
 
 
 def _walk(r: np.ndarray, chunks: Sequence[tuple], base, total: np.ndarray | None = None):
@@ -444,10 +453,10 @@ def window_arrival_counts(
     shape, read flat; anything else is a TypeError.
 
     An exact prefix count F(c + width) - F(c), where F(N) counts the members
-    below N.  Membership has period P = 2**band(cap)[0], so F(N)
-    is (N // P) * (members per period) plus a digit DP over the bits of
-    N mod P, read COUNT_BITS bits per table lookup (``_walk``) for
-    COUNT_BLOCK counters at a time.  Within a block, c mod P and
+    below N.  Membership has period P = 2**band(cap)[0], so F(N) is
+    (N // P) * (members per period, cached with the tables) plus a digit DP
+    over the bits of N mod P, read COUNT_BITS bits per table lookup
+    (``_walk``) for COUNT_BLOCK counters at a time.  Within a block, c mod P and
     (c + width) mod P agree above the highest bit t where any pair of them
     differs, the top of the carry that adding the width sets off: the chunks
     above t are walked once, on the starts, for the state both ends share,
@@ -469,11 +478,10 @@ def window_arrival_counts(
             f"window of width {width} from counter {int(cs.max())} leaves precision {precision}"
         )
     top = band(cap)[0]
-    period_members = np.uint64(arrival_set_measure(cap) * (1 << top))  # exact: period 2**top
     low = np.uint64((1 << top) - 1)
     # c + width may be 2**64, so add the quotients and remainders mod P apart
     w_periods, w_rest = np.uint64(width >> top), np.uint64(width & ((1 << top) - 1))
-    chunks = _chunk_tables(cap)
+    period_members, chunks = _chunk_tables(cap)
     out = np.empty(cs.size, np.int64)
     for s in range(0, cs.size, COUNT_BLOCK):
         c_rest = cs[s : s + COUNT_BLOCK] & low
@@ -505,7 +513,10 @@ def uniform_counters(
     Rejection keeps the draw exactly uniform on [0, 2**K - width]; the
     clipped sliver has probability width * 2**-K.  Each try reads the bits
     of the largest admissible counter, K unless the window spans over half
-    the orbit, so more than half the tries land.
+    the orbit, so more than half the tries land.  A try is one 32-bit
+    ``rng.integers`` call for all its counters, the low words of all first,
+    which reads the stream one call per word would; only the counters above
+    the limit are drawn again.
     """
     if precision > 64:
         raise PrecisionError("window counting supports precision <= 64")
@@ -513,17 +524,31 @@ def uniform_counters(
         raise ValueError("width out of range")
     limit = (1 << precision) - width  # largest admissible counter
     bits = limit.bit_length()
-    out = np.empty(size, np.uint64)
-    need = np.arange(size)
-    while need.size:
-        draw = np.zeros(need.size, np.uint64)
-        for shift in range(0, bits, 32):
-            block = rng.integers(0, 1 << 32, size=need.size, dtype=np.uint64)
-            draw |= block << np.uint64(shift)
-        if bits < 64:
-            draw &= np.uint64((1 << bits) - 1)
-        out[need] = draw
-        need = need[draw > np.uint64(limit)] if limit < (1 << bits) - 1 else need[:0]
+    out = _counter_bits(rng, size, bits)
+    if limit < (1 << bits) - 1:  # some tries land above the limit
+        need = np.flatnonzero(out > np.uint64(limit))
+        while need.size:
+            draw = _counter_bits(rng, need.size, bits)
+            out[need] = draw
+            need = need[draw > np.uint64(limit)]
+    return out
+
+
+def _counter_bits(rng: np.random.Generator, size: int, bits: int) -> np.ndarray:
+    """``size`` uniform uint64 values of ``bits`` bits, from one 32-bit draw call.
+
+    Word w of value j is draw w * size + j; none is drawn for 0 bits.
+    """
+    words = -(-bits // 32)
+    if not (words and size):
+        return np.zeros(size, np.uint64)
+    drawn = rng.integers(0, 1 << 32, size=words * size, dtype=np.uint32).reshape(words, size)
+    out = drawn[-1].astype(np.uint64)
+    for word in drawn[-2::-1]:  # the high word first
+        out <<= np.uint64(32)
+        out |= word
+    if bits % 32:
+        out &= np.uint64((1 << bits) - 1)
     return out
 
 

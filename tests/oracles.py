@@ -7,8 +7,11 @@ tests (``in_arrival_set``), all from one statement of the bands,
 ``odometer.band``.  This module builds the same set a second way, as an
 explicit union of dyadic intervals in canonical form over bands it states
 itself (``band_residues``), so the tests can check those routes, and the
-band rule they share, against an independent construction.  Only tests
-import it.
+band rule they share, against an independent construction.  It also
+keeps the earlier, plainer forms of two kernels that must not change their
+output: the per-bit digit DP of the window counter (``digit_steps``) and
+the counter draw that makes one ``rng.integers`` call per 32-bit word
+(``uniform_counters``).  Only tests import it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from ergoqueue import odometer as od
 
@@ -197,3 +202,51 @@ def in_arrival_band(p: od.DyadicPoint, i: int) -> bool:
     od.band_limit(p.precision, i)
     depth, lo, hi = band_residues(i)
     return lo <= od.interval_index(p, depth) < hi
+
+
+# ---------------------------------------------------------------------------
+# the window counter's kernels, one step at a time
+
+
+def digit_steps(cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """``odometer._digit_steps``'s gains and next states, filled one bit position at a time.
+
+    Row b's gains for a set bit are the running sums of the deadline walk's
+    members and runs due at bits 0, 1, ..., then all 2**b settings; its next
+    state for a set bit is b, or L + 1 once the bits above b hold band b+1.
+    """
+    top = od.band(cap)[0]
+    states = np.arange(top + 2)
+    gain = np.zeros((top, 2 * top + 4), np.uint64)
+    step = np.empty((top, 2 * top + 4), np.intp)
+    step[:, 0::2] = 2 * states
+    for b, (member, pending) in zip(range(top), od._deadline_walk(cap)):
+        due = itertools.accumulate((pending.get(p, 0) for p in range(top)), initial=member)
+        gain[b, 1::2] = (*due, 1 << b)
+        whole = od.band(b + 1)[0] - 1 if b < cap else top
+        step[b, 1::2] = 2 * np.where(states > whole, top + 1, b)
+    return gain, step
+
+
+def uniform_counters(
+    rng: np.random.Generator, size: int, precision: int = od.DEFAULT_PRECISION, width: int = 1
+) -> np.ndarray:
+    """``odometer.uniform_counters`` with one ``rng.integers`` call per 32-bit word of a try.
+
+    Each try draws the low words of every counter still needed, then the
+    next words, and scatters the try into place by index.
+    """
+    limit = (1 << precision) - width
+    bits = limit.bit_length()
+    out = np.empty(size, np.uint64)
+    need = np.arange(size)
+    while need.size:
+        draw = np.zeros(need.size, np.uint64)
+        for shift in range(0, bits, 32):
+            block = rng.integers(0, 1 << 32, size=need.size, dtype=np.uint64)
+            draw |= block << np.uint64(shift)
+        if bits < 64:
+            draw &= np.uint64((1 << bits) - 1)
+        out[need] = draw
+        need = need[draw > np.uint64(limit)] if limit < (1 << bits) - 1 else need[:0]
+    return out

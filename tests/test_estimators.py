@@ -169,6 +169,25 @@ def test_tilted_sums_outside_the_float_range():
     )
 
 
+def test_log_mean_exp_holds_one_tilted_copy():
+    # numpy reports its buffers to tracemalloc: the tilted sums are shifted
+    # and exponentiated in place, so the peak is one n-float array, not three
+    import tracemalloc
+
+    n = 40_000
+    x = np.random.default_rng(3).random(n) * 50.0
+    xm = float(np.max(2.5 * x))
+    want = xm + math.log(float(np.mean(np.exp(2.5 * x - xm))))  # the out-of-place form
+    tracemalloc.start()
+    try:
+        got = es._log_mean_exp(2.5, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 1.5 * n * 8
+
+
 def test_convexity_defect_zero_on_convex_curve():
     grid = [0.0, 0.5, 1.0, 1.5, 2.0]
     est = es.CumulantEstimate(

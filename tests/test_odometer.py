@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergoqueue import odometer as od
@@ -584,8 +584,8 @@ def test_window_counts_match_brute_force(window):
 
 
 def prefix_count_oracle(r: int, cap: int) -> int:
-    """The prefix count of one counter, walking ``_digit_steps`` one bit at a time."""
-    gain, step = (t.tolist() for t in od._digit_steps(cap))
+    """The prefix count of one counter, walking the per-bit digit DP one bit at a time."""
+    gain, step = (t.tolist() for t in oracles.digit_steps(cap))
     total, idx = 0, 2 * len(gain)
     for b in reversed(range(len(gain))):
         idx |= (r >> b) & 1
@@ -597,7 +597,7 @@ def prefix_count_oracle(r: int, cap: int) -> int:
 def prefix_counts(rs: np.ndarray, cap: int) -> np.ndarray:
     """The prefix counts of uint64 counters inside one period, walked chunk by chunk."""
     total = np.zeros(rs.size, np.uint64)
-    od._walk(rs, od._chunk_tables(cap), 0, total)
+    od._walk(rs, od._chunk_tables(cap)[1], 0, total)
     return total
 
 
@@ -618,8 +618,42 @@ def test_chunk_edges_cover_a_ragged_chunk():
     # the period bits are 2 or odd, never a multiple of the chunk width, so
     # the lowest chunk is narrower than the others at every cap
     assert all(period_bits(cap) % od.COUNT_BITS for cap in range(32))
-    assert od._chunk_tables(31)[-1][0] == 0
-    assert int(od._chunk_tables(31)[-1][1]).bit_length() == 63 % od.COUNT_BITS
+    lowest = od._chunk_tables(31)[1][-1]
+    assert lowest[0] == 0
+    assert int(lowest[1]).bit_length() == 63 % od.COUNT_BITS
+
+
+@pytest.mark.parametrize("cap", range(32))
+def test_digit_steps_match_per_bit_fill(cap):
+    # the array form, one cumsum and one broadcast, against the walk read bit by bit
+    gain, step, _ = od._digit_steps(cap)
+    want_gain, want_step = oracles.digit_steps(cap)
+    assert gain.dtype == want_gain.dtype and step.dtype == want_step.dtype
+    assert gain.shape == want_gain.shape and step.shape == want_step.shape
+    assert (gain == want_gain).all() and (step == want_step).all()
+
+
+@pytest.mark.parametrize("cap", range(32))
+def test_cached_period_count_is_the_set_measure(cap):
+    # the walk's final member count is the union measure times the period
+    members, _ = od._chunk_tables(cap)
+    assert type(members) is np.uint64
+    assert members == od.arrival_set_measure(cap) * (1 << od.band(cap)[0])
+
+
+def test_window_counts_do_not_recompute_the_period_count(monkeypatch):
+    # the members per period are cached with the tables: no window count
+    # after the first at a cap walks the Fractions of arrival_set_measure
+    calls = []
+    measure = od.arrival_set_measure
+    monkeypatch.setattr(od, "arrival_set_measure", lambda i: calls.append(i) or measure(i))
+    starts = u64([0, 5, 1000])
+    for cap in (3, 31):
+        od.window_arrival_counts(starts, 17, 64, cap)
+        first = len(calls)
+        for width in (1, 17, 1 << 20):
+            od.window_arrival_counts(starts, width, 64, cap)
+        assert len(calls) == first
 
 
 @pytest.mark.parametrize("cap", range(32))
@@ -644,7 +678,7 @@ def test_prefix_counts_match_member_tally(cap):
 
 def test_chunk_tables_stay_small():
     # the tables of the deepest band stay cached for the life of the process
-    tables = od._chunk_tables(31)
+    _, tables = od._chunk_tables(31)
     assert sum(gain.nbytes + nxt.nbytes for *_, gain, nxt in tables) <= 256 * 1024
 
 
@@ -884,6 +918,41 @@ def test_scalar_and_vector_counter_draws_read_the_same_words(precision):
             scalar = od.uniform_counter(rng, precision, 0, top - width)
             assert scalar == int(od.uniform_counters(rng2, 1, precision, width)[0])
             assert rng.bit_generator.state == rng2.bit_generator.state
+
+
+@st.composite
+def counter_draws(draw):
+    """(precision, width, size, half): a uniform_counters call, maybe after an odd 32-bit draw."""
+    precision = draw(st.integers(1, 64))
+    top = 1 << precision
+    width = draw(st.sampled_from([1, top]) | st.integers(1, top))
+    size = draw(st.sampled_from([0, 1]) | st.integers(2, 40)
+                | st.integers(od.COUNT_BLOCK + 1, od.COUNT_BLOCK + 40))
+    return precision, width, size, draw(st.booleans())
+
+
+@given(counter_draws())
+@example((32, 1, od.COUNT_BLOCK + 3, True))
+@example((33, 1, od.COUNT_BLOCK + 3, False))
+@example((33, (1 << 32) - 1, 40, True))  # half the tries land
+@example((64, 1 << 64, 5, True))
+@example((64, 1, 0, True))
+@settings(max_examples=200, deadline=None)
+def test_counter_draws_match_one_call_per_word(call):
+    # one 32-bit call per try reads the words, and leaves the generator where
+    # one call per word left it: a full 32-bit range takes one next_uint32 per
+    # value in either dtype, the buffered half of a 64-bit output included
+    precision, width, size, half = call
+    rng, rng2 = np.random.default_rng(size), np.random.default_rng(size)
+    if half:
+        for g in (rng, rng2):
+            g.integers(0, 1 << 32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    got = od.uniform_counters(rng, size, precision, width)
+    want = oracles.uniform_counters(rng2, size, precision, width)
+    assert got.dtype == want.dtype == np.uint64
+    assert got.tolist() == want.tolist()
+    assert rng.bit_generator.state == rng2.bit_generator.state
 
 
 def test_sample_run_seed_distribution():
