@@ -32,7 +32,6 @@ holding NUL or non-ASCII text is a ValueError.
 
 from __future__ import annotations
 
-import argparse
 import collections
 import json
 import math
@@ -518,7 +517,8 @@ def _run_prop2(cfg: dict):
 # option (key, kind, default[, help]).  A kind is str, float (a real number),
 # INT, COUNT, TEXT_OR_REAL, a tuple of choices, or a text parser that turns
 # the flag into a list of finite reals.  The order of the options is the
-# order of the keys in the JSON config.
+# order of the keys in the JSON config.  The table gives the flags, the help
+# and the checks of a config file alike.
 
 INT = "an integer"
 COUNT = "a nonnegative integer"  # sizes and lengths: negative is not read as empty
@@ -596,51 +596,64 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ergoqueue",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        allow_abbrev=False,
-    )
-    parser.add_argument("--config", help="replay a saved JSON configuration")
-    parser.add_argument("--out", help="output base path (writes BASE.csv and BASE.json)")
-    sub = parser.add_subparsers(dest="subcommand")
-    for name, (_, help_text, description, options) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text, description=description, allow_abbrev=False)
-        for key, kind, default, *option_help in options:
-            # integers stay text here: _resolve_config converts them, so a bad
-            # one is the JSON error rather than a usage error
-            required = default is REQUIRED
-            p.add_argument(
-                "--" + key.replace("_", "-"),
-                type=kind if callable(kind) else None,
-                choices=kind if isinstance(kind, tuple) else None,
-                required=required,
-                default=None if required else default,
-                help=option_help[0] if option_help else None,
-            )
-        # SUPPRESS so an absent sub-level flag cannot shadow the top-level one
-        p.add_argument("--out", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    return parser
+_OUT = ("out", str, None, "output base path (writes BASE.csv and BASE.json)")
+_TOP = [("config", str, None, "replay a saved JSON configuration, with no other option"), _OUT]
+_PARSED = (float, _theta_grid, _thresholds)  # the kinds whose flag text is parsed
 
 
-def _joined_values(argv: list[str]) -> list[str]:
-    """argv with each declared option and the token after it joined as ``--key=value``.
+def build_parser() -> dict:
+    """Each subcommand's flags, ``--out`` last, and under None the flags before a subcommand."""
+    table = {None: _TOP, **{name: [*sub[3], _OUT] for name, sub in _SUBCOMMANDS.items()}}
+    return {name: {"--" + opt[0].replace("_", "-"): opt for opt in options}
+            for name, options in table.items()}
 
-    Every option takes exactly one value, so the token after it is its value
-    even when it starts with "-", as in ``--slack -1e-3`` or ``--theta-grid
-    -1:1:0.5``, which argparse would otherwise read as an unknown flag.  The
-    parsers take no abbreviation, so an option has only the names joined here.
+
+def _read_argv(argv: list[str]) -> dict:
+    """The values of ``[--config F] [--out B] SUB (--key value | --key=value)...``, by key.
+
+    The token after a flag is its value, even when it starts with "-".  Only
+    a kind in ``_PARSED`` parses its text, an error naming the flag.  A help
+    flag ends the reading.  A token the table lacks (an abbreviation too), a
+    flag given twice and one with no value are each a ValueError.
     """
-    options = {"--config", "--out"} | {
-        "--" + key.replace("_", "-") for *_, opts in _SUBCOMMANDS.values() for key, *_ in opts
-    }
-    joined, tokens = [], iter(argv)
+    table, given, tokens = build_parser(), {}, iter(argv)
     for token in tokens:
-        value = next(tokens, None) if token in options else None
-        joined.append(token if value is None else f"{token}={value}")
-    return joined
+        name = given.get("subcommand")
+        flag, joined, value = token.partition("=")
+        if token in ("-h", "--help"):
+            return {"help": name}
+        if name is None and token in table:
+            given["subcommand"] = token
+            continue
+        if flag not in table[name]:
+            what = "option" if name or flag.startswith("-") else "subcommand"
+            raise ValueError(f"{name or 'ergoqueue'} has no {what} {flag!r}")
+        key, kind, *_ = table[name][flag]
+        if key in given:
+            raise ValueError(f"{flag} is given twice")
+        value = value if joined else next(tokens, None)
+        if value is None:
+            raise ValueError(f"{flag} needs a value")
+        try:
+            given[key] = kind(value) if kind in _PARSED else value
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from exc
+    return given
+
+
+def _help(name: str | None) -> str:
+    """The help of a subcommand, or of the command when ``name`` is None."""
+    lines = [f"usage: ergoqueue [--config F] [--out BASE] {name or 'SUBCOMMAND'} [--key VALUE]..."]
+    if name is None:
+        rows = [f"  {sub:<16} {row[1]}" for sub, row in _SUBCOMMANDS.items()]
+        lines += ["", (__doc__ or "") + "subcommands:", *rows]  # no docstrings under -OO
+    else:
+        lines += ["", f"{name}: {_SUBCOMMANDS[name][1]}.", _SUBCOMMANDS[name][2]]
+    lines += ["", "options:"]
+    for flag, (_, kind, default, *text) in build_parser()[name].items():
+        need = {REQUIRED: "required", None: "optional"}.get(default, f"default {default}")
+        lines.append(f"  {flag:<15} {text[0] if text else _want(kind)}; {need}")
+    return "\n".join(lines)
 
 
 _PLAIN_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
@@ -673,6 +686,16 @@ def _is_real(value) -> bool:
     return abs(value) <= sys.float_info.max
 
 
+def _want(kind) -> str:
+    """What a value of ``kind`` must be, as its error and the help say it."""
+    if isinstance(kind, tuple):
+        return "one of " + ", ".join(kind)
+    if isinstance(kind, str):  # INT, COUNT, TEXT_OR_REAL
+        return kind
+    texts = {str: "a string", float: "a real number"}
+    return texts.get(kind, "a nonempty list of finite real numbers")
+
+
 def _checked(key: str, kind, default, value):
     """One option's value, from a flag or a config file, checked against its kind.
 
@@ -687,26 +710,28 @@ def _checked(key: str, kind, default, value):
             raise ValueError(f"{key} must be nonnegative, got {number}")
         return number
     if kind is str:
-        ok, want = isinstance(value, str), "a string"
+        ok = isinstance(value, str)
     elif kind is float:
-        ok, want = _is_real(value), "a real number"
+        ok = _is_real(value)
     elif kind == TEXT_OR_REAL:
-        ok, want = isinstance(value, str) or _is_real(value), kind
+        ok = isinstance(value, str) or _is_real(value)
     elif isinstance(kind, tuple):
-        ok, want = value in kind, "one of " + ", ".join(kind)
+        ok = value in kind
     else:  # a text parser's list
         ok = isinstance(value, list) and bool(value) and all(map(_is_real, value))
-        want = "a nonempty list of finite real numbers"
     if not ok:
-        raise ValueError(f"{key} must be {want}, got {value!r}")
+        raise ValueError(f"{key} must be {_want(kind)}, got {value!r}")
     if key in RATES:
         lindley.service_rate(value)
     return value
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+def _resolve_config(given: dict) -> dict:
+    """The checked config of a run: a ``--config`` file's, or the subcommand and options of argv."""
+    if "config" in given:
+        if "subcommand" in given:
+            raise ValueError("--config replays a saved run: give no subcommand or options with it")
+        with open(given["config"], encoding="utf-8") as fh:
             try:
                 cfg = json.load(fh)
             except RecursionError as exc:  # nested deeper than the interpreter's stack
@@ -719,11 +744,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         sub = cfg.get("subcommand")
         if not isinstance(sub, str) or sub not in _SUBCOMMANDS:
             raise ValueError(f"config file must carry a known 'subcommand', got {sub!r}")
+    elif "subcommand" not in given:
+        raise ValueError("a subcommand or --config is required")
     else:
-        if not args.subcommand:
-            raise ValueError("a subcommand or --config is required")
-        cfg = {k: v for k, v in vars(args).items() if k not in ("config", "out") and v is not None}
-    cfg = dict(cfg)
+        cfg = {key: value for key, value in given.items() if key != "out"}
     options = _SUBCOMMANDS[cfg["subcommand"]][3]
     declared = {key for key, *_ in options}
     for key in cfg:
@@ -736,19 +760,20 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _with_defaults(cfg: dict) -> dict:
-    """The runner's view of a resolved config: every declared option, defaulted if absent.
+    """The runner's view of a resolved config: every declared option in table order.
 
-    A text default goes through its kind as argparse sends it through the
-    flag's type, so a bare config runs as the flags would.
+    An absent one takes its default, a text default parsed as a flag's text
+    is, so a bare config runs as the flags would.
     """
     name = cfg["subcommand"]
-    view = dict(cfg)
+    view = {"subcommand": name}
     for key, kind, default, *_ in _SUBCOMMANDS[name][3]:
-        if key in view:
-            continue
-        if default is REQUIRED:
+        if key in cfg:
+            view[key] = cfg[key]
+        elif default is REQUIRED:
             raise ValueError(f"{name} needs option {key!r}")
-        view[key] = kind(default) if callable(kind) and isinstance(default, str) else default
+        else:
+            view[key] = kind(default) if kind in _PARSED and isinstance(default, str) else default
     return view
 
 
@@ -758,12 +783,17 @@ def _default_base(subcommand: str) -> Path:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     try:
-        cfg = _resolve_config(args)
-        header, blocks, results = _SUBCOMMANDS[cfg["subcommand"]][0](_with_defaults(cfg))
-        base = Path(args.out) if args.out else _default_base(cfg["subcommand"])
+        given = _read_argv(sys.argv[1:] if argv is None else argv)
+        if "help" in given:
+            print(_help(given["help"]))
+            return 0
+        cfg = _resolve_config(given)
+        view = _with_defaults(cfg)
+        header, blocks, results = _SUBCOMMANDS[cfg["subcommand"]][0](view)
+        if "config" not in given:  # a run from flags echoes every default it ran with
+            cfg = {key: value for key, value in view.items() if value is not None}
+        base = Path(given["out"]) if given.get("out") else _default_base(cfg["subcommand"])
         _write_outputs(base, header, blocks, {"config": cfg, "results": results})
     except (ProcessError, ValueError, OSError, KeyError, MemoryError) as exc:
         json.dump({"error": f"{type(exc).__name__}: {exc}"}, sys.stderr)

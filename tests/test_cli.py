@@ -579,7 +579,7 @@ def test_integer_config_keys_accept_integral_numbers(tmp_path):
     assert summary["config"]["seed"] == 9223372036854775809
 
 
-def test_unbounded_theta_grid_is_a_usage_error():
+def test_unbounded_theta_grid_is_the_json_error():
     # no finite point count, then 1e18 points, whose allocation fails at once
     for grid in ("0:1e300:1e-300", "0:1e9:1e-9"):
         proc = subprocess.run(
@@ -589,8 +589,8 @@ def test_unbounded_theta_grid_is_a_usage_error():
             text=True,
         )
         assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert "--theta-grid" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"].startswith("ValueError: --theta-grid: grid ")
 
 
 def test_theta_grid_points_are_start_plus_k_steps():
@@ -646,13 +646,14 @@ def test_couple_reads_a_short_trace_only_when_it_needs_input(tmp_path, capsys):
          "--thresholds", "nan"],
     ],
 )
-def test_non_finite_grid_entries_are_usage_errors(args):
+def test_non_finite_grid_entries_are_the_json_error(args):
     proc = subprocess.run(
         [sys.executable, "-m", "ergoqueue.cli", *args], capture_output=True, text=True
     )
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert args[-2] in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert error.startswith(f"ValueError: {args[-2]}: ") and "finite" in error
 
 
 @pytest.mark.parametrize(
@@ -688,20 +689,19 @@ def test_negative_values_may_follow_their_option(tmp_path, args):
     ],
 )
 def test_abbreviated_options_are_usage_errors(tmp_path, capsys, args):
-    # an option has one spelling, so the token after it is always its value
-    with pytest.raises(SystemExit) as exc:
-        cli.main([*args, "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
-    assert "usage:" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
+    # an option has one spelling, so the token after it is always its value;
+    # a prefix is the JSON error naming it
+    assert cli.main([*args, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    flag = next(arg for arg in reversed(args) if arg.startswith("--"))
+    assert f"has no option {flag.partition('=')[0]!r}" in json.loads(err)["error"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
 def test_subcommand_help_lists_every_option(capsys, name):
-    # argparse formats the help text only when asked for it
-    with pytest.raises(SystemExit) as exc:
-        cli.main([name, "--help"])
-    assert exc.value.code == 0
+    assert cli.main([name, "--help"]) == 0
     out = capsys.readouterr().out
     for key, *_ in cli._SUBCOMMANDS[name][3]:
         assert re.search(rf"(?m)^ +--{key.replace('_', '-')} ", out), key
@@ -906,8 +906,7 @@ def test_real_config_keys_reject_non_numbers(tmp_path, capsys, name, key, defaul
     for value in ["x", True] + ([] if default is None else [None]):
         assert f"{key} must be a real number" in _bad_config(tmp_path, capsys, name, key, value)
     for value in ["nan", "inf", "-inf"]:  # from a flag and from a config file alike
-        flag = f"--{key.replace('_', '-')}={value}"  # the last flag wins; -inf is no option
-        assert cli.main([*_flags(name), flag, "--out", str(tmp_path / "x")]) == 2
+        assert cli.main([*_flags(name, **{key: value}), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{key} must be a real number" in json.loads(err)["error"]
         assert not (tmp_path / "x.csv").exists()
@@ -940,11 +939,59 @@ def test_service_rates_share_one_rule(tmp_path, capsys, name, key):
 
 @pytest.mark.parametrize("name, key, default", _options(lambda k: isinstance(k, tuple)))
 def test_choices_reject_unknown_values(tmp_path, capsys, name, key, default):
-    with pytest.raises(SystemExit) as exc:
-        cli.main([*_flags(name, **{key: "zzz"}), "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
-    assert f"{key} must be one of" in _bad_config(tmp_path, capsys, name, key, "zzz")
+    # from a flag and from a config file alike
+    assert cli.main([*_flags(name, **{key: "zzz"}), "--out", str(tmp_path / "x")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert f"{key} must be one of" in error
+    assert _bad_config(tmp_path, capsys, name, key, "zzz") == error
+
+
+def test_config_refuses_a_subcommand_beside_it(tmp_path, capsys):
+    # the flags would otherwise be dropped in silence and the config run
+    args = ["simulate", "--process", "odometer", "--s", "0.5", "--horizon", "7"]
+    assert cli.main([*_flags("simulate"), "--out", str(tmp_path / "a")]) == 0
+    refusals = {
+        "--config replays a saved run: give no subcommand or options with it": args,
+        "ergoqueue has no option '--s'": ["--s", "0.5"],
+    }
+    for want, tail in refusals.items():
+        argv = ["--config", str(tmp_path / "a.json"), "--out", str(tmp_path / "b"), *tail]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == f"ValueError: {want}"
+        assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [(["--seed", "1", "--seed", "2"], "--seed"), (["--m=10"], "--m"),
+     (["--out", "elsewhere"], "--out")],
+)
+def test_an_option_given_twice_is_the_json_error(tmp_path, capsys, args, flag):
+    # --out may stand before the subcommand or after its options, but once
+    argv = ["--out", str(tmp_path / "x"), *_flags("prop1"), *args]
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == f"ValueError: {flag} is given twice"
+    assert list(tmp_path.iterdir()) == []
+    assert cli.main(argv[: -len(args)]) == 0
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["prop1", "--i", "3", "--m"], "--m needs a value"),
+        (["prop", "--i", "3", "--m", "10"], "ergoqueue has no subcommand 'prop'"),
+        (["--seed", "1", "prop1", "--i", "3", "--m", "10"], "ergoqueue has no option '--seed'"),
+        (["prop1", "3", "--m", "10"], "prop1 has no option '3'"),
+        (["prop1", "--i", "3", "--m", "10", "--config", "c.json"],
+         "prop1 has no option '--config'"),
+    ],
+)
+def test_malformed_command_lines_are_the_json_error(tmp_path, capsys, monkeypatch, args, error):
+    monkeypatch.setenv("ERGOQUEUE_OUT", str(tmp_path))
+    assert cli.main(args) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == f"ValueError: {error}"
+    assert list(tmp_path.iterdir()) == []
 
 
 TANDEM = '"subcommand": "tandem", "process": "odometer", "s2": 0.5, "horizon": 10, "seed": 1'
@@ -1350,15 +1397,18 @@ def test_refused_cell_is_the_json_error(tmp_path, capsys, monkeypatch):
 
 def test_no_subcommand_imports_numpy_ma(tmp_path):
     # numpy.ma costs milliseconds and memory to import, and no run needs
-    # it; np.unique imports it on its first call
+    # it; np.unique imports it on its first call.  Nor does a run or a help
+    # text need argparse, or the gettext it imports
     script = (
         "import json, sys\n"
         "from ergoqueue import cli\n"
         "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
         "    assert cli.main([*argv, '--out', f'{sys.argv[2]}/{k}']) == 0\n"
-        "print(sorted(name for name in sys.modules if name.split('.')[:2] == ['numpy', 'ma']))\n"
+        "print(sorted(name for name in sys.modules\n"
+        "             if name.split('.')[:2] == ['numpy', 'ma'] or name in ('argparse', 'gettext')))\n"
     )
     runs = [_flags(name) for name in MINIMAL] + [["odometer", "--mode", "measure", "--i-max", "4"]]
+    runs += [["--help"], ["prop2", "--help"]]
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],
         capture_output=True, text=True, timeout=120,

@@ -4,10 +4,14 @@ Every option that ``cli._SUBCOMMANDS`` declares is given a value drawn from
 a pool for its kind: plausible ones, and hostile ones (NaN, infinities,
 1e308, -0.0, -1, 2**70, text that is no number, the empty string, malformed
 process specs and grids).  Sizes, precisions and band indices come from
-small sets, so no example allocates more than a few MiB.  A run must return
-0, or fail with exit status 2: an argparse usage error, or exactly one JSON
-line with an ``error`` key on stderr and no output file left behind.
-Warnings stay errors, as everywhere in the suite.
+small sets, so no example allocates more than a few MiB.  Some command lines
+are also malformed: a flag abbreviated, a flag given twice, a flag left
+without its value at the end, or a subcommand misspelt; each of those must
+fail.  ``--out`` stands before the subcommand or after its options.  A run
+must return 0, or fail with exit status 2, exactly one JSON line with an
+``error`` key on stderr and no output file left behind.  A run that returns
+0 must replay byte for byte through ``--config BASE.json``.  Warnings stay
+errors, as everywhere in the suite.
 """
 
 import contextlib
@@ -65,12 +69,18 @@ def _pools(key, kind):
     return usual, [*odd, *HUGE, *HOSTILE]
 
 
+# ways to break a command line, each a refusal
+MALFORMED = ["abbreviated", "repeated", "trailing", "unknown subcommand"]
+OUT = ["--out", "{out}"]
+
+
 @st.composite
 def runs(draw):
-    """A subcommand and its flags: at most two options hostile or left out, the rest usual.
+    """(argv, how it is malformed or None): a subcommand, its flags and ``--out {out}``.
 
-    An option with a default is given half the time; a required one always,
-    unless it is one of the hostile two.
+    At most two options are hostile or left out, the rest usual.  An option
+    with a default is given half the time; a required one always, unless it
+    is one of the hostile two.
     """
     name = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
     options = cli._SUBCOMMANDS[name][3]
@@ -86,42 +96,55 @@ def runs(draw):
             value = None
         if value is not None:
             argv += ["--" + key.replace("_", "-"), value]
-    return argv
+    malformed = draw(st.none() | st.sampled_from(MALFORMED))
+    if malformed in ("abbreviated", "repeated") and len(argv) == 1:
+        malformed = None  # no flag to break
+    if malformed == "abbreviated":
+        argv[-2] = argv[-2][:-1]  # one character short, no flag names another option
+    elif malformed == "repeated":
+        argv += argv[-2:]
+    elif malformed == "unknown subcommand":
+        argv[0] = name[:-1]
+    argv = [*OUT, *argv] if draw(st.booleans()) else [*argv, *OUT]
+    if malformed == "trailing":
+        argv.append(draw(st.sampled_from(list(cli.build_parser()[name]))))
+    return argv, malformed
 
 
 def _main(argv):
-    """(exit status, stderr) of one in-process run; an argparse exit is its status."""
+    """(exit status, stderr) of one in-process run."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            return ("usage", exc.code), err.getvalue()
+        code = cli.main(argv)
     return code, err.getvalue()
 
 
-@given(argv=runs())
+@given(run=runs())
 # each of these once ended in a numpy warning, a traceback under -W error
-@example(argv=["cumulant", "--process", "odometer:4", "--n", "8", "--m", "3", "--s", "1e308"])
-@example(argv=["cumulant", "--process", "iid-bernoulli:0.5", "--n", "2", "--m", "2",
-               "--theta-grid", "0:1:inf"])
-@example(argv=["cumulant", "--process", "iid-table:1e308@1", "--n", "1", "--m", "2"])
+@example(run=(["cumulant", "--process", "odometer:4", "--n", "8", "--m", "3", "--s", "1e308",
+               *OUT], None))
+@example(run=(["cumulant", "--process", "iid-bernoulli:0.5", "--n", "2", "--m", "2",
+               "--theta-grid", "0:1:inf", *OUT], None))
+@example(run=(["cumulant", "--process", "iid-table:1e308@1", "--n", "1", "--m", "2", *OUT], None))
 @settings(max_examples=300, deadline=None)
-def test_hostile_options_run_or_fail_cleanly(tmp_path_factory, argv):
+def test_hostile_options_run_or_fail_cleanly(tmp_path_factory, run):
+    argv, malformed = run
     work = tmp_path_factory.mktemp("fuzz")
     (work / "trace.txt").write_text("1\n0.5\n0\n2\n" * 20, encoding="utf-8")
     (work / "bad.txt").write_text("1\npotato\n", encoding="utf-8")
-    files = {"trace": work / "trace.txt", "missing": work / "missing.txt", "bad": work / "bad.txt"}
+    files = {"trace": work / "trace.txt", "missing": work / "missing.txt", "bad": work / "bad.txt",
+             "out": work / "out"}
     argv = [arg.format(**files) for arg in argv]  # no other pooled value holds a brace
-    base = work / "out"
-    code, err = _main([*argv, "--out", str(base)])
+    code, err = _main(argv)
     written = {p.name for p in work.iterdir()} - {"trace.txt", "bad.txt"}
     if code == 0:
+        assert malformed is None, malformed
         assert written == {"out.csv", "out.json"}
+        assert _main(["--config", str(work / "out.json"), "--out", str(work / "replay")])[0] == 0
+        for ext in ("csv", "json"):
+            assert (work / f"out.{ext}").read_bytes() == (work / f"replay.{ext}").read_bytes()
         return
     assert written == set(), written
-    if code == ("usage", 2):
-        return
     assert code == 2, (code, err)
     assert err.count("\n") == 1 and err.endswith("\n"), err
     assert set(json.loads(err)) == {"error"}

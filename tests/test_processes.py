@@ -1,5 +1,6 @@
 """Arrival/increment stream kinds: laws, determinism, windows, parsing."""
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -554,6 +555,46 @@ def test_seeded_streams_are_bit_exact(spec):
     assert np.array_equal(
         a.backward_window(129, rng_for(42)), b.backward_window(129, rng_for(42))
     )
+
+
+# -- numpy's draw rules, read from raw words -----------------------------------
+# Every seeded stream above rests on how numpy's Generator turns its bit
+# generator's 64-bit words into draws.  Each rule is checked against a copy of
+# the generator read with ``random_raw``, so a numpy that changes one fails
+# here, on the rule itself, and not on a moved digest.
+
+LOW32, SHIFT32, SHIFT11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, SCAN_BLOCK + 1])
+def test_uniforms_are_the_top_53_bits_of_one_word_each(n):
+    rng = rng_for(3)
+    twin = copy.deepcopy(rng)
+    raw = twin.bit_generator.random_raw(n)
+    assert np.array_equal(rng.random(n), (raw >> SHIFT11) * 2.0**-53)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [[0.5, 0.5], [0.35, 0.65], [0.5, 0.25, 0.25], [0.1, 0.0, 0.6, 0.3]])
+def test_weighted_choice_searches_the_normalized_cdf(p):
+    rng = rng_for(5)
+    twin = copy.deepcopy(rng)
+    cdf = np.cumsum(p)
+    u = twin.random(SCAN_BLOCK + 1)
+    want = np.searchsorted(cdf / cdf[-1], u, side="right")
+    assert np.array_equal(rng.choice(len(p), SCAN_BLOCK + 1, p=p), want)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, SCAN_BLOCK + 1])
+def test_uint32_draws_read_each_word_low_half_first(n):
+    rng = rng_for(7)
+    raw = copy.deepcopy(rng).bit_generator.random_raw((n + 1) // 2)
+    halves = np.stack([raw & LOW32, raw >> SHIFT32], axis=1).ravel()
+    assert np.array_equal(rng.integers(0, 2**32, n, dtype=np.uint32), halves[:n])
+    # an odd count leaves the last word's high half buffered for the next draw
+    if n % 2:
+        assert rng.integers(0, 2**32, dtype=np.uint32) == halves[n]
 
 
 def test_replica_streams_differ_but_are_stable():
