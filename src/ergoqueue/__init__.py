@@ -2,7 +2,9 @@
 
 Four layers, each usable on its own and importing only layers listed before
 it (``processes`` imports ``odometer``); ``cli`` sits on top of all four.
-Every name is imported from its module; the package itself exports none.
+Below them, the private ``_record`` holds the frozen-record decorator that
+every layer's records use, and imports no sibling.  Every name is imported
+from its module; the package itself exports none.
 
 ``lindley``
     One-sided recursions (queue length, waiting time), the backward-supremum

@@ -788,12 +788,14 @@ def main(argv=None) -> int:
         if "help" in given:
             print(_help(given["help"]))
             return 0
+        if given.get("out") == "":
+            raise ValueError("--out needs a nonempty base path")
         cfg = _resolve_config(given)
         view = _with_defaults(cfg)
         header, blocks, results = _SUBCOMMANDS[cfg["subcommand"]][0](view)
         if "config" not in given:  # a run from flags echoes every default it ran with
             cfg = {key: value for key, value in view.items() if value is not None}
-        base = Path(given["out"]) if given.get("out") else _default_base(cfg["subcommand"])
+        base = Path(given["out"]) if "out" in given else _default_base(cfg["subcommand"])
         _write_outputs(base, header, blocks, {"config": cfg, "results": results})
     except (ProcessError, ValueError, OSError, KeyError, MemoryError) as exc:
         json.dump({"error": f"{type(exc).__name__}: {exc}"}, sys.stderr)

@@ -21,13 +21,13 @@ counter-driven arrival process into checkable inequalities:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from . import odometer
+from ._record import record
 from .lindley import ExactSum, queue_blocks, service_rate
 from .processes import OdometerProcess
 
@@ -53,7 +53,7 @@ __all__ = [
 class _Result:
     """The one JSON form of every result record.
 
-    ``to_json`` writes the dataclass fields in declaration order, each under
+    ``to_json`` writes the record's ``_fields`` in declaration order, each under
     its name in ``_JSON_NAMES`` (its own name otherwise): a nested result
     through its own ``to_json``, a tuple as a list, a ``Fraction`` as "p/q",
     anything else as it is.
@@ -63,8 +63,8 @@ class _Result:
 
     def to_json(self) -> dict:
         return {
-            self._JSON_NAMES.get(f.name, f.name): _json_value(getattr(self, f.name))
-            for f in fields(self)
+            self._JSON_NAMES.get(name, name): _json_value(getattr(self, name))
+            for name in self._fields
         }
 
 
@@ -82,7 +82,7 @@ def _json_value(value):
 # empirical tails
 
 
-@dataclass(frozen=True)
+@record
 class TailEstimate(_Result):
     """Empirical survival function over a threshold grid."""
 
@@ -178,7 +178,7 @@ def _clamped(log_mean: float, theta: float, n: int, rates: tuple[float, float, f
     return min(max(log_mean / n, theta * mean_rate), cap)
 
 
-@dataclass(frozen=True)
+@record
 class DecayResult(_Result):
     """sup of the tilts where the estimated cumulant stays below the service line.
 
@@ -191,7 +191,7 @@ class DecayResult(_Result):
     status: str
 
 
-@dataclass(frozen=True)
+@record
 class CumulantEstimate(_Result):
     """Cumulant curve on a tilt grid, from one shared sample of block sums."""
 
@@ -306,7 +306,7 @@ def _burst_windows(i: int, m: int, rng, precision: int) -> tuple[int, np.ndarray
     return n, OdometerProcess(precision).window_counts(m, n, rng)
 
 
-@dataclass(frozen=True)
+@record
 class BurstProbabilityReport(_Result):
     """Overflow probability of a backward window vs. exact bounds.
 
@@ -368,7 +368,7 @@ def burst_probability_report(
     )
 
 
-@dataclass(frozen=True)
+@record
 class BurstCumulantReport(_Result):
     """Sandwich for the window-scaled log-moment at one tilt.
 
@@ -449,7 +449,7 @@ def burst_cumulant_report(
 # stationary tails by simulation
 
 
-@dataclass(frozen=True)
+@record
 class QueueTailReport(_Result):
     """Time-average tail of a simulated queue after burn-in."""
 

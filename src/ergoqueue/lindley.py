@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._record import record
 
 __all__ = [
     "LoynesResult",
@@ -44,12 +45,12 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@record(hidden=("sums",))
 class LoynesResult:
     value: float
     argmax: int
     converged: bool
-    sums: np.ndarray = field(repr=False, compare=False)  # V_0..V_N
+    sums: np.ndarray  # V_0..V_N
 
     @property
     def prefix_maxima(self) -> np.ndarray:
@@ -354,7 +355,7 @@ class ExactSum:
             raise ValueError("the sum overflows the float range") from None
 
 
-@dataclass(frozen=True)
+@record
 class CoupleResult:
     coupling_time: int | None
     final_upper: float

@@ -28,11 +28,12 @@ are below 2**(i-1), every one of the next 2**(i-1) counter values arrives.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from ._record import record
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -91,7 +92,7 @@ def bit_reverse(x: int, width: int) -> int:
 # points
 
 
-@dataclass(frozen=True)
+@record
 class DyadicPoint:
     """A point of [0, 1) held as an exact K-bit expansion.
 

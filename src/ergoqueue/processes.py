@@ -19,7 +19,6 @@ existing ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -27,6 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import odometer
+from ._record import record
 
 __all__ = [
     "ProcessError",
@@ -124,7 +124,7 @@ class _ProcessBase:
         return np.asarray([float(np.sum(self.forward(width, rng))) for _ in range(m)])
 
 
-@dataclass(frozen=True)
+@record
 class IIDBernoulli(_ProcessBase):
     p: float
 
@@ -137,7 +137,7 @@ class IIDBernoulli(_ProcessBase):
             yield (rng.random(min(SCAN_BLOCK, n - k)) < self.p).astype(np.float64)
 
 
-@dataclass(frozen=True)
+@record
 class IIDTable(_ProcessBase):
     """iid draws from a finite value table."""
 
@@ -163,7 +163,7 @@ class IIDTable(_ProcessBase):
             yield values[rng.choice(values.size, size=size, p=self.probabilities)]
 
 
-@dataclass(frozen=True)
+@record
 class BinaryMarkov(_ProcessBase):
     """Two-state 0/1 Markov chain started from its stationary law.
 
@@ -256,7 +256,7 @@ class TraceProcess(_ProcessBase):
         return self.values[: m * width].reshape(m, width).sum(axis=1)
 
 
-@dataclass(frozen=True)
+@record
 class OdometerProcess(_ProcessBase):
     """0/1 arrivals read off the adding-machine orbit.
 

@@ -11,7 +11,9 @@ band rule they share, against an independent construction.  It also
 keeps the earlier, plainer forms of two kernels that must not change their
 output: the per-bit digit DP of the window counter (``digit_steps``) and
 the counter draw that makes one ``rng.integers`` call per 32-bit word
-(``uniform_counters``).  Only tests import it.
+(``uniform_counters``), and the ``dataclasses`` form of every frozen record
+(``dataclass_twin``), which the package's own record helper must match.
+Only tests import it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, make_dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -250,3 +252,24 @@ def uniform_counters(
         out[need] = draw
         need = need[draw > np.uint64(limit)] if limit < (1 << bits) - 1 else need[:0]
     return out
+
+
+def dataclass_twin(cls: type, hidden: tuple[str, ...] = ()) -> type:
+    """``dataclass(frozen=True)`` built from one record class's own statement.
+
+    The twin has the class's name, bases, annotations in order, class-level
+    defaults and ``__post_init__``, each read from the class itself, not
+    from the record helper's bookkeeping.  A field named in ``hidden`` is
+    ``field(repr=False, compare=False)``.
+    """
+    specs = [
+        (name, kind, field(
+            default=cls.__dict__.get(name, MISSING),
+            repr=name not in hidden,
+            compare=name not in hidden,
+        ))
+        for name, kind in cls.__annotations__.items()
+    ]
+    post_init = cls.__dict__.get("__post_init__")
+    namespace = {"__post_init__": post_init} if post_init else {}
+    return make_dataclass(cls.__name__, specs, bases=cls.__bases__, namespace=namespace, frozen=True)

@@ -994,6 +994,23 @@ def test_malformed_command_lines_are_the_json_error(tmp_path, capsys, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--out", ""], ["--out="]],
+)
+@pytest.mark.parametrize("before", [True, False])
+def test_an_empty_out_is_the_json_error(tmp_path, capsys, monkeypatch, args, before):
+    # an empty base path is refused, not replaced by $ERGOQUEUE_OUT/SUB
+    monkeypatch.setenv("ERGOQUEUE_OUT", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    argv = [*args, *_flags("prop1")] if before else [*_flags("prop1"), *args]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ValueError: --out needs a nonempty base path"
+    assert list(tmp_path.iterdir()) == []
+
+
 TANDEM = '"subcommand": "tandem", "process": "odometer", "s2": 0.5, "horizon": 10, "seed": 1'
 ODOMETER = '"subcommand": "odometer", "seed": 1'
 
@@ -1398,14 +1415,16 @@ def test_refused_cell_is_the_json_error(tmp_path, capsys, monkeypatch):
 def test_no_subcommand_imports_numpy_ma(tmp_path):
     # numpy.ma costs milliseconds and memory to import, and no run needs
     # it; np.unique imports it on its first call.  Nor does a run or a help
-    # text need argparse, or the gettext it imports
+    # text need argparse, or the gettext it imports, or dataclasses, which
+    # generates and compiles each class's methods, or the copy it imports
     script = (
         "import json, sys\n"
         "from ergoqueue import cli\n"
         "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
         "    assert cli.main([*argv, '--out', f'{sys.argv[2]}/{k}']) == 0\n"
         "print(sorted(name for name in sys.modules\n"
-        "             if name.split('.')[:2] == ['numpy', 'ma'] or name in ('argparse', 'gettext')))\n"
+        "             if name.split('.')[:2] == ['numpy', 'ma']\n"
+        "             or name in ('argparse', 'gettext', 'dataclasses', 'copy')))\n"
     )
     runs = [_flags(name) for name in MINIMAL] + [["odometer", "--mode", "measure", "--i-max", "4"]]
     runs += [["--help"], ["prop2", "--help"]]

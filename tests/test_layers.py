@@ -14,10 +14,12 @@ PACKAGE = Path(ergoqueue.__file__).parent
 
 # each layer imports only layers listed before it; the command line sits on top
 ALLOWED = {
-    "lindley": set(),
-    "odometer": set(),
-    "processes": {"odometer"},
-    "estimators": {"lindley", "odometer", "processes"},
+    # the frozen-record decorator sits below every layer and imports no sibling
+    "_record": set(),
+    "lindley": {"_record"},
+    "odometer": {"_record"},
+    "processes": {"_record", "odometer"},
+    "estimators": {"_record", "lindley", "odometer", "processes"},
     "cli": {"lindley", "odometer", "processes", "estimators"},
     # the package exports no name, so it imports no module
     "__init__": set(),
