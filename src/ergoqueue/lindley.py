@@ -95,60 +95,43 @@ FIRST_COUPLE_BLOCK = 256
 # after the meeting, forward_couple steps this many more increments and
 # checks that the chains stay equal
 ABSORPTION_CHECK = 64
-# forward_couple closes a block without stepping it when its increments
-# and both chain states are whole multiples of 2**-GRID_BITS and its states
-# and sums stay below 2**(53 - GRID_BITS), where no addition rounds (_exact)
-GRID_BITS = 20
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _reflect(
-    x: float,
-    z: np.ndarray,
-    out: np.ndarray,
-    sums: np.ndarray | None = None,
-    low: np.ndarray | None = None,
-) -> np.ndarray:
+def _reflect(x: float, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill out[k] with the state after steps 0..k of x -> max(x + z, 0) from x.
 
-    The reflection identity X_k = S_k - min(-x, min_{j<=k} S_j), over the
-    prefix sums S of z (``sums``) and their running minima (``low``), each
-    computed here when not given, is exact when no sum rounds, as on a
-    dyadic grid.  The block is then certified against the defining step bit
-    for bit, sign of zero included; since the first step starts from x, that
-    proves the whole block equal to the sequential recursion.  From the
-    first step that fails the check, the step itself is iterated, so sums
-    that overflow downward are exact; a state that overflows raises.
+    A block on which ``_exact(x, x, ...)`` holds is closed by the reflection
+    identity X_k = S_k - min(-x, min_{j<=k} S_j) over the prefix sums S of
+    z, which is then the sequential recursion bit for bit, sign of zero
+    included.  Every other block (a start of -0.0, values that need more than
+    53 significant bits together, or a NaN or overflowing sum) is stepped by
+    ``_step``.
     """
     x = float(x)
-    if sums is None:
-        sums = np.cumsum(z)
-    if low is None:
-        low = np.minimum.accumulate(sums)
+    sums = np.cumsum(z)
+    low = np.minimum.accumulate(sums)
+    if not (low.size and _exact(x, x, z, sums, float(low[-1]))):
+        return _step(x, z, out)
     np.minimum(low, -x, out=out)
-    np.subtract(sums, out, out=out)
-    step = np.empty_like(out)
-    step[:1] = x
-    step[1:] = out[:-1]
-    step += z
-    # max(a, 0.0) keeps a unless 0.0 > a, so -0.0 stays -0.0 (np.maximum
-    # would give +0.0)
-    step[step < 0.0] = 0.0
-    bad = np.flatnonzero(step.view(np.int64) != out.view(np.int64))
-    if bad.size:
-        k = int(bad[0])
-        if k:
-            x = float(out[k - 1])
-        # the step max(x + zn, 0.0), spelled so that it costs no call: like
-        # max, it keeps x + zn unless it is below 0.0, so -0.0 and NaN pass
-        tail = []
-        append = tail.append
-        for zn in z[k:].tolist():
-            x += zn
-            if x < 0.0:
-                x = 0.0
-            append(x)
-        out[k:] = tail
+    return np.subtract(sums, out, out=out)
+
+
+def _step(x: float, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out with the states of the step iterated from x, one Python float at a time.
+
+    The step max(x + zn, 0.0) is spelled so that it costs no call: like max,
+    it keeps x + zn unless it is below 0.0, so -0.0 and NaN pass.  Sums that
+    overflow downward reflect to 0.0; a state that overflows raises.
+    """
+    states = []
+    append = states.append
+    for zn in z.tolist():
+        x += zn
+        if x < 0.0:
+            x = 0.0
+        append(x)
+    out[:] = states
     if np.isinf(out).any():
         raise ValueError("the queue recursion overflows the float range")
     return out
@@ -158,51 +141,58 @@ def _exact(upper: float, lower: float, z: np.ndarray, sums: np.ndarray, low: flo
     """Whether both chains step ``z`` with no addition rounding, so it may be closed.
 
     ``sums`` are the prefix sums S of ``z`` as ``np.cumsum`` computes them,
-    and ``low`` their least.  True when ``upper``, ``lower`` and ``z`` are
-    whole multiples of 2**-J (J = ``GRID_BITS``) and upper + a + b <
-    2**(53 - J), with a = max(0, max S) and b = -min(0, min S).  The states
-    are tested first, as they cost least, and the bound before ``z``, so
-    scaling ``z`` by 2**J cannot overflow: under the bound every
-    |z_k| < 2**(54 - J), or S_k would round to beyond it.  The bound's own
-    additions decide it exactly: its terms are not negative and, on the
-    grid, multiples, so each partial sum is exact below the bound and rounds
-    to at least it above.
+    and ``low`` their least.  The grid is read from the block's size: with
+    a = max(0, max S) and b = -min(0, min S), top = upper + a + b is below
+    2**e (``math.frexp``), and J = 53 - e.  True when neither state is
+    -0.0, top < 2**53, and ``upper``, ``lower`` and ``z`` are whole
+    multiples of 2**-J.  So J >= 0, and scaling by 2**J rounds no off-grid
+    value to a whole 0; J is capped at 1023, so 2**J is finite, as a
+    coarser grid only asks more.  ``z`` is tested last: every
+    |z_k| < 2**(e + 1), or S_k would have rounded past top, so its scaling
+    cannot overflow.
 
     Proof that each chain, from x = upper or x = lower, with
-    0 <= lower <= upper and neither -0.0 (forward_couple's states, as the
-    step makes -0.0 only from -0.0), steps such a block exactly, whether the
-    chains meet in it, met before it (upper == lower) or do not meet:
+    0 <= lower <= upper (``_reflect`` passes one chain as both), steps such
+    a block exactly, whether the chains meet in it, met before it
+    (upper == lower) or do not meet:
 
-    * A multiple of 2**-J below 2**(53 - J) in size is k 2**-J with
-      |k| < 2**53, a double.  Rounding is monotone and 2**(53 - J) is a
-      double, so a sum that rounds to below the bound was below it: by
-      induction every S_k is the exact sum, a multiple in [-b, a].
+    * A multiple of 2**-J below 2**(53 - J) = 2**e in size is k 2**-J with
+      |k| < 2**53, a double.  Rounding is monotone and 2**e is a double, so
+      a sum that rounds to below 2**e was below it.  Each of a, b and the
+      computed top's partial sums is at most top < 2**e, so by induction
+      every S_k is the exact sum, a multiple in [-b, a], and top's own
+      additions are exact: upper + a + b < 2**e.
     * With m_k = min_(j<=k) S_j, the exact chain is at
       X_k = S_k - min(-x, m_k) = max(x + S_k, S_k - m_k) after step k (the
       reflection identity), in [0, x + a + b], and the step's sum
       X_(k-1) + z_k = S_k - min(-x, m_(k-1)) (x + S_1 for the first step)
-      lies in [-b, x + a + b].  As x <= upper, both are multiples below the
-      bound, so by induction each step's addition is exact, a sum that is
+      lies in [-b, x + a + b].  As x <= upper, both are multiples below
+      2**e, so by induction each step's addition is exact, a sum that is
       not negative is the state, and a negative one reflects to 0.0 as in
       exact arithmetic.
-    * The chain ends at S[-1] - min(-x, min S), exactly: both terms are
-      exact and so is their difference, a state.  The difference is +0.0
-      when the state is 0, as the step gives: of the differences of equal
-      values only -0.0 - 0.0 is -0.0, and min(-x, min S) is never +0.0,
-      since x is not -0.0 (min(-0.0, 0.0) is -0.0).
+    * The closed form S_k - min(-x, m_k) is exact: both terms are exact and
+      so is their difference, a state.  The difference is +0.0 when the
+      state is 0, as the step gives from a state that is not -0.0: of the
+      differences of equal values only -0.0 - 0.0 is -0.0, and S_k is -0.0
+      only when every sum up to it is, so that m_k is -0.0 and
+      min(-x, m_k) is -0.0 or -x < 0, however a min breaks a tie of signed
+      zeros.
     * The exact states differ by min(-lower, m_k) - min(-upper, m_k).  When
       lower < upper that is positive while m_k > -upper and 0 from the first
       k with S_k <= -upper, forward_couple's predicted meeting: the chains
       stay strictly ordered before it and are equal from it on.  When
       upper == lower they are one chain.
 
-    So the block's end states, and its meeting step if it holds one, are
-    those of the step recursion bit for bit, as the kernel would give them.
+    So the block's states, and its meeting step if it holds one, are those
+    of the step recursion bit for bit.
     """
-    scale = 2.0**GRID_BITS
-    if not ((upper * scale).is_integer() and (lower * scale).is_integer()):
+    if math.copysign(1.0, upper) < 0 or math.copysign(1.0, lower) < 0:
         return False
-    if not upper + max(float(sums.max()), 0.0) - min(low, 0.0) < 2.0 ** (53 - GRID_BITS):
+    top = upper + max(float(sums.max()), 0.0) - min(low, 0.0)
+    if not top < 2.0**53:  # NaN and inf included
+        return False
+    scale = 2.0 ** min(53 - math.frexp(top)[1], 1023)
+    if not ((upper * scale).is_integer() and (lower * scale).is_integer()):
         return False
     scaled = z * scale
     return bool((np.rint(scaled) == scaled).all())
@@ -384,12 +374,12 @@ def forward_couple(x0: float, increments: Iterable[np.ndarray]) -> CoupleResult:
     steps long and the others ``BLOCK``, over the block's prefix sums S.
     The block where S first falls to -upper, the predicted meeting, is cut
     ``ABSORPTION_CHECK`` steps after it.  A block on which ``_exact`` holds
-    (increments and states on the grid of 2**-GRID_BITS, states and sums
-    below 2**(53 - GRID_BITS)) is not stepped: no addition of the step
-    rounds there, so each chain ends it at S[-1] - min(-x, min S) from its
-    state x, the chains meet exactly where predicted, and both are the
-    states the step gives bit for bit.  Only the other blocks, off the
-    grid, run the reflection kernel, which finds the meeting itself.
+    for the pair (its states, increments and sums fit 53 significant bits
+    together) is not stepped: no addition of the step rounds there, so each
+    chain ends it at S[-1] - min(-x, min S) from its state x, the chains
+    meet exactly where predicted, and both are the states the step gives
+    bit for bit.  Each other block runs ``_reflect`` once per chain, and the
+    meeting is read from the two state arrays.
     """
     x0 = _start(x0)
     # iter here, not in _pieces: a non-iterable is a TypeError even when no block is read
@@ -427,9 +417,8 @@ def forward_couple(x0: float, increments: Iterable[np.ndarray]) -> CoupleResult:
                     tau = n + meet + 1
                     end = tau + ABSORPTION_CHECK
             else:
-                low = np.minimum.accumulate(sums)  # the same for both chains
-                up = _reflect(upper, zb, np.empty(used), sums, low)
-                lo = _reflect(lower, zb, np.empty(used), sums, low)
+                up = _reflect(upper, zb, np.empty(used))
+                lo = _reflect(lower, zb, np.empty(used))
                 met = 0  # the block's first step after the meeting
                 if tau is None:
                     hits = np.flatnonzero(up == lo)

@@ -326,6 +326,9 @@ def membership_window(p: DyadicPoint, width: int, i_max: int | None = None) -> n
     Each band (``band``) is a periodic slice of the run, padded to whole
     blocks of RUN_ALIGN counters: one strided slice when the period fits a
     block, else one slice per period the run meets, offsets in Python ints.
+    The bands stop at the first whose lo passes the run's last counter: it
+    and every deeper band have a period past the run, so the run's residues
+    are its counters, all below their lo.
     """
     if width < 0:
         raise ValueError("width must be nonnegative")
@@ -337,8 +340,11 @@ def membership_window(p: DyadicPoint, width: int, i_max: int | None = None) -> n
         )
     skip = c % RUN_ALIGN  # the padded run starts at c - skip, a block edge
     out = np.zeros(-(-(skip + width) // RUN_ALIGN) * RUN_ALIGN, bool)
+    end = c - skip + out.size  # one past the padded run's last counter
     for i in range(cap + 1):
         depth, lo, hi = band(i)
+        if lo >= end:
+            break
         period = 1 << depth
         if period <= RUN_ALIGN:
             out.reshape(-1, period)[:, lo:hi] = True

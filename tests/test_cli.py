@@ -1461,6 +1461,25 @@ def _stepped(z):
     return lindley._reflect(0.0, np.asarray(z, dtype=np.float64), np.empty(len(z)))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # integer states, increments and sums of about 1e9
+        ["simulate", "--process", "iid-table:0,3e6@0.5,0.5", "--s", "1.6e6", "--horizon", "30000"],
+        # quarters beside a chain near 1e12, on the grid of 2**-13
+        ["couple", "--process", "binary-markov:0.3,0.5", "--s", "0.75", "--x0", "1e12",
+         "--horizon", "50000", "--replicas", "3"],
+    ],
+    ids=["simulate", "couple"],
+)
+def test_large_on_grid_runs_close_every_block_by_proof(tmp_path, argv):
+    # each block's values fit 53 significant bits together, so no block of
+    # either chain reaches the sequential step
+    with mock.patch.object(lindley, "_step", wraps=lindley._step) as step:
+        run(tmp_path, "proof", argv)
+    assert step.call_count == 0
+
+
 def _whole_columns(name, process, horizon, seed):
     """The CSV columns of a streamed subcommand, built whole as before streaming."""
     proc = parse_process(process)

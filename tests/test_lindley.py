@@ -10,6 +10,7 @@ and the step takes over.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,9 @@ def step(x, z):
 def bits(values):
     """Bit patterns of doubles, so that -0.0 and 0.0 differ."""
     return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+MAX = float.fromhex("0x1.fffffffffffffp+1023")
 
 
 def recursion_oracle(x0, increments):
@@ -250,10 +254,67 @@ def test_recursion_frozen_examples():
     assert bits(ld.run_recursion(-0.0, [-0.0, 0.0])) == bits([-0.0, -0.0, 0.0])
 
 
+@st.composite
+def scaled_walks(draw):
+    """(x0, increments) of values k * 2**-j, j 0..60, up to 2**60 in size.
+
+    Each value is a double, so one of more than 53 bits keeps its top 53: the
+    blocks fall on both sides of the line where the states, increments and
+    sums need more than 53 significant bits together.
+    """
+    j = draw(st.integers(0, 60))
+    size = draw(st.integers(0, 60))
+    n = draw(st.sampled_from(LENGTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = 1 << min(size + j, 53)
+    unit = 2.0 ** (size - min(size + j, 53))  # 2**-j, or coarser past 53 bits
+    z = rng.integers(-top, top - top // 4, n) * unit  # drift down, so the chain empties
+    return float(rng.integers(0, top)) * unit, z
+
+
 @settings(deadline=None)
-@given(starts, increments)
-def test_recursion_matches_sequential_step(x0, values):
+@given(st.tuples(starts, increments) | scaled_walks())
+def test_recursion_matches_sequential_step(case):
+    x0, values = case
     assert bits(ld.run_recursion(x0, values)) == bits(recursion_oracle(x0, values))
+
+
+@pytest.mark.parametrize(
+    "fine, stepped_blocks",
+    [
+        (2.0**-40, 0),
+        # from 3000 the states, increments and sums stay below 2**13, so on
+        # the grid of 2**-45 they need 13 + 45 bits together
+        (2.0**-45, 3),
+    ],
+)
+def test_recursion_steps_only_blocks_past_53_bits(fine, stepped_blocks):
+    z = quarter_walk(3, 3 * ld.BLOCK)
+    z[::7] += fine
+    with mock.patch.object(ld, "_step", wraps=ld._step) as step:
+        states = ld.run_recursion(3000.0, z)
+    assert bits(states) == bits(recursion_oracle(3000.0, z))
+    assert step.call_count == stepped_blocks
+
+
+def test_exact_refuses_a_negative_zero_state_and_a_non_finite_top():
+    def exact(upper, lower, values):
+        z = np.array(values)
+        with np.errstate(over="ignore"):
+            sums = np.cumsum(z)
+        return ld._exact(upper, lower, z, sums, float(sums.min()))
+
+    assert exact(1.0, 0.0, [-0.0, 0.25]) and exact(0.0, 0.0, [-0.0, 0.25])
+    # the closed form of a chain at -0.0 would give +0.0 where the step keeps -0.0
+    assert not exact(1.0, -0.0, [-0.0, 0.25])
+    assert not exact(-0.0, -0.0, [-0.0, 0.25])
+    # a top that is not finite: sums that overflow either way, or a NaN
+    assert not exact(1.0, 0.0, [MAX, MAX])
+    assert not exact(1.0, 0.0, [MAX, -MAX, -MAX, -MAX])
+    assert not exact(1.0, 0.0, [0.25, math.nan])
+    # a top of 2**53 or more would need a grid coarser than the integers
+    assert exact(2.0**53 - 2.0, 0.0, [1.0]) and not exact(2.0**53 - 1.0, 0.0, [1.0])
+    assert not exact(2.0**60, 0.0, [-(2.0**59)])
 
 
 @settings(deadline=None)
@@ -491,13 +552,18 @@ def test_couple_from_zero_pulls_no_block():
 
 # -- blocks advanced without stepping ----------------------------------------
 
-UNIT = 2.0**-ld.GRID_BITS  # the grid on which forward_couple may skip a block
-BOUND = 2.0 ** (53 - ld.GRID_BITS)  # the size its sums and states must stay below
+# a block is closed without stepping when its states, increments and sums
+# fit 53 significant bits together: on the grid of UNIT while they stay below
+# BOUND.  The grid is read from each block's size, so these are one example
+# of the rule, which holds the same at every power of two (BITS).
+BITS = 53
+UNIT = 2.0**-20
+BOUND = 2.0**BITS * UNIT
 
 
 def stepped(x0, values, blocks=None):
     """forward_couple's result on ``values`` (read as ``blocks`` when given), and
-    how many blocks it stepped through the kernel."""
+    how many blocks it did not close itself but ran through ``_reflect``."""
     sizes = []
     kernel = ld._reflect
 
@@ -534,7 +600,7 @@ def far_meetings(draw):
     z = quarter_walk(seed, THIRD + 2 * ld.BLOCK)
     if draw(st.booleans()):  # fine steps, down to the grid's spacing
         z += np.random.default_rng(seed + 1).integers(-1000, 1001, z.size) * UNIT
-    x0 = draw(st.integers(4400 << ld.GRID_BITS, 5400 << ld.GRID_BITS)) * UNIT
+    x0 = draw(st.integers(int(4400 / UNIT), int(5400 / UNIT))) * UNIT
     return x0, z
 
 
@@ -596,8 +662,17 @@ def test_couple_closes_every_block_of_a_grid_walk(case, cut, data):
     "fine, x0, blocks",
     [
         (UNIT, 3000.0, 0),
-        (UNIT / 2, 3000.0, 3),  # increments off the grid: every block is stepped
-        (UNIT, 3000.0 + UNIT / 2, 3),  # a start off the grid
+        # from 3000 the sums of a block stay below 2**13, so values need
+        # 13 + 45 bits together on the grid of 2**-45: every block is stepped
+        (2.0**-45, 3000.0, 3),
+        # a start that fits 53 bits, below 2**12 on the grid of 2**-41: only
+        # the second block is stepped, where upper + max S - min S passes
+        # 2**12 and the grid is 2**-40
+        (UNIT, 3000.0 + 2.0**-41, 1),
+        # quarters from 1e12, below 2**40, are closed on the grid of 2**-13
+        # and stepped off it, in all four blocks, as they do not meet
+        (2.0**-13, 1e12, 0),
+        (2.0**-14, 1e12, 4),
     ],
 )
 def test_couple_skips_only_on_the_grid(fine, x0, blocks):
@@ -609,26 +684,35 @@ def test_couple_skips_only_on_the_grid(fine, x0, blocks):
 
 
 @pytest.mark.parametrize(
-    "x0, blocks",
+    "x0, unit, blocks",
     [
         # the sums stay just below the bound: exact
-        pytest.param(BOUND - 4 * UNIT, 0, id="inside"),
-        # 2**(53 - J) + UNIT rounds to even, 2**(53 - J), at every step, so
-        # the stepped upper chain ends where the closed form would not
-        pytest.param(BOUND - UNIT, 1, id="outside"),
+        pytest.param(BOUND - 4 * UNIT, UNIT, 0, id="inside"),
+        # BOUND + UNIT rounds to even, BOUND, at every step, so the stepped
+        # upper chain ends where the closed form would not: past BOUND the
+        # grid is 2 * UNIT, which the start is off
+        pytest.param(BOUND - UNIT, UNIT, 1, id="outside"),
+        # the same line at other sizes, up to the integers below 2**53
+        *(
+            pytest.param(2.0**k - d * 2.0 ** (k - BITS), 2.0 ** (k - BITS), blocks,
+                         id=f"{where}-2**{k}")
+            for k in (1, 40, BITS)
+            for where, d, blocks in (("inside", 4, 0), ("outside", 1, 1))
+        ),
     ],
 )
-def test_couple_skips_only_below_the_bound(x0, blocks):
-    z = np.full(3, UNIT)
+def test_couple_skips_only_below_the_bound(x0, unit, blocks):
+    z = np.full(3, unit)
     res, stepped_blocks = stepped(x0, z)
     assert_oracle(res, x0, z)
     assert stepped_blocks == blocks
 
 
 def test_couple_steps_a_block_whose_states_pass_the_bound():
-    # the sums stay below the bound, but the chains meet at step 1 and then
+    # the sums stay below BOUND, but the chains meet at step 1 and then
     # climb to 1.5 * BOUND, where the spacing is 2 * UNIT: each UNIT step
-    # rounds to even and is lost, which a closed form of the exact sums keeps
+    # rounds to even and is lost, which a closed form of the exact sums
+    # keeps.  upper + max S - min S passes BOUND, so the grid is 2 * UNIT.
     z = np.array([-0.75 * BOUND, 1.5 * BOUND, UNIT, UNIT])
     res, blocks = stepped(1.0, z)
     assert_oracle(res, 1.0, z)
@@ -642,9 +726,6 @@ def test_couple_skip_carries_a_lower_chain_that_has_not_emptied():
     res, blocks = stepped(5000.0, z)
     assert_oracle(res, 5000.0, z)
     assert res.final_lower == 0.25 * (THIRD - ld.BLOCK) and blocks == 0
-
-
-MAX = float.fromhex("0x1.fffffffffffffp+1023")
 
 
 @pytest.mark.parametrize(

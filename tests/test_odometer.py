@@ -5,6 +5,7 @@ independently of the package (all residues at the full band depth).
 """
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -446,6 +447,20 @@ def test_membership_window_matches_scalar(run):
 )
 def test_membership_window_edges_match_scalar(precision, cap, c, width):
     assert_run_matches_scalar(precision, cap, c, width, every=True)
+
+
+def test_membership_window_at_huge_precision_meets_only_the_bands_of_the_run():
+    # precision 2000001 holds a million bands, each with a Python-int
+    # period; from counter 3 every band past the run's last counter is left
+    # out, so the call does not grow with the precision.  A run of large
+    # counters at such a precision still meets every band.
+    precision, width = 2_000_001, 5000
+    start = time.perf_counter()
+    got = od.membership_window(od.DyadicPoint.from_fraction(Fraction(3, 4), precision), width)
+    assert time.perf_counter() - start < 0.5
+    cap = od.band_limit(precision)
+    for j in range(width):
+        assert got[j] == od.in_arrival_set(od.DyadicPoint(3 + j, precision), cap), j
 
 
 def test_run_seed_sets():
