@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, lindley, odometer
-from .processes import ProcessError, parse_process, rng_for
+from .processes import parse_process, rng_for
 
 __all__ = ["main"]
 
@@ -282,16 +282,16 @@ _SCALINGS = {
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each takes the resolved config with every
-# declared option present (``_with_defaults``) and returns (csv header,
-# blocks of csv columns, results object for the JSON summary); a runner that
-# streams its rows fills its results in after its last block
+# subcommand implementations: each takes the runner's view of the config
+# (``_resolve_config``: every declared option, process specs parsed) and
+# returns (csv header, blocks of csv columns, results object for the JSON
+# summary); a runner that streams its rows fills its results in after its
+# last block
 
 
 def _run_simulate(cfg: dict):
-    proc = parse_process(cfg["process"])
     report = estimators.queue_tail_run(
-        proc,
+        cfg["process"],
         cfg["s"],
         cfg["thresholds"],
         cfg["horizon"],
@@ -304,8 +304,7 @@ def _run_simulate(cfg: dict):
 
 
 def _run_loynes(cfg: dict):
-    proc = parse_process(cfg["process"])
-    window = proc.backward_window(cfg["window"], rng_for(cfg["seed"])) - cfg["s"]
+    window = cfg["process"].backward_window(cfg["window"], rng_for(cfg["seed"])) - cfg["s"]
     result = lindley.loynes_sup(window, slack=cfg["slack"])
     return (
         ["n", "partial_sum", "running_max"],
@@ -333,12 +332,11 @@ class _Shifted:
 
 
 def _run_couple(cfg: dict):
-    proc = parse_process(cfg["process"])
     times, uppers, lowers = [], [], []
     for r in range(cfg["replicas"]):
         # the coupler reads the sample only up to its stopping step, and the
         # sampler draws only the blocks read
-        y = proc.blocks(cfg["horizon"], rng_for(cfg["seed"], r))
+        y = cfg["process"].blocks(cfg["horizon"], rng_for(cfg["seed"], r))
         res = lindley.forward_couple(cfg["x0"], _Shifted(y, cfg["horizon"], cfg["s"]))
         times.append(res.coupling_time)
         uppers.append(res.final_upper)
@@ -355,8 +353,7 @@ def _run_couple(cfg: dict):
 
 
 def _run_gg1(cfg: dict):
-    service, interarrival = parse_process(cfg["service"]), parse_process(cfg["interarrival"])
-    n = cfg["n"]
+    service, interarrival, n = cfg["service"], cfg["interarrival"], cfg["n"]
     # one generator: every service is drawn before the first gap, so the
     # services are drawn once to reach the gaps and again, from a second
     # generator of the same seed, as the waits are written
@@ -381,8 +378,7 @@ def _run_gg1(cfg: dict):
 
 
 def _run_tandem(cfg: dict):
-    proc = parse_process(cfg["process"])
-    arrivals = proc.blocks(cfg["horizon"], rng_for(cfg["seed"]))
+    arrivals = cfg["process"].blocks(cfg["horizon"], rng_for(cfg["seed"]))
     stations = lindley.tandem_blocks(arrivals, cfg["s1"], cfg["s2"])
     summary = {"horizon": cfg["horizon"]}
 
@@ -464,17 +460,15 @@ def _run_odometer(cfg: dict):
 
 
 def _run_cumulant(cfg: dict):
-    proc = parse_process(cfg["process"])
     est = estimators.estimate_lambda_grid(
-        proc, cfg["theta_grid"], cfg["n"], cfg["m"], rng_for(cfg["seed"]), s=cfg["s"]
+        cfg["process"], cfg["theta_grid"], cfg["n"], cfg["m"], rng_for(cfg["seed"]), s=cfg["s"]
     )
     return ["theta", "lambda_hat"], [[est.thetas, est.lambda_hat]], est.to_json()
 
 
 def _run_scaled_cumulant(cfg: dict):
-    proc = parse_process(cfg["process"])
     thetas, n = cfg["theta_grid"], cfg["n"]
-    sums = estimators.block_sums(proc, n, cfg["m"], rng_for(cfg["seed"]))
+    sums = estimators.block_sums(cfg["process"], n, cfg["m"], rng_for(cfg["seed"]))
     a_n, v_n = _SCALINGS[cfg["a_scale"]](n), _SCALINGS[cfg["v_scale"]](n)
     values = [
         estimators.scaled_lambda_from_sums(sums, theta, a_n, v_n, cfg["s"], n)
@@ -514,12 +508,14 @@ def _run_prop2(cfg: dict):
 
 # ---------------------------------------------------------------------------
 # the subcommand table: name -> (runner, help, description, options), each
-# option (key, kind, default[, help]).  A kind is str, float (a real number),
-# INT, COUNT, TEXT_OR_REAL, a tuple of choices, or a text parser that turns
-# the flag into a list of finite reals.  The order of the options is the
-# order of the keys in the JSON config.  The table gives the flags, the help
-# and the checks of a config file alike.
+# option (key, kind, default[, help]).  A kind is PROCESS, float (a real
+# number), INT, COUNT, TEXT_OR_REAL, a tuple of choices, or a text parser
+# that turns the flag into a list of finite reals.  The order of the options
+# is the order of the keys in the JSON config, and the order they are read
+# in.  The table gives the flags, the help and the checks of a config file
+# alike.
 
+PROCESS = "a process spec"  # parsed by ``parse_process`` before the run
 INT = "an integer"
 COUNT = "a nonnegative integer"  # sizes and lengths: negative is not read as empty
 TEXT_OR_REAL = "a string or a real number"
@@ -527,7 +523,7 @@ REQUIRED = ...  # the default of an option that must be given
 RATES = ("s", "s1", "s2")  # the service rates, real options under lindley.service_rate
 
 _SEED = ("seed", COUNT, 0, "global seed, any nonnegative integer")
-_PROCESS = ("process", str, REQUIRED)
+_PROCESS = ("process", PROCESS, REQUIRED)
 _SCALES = tuple(sorted(_SCALINGS))
 
 _SUBCOMMANDS = {
@@ -551,8 +547,8 @@ _SUBCOMMANDS = {
     ),
     "gg1": (
         _run_gg1, "single-server waiting times", "CSV schema: n, waiting_time.",
-        [("service", str, REQUIRED), ("interarrival", str, REQUIRED), ("n", COUNT, REQUIRED),
-         _SEED],
+        [("service", PROCESS, REQUIRED), ("interarrival", PROCESS, REQUIRED),
+         ("n", COUNT, REQUIRED), _SEED],
     ),
     "tandem": (
         _run_tandem, "two stations in series", "CSV schema: n, arrival, queue1, output1, queue2.",
@@ -690,7 +686,7 @@ def _want(kind) -> str:
     """What a value of ``kind`` must be, as its error and the help say it."""
     if isinstance(kind, tuple):
         return "one of " + ", ".join(kind)
-    if isinstance(kind, str):  # INT, COUNT, TEXT_OR_REAL
+    if isinstance(kind, str):  # PROCESS, INT, COUNT, TEXT_OR_REAL
         return kind
     texts = {str: "a string", float: "a real number"}
     return texts.get(kind, "a nonempty list of finite real numbers")
@@ -709,7 +705,7 @@ def _checked(key: str, kind, default, value):
         if kind == COUNT and number < 0:
             raise ValueError(f"{key} must be nonnegative, got {number}")
         return number
-    if kind is str:
+    if kind == PROCESS:
         ok = isinstance(value, str)
     elif kind is float:
         ok = _is_real(value)
@@ -726,8 +722,17 @@ def _checked(key: str, kind, default, value):
     return value
 
 
-def _resolve_config(given: dict) -> dict:
-    """The checked config of a run: a ``--config`` file's, or the subcommand and options of argv."""
+def _resolve_config(given: dict) -> tuple[dict, dict]:
+    """The one pass from argv's values or a ``--config`` file to a run: (echo, view).
+
+    Each declared option, in table order, is checked by ``_checked`` if
+    given, else takes its default (a text default parsed as a flag's text
+    is), else is refused as missing; so of two bad options the first in the
+    table is the error.  The view holds every option, a process spec parsed
+    by ``parse_process``.  The echo, the config the summary embeds, is a
+    config file's checked config, or every non-None value of a run from
+    flags, process specs as text.
+    """
     if "config" in given:
         if "subcommand" in given:
             raise ValueError("--config replays a saved run: give no subcommand or options with it")
@@ -748,38 +753,24 @@ def _resolve_config(given: dict) -> dict:
         raise ValueError("a subcommand or --config is required")
     else:
         cfg = {key: value for key, value in given.items() if key != "out"}
-    options = _SUBCOMMANDS[cfg["subcommand"]][3]
+    name = cfg["subcommand"]
+    options = _SUBCOMMANDS[name][3]
     declared = {key for key, *_ in options}
     for key in cfg:
         if key != "subcommand" and key not in declared:
-            raise ValueError(f"{cfg['subcommand']} has no option {key!r}")
+            raise ValueError(f"{name} has no option {key!r}")
+    echo, view = {"subcommand": name}, {"subcommand": name}
     for key, kind, default, *_ in options:
         if key in cfg:
-            cfg[key] = _checked(key, kind, default, cfg[key])
-    return cfg
-
-
-def _with_defaults(cfg: dict) -> dict:
-    """The runner's view of a resolved config: every declared option in table order.
-
-    An absent one takes its default, a text default parsed as a flag's text
-    is, so a bare config runs as the flags would.
-    """
-    name = cfg["subcommand"]
-    view = {"subcommand": name}
-    for key, kind, default, *_ in _SUBCOMMANDS[name][3]:
-        if key in cfg:
-            view[key] = cfg[key]
+            value = cfg[key] = _checked(key, kind, default, cfg[key])
         elif default is REQUIRED:
             raise ValueError(f"{name} needs option {key!r}")
         else:
-            view[key] = kind(default) if kind in _PARSED and isinstance(default, str) else default
-    return view
-
-
-def _default_base(subcommand: str) -> Path:
-    root = os.environ.get("ERGOQUEUE_OUT", ".")
-    return Path(root) / subcommand
+            value = kind(default) if kind in _PARSED and isinstance(default, str) else default
+        if value is not None:
+            echo[key] = value
+        view[key] = parse_process(value) if kind == PROCESS else value
+    return (cfg if "config" in given else echo), view
 
 
 def main(argv=None) -> int:
@@ -790,14 +781,12 @@ def main(argv=None) -> int:
             return 0
         if given.get("out") == "":
             raise ValueError("--out needs a nonempty base path")
-        cfg = _resolve_config(given)
-        view = _with_defaults(cfg)
+        cfg, view = _resolve_config(given)
         header, blocks, results = _SUBCOMMANDS[cfg["subcommand"]][0](view)
-        if "config" not in given:  # a run from flags echoes every default it ran with
-            cfg = {key: value for key, value in view.items() if value is not None}
-        base = Path(given["out"]) if "out" in given else _default_base(cfg["subcommand"])
+        root = Path(os.environ.get("ERGOQUEUE_OUT", "."))
+        base = Path(given["out"]) if "out" in given else root / cfg["subcommand"]
         _write_outputs(base, header, blocks, {"config": cfg, "results": results})
-    except (ProcessError, ValueError, OSError, KeyError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         json.dump({"error": f"{type(exc).__name__}: {exc}"}, sys.stderr)
         sys.stderr.write("\n")
         return 2

@@ -325,7 +325,8 @@ def membership_window(p: DyadicPoint, width: int, i_max: int | None = None) -> n
 
     Each band (``band``) is a periodic slice of the run, padded to whole
     blocks of RUN_ALIGN counters: one strided slice when the period fits a
-    block, else one slice per period the run meets, offsets in Python ints.
+    block, else one slice per period the run meets, each offset the run's
+    start masked to the period in Python ints.
     The bands stop at the first whose lo passes the run's last counter: it
     and every deeper band have a period past the run, so the run's residues
     are its counters, all below their lo.
@@ -349,7 +350,7 @@ def membership_window(p: DyadicPoint, width: int, i_max: int | None = None) -> n
         if period <= RUN_ALIGN:
             out.reshape(-1, period)[:, lo:hi] = True
         else:
-            for base in range(-((c - skip) % period), out.size, period):
+            for base in range(-((c - skip) & (period - 1)), out.size, period):
                 out[max(base + lo, 0) : max(base + hi, 0)] = True
     return out[skip : skip + width]
 

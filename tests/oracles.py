@@ -13,12 +13,18 @@ output: the per-bit digit DP of the window counter (``digit_steps``) and
 the counter draw that makes one ``rng.integers`` call per 32-bit word
 (``uniform_counters``), and the ``dataclasses`` form of every frozen record
 (``dataclass_twin``), which the package's own record helper must match.
-Only tests import it.
+Last, it holds the queue recursion stepped in plain Python
+(``recursion_oracle``) and, on a recorded trace, the files that the
+``loynes``, ``couple``, ``gg1`` and ``tandem`` subcommands write, each built
+step by step with ``csv.writer`` and exact sums (``cli_loynes`` and the
+others).  Only tests import it.
 """
 
 from __future__ import annotations
 
 import bisect
+import csv
+import io
 import itertools
 import operator
 from dataclasses import MISSING, dataclass, field, make_dataclass
@@ -27,6 +33,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from ergoqueue import lindley as ld
 from ergoqueue import odometer as od
 
 
@@ -273,3 +280,120 @@ def dataclass_twin(cls: type, hidden: tuple[str, ...] = ()) -> type:
     post_init = cls.__dict__.get("__post_init__")
     namespace = {"__post_init__": post_init} if post_init else {}
     return make_dataclass(cls.__name__, specs, bases=cls.__bases__, namespace=namespace, frozen=True)
+
+
+# ---------------------------------------------------------------------------
+# the queue recursion, and the CLI's files on a recorded trace, one step at a time
+
+
+def _step(x: float, z: float) -> float:
+    """The defining step max(x + z, 0.0): x + z unless it is below 0.0, so -0.0 and NaN pass."""
+    x += z
+    if x < 0.0:
+        x = 0.0
+    return x
+
+
+def recursion_oracle(x0, increments):
+    """The defining step iterated in plain Python: x0 and the state after each increment."""
+    states = [x0]
+    for z in np.asarray(increments, dtype=np.float64).tolist():
+        states.append(_step(states[-1], z))
+    return states
+
+
+def _exact_total(values) -> Fraction:
+    return sum(map(Fraction, values), Fraction(0))
+
+
+def _csv(header: list[str], rows) -> bytes:
+    """The CSV of the rows: floats with 17 significant digits, None as an empty cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+    return buf.getvalue().encode("ascii")
+
+
+def cli_loynes(trace: list[float], s: float, window: int, slack: float = 0.0):
+    """(CSV bytes, results) of ``loynes --process trace:PATH``.
+
+    The window holds the last ``window`` values of the trace, the most
+    recent first, each less s; V_0 = 0 and V_n adds the n-th in order.
+    """
+    z = [y - s for y in reversed(trace[len(trace) - window :])]
+    sums = [0.0, *itertools.accumulate(z)]
+    best, arg, rows = 0.0, 0, []
+    for n, v in enumerate(sums):
+        if v > best:
+            best, arg = v, n
+        rows.append((n, v, best))
+    results = {
+        "value": best,
+        "argmax": arg,
+        "converged": arg < window and sums[-1] < best - slack,
+        "window": window,
+    }
+    return _csv(["n", "partial_sum", "running_max"], rows), results
+
+
+def cli_couple(trace: list[float], s: float, x0: float, horizon: int, replicas: int):
+    """(CSV bytes, results) of ``couple --process trace:PATH``.
+
+    Every replica reads the trace from its start: the chains from x0 and
+    from 0 step together until they meet, then ``ABSORPTION_CHECK`` steps
+    more, or until the horizon.
+    """
+    z = [y - s for y in trace[:horizon]]
+    upper, lower, tau, n = x0, 0.0, None, 0
+    if upper == lower:
+        tau, z = 0, []  # chains started equal read no input
+    while n < len(z) and (tau is None or n < tau + ld.ABSORPTION_CHECK):
+        upper, lower, n = _step(upper, z[n]), _step(lower, z[n]), n + 1
+        if tau is None and upper == lower:
+            tau = n
+    times = [tau] * replicas if tau is not None else []
+    results = {
+        "replicas": replicas,
+        "coupled": len(times),
+        "max_coupling_time": max(times) if times else None,
+        "mean_coupling_time": sum(times) / len(times) if times else None,
+    }
+    rows = [(r, tau, upper, lower) for r in range(replicas)]
+    return _csv(["replica", "coupling_time", "final_upper", "final_lower"], rows), results
+
+
+def cli_gg1(services: list[float], gaps: list[float], n: int):
+    """(CSV bytes, results) of ``gg1`` on two traces: W_{k+1} steps W_k by S_k - A_k."""
+    waits = recursion_oracle(0.0, [b - a for b, a in zip(services[:n], gaps[:n])])
+    results = {
+        "n": n,
+        "mean_wait": float(_exact_total(waits[1:]) / (n + 1)),
+        "max_wait": max(waits),
+        "final_wait": waits[-1],
+    }
+    return _csv(["n", "waiting_time"], enumerate(waits)), results
+
+
+def cli_tandem(trace: list[float], s1: float, s2: float, horizon: int):
+    """(CSV bytes, results) of ``tandem --process trace:PATH``.
+
+    The first station's output in a slot is its backlog plus the arrival,
+    less its new backlog; it arrives at the second station in that slot.
+    """
+    y = trace[:horizon]
+    q = recursion_oracle(0.0, [a - s1 for a in y])
+    out = [(q[k] + a) - q[k + 1] for k, a in enumerate(y)]
+    w = recursion_oracle(0.0, [o - s2 for o in out])
+    inflow, outflow = _exact_total(y), _exact_total(out)
+    results = {
+        "horizon": horizon,
+        "total_input": float(inflow),
+        "total_first_output": float(outflow),
+        "first_backlog_change": q[-1],
+        "conservation_exact": inflow - outflow == Fraction(q[-1]),
+        "second_backlog_final": w[-1],
+    }
+    rows = zip(range(horizon), y, q[1:], out, w[1:])
+    return _csv(["n", "arrival", "queue1", "output1", "queue2"], rows), results

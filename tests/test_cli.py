@@ -20,6 +20,8 @@ from ergoqueue import cli, estimators, lindley
 from ergoqueue import odometer as od
 from ergoqueue.processes import parse_process, rng_for
 
+import oracles
+
 
 def run(tmp_path, name, args):
     base = tmp_path / name
@@ -946,6 +948,54 @@ def test_choices_reject_unknown_values(tmp_path, capsys, name, key, default):
     assert _bad_config(tmp_path, capsys, name, key, "zzz") == error
 
 
+PROCESS_OPTIONS = [
+    pytest.param(name, key, id=f"{name}-{key}")
+    for name, (*_, options) in cli._SUBCOMMANDS.items()
+    for key, kind, *_ in options
+    if kind == cli.PROCESS
+]
+
+
+@pytest.mark.parametrize("name, key", PROCESS_OPTIONS)
+def test_a_bad_process_spec_is_refused_before_the_runner(tmp_path, capsys, monkeypatch, name, key):
+    def runner(cfg):
+        raise AssertionError("the runner was called")
+
+    _, *rest = cli._SUBCOMMANDS[name]
+    monkeypatch.setitem(cli._SUBCOMMANDS, name, (runner, *rest))
+    want = "ProcessError: unknown process kind 'bogus'"
+    # from a flag and from a config file alike
+    assert cli.main([*_flags(name, **{key: "bogus"}), "--out", str(tmp_path / "x")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == want
+    assert not (tmp_path / "x.csv").exists()
+    assert _bad_config(tmp_path, capsys, name, key, "bogus") == want
+
+
+@pytest.mark.parametrize(
+    "name, bad, want",
+    [
+        ("simulate", {"process": "bogus", "s": -1}, "ProcessError: unknown process kind 'bogus'"),
+        ("simulate", {"process": None, "s": -1}, "ValueError: simulate needs option 'process'"),
+        ("gg1", {"interarrival": "trace:", "n": 1.5}, "ProcessError: trace needs a path"),
+        ("couple", {"s": 0, "horizon": -1}, "ValueError: service rate must be positive and finite"),
+    ],
+)
+def test_of_two_bad_options_the_first_in_the_table_is_the_error(tmp_path, capsys, name, bad, want):
+    # None leaves the option out; the same option is named from flags and from a config
+    cfg = {key: value for key, value in {**MINIMAL[name], **bad}.items() if value is not None}
+    assert cli.main([name, *_flags_of(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == want
+    assert _config_rejects(tmp_path, capsys, json.dumps({"subcommand": name, **cfg})) == want
+
+
+@pytest.mark.parametrize("name, replicas, calls", [("couple", 3, 1), ("gg1", None, 2)])
+def test_each_process_spec_is_parsed_once_per_run(tmp_path, name, replicas, calls):
+    cfg = {**MINIMAL[name], **({"replicas": replicas} if replicas else {})}
+    with mock.patch.object(cli, "parse_process", wraps=parse_process) as parse:
+        assert cli.main([name, *_flags_of(cfg), "--out", str(tmp_path / "x")]) == 0
+    assert parse.call_count == calls
+
+
 def test_config_refuses_a_subcommand_beside_it(tmp_path, capsys):
     # the flags would otherwise be dropped in silence and the config run
     args = ["simulate", "--process", "odometer", "--s", "0.5", "--horizon", "7"]
@@ -1457,8 +1507,8 @@ STREAM_HORIZONS = [0, 1, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK, cli.WRITE_BLOCK +
 
 
 def _stepped(z):
-    """The states after each step from 0, by one reflection over the whole input."""
-    return lindley._reflect(0.0, np.asarray(z, dtype=np.float64), np.empty(len(z)))
+    """The states after each step from 0, by the step iterated in plain Python."""
+    return np.array(oracles.recursion_oracle(0.0, z)[1:])
 
 
 @pytest.mark.parametrize(

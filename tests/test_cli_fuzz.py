@@ -58,7 +58,7 @@ def _pools(key, kind):
         return BOUNDED[key], HOSTILE
     if kind == cli.COUNT:
         return SIZES, HOSTILE
-    if kind is str:
+    if kind == cli.PROCESS:
         return PROCESSES, BAD_PROCESSES
     if isinstance(kind, tuple):
         return list(kind), ["abc", ""]

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from ergoqueue import lindley as ld
 
+import oracles
+
 dyadic = st.integers(-(1 << 20), 1 << 20).map(lambda k: k / 1048576.0)
 windows = st.lists(dyadic, max_size=200)
 
@@ -39,16 +41,6 @@ def bits(values):
 
 
 MAX = float.fromhex("0x1.fffffffffffffp+1023")
-
-
-def recursion_oracle(x0, increments):
-    """The defining step iterated in plain Python."""
-    x = x0
-    states = [x]
-    for z in np.asarray(increments, dtype=np.float64).tolist():
-        x = max(x + z, 0.0)
-        states.append(x)
-    return states
 
 
 def couple_oracle(x0, increments):
@@ -276,7 +268,7 @@ def scaled_walks(draw):
 @given(st.tuples(starts, increments) | scaled_walks())
 def test_recursion_matches_sequential_step(case):
     x0, values = case
-    assert bits(ld.run_recursion(x0, values)) == bits(recursion_oracle(x0, values))
+    assert bits(ld.run_recursion(x0, values)) == bits(oracles.recursion_oracle(x0, values))
 
 
 @pytest.mark.parametrize(
@@ -293,7 +285,7 @@ def test_recursion_steps_only_blocks_past_53_bits(fine, stepped_blocks):
     z[::7] += fine
     with mock.patch.object(ld, "_step", wraps=ld._step) as step:
         states = ld.run_recursion(3000.0, z)
-    assert bits(states) == bits(recursion_oracle(3000.0, z))
+    assert bits(states) == bits(oracles.recursion_oracle(3000.0, z))
     assert step.call_count == stepped_blocks
 
 
@@ -328,7 +320,7 @@ def test_reflect_steps_nan_like_max(x0, values, seed, nan):
     if z.size:
         z[np.random.default_rng(seed).integers(z.size)] = nan
     out = ld._reflect(x0, z, np.empty(z.size))
-    assert bits(out) == bits(recursion_oracle(x0, z)[1:])
+    assert bits(out) == bits(oracles.recursion_oracle(x0, z)[1:])
 
 
 def test_recursion_rejects_negative_start():
@@ -340,7 +332,7 @@ def test_recursion_rejects_negative_start():
 def test_recursion_trace_invariant(x0, values):
     states = ld.run_recursion(x0, values)
     assert states.dtype == np.float64
-    assert bits(states) == bits(recursion_oracle(x0, values))
+    assert bits(states) == bits(oracles.recursion_oracle(x0, values))
     assert (states >= 0).all()
 
 
@@ -775,7 +767,7 @@ def test_queue_step_rejects():
 
 @given(st.lists(st.floats(0, 4), max_size=50), st.floats(0.25, 4))
 def test_queue_step_is_lindley_step(arrivals, s):
-    expected = recursion_oracle(0.0, [y - s for y in arrivals])
+    expected = oracles.recursion_oracle(0.0, [y - s for y in arrivals])
     assert bits(queue(arrivals, s)) == bits(expected)
 
 
@@ -847,7 +839,7 @@ def test_queue_stream_ignores_block_splits(values, where):
     assert all(0 < y.size <= ld.BLOCK and q.size == y.size + 1 for y, q in pieces)
     assert bits(np.concatenate([np.empty(0), *(y for y, _ in pieces)])) == bits(arrivals)
     states = [0.0, *(x for _, q in pieces for x in q[1:].tolist())]
-    assert bits(states) == bits(recursion_oracle(0.0, arrivals - 0.75))
+    assert bits(states) == bits(oracles.recursion_oracle(0.0, arrivals - 0.75))
     starts = np.cumsum([0, *(y.size for y, _ in pieces)])[:-1]
     assert bits([q[0] for _, q in pieces]) == bits([states[k] for k in starts])
 
@@ -859,7 +851,7 @@ def test_waiting_stream_aligns_differently_cut_inputs(values, where, elsewhere):
     gaps = services[::-1] * 0.5
     blocks = ld.waiting_blocks(split(services, where), split(gaps, elsewhere))
     states = [0.0, *(x for q in blocks for x in q[1:].tolist())]
-    assert bits(states) == bits(recursion_oracle(0.0, services - gaps))
+    assert bits(states) == bits(oracles.recursion_oracle(0.0, services - gaps))
     assert bits(waiting(services, gaps)) == bits(states)
 
 
@@ -880,9 +872,9 @@ def test_a_none_block_is_checked_not_taken_for_the_end_of_its_stream():
 def test_tandem_stream_is_two_stepped_stations(values, where):
     arrivals = np.abs(np.asarray(values, dtype=np.float64))
     rows = list(ld.tandem_blocks(split(arrivals, where), 0.8, 0.7))
-    q1 = recursion_oracle(0.0, arrivals - 0.8)
+    q1 = oracles.recursion_oracle(0.0, arrivals - 0.8)
     out = [(q1[n] + y) - q1[n + 1] for n, y in enumerate(arrivals.tolist())]
-    q2 = recursion_oracle(0.0, np.asarray(out) - 0.7)
+    q2 = oracles.recursion_oracle(0.0, np.asarray(out) - 0.7)
     joined = [np.concatenate([np.empty(0), *(row[j][1:] if j in (1, 3) else row[j] for row in rows)])
               for j in range(4)]
     assert [bits(col) for col in joined] == [bits(arrivals), bits(q1[1:]), bits(out), bits(q2[1:])]

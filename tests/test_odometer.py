@@ -463,6 +463,27 @@ def test_membership_window_at_huge_precision_meets_only_the_bands_of_the_run():
         assert got[j] == od.in_arrival_set(od.DyadicPoint(3 + j, precision), cap), j
 
 
+def _fives(precision: int) -> int:
+    """A large counter below 2**precision: every hex digit 5, so every band holds bits."""
+    return int("5" * (precision // 4), 16)
+
+
+def test_membership_window_of_large_counters_masks_each_band_offset():
+    # a run of large counters meets every band; each band's offset is the
+    # run's start masked to the period, linear in the precision, where a
+    # big-int remainder per band took 1.5 s at this precision
+    precision = 20_001
+    start = time.perf_counter()
+    od.membership_window(od.DyadicPoint(_fives(precision), precision), 2)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_membership_window_of_large_counters_matches_scalar():
+    precision = 2001
+    assert_run_matches_scalar(precision, od.band_limit(precision), _fives(precision), 300,
+                              every=True)
+
+
 def test_run_seed_sets():
     assert len(oracles.run_seed_set(0)) == 0
     assert not od.run_seed_mask(np.arange(1 << 12, dtype=np.uint64), 0).any()
