@@ -60,11 +60,7 @@ def _fmt(x) -> str:
         return format(x, FLOAT_FORMAT)
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    if isinstance(x, Fraction):
-        return str(x)
-    if x is None:
-        return ""
-    return str(x)
+    return "" if x is None else str(x)  # a Fraction as p/q
 
 
 # a character of a cell that ``csv.writer`` would quote (CR on some Python
@@ -243,10 +239,8 @@ def _write_outputs(base: Path, header, blocks, summary: dict) -> None:
         fh.write(text + "\n")
 
 
-def _finite(values: list[float]) -> list[float]:
-    if not all(map(math.isfinite, values)):
-        raise ValueError("every entry must be finite")
-    return values
+def _thresholds(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
 
 
 def _theta_grid(text: str) -> list[float]:
@@ -265,20 +259,12 @@ def _theta_grid(text: str) -> list[float]:
             grid = start + np.arange(count) * step
         except (MemoryError, ValueError) as exc:
             raise ValueError(f"grid of {count} points does not fit in memory") from exc
-        return _finite(grid.tolist())
-    return _finite([float(x) for x in text.split(",")])
+        return grid.tolist()
+    return _thresholds(text)
 
 
-def _thresholds(text: str) -> list[float]:
-    return _finite([float(x) for x in text.split(",")])
-
-
-_SCALINGS = {
-    "linear": lambda t: float(t),
-    "sqrt": lambda t: math.sqrt(t),
-    "cbrt": lambda t: float(t) ** (1.0 / 3.0),
-    "log1p": lambda t: math.log1p(t),
-}
+_SCALINGS = {"linear": float, "sqrt": math.sqrt, "cbrt": lambda t: float(t) ** (1.0 / 3.0),
+             "log1p": math.log1p}
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +395,12 @@ def _run_odometer(cfg: dict):
         i_max = cfg["i_max"]
         if i_max is None:
             raise ValueError("measure mode needs i_max")
-        odometer.band_limit(precision, i_max)
+        # each measure is p/q, q a divisor of 2**depth: refused before the walk
+        # where 2**depth has more digits than Python converts to text
+        depth = odometer.band(odometer.band_limit(precision, i_max))[0]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none, or no such limit
+        if limit and depth >= (10**limit).bit_length():
+            raise ValueError(f"i_max {i_max}: 2**{depth} passes the {limit}-digit int text limit")
         bands = range(i_max + 1)
         measures = odometer.arrival_set_measures(i_max)
         columns = [bands, [odometer.band_measure(i) for i in bands], measures]
@@ -424,14 +415,8 @@ def _run_odometer(cfg: dict):
     value = cfg["value"]
     if value is None:
         raise ValueError("orbit mode needs value")
-    if isinstance(value, str) and value.startswith("0x"):
-        p = odometer.DyadicPoint(int(value, 16), precision)
-    else:
-        try:
-            frac = Fraction(value)
-        except (ZeroDivisionError, OverflowError, TypeError, ValueError) as exc:
-            raise ValueError(f"value must be a finite fraction, got {value!r}") from exc
-        p = odometer.DyadicPoint.from_fraction(frac, precision)
+    point = odometer.DyadicPoint  # from a 0x counter, else from a fraction
+    p = (point.from_fraction if isinstance(value, Fraction) else point)(value, precision)
     steps = cfg["steps"]
     sign = -1 if cfg["direction"] == "backward" else 1
     # step k is counter c - sign*k: the run is checked once at its far end and
@@ -510,15 +495,15 @@ def _run_prop2(cfg: dict):
 # the subcommand table: name -> (runner, help, description, options), each
 # option (key, kind, default[, help]).  A kind is PROCESS, float (a real
 # number), INT, COUNT, TEXT_OR_REAL, a tuple of choices, or a text parser
-# that turns the flag into a list of finite reals.  The order of the options
-# is the order of the keys in the JSON config, and the order they are read
-# in.  The table gives the flags, the help and the checks of a config file
-# alike.
+# that turns the text into a list of reals, which must be finite.  The
+# order of the options is the order of the keys in the JSON config, and the
+# order they are read in.  The table gives the flags, the help and the
+# checks of a config file alike.
 
 PROCESS = "a process spec"  # parsed by ``parse_process`` before the run
 INT = "an integer"
 COUNT = "a nonnegative integer"  # sizes and lengths: negative is not read as empty
-TEXT_OR_REAL = "a string or a real number"
+TEXT_OR_REAL = "a string or a real number"  # parsed by ``_start_point`` before the run
 REQUIRED = ...  # the default of an option that must be given
 RATES = ("s", "s1", "s2")  # the service rates, real options under lindley.service_rate
 
@@ -594,7 +579,7 @@ _SUBCOMMANDS = {
 
 _OUT = ("out", str, None, "output base path (writes BASE.csv and BASE.json)")
 _TOP = [("config", str, None, "replay a saved JSON configuration, with no other option"), _OUT]
-_PARSED = (float, _theta_grid, _thresholds)  # the kinds whose flag text is parsed
+_PARSED = (float, _theta_grid, _thresholds)  # the kinds whose text (flag or default) is parsed
 
 
 def build_parser() -> dict:
@@ -607,10 +592,10 @@ def build_parser() -> dict:
 def _read_argv(argv: list[str]) -> dict:
     """The values of ``[--config F] [--out B] SUB (--key value | --key=value)...``, by key.
 
-    The token after a flag is its value, even when it starts with "-".  Only
-    a kind in ``_PARSED`` parses its text, an error naming the flag.  A help
-    flag ends the reading.  A token the table lacks (an abbreviation too), a
-    flag given twice and one with no value are each a ValueError.
+    The token after a flag is its value, even when it starts with "-", kept
+    as text.  A help flag ends the reading.  A token the table lacks (an
+    abbreviation too), a flag given twice and one with no value are each a
+    ValueError.
     """
     table, given, tokens = build_parser(), {}, iter(argv)
     for token in tokens:
@@ -624,16 +609,13 @@ def _read_argv(argv: list[str]) -> dict:
         if flag not in table[name]:
             what = "option" if name or flag.startswith("-") else "subcommand"
             raise ValueError(f"{name or 'ergoqueue'} has no {what} {flag!r}")
-        key, kind, *_ = table[name][flag]
+        key = table[name][flag][0]
         if key in given:
             raise ValueError(f"{flag} is given twice")
         value = value if joined else next(tokens, None)
         if value is None:
             raise ValueError(f"{flag} needs a value")
-        try:
-            given[key] = kind(value) if kind in _PARSED else value
-        except ValueError as exc:
-            raise ValueError(f"{flag}: {exc}") from exc
+        given[key] = value
     return given
 
 
@@ -722,16 +704,25 @@ def _checked(key: str, kind, default, value):
     return value
 
 
+def _start_point(value) -> int | Fraction:
+    """The odometer's start point: a ``0x`` counter as an int, else an exact fraction."""
+    try:
+        return int(value, 16) if str(value).startswith("0x") else Fraction(value)
+    except (ZeroDivisionError, ValueError) as exc:
+        raise ValueError(f"value must be a finite fraction, got {value!r}") from exc
+
+
 def _resolve_config(given: dict) -> tuple[dict, dict]:
     """The one pass from argv's values or a ``--config`` file to a run: (echo, view).
 
-    Each declared option, in table order, is checked by ``_checked`` if
-    given, else takes its default (a text default parsed as a flag's text
-    is), else is refused as missing; so of two bad options the first in the
-    table is the error.  The view holds every option, a process spec parsed
-    by ``parse_process``.  The echo, the config the summary embeds, is a
-    config file's checked config, or every non-None value of a run from
-    flags, process specs as text.
+    Each declared option, in table order, takes its given value, else its
+    default, else is refused as missing; text of a kind in ``_PARSED`` (a
+    flag's or a default's) is parsed, an error naming the flag, and then
+    ``_checked``.  So of two bad options the first in the table is the
+    error.  The view holds every option, process specs parsed by
+    ``parse_process`` and a start point by ``_start_point``.  The echo, the
+    config the summary embeds, is a config file's checked config, or every
+    non-None value of a run from flags, specs and start points as text.
     """
     if "config" in given:
         if "subcommand" in given:
@@ -759,18 +750,26 @@ def _resolve_config(given: dict) -> tuple[dict, dict]:
     for key in cfg:
         if key != "subcommand" and key not in declared:
             raise ValueError(f"{name} has no option {key!r}")
+    replay = "config" in given
     echo, view = {"subcommand": name}, {"subcommand": name}
     for key, kind, default, *_ in options:
-        if key in cfg:
-            value = cfg[key] = _checked(key, kind, default, cfg[key])
-        elif default is REQUIRED:
+        value = cfg.get(key, default)
+        if value is REQUIRED:
             raise ValueError(f"{name} needs option {key!r}")
-        else:
-            value = kind(default) if kind in _PARSED and isinstance(default, str) else default
+        if kind in _PARSED and isinstance(value, str) and not (replay and key in cfg):
+            try:
+                value = kind(value)
+            except ValueError as exc:
+                raise ValueError(f"--{key.replace('_', '-')}: {exc}") from exc
+        value = _checked(key, kind, default, value)
+        if key in cfg:
+            cfg[key] = value
         if value is not None:
             echo[key] = value
-        view[key] = parse_process(value) if kind == PROCESS else value
-    return (cfg if "config" in given else echo), view
+        view[key] = value
+        if value is not None and kind in (PROCESS, TEXT_OR_REAL):  # as the runners take it
+            view[key] = (parse_process if kind == PROCESS else _start_point)(value)
+    return (cfg if replay else echo), view
 
 
 def main(argv=None) -> int:

@@ -15,9 +15,9 @@ the counter draw that makes one ``rng.integers`` call per 32-bit word
 (``dataclass_twin``), which the package's own record helper must match.
 Last, it holds the queue recursion stepped in plain Python
 (``recursion_oracle``) and, on a recorded trace, the files that the
-``loynes``, ``couple``, ``gg1`` and ``tandem`` subcommands write, each built
-step by step with ``csv.writer`` and exact sums (``cli_loynes`` and the
-others).  Only tests import it.
+``simulate``, ``loynes``, ``couple``, ``gg1`` and ``tandem`` subcommands
+write, each built step by step with ``csv.writer`` and exact sums
+(``cli_simulate`` and the others).  Only tests import it.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import bisect
 import csv
 import io
 import itertools
+import math
 import operator
 from dataclasses import MISSING, dataclass, field, make_dataclass
 from fractions import Fraction
@@ -314,6 +315,40 @@ def _csv(header: list[str], rows) -> bytes:
     for row in rows:
         writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
     return buf.getvalue().encode("ascii")
+
+
+def cli_simulate(trace: list[float], s: float, thresholds: list[float], horizon: int,
+                 burn_in: int | None = None):
+    """(CSV bytes, results) of ``simulate --process trace:PATH``.
+
+    The queue steps from empty by each of the first ``horizon`` arrivals less
+    s; the states after step burn_in (default horizon // 10) are the sample.
+    Each sorted threshold's survival is the share of the sample strictly
+    above it, and the decay is fitted by ``np.polyfit`` over the thresholds
+    with nonzero survival, when two of them differ.
+    """
+    burn_in = horizon // 10 if burn_in is None else burn_in
+    y = trace[:horizon]
+    kept = recursion_oracle(0.0, [a - s for a in y])[burn_in + 1 :]
+    m, qs = len(kept), sorted(thresholds)
+    survival = [float(sum(x > q for x in kept)) / m for q in qs]
+    errors = [math.sqrt(p * (1.0 - p) / m) for p in survival]
+    points = np.array([q for q, p in zip(qs, survival) if p > 0.0])
+    logs = np.log([p for p in survival if p > 0.0])
+    fitted = None
+    if points.size >= 2 and points[0] != points[-1]:
+        fitted = float(-np.polyfit(points, logs, 1)[0])
+    input_mean = float(_exact_total(y) / horizon)
+    results = {
+        "tail": {"thresholds": qs, "survival": survival, "std_errors": errors, "sample_count": m},
+        "s": s,
+        "burn_in": burn_in,
+        "horizon": horizon,
+        "input_mean": input_mean,
+        "stable_mean": input_mean < s,
+        "fitted_decay": fitted,
+    }
+    return _csv(["threshold", "survival", "std_error"], zip(qs, survival, errors)), results
 
 
 def cli_loynes(trace: list[float], s: float, window: int, slack: float = 0.0):

@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -655,7 +656,13 @@ def test_non_finite_grid_entries_are_the_json_error(args):
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     error = json.loads(proc.stderr)["error"]
-    assert error.startswith(f"ValueError: {args[-2]}: ") and "finite" in error
+    flag, text = args[-2:]
+    if ":" in text:  # text that is no grid: the error names the flag
+        assert error.startswith(f"ValueError: {flag}: ") and "finite" in error
+    else:  # a non-finite entry: the error a config file's list gets
+        key, values = flag[2:].replace("-", "_"), [float(x) for x in text.split(",")]
+        want = f"{key} must be a nonempty list of finite real numbers, got {values!r}"
+        assert error == f"ValueError: {want}"
 
 
 @pytest.mark.parametrize(
@@ -748,6 +755,32 @@ def test_odometer_measure_walks_the_automaton_once(tmp_path):
     assert len(rows) == 1002 and rows[-1][0] == "1000"
     assert rows[-1][2] == results["union_measure"]
     assert results["tail_bound"] == f"1/{1 << 1002}"
+
+
+@pytest.mark.parametrize("i_max, refused", [(7141, False), (7142, True), (7200, True)])
+def test_odometer_measure_refuses_an_i_max_it_cannot_write_before_the_walk(
+    tmp_path, capsys, monkeypatch, i_max, refused
+):
+    # Python's default limit: 2**14285, the denominator bound of band 7142,
+    # has 4301 digits, and the walk to band 7200 takes about 10 s
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+
+    def walk(i_max):
+        raise ValueError("the walk started")
+
+    monkeypatch.setattr(od, "arrival_set_measures", walk)
+    argv = ["odometer", "--mode", "measure", "--i-max", str(i_max),
+            "--precision", str(2 * i_max + 1), "--out", str(tmp_path / "m")]
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 0.2
+    error = json.loads(capsys.readouterr().err)["error"]
+    if refused:
+        limit = f"2**{2 * i_max + 1} passes the 4300-digit int text limit"
+        assert error == f"ValueError: i_max {i_max}: {limit}"
+    else:
+        assert error == "ValueError: the walk started"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -986,6 +1019,32 @@ def test_of_two_bad_options_the_first_in_the_table_is_the_error(tmp_path, capsys
     assert cli.main([name, *_flags_of(cfg), "--out", str(tmp_path / "x")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == want
     assert _config_rejects(tmp_path, capsys, json.dumps({"subcommand": name, **cfg})) == want
+
+
+@pytest.mark.parametrize(
+    "name, bad, as_config, want",
+    [
+        ("couple", {"s": "0", "x0": "x"}, {"s": 0},
+         "ValueError: service rate must be positive and finite"),
+        ("simulate", {"horizon": "-1", "thresholds": "x"}, {"horizon": -1},
+         "ValueError: horizon must be nonnegative, got -1"),
+        ("odometer", {"value": "1/0", "steps": "-1"}, {"steps": -1},
+         "ValueError: value must be a finite fraction, got '1/0'"),
+        ("simulate", {"thresholds": "0,inf"}, {"thresholds": [0.0, math.inf]},
+         "ValueError: thresholds must be a nonempty list of finite real numbers, got [0.0, inf]"),
+    ],
+    ids=["couple", "simulate", "odometer", "thresholds"],
+)
+def test_option_text_is_read_in_table_order_as_a_config_is(tmp_path, capsys, name, bad, as_config,
+                                                            want):
+    # the bad flags in either argv order, and a config holding the values they spell
+    good = {key: value for key, value in MINIMAL[name].items() if key not in bad}
+    for order in (bad, dict(reversed(bad.items()))):
+        argv = [name, *_flags_of(good), *_flags_of(order), "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == want
+    cfg = {"subcommand": name, **MINIMAL[name], **bad, **as_config}
+    assert _config_rejects(tmp_path, capsys, json.dumps(cfg)) == want
 
 
 @pytest.mark.parametrize("name, replicas, calls", [("couple", 3, 1), ("gg1", None, 2)])

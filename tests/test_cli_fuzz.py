@@ -12,6 +12,10 @@ must return 0, or fail with exit status 2, exactly one JSON line with an
 ``error`` key on stderr and no output file left behind.  A run that returns
 0 must replay byte for byte through ``--config BASE.json``.  Warnings stay
 errors, as everywhere in the suite.
+
+Options are read in table order, from flags and from a config alike: of two
+options given values their kinds refuse, the earlier one in the table is
+the error, whatever the argv order.
 """
 
 import contextlib
@@ -148,3 +152,87 @@ def test_hostile_options_run_or_fail_cleanly(tmp_path_factory, run):
     assert code == 2, (code, err)
     assert err.count("\n") == 1 and err.endswith("\n"), err
     assert set(json.loads(err)) == {"error"}
+
+
+# a value each kind refuses whatever the other options hold: text that is no
+# number, a non-finite list, a bad start point, a negative count, an unknown
+# choice or process kind
+REFUSED = {float: ["abc", "", "inf"], cli.INT: ["abc", "2.5"], cli.COUNT: ["-1", "abc"],
+           cli.PROCESS: ["mystery:1", ""], cli.TEXT_OR_REAL: ["1/0", "abc", "0x"],
+           cli._theta_grid: ["0,inf", "1,nan", "0:1:0", "abc"],
+           cli._thresholds: ["0,inf", "1,nan", "abc"]}
+
+
+def _refused(key, kind):
+    if isinstance(kind, tuple):
+        return ["abc", ""]
+    return ["0", *REFUSED[float]] if key in cli.RATES else REFUSED[kind]
+
+
+def _as_config(kind, text):
+    """The JSON value a flag's text spells; text that does not parse stays text."""
+    if kind in (float, cli._theta_grid, cli._thresholds):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+@st.composite
+def two_bad_options(draw):
+    """A subcommand with every option given, two of them a value their kinds refuse.
+
+    Returns (name, {key: flag text} in a drawn argv order, the earlier
+    refused key in the table, the later one, a usual text of the later one).
+    """
+    name = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
+    options = cli._SUBCOMMANDS[name][3]
+    first, second = sorted(draw(st.lists(st.integers(0, len(options) - 1), min_size=2,
+                                         max_size=2, unique=True)))
+    values, usual = {}, None
+    for index, (key, kind, *_) in enumerate(options):
+        good = [v for v in _pools(key, kind)[0] if "{" not in v]
+        values[key] = draw(st.sampled_from(good))
+        if index in (first, second):
+            usual = values[key]
+            values[key] = draw(st.sampled_from(_refused(key, kind)))
+    order = draw(st.permutations(list(values)))
+    return name, {key: values[key] for key in order}, options[first][0], options[second][0], usual
+
+
+def _error(argv):
+    code, err = _main(argv)
+    assert code == 2, (argv, err)
+    return json.loads(err)["error"]
+
+
+def _argv(name, values):
+    return [name, *[arg for key, text in values.items()
+                    for arg in ("--" + key.replace("_", "-"), text)]]
+
+
+@given(case=two_bad_options())
+@example(case=("couple", {"process": "iid-bernoulli:0.5", "x0": "x", "s": "0", "horizon": "7",
+                          "replicas": "2", "seed": "0"}, "s", "x0", "0.75"))
+@example(case=("odometer", {"mode": "orbit", "steps": "-1", "value": "1/0", "direction": "forward",
+                            "precision": "64", "i_max": "3", "seed": "0"}, "value", "steps", "7"))
+@settings(max_examples=200, deadline=None)
+def test_of_two_bad_options_the_first_in_the_table_is_the_error(tmp_path_factory, case):
+    # the run fails as the run where only the earlier of the two is bad does
+    name, values, first, second, usual = case
+    kinds = {key: kind for key, kind, *_ in cli._SUBCOMMANDS[name][3]}
+    work = tmp_path_factory.mktemp("order")
+    only_first = {**values, second: usual}
+    out = ["--out", str(work / "out")]
+    # from flags, in the drawn argv order
+    assert _error([*_argv(name, values), *out]) == _error([*_argv(name, only_first), *out])
+    # from a config file holding the values the flags spell
+    errors = []
+    for cfg in (values, only_first):
+        path = work / "c.json"
+        config = {key: _as_config(kinds[key], text) for key, text in cfg.items()}
+        path.write_text(json.dumps({"subcommand": name, **config}), encoding="utf-8")
+        errors.append(_error(["--config", str(path), *out]))
+    assert errors[0] == errors[1]
+    assert list(work.iterdir()) == [work / "c.json"]

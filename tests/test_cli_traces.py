@@ -1,14 +1,14 @@
 """The CLI on recorded traces against a plain-Python reference, byte for byte.
 
-With ``trace:PATH`` input the ``loynes``, ``couple``, ``gg1`` and ``tandem``
-subcommands draw nothing at random, so their files are fixed by the trace
-and the options.  ``oracles.cli_loynes`` and its siblings build the same
-files one step at a time: the step ``x += z; if x < 0.0: x = 0.0``, cells
-through ``csv.writer`` and the summary's totals from exact sums.  The traces
-mix values on the quarter grid, where the package closes blocks in closed
-form, with values off it, near 1e300, subnormal, and -0.0, where it steps.
-The CSV must match byte for byte and each summary result must be the same
-JSON value.
+With ``trace:PATH`` input the ``simulate``, ``loynes``, ``couple``, ``gg1``
+and ``tandem`` subcommands draw nothing at random, so their files are fixed
+by the trace and the options.  ``oracles.cli_simulate`` and its siblings
+build the same files one step at a time: the step
+``x += z; if x < 0.0: x = 0.0``, cells through ``csv.writer`` and the
+summary's totals and means from exact sums.  The traces mix values on the quarter grid, where the package
+closes blocks in closed form, with values off it, near 1e300, subnormal, and
+-0.0, where it steps.  The CSV must match byte for byte and each summary
+result must be the same JSON value.
 """
 
 import json
@@ -46,6 +46,25 @@ def _trace(work, values, name="trace.txt"):
     path = work / name
     path.write_text("".join(f"{v!r}\n" for v in values), encoding="utf-8")
     return f"trace:{path}"
+
+
+# thresholds on the quarter grid and off it, where the fitted decay is well conditioned
+THRESHOLDS = st.lists(st.integers(-2, 12).map(lambda k: k / 4) | st.sampled_from([0.3, 1.7, 2.9]),
+                      min_size=1, max_size=6)
+
+
+@given(data=st.data(), trace=st.lists(VALUES, min_size=1, max_size=80), s=RATES,
+       thresholds=THRESHOLDS)
+@EXAMPLES
+def test_simulate_on_a_trace_matches_the_reference(tmp_path_factory, data, trace, s, thresholds):
+    work = tmp_path_factory.mktemp("simulate")
+    horizon = data.draw(st.integers(1, len(trace)))
+    burn_in = data.draw(st.none() | st.integers(0, horizon - 1))
+    argv = ["simulate", "--process", _trace(work, trace), "--s", repr(s), "--horizon", str(horizon),
+            "--thresholds", ",".join(map(repr, thresholds))]
+    if burn_in is not None:
+        argv += ["--burn-in", str(burn_in)]
+    _matches(work, argv, oracles.cli_simulate(trace, s, thresholds, horizon, burn_in))
 
 
 @given(data=st.data(), trace=TRACES, s=RATES, slack=st.sampled_from([0.0, 0.5, 1e300]))
